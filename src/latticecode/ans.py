@@ -505,16 +505,15 @@ def unpack_container(blob: bytes) -> tuple[AnsTable, int, list[int]]:
     """Inverse of pack_container; rebuilds the table from l_s and key."""
     if blob[:4] != _MAGIC:
         raise CorruptStream("bad magic")
-    version, w, r, n = struct.unpack_from("<BBBH", blob, 4)
-    if version != _VERSION:
-        raise CorruptStream("unsupported version %d" % version)
-    off = 9
-    l_s = []
-    for _ in range(n):
-        (ls,) = struct.unpack_from("<I", blob, off)
-        l_s.append(ls)
-        off += 4
-    key, final_x, ndigits = struct.unpack_from("<QQQ", blob, off)
+    try:
+        version, w, r, n = struct.unpack_from("<BBBH", blob, 4)
+        if version != _VERSION:
+            raise CorruptStream("unsupported version %d" % version)
+        l_s = list(struct.unpack_from("<%dI" % n, blob, 9))
+        off = 9 + 4 * n
+        key, final_x, ndigits = struct.unpack_from("<QQQ", blob, off)
+    except struct.error:
+        raise CorruptStream("truncated container") from None
     off += 24
     l = 1 << r
     b = 1 << w

@@ -11,7 +11,6 @@ byte-identical output.  Exit codes: 0 success, 1 data error, 2 usage.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -106,23 +105,6 @@ def _load_grids(text: str) -> list:
 # subcommands
 
 
-def _chain_capacity(model: lat.LatticeModel) -> float:
-    """lg of the Perron root of the sliding-window automaton of a chain."""
-    r = max(1, model.constraint_range)
-
-    def ok(cells):
-        return not lat.scan(np.array(cells, dtype=int), model)
-
-    states = [w for w in itertools.product(model.alphabet, repeat=r) if ok(w)]
-
-    def allowed(i, j):
-        return (states[i][1:] == states[j][:-1]
-                and ok(states[i] + (states[j][-1],)))
-
-    graph = spec.build_from_constraints(states, allowed)
-    return math.log2(spec.dominant_eigs(graph).value)
-
-
 def cmd_capacity(args) -> int:
     name = args.model
     print("model %s" % name)
@@ -137,7 +119,10 @@ def cmd_capacity(args) -> int:
     if model.dimension == 1:
         if args.width:
             raise UsageError("--width applies to 2-d models only")
-        print("capacity %.6f" % _chain_capacity(model))
+        graph = spec.block_symbols(
+            model.alphabet, max(1, model.constraint_range),
+            lambda w: not lat.scan(np.array(w, dtype=int), model))
+        print("capacity %.6f" % math.log2(spec.dominant_eigs(graph).value))
         return 0
     if not args.width:
         raise UsageError("2-d models need --width for the strip bound")

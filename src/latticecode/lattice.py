@@ -9,7 +9,9 @@ The module provides the brute-force machinery everything else is checked
 against: valuation enumeration and counting (with a column-DP fast path
 for two-dimensional binary models), entropy estimates, exact/empirical
 statistical descriptions, local-optimality and bound diagnostics, and the
-single-site-flip thermalization sampler.
+single-site-flip thermalization sampler.  It also owns the column transfer
+engine (`valid_columns`, `column_compat`) that the strip decomposition,
+the rectangle DP and the bound fast path share.
 
 Boundary modes for finite regions:
 
@@ -128,12 +130,7 @@ def no111() -> LatticeModel:
 
 def unconstrained(dimension: int = 2) -> LatticeModel:
     """Binary model with no constraints; handy as a null reference."""
-    m = LatticeModel.__new__(LatticeModel)
-    object.__setattr__(m, "dimension", dimension)
-    object.__setattr__(m, "alphabet", (0, 1))
-    object.__setattr__(m, "forbidden", ())
-    object.__setattr__(m, "name", "unconstrained")
-    return m
+    return LatticeModel(dimension, (0, 1), (), name="unconstrained")
 
 
 def model_preset(name: str) -> LatticeModel:
@@ -326,116 +323,96 @@ def _column_window(model):
     return w
 
 
-def _valid_column_masks(model, rows):
-    """Bitmasks of single columns violating no intra-column pattern."""
-    masks = []
-    pats = [[x[0] for x, _ in pat] for pat in model.forbidden
-            if all(x[1] == 0 for x, _ in pat)]
-    for m in range(1 << rows):
-        ok = True
-        for rowoffs in pats:
-            span = max(rowoffs)
-            for r in range(rows - span):
-                if all(m >> (r + o) & 1 for o in rowoffs):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            masks.append(m)
-    return masks
-
-
-def _column_pair_ok(model, rows, m1, m2):
+def _column_translates(model, n, cyclic):
+    """Every translate of a forbidden pattern over a width-n column pair,
+    as (cells in the left column, cells in the right column), each a
+    row -> symbol dict; single-column patterns fill the left side only.
+    Cyclic widths wrap the row index; a translate that demands two
+    symbols of one cell can never match and is dropped."""
+    if _column_window(model) > 1:
+        raise ValueError("patterns span more than two columns")
+    out = []
     for pat in model.forbidden:
-        cols = [x[1] for x, _ in pat]
-        if max(cols) - min(cols) != 1:
-            continue
-        spans = [x[0] for x, _ in pat]
-        lo = min(spans)
-        span = max(spans) - lo
-        for r in range(rows - span):
-            hit = True
-            for (dr, dc), _ in pat:
-                m = m2 if dc > min(cols) else m1
-                if not (m >> (r + dr - lo)) & 1:
-                    hit = False
-                    break
-            if hit:
-                return False
-    return True
+        c0 = min(x[1] for x, _ in pat)
+        span = max(x[0] for x, _ in pat)  # anchored: rows start at 0
+        for base in range(n if cyclic else n - span):
+            sides = ({}, {})
+            if all(sides[c - c0].setdefault((base + r) % n, s) == s
+                   for (r, c), s in pat):
+                out.append(sides)
+    return out
+
+
+def _hits(columns, cells):
+    """Rows of the (S, n) column array that match every row -> symbol cell."""
+    hit = np.ones(len(columns), dtype=bool)
+    for r, s in cells.items():
+        hit &= columns[:, r] == s
+    return hit
+
+
+def valid_columns(model, n, cyclic) -> np.ndarray:
+    """Width-n columns free of single-column forbidden translates, as an
+    (S, n) symbol array in itertools.product order.  Columns grow one row
+    at a time and a translate is checked once its last row is placed, so
+    memory follows the valid prefixes, not |alphabet|^n."""
+    alphabet = np.array(model.alphabet)
+    single = [left for left, right in _column_translates(model, n, cyclic)
+              if not right]
+    columns = np.empty((1, 0), dtype=alphabet.dtype)
+    for row in range(n):
+        columns = np.column_stack((np.repeat(columns, len(alphabet), axis=0),
+                                   np.tile(alphabet, len(columns))))
+        for cells in single:
+            if max(cells) == row:
+                columns = columns[~_hits(columns, cells)]
+    return columns
+
+
+def column_compat(model, n, cyclic, left, right) -> np.ndarray:
+    """ok[a, b]: column right[b] may follow column left[a] (no two-column
+    forbidden translate matches across them)."""
+    bad = np.zeros((len(left), len(right)), dtype=bool)
+    for lcells, rcells in _column_translates(model, n, cyclic):
+        if rcells:
+            bad |= _hits(left, lcells)[:, None] & _hits(right, rcells)[None, :]
+    return ~bad
 
 
 def _rect_dp_count(row0, col0, rows, cols, model, ctx) -> Optional[int]:
     """Column-by-column transfer count for 2D binary models whose patterns
     span at most two adjacent columns and demand only 1s.  ctx holds
-    clamped symbols (inside or adjacent to the rectangle); returns None
-    when the configuration is outside this fast path."""
+    clamped symbols (inside or near the rectangle); returns None when the
+    configuration is outside this fast path."""
     if model.dimension != 2 or not _all_ones_patterns(model):
         return None
     if _column_window(model) > 1 or rows > 20:
         return None
     vr = model.constraint_range
-    for (r, c) in ctx:
-        inside_rows = row0 <= r < row0 + rows
-        if inside_rows and not (col0 - 1 <= c <= col0 + cols):
-            if col0 - vr <= c < col0 + cols + vr and ctx[(r, c)] == 1:
-                return None  # influences through a wider window
-        if not inside_rows:
-            if row0 - vr <= r < row0 + rows + vr and ctx[(r, c)] == 1:
-                if not (r == row0 - 1 or r == row0 + rows):
-                    return None
-    masks = _valid_column_masks(model, rows)
-    pair_ok = {m1: [m2 for m2 in masks if _column_pair_ok(model, rows, m1, m2)]
-               for m1 in masks}
-    # per-column allowed masks from clamps inside and directly above/below
+    # clamps inside pin column entries; the columns directly left and right
+    # act through the pair constraint; any other 1 within reach of the
+    # rectangle is outside this fast path
     force = [dict() for _ in range(cols)]
-    side = {}
+    side = {-1: np.zeros((1, rows), dtype=int), cols: np.zeros((1, rows), dtype=int)}
     for (r, c), s in ctx.items():
-        j = c - col0
-        if row0 <= r < row0 + rows and 0 <= j < cols:
-            force[j][r - row0] = s
-        elif 0 <= j < cols and (r == row0 - 1 or r == row0 + rows) and s == 1:
-            # vertical neighbor outside: adjacent rectangle bit must be 0
-            force[j][0 if r < row0 else rows - 1] = -1
-        elif row0 <= r < row0 + rows and (j == -1 or j == cols):
-            side.setdefault(j, 0)
-            if s == 1:
-                side[j] |= 1 << (r - row0)
-
-    def allowed(j):
-        out = []
-        for m in masks:
-            ok = True
-            for r, s in force[j].items():
-                bit = (m >> r) & 1
-                if s == -1 and bit:
-                    ok = False
-                    break
-                if s in (0, 1) and bit != s:
-                    ok = False
-                    break
-            if ok:
-                out.append(m)
-        return out
-
-    cur = {}
-    for m in allowed(0):
-        if -1 in side and not _column_pair_ok(model, rows, side[-1], m):
-            continue
-        cur[m] = cur.get(m, 0) + 1
+        i, j = r - row0, c - col0
+        if 0 <= i < rows and 0 <= j < cols:
+            force[j][i] = s
+        elif 0 <= i < rows and j in side:
+            side[j][0, i] = s
+        elif s == 1 and -vr <= i < rows + vr and -vr <= j < cols + vr:
+            return None
+    states = valid_columns(model, rows, False)
+    compat = column_compat(model, rows, False, states, states)
+    pred = [np.flatnonzero(col).tolist() for col in compat.T]
+    counts = (_hits(states, force[0])
+              & column_compat(model, rows, False, side[-1], states)[0]).tolist()
     for j in range(1, cols):
-        nxt = {}
-        ok_j = set(allowed(j))
-        for m1, cnt in cur.items():
-            for m2 in pair_ok[m1]:
-                if m2 in ok_j:
-                    nxt[m2] = nxt.get(m2, 0) + cnt
-        cur = nxt
-    if cols in side:
-        return sum(c for m, c in cur.items()
-                   if _column_pair_ok(model, rows, m, side[cols]))
-    return sum(cur.values())
+        ok = _hits(states, force[j]).tolist()
+        counts = [sum(counts[a] for a in pred[b]) if ok[b] else 0
+                  for b in range(len(states))]
+    last = column_compat(model, rows, False, states, side[cols])[:, 0]
+    return sum(c for c, ok in zip(counts, last.tolist()) if ok)
 
 
 def count(region, model, clamp=None, boundary="free", dims=None, method="auto") -> int:
@@ -787,34 +764,23 @@ def _bounds_fast_hs(region, model, pattern, boundary):
         keys.add(key)
     keys = sorted(keys)
     K = len(keys)
-    masks = _valid_column_masks(model, inner_side)
-    M = len(masks)
-    T = np.zeros((M, M))
-    for a, m1 in enumerate(masks):
-        for b, m2 in enumerate(masks):
-            T[a, b] = 1.0 if (m1 & m2) == 0 else 0.0
-    keyarr = np.array(keys, dtype=np.int64)
-    maskarr = np.array(masks, dtype=np.int64)
-    # per-key, per-column allowed masks
+    states = valid_columns(model, inner_side, False)
+    M = len(states)
+    T = column_compat(model, inner_side, False, states, states).astype(float)
+    # contact bits per key: key_bits[k, cidx[x]] is the symbol at ring cell x
+    key_bits = (np.array(keys, dtype=np.int64)[:, None] >> np.arange(len(contact))) & 1
+    # per-key, per-column allowed states: a 1 above or below the interior
+    # forbids a 1 in the adjacent row
     allow = np.ones((K, inner_side, M), dtype=bool)
     for j in range(inner_side):
-        top = cidx[(row0, col0 + 1 + j)]
-        bot = cidx[(row0 + side - 1, col0 + 1 + j)]
-        topset = (keyarr >> top) & 1
-        botset = (keyarr >> bot) & 1
-        bit0 = (maskarr & 1).astype(bool)
-        bitn = ((maskarr >> (inner_side - 1)) & 1).astype(bool)
-        allow[:, j, :] &= ~(topset[:, None].astype(bool) & bit0[None, :])
-        allow[:, j, :] &= ~(botset[:, None].astype(bool) & bitn[None, :])
-    left = np.zeros(K, dtype=np.int64)
-    right = np.zeros(K, dtype=np.int64)
-    for i in range(inner_side):
-        l = cidx[(row0 + 1 + i, col0)]
-        r = cidx[(row0 + 1 + i, col0 + side - 1)]
-        left |= ((keyarr >> l) & 1) << i
-        right |= ((keyarr >> r) & 1) << i
-    lcompat = ((left[:, None] & maskarr[None, :]) == 0)
-    rcompat = ((right[:, None] & maskarr[None, :]) == 0)
+        top = key_bits[:, cidx[(row0, col0 + 1 + j)]]
+        bot = key_bits[:, cidx[(row0 + side - 1, col0 + 1 + j)]]
+        allow[:, j, :] &= ~(top[:, None] & states[None, :, 0]).astype(bool)
+        allow[:, j, :] &= ~(bot[:, None] & states[None, :, -1]).astype(bool)
+    left = key_bits[:, [cidx[(row0 + 1 + i, col0)] for i in range(inner_side)]]
+    right = key_bits[:, [cidx[(row0 + 1 + i, col0 + side - 1)] for i in range(inner_side)]]
+    lcompat = column_compat(model, inner_side, False, left, states)
+    rcompat = column_compat(model, inner_side, False, states, right).T
 
     def run(filtered):
         V = (allow[:, 0, :] & lcompat & filtered[0][None, :]).astype(float)
@@ -827,9 +793,7 @@ def _bounds_fast_hs(region, model, pattern, boundary):
     denom = run(free_f)
     pat_f = [np.ones(M, dtype=bool) for _ in range(inner_side)]
     for (r, c), s in pattern.items():
-        j = c - (col0 + 1)
-        bit = ((maskarr >> (r - (row0 + 1))) & 1).astype(bool)
-        pat_f[j] &= bit if s == 1 else ~bit
+        pat_f[c - (col0 + 1)] &= states[:, r - (row0 + 1)] == s
     numer = run(pat_f)
     good = denom > 0
     ps = numer[good] / denom[good]

@@ -15,7 +15,6 @@ quantization, not per-node rounding to whole bits).
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -42,62 +41,6 @@ class ConfigMismatch(ValueError):
 
 
 MAX_STATES = 1 << 14
-
-
-def _pattern_cells(pat):
-    return [((r, c), s) for (r, c), s in pat]
-
-
-def _column_ok(model, n, cyclic, col) -> bool:
-    for pat in model.forbidden:
-        cells = _pattern_cells(pat)
-        cs = [c for (_, c), _ in cells]
-        if max(cs) != min(cs):
-            continue
-        rs = [r for (r, _), _ in cells]
-        span = max(rs) - min(rs)
-        if not cyclic and span >= n:
-            continue
-        for base in range(n if cyclic else n - span):
-            hit = True
-            need = {}
-            for (r, _), sym in cells:
-                i = (base + r - min(rs)) % n if cyclic else base + r - min(rs)
-                if need.setdefault(i, sym) != sym:
-                    hit = False
-                    break
-            if hit and all(col[i] == sym for i, sym in need.items()):
-                return False
-    return True
-
-
-def _pair_ok(model, n, cyclic, u, v) -> bool:
-    for pat in model.forbidden:
-        cells = _pattern_cells(pat)
-        cs = [c for (_, c), _ in cells]
-        cspan = max(cs) - min(cs)
-        if cspan == 0:
-            continue
-        if cspan > 1:
-            raise TooWide("patterns spanning more than two columns "
-                          "need a blocked alphabet")
-        rs = [r for (r, _), _ in cells]
-        span = max(rs) - min(rs)
-        if not cyclic and span >= n:
-            continue
-        for base in range(n if cyclic else n - span):
-            hit = True
-            need = {}
-            for (r, c), sym in cells:
-                i = (base + r - min(rs)) % n if cyclic else base + r - min(rs)
-                key = (i, c - min(cs))
-                if need.setdefault(key, sym) != sym:
-                    hit = False
-                    break
-            if hit and all((u if k == 0 else v)[i] == sym
-                           for (i, k), sym in need.items()):
-                return False
-    return True
 
 
 @dataclass
@@ -134,17 +77,22 @@ def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero",
         raise ValueError("strip decomposition needs a 2D model")
     if boundary not in ("zero", "free", "cyclic"):
         raise ValueError("unknown boundary mode %r" % boundary)
+    if n < 1:
+        raise ValueError("strip width must be positive")
     cyclic = boundary == "cyclic"
     if len(model.alphabet) ** n > (1 << 24):
         raise TooWide("column alphabet enumeration too large")
-    cols = [c for c in itertools.product(model.alphabet, repeat=n)
-            if _column_ok(model, n, cyclic, c)]
-    if len(cols) > max_states:
-        raise TooWide("%d column states exceed the limit %d" % (len(cols), max_states))
-    if not cols:
+    if lat._column_window(model) > 1:
+        raise TooWide("patterns spanning more than two columns "
+                      "need a blocked alphabet")
+    states = lat.valid_columns(model, n, cyclic)
+    if len(states) > max_states:
+        raise TooWide("%d column states exceed the limit %d" % (len(states), max_states))
+    if not len(states):
         raise spec.EmptyModel("no valid columns")
-    graph = spec.build_from_constraints(
-        cols, lambda i, j: _pair_ok(model, n, cyclic, cols[i], cols[j]))
+    compat = lat.column_compat(model, n, cyclic, states, states)
+    cols = [tuple(c) for c in states.tolist()]
+    graph = spec.build_from_constraints(cols, lambda i, j: compat[i, j])
     eigs = spec.dominant_eigs(graph)
     coder = spec.merw_coder(graph, eigs)
     return StripModel(model, n, boundary, cols, graph, eigs, coder,

@@ -4,8 +4,8 @@ One test per shipped guarantee, each asserted at its stated tolerance
 and reporting a single PASS/FAIL line (run with -v or -s to see them).
 The k-model benefit row is a known red: the k=6 entry computes to 130
 against the published 129, and the suite keeps that failure visible
-instead of patching around it (details in notes/decisions.md outside
-the package).
+instead of patching around it (the analysis is in the README's
+"Acceptance status" section).
 """
 
 import math
@@ -62,8 +62,8 @@ def test_criterion_02_kmodel_benefit_row():
         print("FAIL: criterion 2 - benefit row disagrees at k=%s: computed "
               "%s vs published %s; the k=6 value 129.7214 rounds to 130 and "
               "no uniform rounding reproduces the published row (flooring "
-              "would break k=1: 38.85 -> 38 vs 39); analysis in "
-              "notes/decisions.md" % (bad, [got[k] for k in bad],
+              "would break k=1: 38.85 -> 38 vs 39); analysis in the "
+              "README's Acceptance status section" % (bad, [got[k] for k in bad],
                                       [published[k] for k in bad]))
         pytest.fail("k-model benefit row mismatch at k=%s "
                     "(computed %s, published %s)"

@@ -123,6 +123,26 @@ def test_ans_usage_and_data_errors(tmp_path):
     assert "alphabet" in err
 
 
+def test_ans_decode_truncated_header(tmp_path):
+    src = tmp_path / "in"
+    src.write_bytes(bytes([0, 1, 2, 1, 0]))
+    blob = tmp_path / "blob"
+    rc, _, _ = run(["ans", "encode", "--probs", "1/2,1/4,1/4", "--in", str(src),
+                    "--out", str(blob)])
+    assert rc == 0
+    data = blob.read_bytes()
+    header = 4 + 5 + 4 * 3 + 24  # magic, version/w/R/n, l_s[3], key/x/count
+    assert len(data) > header
+    cut = tmp_path / "cut"
+    for k in range(header):
+        cut.write_bytes(data[:k])
+        rc, _, err = run(["ans", "decode", "--probs", "1/2,1/4,1/4",
+                          "--in", str(cut), "--out", str(tmp_path / "o")])
+        assert rc == 1, k
+        assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1, k
+        assert "Traceback" not in err
+
+
 def test_merw_output(tmp_path):
     g = tmp_path / "graph.txt"
     g.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")

@@ -87,6 +87,21 @@ def test_zero_boundary_matches_free_for_all_ones_patterns():
         assert L.count(r, HS, boundary="zero") == L.count(r, HS)
 
 
+def test_dp_count_with_clamps_outside_the_rectangle():
+    # 1s clamped next to the rectangle: the auto path must agree with
+    # backtracking (these three used to miscount on the column DP)
+    horiz = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((0, 1), 1)),))
+    diag = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 1), 1)),))
+    r = L.rect(2, 2)
+    for model, clamp in ((horiz, {(-1, 0): 1}),
+                         (HS, {(0, 0): 1, (-1, 0): 1}),
+                         (diag, {(-1, -1): 1}),
+                         (HS, {(0, -1): 1, (1, 2): 1}),
+                         (HS, {(5, 5): 1})):
+        assert L.count(r, model, clamp) == L.count(r, model, clamp,
+                                                   method="backtracking")
+
+
 def test_entropy_estimate():
     assert L.entropy_estimate(1, HS) == 1.0
     assert L.entropy_estimate(3, L.unconstrained()) == 1.0

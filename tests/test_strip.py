@@ -63,6 +63,39 @@ def test_cyclic_degenerate_widths():
     assert not st.strip_model(HS, 3, "cyclic").degenerate_cyclic
 
 
+# three symbols; a diagonal, an anti-diagonal, a vertical pair and a
+# pattern that demands a 0 (a 2 may not have a 0 to its right)
+MIXED = lat.LatticeModel(2, (0, 1, 2), (
+    (((0, 0), 1), ((1, 1), 1)),
+    (((0, 0), 1), ((1, -1), 2)),
+    (((0, 0), 2), ((1, 0), 2)),
+    (((0, 0), 2), ((0, 1), 0)),
+))
+
+
+@pytest.mark.parametrize("case", [("hs", n, b) for n in range(1, 9)
+                                  for b in ("zero", "cyclic")]
+                         + [("mixed", n, "zero") for n in range(1, 5)])
+def test_column_engine_against_independent_code(case):
+    name, n, boundary = case
+    if name == "hs":
+        s = st.strip_model(HS, n, boundary)
+        wrap = boundary == "cyclic"
+        # product order is ascending binary with row 0 as the top bit
+        masks = [m for m in range(1 << n) if not m & (m >> 1)
+                 and not (wrap and m & 1 and (m >> (n - 1)) & 1)]
+        assert s.columns == [tuple((m >> (n - 1 - i)) & 1 for i in range(n))
+                             for m in masks]
+        want = [[float((a & b) == 0) for b in masks] for a in masks]
+        assert s.graph.weights.tolist() == want
+    else:
+        s = st.strip_model(MIXED, n, boundary)
+        one = lat.count(lat.rect(n, 1), MIXED, method="backtracking")
+        two = lat.count(lat.rect(n, 2), MIXED, method="backtracking")
+        assert len(s.columns) == one
+        assert int(np.count_nonzero(s.graph.weights)) == two
+
+
 def test_state_guards():
     with pytest.raises(st.TooWide):
         st.strip_model(HS, 4, "zero", max_states=4)
@@ -71,6 +104,9 @@ def test_state_guards():
         st.strip_model(gap2, 3, "zero")
     with pytest.raises(ValueError):
         st.strip_model(lat.kmodel(1), 3, "zero")
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            st.strip_model(HS, n, "zero")
 
 
 def test_conditional_chaining():
