@@ -219,11 +219,24 @@ def cmd_ans(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    for flag, value, least in (("--rows", args.rows, 1), ("--cols", args.cols, 1),
+                               ("--samples", args.samples, 1),
+                               ("--warmup", args.warmup, 0),
+                               ("--spacing", args.spacing, 0)):
+        if value is not None and value < least:
+            raise UsageError("%s must be at least %d" % (flag, least))
     model = lat.model_preset(args.model)
     shape = (args.cols,) if model.dimension == 1 else (args.rows, args.cols)
-    grids = lat.thermalize(shape, model, seed=args.seed, samples=args.samples,
-                           warmup_sweeps=args.warmup,
-                           spacing_moves=args.spacing, boundary=args.boundary)
+    try:
+        grids = lat.sample_uniform(shape, model, seed=args.seed,
+                                   samples=args.samples, boundary=args.boundary)
+        sampler = "exact"
+    except lat.Unsupported:
+        grids = lat.thermalize(shape, model, seed=args.seed, samples=args.samples,
+                               warmup_sweeps=args.warmup,
+                               spacing_moves=args.spacing, boundary=args.boundary)
+        sampler = "chain"
+    print("# sampler %s" % sampler, file=sys.stderr)
     _emit(args, "".join(lat.save_grid(g) for g in grids))
     return 0
 
@@ -470,13 +483,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_ans)
 
-    p = sub.add_parser("sample", help="uniform valid valuations by flip chain")
+    p = sub.add_parser("sample", help="uniform valid valuations: exact column "
+                       "draws for 2x2-window binary models up to %d rows, "
+                       "else a flip chain" % lat.EXACT_MAX_ROWS)
     p.add_argument("--model", default="hard-square")
     p.add_argument("--rows", type=int, default=8)
     p.add_argument("--cols", type=int, default=8)
     p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--spacing", type=int, default=None)
+    p.add_argument("--warmup", type=int, default=5, help="flip chain only")
+    p.add_argument("--spacing", type=int, default=None, help="flip chain only")
     p.add_argument("--boundary", choices=("free", "zero", "cyclic"),
                    default="free")
     p.add_argument("--out", default="")

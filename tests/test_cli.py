@@ -165,6 +165,52 @@ def test_sample_describe_pipeline(tmp_path):
     assert "p[0,0;1,0][11] = 0" in out
 
 
+@pytest.mark.parametrize("flags", [["--rows", "0"], ["--rows", "-1"],
+                                   ["--cols", "0"], ["--samples", "0"],
+                                   ["--samples", "-2"], ["--warmup", "-1"],
+                                   ["--spacing", "-1"]])
+def test_sample_rejects_bad_sizes(flags):
+    rc, out, err = run(["sample", "--cols", "4"] + flags)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("usage error: " + flags[0])
+
+
+def test_sample_exact_or_chain():
+    rc, out, err = run(["sample", "--rows", "5", "--cols", "5", "--samples",
+                        "3", "--seed", "4"])
+    assert rc == 0 and "# sampler exact" in err
+    assert out.count("2 5 5 01") == 3
+    for argv in (["--boundary", "cyclic", "--rows", "4", "--cols", "4"],
+                 ["--model", "no-111", "--cols", "9"]):
+        rc, out, err = run(["sample", "--samples", "2", "--warmup", "1"] + argv)
+        assert rc == 0 and "# sampler chain" in err
+        assert out.count("\n") == 2 * (1 + (4 if "cyclic" in argv else 1))
+
+
+def test_bad_grid_symbol_names_row_and_column(tmp_path):
+    grids = tmp_path / "grids.txt"
+    grids.write_text("2 2 3 01\n010\n0x0\n")
+    rc, _, err = run(["describe", "--in", str(grids)])
+    assert rc == 1
+    assert err.splitlines()[-1] == ("error: grid row 1 column 1 holds 'x', "
+                                    "not in alphabet '01'")
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(8, 6))
+    latf = tmp_path / "pay.lat"
+    rc, _, _ = run(["strip", "encode", "--width", "4", "--columns", "64",
+                    "--in", str(src), "--out", str(latf)])
+    assert rc == 0
+    lines = latf.read_text().split("\n")
+    lines[2] = "2" + lines[2][1:]   # first grid row: codec header, grid header
+    latf.write_text("\n".join(lines))
+    rc, _, err = run(["strip", "decode", "--in", str(latf),
+                      "--out", str(tmp_path / "back")])
+    assert rc == 1
+    assert err.splitlines()[-1] == ("error: grid row 0 column 0 holds '2', "
+                                    "not in alphabet '01'")
+
+
 def test_describe_exact_ploc():
     rc, out, _ = run(["describe", "--exact", "--rows", "5", "--cols", "5",
                       "--shapes", "1x1", "--ploc"])

@@ -334,6 +334,78 @@ def test_empirical_description_20x20():
     assert abs(p1 - p5) < 3 * per.std(ddof=1)
 
 
+DIAG = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 1), 1)),
+                                   (((0, 0), 1), ((1, -1), 1))), name="diagonal")
+
+
+@pytest.mark.parametrize("model", [HS, L.unconstrained(), DIAG],
+                         ids=lambda m: m.name)
+def test_broken_line_step_equals_dense_transfer(model):
+    rng = np.random.default_rng(4)
+    for n in range(1, 9):
+        codes = L._column_codes(model, n)
+        cols = L.valid_columns(model, n, False)
+        assert (codes[n] == cols @ (1 << np.arange(n - 1, -1, -1))).all()
+        w = rng.random(len(cols))
+        dense = L.column_compat(model, n, False, cols, cols).astype(float) @ w
+        got = L._column_step(w, L._cell_steps(model, n, codes))
+        assert np.abs(got - dense).max() < 1e-12
+
+
+def test_sample_uniform_3x3_all_valuations():
+    states = L.enumerate_valuations(L.rect(3, 3), HS)
+    assert len(states) == 63
+    nsamp = 100_000
+    counts = {}
+    for g in L.sample_uniform((3, 3), HS, seed=3, samples=nsamp):
+        key = tuple(int(v) for v in g.ravel())
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 63
+    p = 1.0 / 63
+    sigma = math.sqrt(p * (1 - p) / nsamp)
+    worst = max(abs(counts.get(tuple(s[c] for c in sorted(s)), 0) / nsamp - p)
+                for s in states)
+    assert worst < 4 * sigma
+
+
+def test_sample_uniform_20x20_density():
+    exact_avg, _ = _avg_density_by_transfer(20, 20)
+    samples = L.sample_uniform((20, 20), HS, seed=7, samples=100)
+    assert all(g.shape == (20, 20) and not L.scan(g, HS) for g in samples)
+    per = np.array([float(s.mean()) for s in samples])
+    sem = per.std(ddof=1) / math.sqrt(len(samples))
+    assert abs(per.mean() - exact_avg) < 3.5 * sem
+
+
+def test_sample_uniform_grids_are_valid():
+    for model in (HS, DIAG, L.unconstrained()):
+        for shape in ((1, 1), (1, 7), (5, 1), (4, 6)):
+            for boundary in ("free", "zero"):
+                grids = L.sample_uniform(shape, model, seed=5, samples=20,
+                                         boundary=boundary)
+                assert len(grids) == 20
+                assert all(g.shape == shape and not L.scan(g, model, boundary)
+                           for g in grids)
+    a = L.sample_uniform((6, 6), HS, seed=9, samples=3)
+    b = L.sample_uniform((6, 6), HS, seed=9, samples=3)
+    assert all((x == y).all() for x, y in zip(a, b))
+
+
+def test_sample_uniform_unsupported():
+    three_wide = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((0, 2), 1)),))
+    wants_zero = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((0, 1), 0)),))
+    for shape, model, boundary in (((8,), L.no111(), "free"),
+                                   ((4, 4), HS, "cyclic"),
+                                   ((L.EXACT_MAX_ROWS + 1, 4), HS, "free"),
+                                   ((4, 4), three_wide, "free"),
+                                   ((4, 4), wants_zero, "free"),
+                                   ((20, 300), HS, "free")):
+        with pytest.raises(L.Unsupported):
+            L.sample_uniform(shape, model, boundary=boundary)
+    with pytest.raises(ValueError):
+        L.sample_uniform((0, 4), HS)
+
+
 def test_grid_io():
     arr = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.int8)
     text = L.save_grid(arr)
@@ -348,3 +420,5 @@ def test_grid_io():
         L.load_grid("bad header\n01\n")
     with pytest.raises(ValueError):
         L.load_grid("2 2 2 01\n01\n0\n")
+    with pytest.raises(ValueError, match="row 1 column 2 holds '2'"):
+        L.load_grid("2 2 3 01\n010\n012\n")
