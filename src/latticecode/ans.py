@@ -49,11 +49,13 @@ class CorruptStream(ValueError):
 
 
 class CapacityExceeded(RuntimeError):
-    """Payload does not fit; carries the achieved bit count."""
+    """Payload does not fit; carries the achieved and requested bit counts."""
 
-    def __init__(self, achieved_bits: int):
+    def __init__(self, achieved_bits: int, requested_bits: int):
         self.achieved_bits = achieved_bits
-        super().__init__("payload does not fit; stored %d bits" % achieved_bits)
+        self.requested_bits = requested_bits
+        super().__init__("lattice holds only %d of %d payload bits"
+                         % (achieved_bits, requested_bits))
 
 
 @dataclass(frozen=True)
@@ -362,31 +364,15 @@ def ans_stream_decode(digits: Sequence[int], table: AnsTable, final_x: int,
 
     With count=None the stream must have started at x = l; decoding then
     drains the state back to l, which is unambiguous because every
-    digit-free encode step strictly increases the state.
+    digit-free encode step strictly increases the state.  It runs the
+    checked loop with no forbidden symbol (-1), so a detection there can
+    only mean the digits ran out.
     """
-    l, b = table.l, table.b
-    if not l <= final_x < b * l:
+    if not table.l <= final_x < table.b * table.l:
         raise CorruptStream("final state outside the coding interval")
-    dec_sym, dec_xs = table.dec_sym, table.dec_xs
-    x = final_x
-    pos = 0
-    nd = len(digits)
-    out: list[int] = []
-    append = out.append
-    while True:
-        if count is None:
-            if x == l and pos == nd:
-                break
-        elif len(out) >= count:
-            break
-        i = x - l
-        append(dec_sym[i])
-        x = dec_xs[i]
-        while x < l:
-            if pos >= nd:
-                raise CorruptStream("digit stream exhausted during renormalization")
-            x = x * b + digits[pos]
-            pos += 1
+    out, hit = ans_stream_decode_checked(digits, table, final_x, -1, count)
+    if hit is not None:
+        raise CorruptStream("digit stream exhausted during renormalization")
     return out
 
 
@@ -556,6 +542,8 @@ class AbsStreamDecoder:
     symbols deterministic)."""
 
     def __init__(self, bits: Iterable[int], precision: int):
+        if precision < 1:
+            raise ValueError("precision must be positive")
         self.r = precision
         self.l = 1 << precision
         self._bits = iter(bits)
@@ -593,6 +581,8 @@ class AbsStreamEncoder:
     starting from the decoder's final state, emitting the bits it consumed."""
 
     def __init__(self, final_state: int, precision: int):
+        if precision < 1:
+            raise ValueError("precision must be positive")
         self.r = precision
         self.l = 1 << precision
         self.x = final_state

@@ -29,7 +29,7 @@ class UsageError(Exception):
 
 
 _DATA_ERRORS = (ValueError, KeyError, OSError,
-                ans.CorruptStream,
+                ans.CorruptStream, ans.CapacityExceeded,
                 st.TooWide, st.InvalidLattice, st.ConfigMismatch,
                 spec.ReducibleGraph, spec.NoConvergence, spec.EmptyModel,
                 spec.ForbiddenPath,
@@ -297,12 +297,7 @@ def cmd_strip(args) -> int:
         strip = st.strip_model(model, args.width, args.boundary)
         codec = st.LatticeCodec(strip, args.precision)
         bits = _bits_from_bytes(Path(args.infile).read_bytes())
-        try:
-            res = codec.encode(bits, args.columns)
-        except ans.CapacityExceeded as e:
-            print("error: lattice holds only %d of %d payload bits"
-                  % (e.achieved_bits, len(bits)), file=sys.stderr)
-            return 1
+        res = codec.encode(bits, args.columns)
         text = st.encode_to_text(strip, res, len(bits), args.precision)
         if args.verify and st.decode_text(text) != bits:
             raise ans.CorruptStream("verification reread mismatch")
@@ -358,29 +353,18 @@ def cmd_algo1(args) -> int:
         if args.q is None:
             args.q, _ = exp.algorithm1_optimum()
         bits = _bits_from_bytes(Path(args.infile).read_bytes())
-        try:
-            res = exp.algorithm1_encode((args.rows, args.cols), args.q, bits,
-                                        args.precision)
-        except ans.CapacityExceeded as e:
-            print("error: lattice holds only %d of %d payload bits"
-                  % (e.achieved_bits, len(bits)), file=sys.stderr)
-            return 1
+        res = exp.algorithm1_encode((args.rows, args.cols), args.q, bits,
+                                    args.precision)
         head = ("algo1 q=%r R=%d x=%d bits=%d"
                 % (args.q, args.precision, res.final_state, len(bits)))
         _emit(args, head + "\n" + lat.save_grid(res.grid))
         return 0
     if not args.infile or not args.out:
         raise UsageError("decode needs --in and --out")
-    text = _read_text(args.infile)
-    first, rest = text.split("\n", 1)
-    head = first.split()
-    if not head or head[0] != "algo1":
-        raise st.ConfigMismatch("missing algo1 header")
-    meta = dict(tok.split("=", 1) for tok in head[1:])
-    grid, _ = lat.load_grid(rest)
-    bits = exp.algorithm1_decode(np.atleast_2d(grid), float(meta["q"]),
-                                 int(meta["x"]), int(meta["bits"]),
-                                 int(meta["R"]))
+    meta, grid = st.parse_encoded(_read_text(args.infile), "algo1",
+                                  ("q", "R", "x", "bits"))
+    bits = exp.algorithm1_decode(grid, float(meta["q"]), int(meta["x"]),
+                                 int(meta["bits"]), int(meta["R"]))
     Path(args.out).write_bytes(_bytes_from_bits(bits))
     return 0
 
@@ -576,10 +560,6 @@ def main(argv=None) -> int:
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
-    except ans.CapacityExceeded as e:
-        print("error: capacity exceeded after %d bits" % e.achieved_bits,
-              file=sys.stderr)
-        return 1
     except _DATA_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

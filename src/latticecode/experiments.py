@@ -3,7 +3,9 @@
 Two Monte-Carlo lattice writers live here.  The first is a two-pass
 checkerboard scheme with a closed-form rate: the even sublattice is
 written as independent Bernoulli(q) draws, then every odd node whose four
-neighbours are 0 carries one fair payload bit.  The second visits nodes
+neighbours are 0 carries one fair payload bit.  It is a visiting order
+plus per-node laws run by the same walk-draw-replay driver as the strip
+codec (`strip._write` / `strip._read`).  The second visits nodes
 in a random time order and writes a 1 with a time-dependent probability
 (a "charging profile"); it is a measurement device, not a codec.
 
@@ -14,19 +16,18 @@ the package and reports pass/fail per row.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import lattice as lat
-from .ans import (AbsStreamDecoder, AbsStreamEncoder, CapacityExceeded,
-                  CorruptStream, abs_decode_step)
+from .ans import abs_decode_step
 from .rng import SplitMix64
 from .spectral import (binary_entropy, dominant_eigs, kmodel_benefit,
                        kmodel_capacity, kmodel_graph)
-from .strip import ConfigMismatch, EncodeResult, InvalidLattice, strip_capacity
+from .strip import (ConfigMismatch, EncodeResult, _map_trials, _mean_stderr,
+                    _quantize, _rate_trial, _read, _write, strip_capacity)
 
 HARD_SQUARE_ENTROPY = lat.HARD_SQUARE_ENTROPY
 
@@ -84,33 +85,30 @@ def _dims(dims) -> tuple[int, int]:
     return rows, cols
 
 
-def _dyadic(q: float, l: int):
-    """(m, forced): m/l approximates q, or a forced symbol at the endpoints."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    if q == 0.0:
-        return None, 0
-    if q == 1.0:
-        return None, 1
-    return min(max(round(q * l), 1), l - 1), -1
-
-
 def _checkerboard(rows: int, cols: int, phase: int):
     for i in range(rows):
         for j in range((i + phase) % 2, cols, 2):
             yield i, j
 
 
-def _blocked(grid: np.ndarray, i: int, j: int) -> bool:
-    # zero boundary: nodes outside the grid never block
-    rows, cols = grid.shape
-    if i > 0 and grid[i - 1, j]:
-        return True
-    if i + 1 < rows and grid[i + 1, j]:
-        return True
-    if j > 0 and grid[i, j - 1]:
-        return True
-    return j + 1 < cols and bool(grid[i, j + 1])
+def _algorithm1_walk(rows: int, cols: int, q: float, precision: int):
+    """Visiting order and laws of the two-pass writer: Bernoulli(q) on the
+    even sublattice, then one fair bit on each odd node whose four
+    neighbours are 0 (zero boundary: nodes outside the grid never block)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    l = 1 << precision
+    m = _quantize(q, l)
+    even = [[0] * cols for _ in range(rows)]
+    for i, j in _checkerboard(rows, cols, 0):
+        even[i][j] = yield (i, j), m
+    half = l >> 1
+    for i, j in _checkerboard(rows, cols, 1):
+        blocked = ((i > 0 and even[i - 1][j])
+                   or (i + 1 < rows and even[i + 1][j])
+                   or (j > 0 and even[i][j - 1])
+                   or (j + 1 < cols and even[i][j + 1]))
+        yield (i, j), 0 if blocked else half
 
 
 def algorithm1_encode(dims, q: float, bits, precision: int = 16,
@@ -125,19 +123,9 @@ def algorithm1_encode(dims, q: float, bits, precision: int = 16,
     cannot absorb every payload bit unless `partial` is set.
     """
     rows, cols = _dims(dims)
-    l = 1 << precision
-    mq, forced = _dyadic(q, l)
-    dec = AbsStreamDecoder(bits, precision)
     grid = np.zeros((rows, cols), dtype=np.int8)
-    for i, j in _checkerboard(rows, cols, 0):
-        grid[i, j] = forced if mq is None else dec.draw(mq)
-    half = l >> 1
-    for i, j in _checkerboard(rows, cols, 1):
-        if not _blocked(grid, i, j):
-            grid[i, j] = dec.draw(half)
-    if not partial and dec.consumed < len(bits):
-        raise CapacityExceeded(dec.consumed)
-    return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
+    return _write(bits, precision, grid,
+                  _algorithm1_walk(rows, cols, q, precision), partial)
 
 
 def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
@@ -146,38 +134,9 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ConfigMismatch("expected a 2-d grid")
-    l = 1 << precision
-    if not l <= final_state < 2 * l:
-        raise ConfigMismatch("final coder state out of range")
-    mq, forced = _dyadic(q, l)
     rows, cols = grid.shape
-    draws = []
-    for i, j in _checkerboard(rows, cols, 0):
-        b = int(grid[i, j])
-        if b not in (0, 1):
-            raise InvalidLattice("non-binary value at (%d, %d)" % (i, j))
-        if mq is None:
-            if b != forced:
-                raise InvalidLattice("forced node disagrees at (%d, %d)" % (i, j))
-        else:
-            draws.append((b, mq))
-    half = l >> 1
-    for i, j in _checkerboard(rows, cols, 1):
-        b = int(grid[i, j])
-        if b not in (0, 1):
-            raise InvalidLattice("non-binary value at (%d, %d)" % (i, j))
-        if _blocked(grid, i, j):
-            if b != 0:
-                raise InvalidLattice("blocked node holds a 1 at (%d, %d)" % (i, j))
-        else:
-            draws.append((b, half))
-    enc = AbsStreamEncoder(final_state, precision)
-    for s, m in reversed(draws):
-        enc.absorb(s, m)
-    out = enc.finish()
-    if len(out) < nbits:
-        raise CorruptStream("stream holds fewer bits than declared")
-    return out[:nbits]
+    return _read(grid, _algorithm1_walk(rows, cols, q, precision),
+                 final_state, nbits, precision)
 
 
 @dataclass(frozen=True)
@@ -191,21 +150,12 @@ class Algorithm1Rate:
     closed_form: float
 
 
-def _alg1_trial(args):
-    q, side, precision, seed, t, verify = args
-    rng = SplitMix64(seed).spawn(t)
-    nodes = side * side
-    bits = [rng.randbelow(2) for _ in range(nodes + 64)]
-    res = algorithm1_encode((side, side), q, bits, precision, partial=True)
-    if verify:
-        back = algorithm1_decode(res.grid, q, res.final_state, res.consumed,
-                                 precision)
-        if back != bits[:res.consumed]:
-            raise AssertionError("roundtrip mismatch in rate trial")
-        if lat.scan(res.grid, lat.hard_square()):
-            raise AssertionError("rate trial emitted an invalid lattice")
-    net = res.consumed - (precision + 1)
-    return t, net / nodes
+def _algorithm1_trial_codec(precision, q, side):
+    return (lambda bits: algorithm1_encode((side, side), q, bits, precision,
+                                           partial=True),
+            lambda res: algorithm1_decode(res.grid, q, res.final_state,
+                                          res.consumed, precision),
+            lat.hard_square(), side * side)
 
 
 def algorithm1_rate(q: float, side: int = 256, trials: int = 4, seed: int = 0,
@@ -217,15 +167,10 @@ def algorithm1_rate(q: float, side: int = 256, trials: int = 4, seed: int = 0,
     net payload per node.  Trials run on independent seed streams; the
     reduction is deterministic for a fixed seed.
     """
-    args = [(q, side, precision, seed, t, verify) for t in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            got = list(ex.map(_alg1_trial, args))
-    else:
-        got = [_alg1_trial(a) for a in args]
-    rates = tuple(r for _, r in sorted(got))
-    mean = float(np.mean(rates))
-    stderr = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    args = [(_algorithm1_trial_codec, precision, (q, side), seed, t, verify)
+            for t in range(trials)]
+    rates = tuple(r for _, r in _map_trials(_rate_trial, args, jobs))
+    mean, stderr = _mean_stderr(rates)
     return Algorithm1Rate(q, side, trials, rates, mean, stderr,
                           algorithm1_entropy(q))
 
@@ -350,12 +295,7 @@ def algorithm2_simulate(side: int, trials: int = 4,
     if trials < 1:
         raise ValueError("need at least one trial")
     args = [(side, profile.coeffs, seed, t, bins) for t in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            got = list(ex.map(_algo2_trial, args))
-    else:
-        got = [_algo2_trial(a) for a in args]
-    got.sort()
+    got = _map_trials(_algo2_trial, args, jobs)
     direct = np.array([g[1] for g in got])
     visit = np.array([g[2] for g in got])
     block = np.array([g[3] for g in got])
@@ -363,21 +303,16 @@ def algorithm2_simulate(side: int, trials: int = 4,
     curves_visit = np.array([g[5] for g in got])
     free = np.array([g[6] for g in got])
 
-    def pack(x):
-        m = float(np.mean(x))
-        s = float(np.std(x, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        return m, s
-
     edges = np.linspace(0.0, 1.0, bins + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     scalars = {
-        "entropy_direct": pack(direct),
-        "entropy_integral": pack(visit),
-        "entropy_integral_blocking": pack(block),
+        "entropy_direct": _mean_stderr(direct),
+        "entropy_integral": _mean_stderr(visit),
+        "entropy_integral_blocking": _mean_stderr(block),
         "entropy_gap": (HARD_SQUARE_ENTROPY - float(np.mean(direct)),
-                        pack(direct)[1]),
-        "free_fraction": pack(free),
-        "a_at_1": pack(curves_block[:, -1]),
+                        _mean_stderr(direct)[1]),
+        "free_fraction": _mean_stderr(free),
+        "a_at_1": _mean_stderr(curves_block[:, -1]),
         "q_at_0": (float(profile(0.0)), 0.0),
     }
     curves = {

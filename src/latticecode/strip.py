@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -152,15 +152,82 @@ class EncodeResult:
     padded: int
 
 
+# A codec is a walk over its grid plus this one driver pair.  The walk is a
+# generator: it yields ((row, col), law) for each node in visiting order and
+# is sent back the symbol placed there.  The law is the numerator m of the
+# dyadic one-probability m/2^R; m = 0 and m = 2^R force a 0 or a 1 and cost
+# no payload.
+
+
+def _quantize(p: float, l: int) -> int:
+    """Law of a node whose one-probability is p: 0 or l when p forces a
+    symbol, else the nearest m/l clamped so both symbols stay codable."""
+    if p == 0.0:
+        return 0
+    if p == 1.0:
+        return l
+    return min(max(round(p * l), 1), l - 1)
+
+
+def _write(bits, precision: int, grid: np.ndarray, walk,
+           partial: bool) -> EncodeResult:
+    """Draw every free node of the walk from the payload into the grid."""
+    dec = AbsStreamDecoder(bits, precision)
+    draw, l = dec.draw, dec.l
+    send = walk.send
+    try:
+        cell, m = next(walk)
+        while True:
+            s = draw(m) if 0 < m < l else m >> precision
+            grid[cell] = s
+            cell, m = send(s)
+    except StopIteration:
+        pass
+    if not partial and dec.consumed < len(bits):
+        raise CapacityExceeded(dec.consumed, len(bits))
+    return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
+
+
+def _read(grid: np.ndarray, walk, final_state: int, nbits: int,
+          precision: int) -> list:
+    """Replay the walk over a written grid and run the coder backwards."""
+    l = 1 << precision
+    if not l <= final_state < 2 * l:
+        raise ConfigMismatch("final coder state out of range")
+    rows = grid.tolist()
+    draws = []
+    send = walk.send
+    try:
+        (i, j), m = next(walk)
+        while True:
+            s = rows[i][j]
+            if s not in (0, 1):
+                raise InvalidLattice("non-binary value at (%d, %d)" % (i, j))
+            if 0 < m < l:
+                draws.append((s, m))
+            elif s != m >> precision:
+                raise InvalidLattice("forced node disagrees at (%d, %d)" % (i, j))
+            (i, j), m = send(s)
+    except StopIteration:
+        pass
+    enc = AbsStreamEncoder(final_state, precision)
+    for s, m in reversed(draws):
+        enc.absorb(s, m)
+    out = enc.finish()
+    if len(out) < nbits:
+        raise CorruptStream("stream holds fewer bits than declared")
+    return out[:nbits]
+
+
 class LatticeCodec:
     """Bits-to-lattice coder over a strip model (binary alphabets).
 
-    Encoding runs the stream coder in its split direction: each unforced
-    node consumes payload entropy and emits a constrained symbol, with the
-    conditional one-probability quantized to m/2^R (clamped away from the
-    degenerate endpoints so both symbols stay codable).  Decoding re-walks
-    the grid to recover every (symbol, m) pair and runs the coder in the
-    opposite direction from the stored final state.
+    The walk visits the grid column-major and gives each node the
+    entropy-maximizing conditional one-probability, read off the suffix
+    trie of the previous column and quantized to m/2^R.  Encoding draws
+    the free nodes from the payload; decoding replays the walk to recover
+    every (symbol, m) pair and runs the coder backwards from the stored
+    final state.
     """
 
     def __init__(self, strip: StripModel, precision: int = 16):
@@ -170,70 +237,37 @@ class LatticeCodec:
         self.precision = precision
         self.l = 1 << precision
 
-    def _node_prob(self, levels, j, prefix):
-        w0 = levels[j + 1].get(prefix + (0,), 0.0)
-        w1 = levels[j + 1].get(prefix + (1,), 0.0)
-        if w1 == 0.0:
-            return None, 0
-        if w0 == 0.0:
-            return None, 1
-        m = round(w1 / (w0 + w1) * self.l)
-        return min(max(m, 1), self.l - 1), -1
-
-    def encode(self, bits: Sequence[int], cols: int, partial: bool = False) -> EncodeResult:
-        strip = self.strip
-        n = strip.n
-        dec = AbsStreamDecoder(bits, self.precision)
-        grid = np.zeros((n, cols), dtype=np.int8)
+    def _walk(self, cols: int):
+        strip, l = self.strip, self.l
+        index = strip.index
         u = strip.zero_state
         for c in range(cols):
             levels = _suffix_trie(strip, u)
             prefix = ()
-            for j in range(n):
-                m, forced = self._node_prob(levels, j, prefix)
-                b = forced if m is None else dec.draw(m)
-                grid[j, c] = b
-                prefix = prefix + (b,)
-            u = strip.index[prefix]
-        if not partial and dec.consumed < len(bits):
-            raise CapacityExceeded(dec.consumed)
-        return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
+            for j in range(1, strip.n + 1):
+                w0 = levels[j].get(prefix + (0,), 0.0)
+                w1 = levels[j].get(prefix + (1,), 0.0)
+                b = yield (j - 1, c), _quantize(w1 / (w0 + w1), l)
+                prefix += (b,)
+            u = index[prefix]
+
+    def encode(self, bits: Sequence[int], cols: int, partial: bool = False) -> EncodeResult:
+        grid = np.zeros((self.strip.n, cols), dtype=np.int8)
+        return _write(bits, self.precision, grid, self._walk(cols), partial)
 
     def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> list:
         strip = self.strip
-        n = strip.n
         grid = np.asarray(grid)
-        if grid.ndim != 2 or grid.shape[0] != n:
+        if grid.ndim != 2 or grid.shape[0] != strip.n:
             raise ConfigMismatch("grid height does not match the strip width")
-        if not self.l <= final_state < 2 * self.l:
-            raise ConfigMismatch("final coder state out of range")
-        cols = grid.shape[1]
         u = strip.zero_state
-        draws = []
-        for c in range(cols):
-            col = tuple(int(x) for x in grid[:, c])
+        for c, col in enumerate(zip(*grid.tolist())):
             v = strip.index.get(col)
             if v is None or strip.graph.weights[u, v] == 0:
                 raise InvalidLattice("column %d breaks the constraints" % c)
-            levels = _suffix_trie(strip, u)
-            prefix = ()
-            for j in range(n):
-                m, forced = self._node_prob(levels, j, prefix)
-                b = col[j]
-                if m is None:
-                    if b != forced:
-                        raise InvalidLattice("forced node disagrees at column %d" % c)
-                else:
-                    draws.append((b, m))
-                prefix = prefix + (b,)
             u = v
-        enc = AbsStreamEncoder(final_state, self.precision)
-        for s, m in reversed(draws):
-            enc.absorb(s, m)
-        out = enc.finish()
-        if len(out) < nbits:
-            raise CorruptStream("stream holds fewer bits than declared")
-        return out[:nbits]
+        return _read(grid, self._walk(grid.shape[1]), final_state, nbits,
+                     self.precision)
 
 
 def encode_to_text(strip: StripModel, res: EncodeResult, nbits: int,
@@ -245,18 +279,22 @@ def encode_to_text(strip: StripModel, res: EncodeResult, nbits: int,
     return head + "\n" + lat.save_grid(res.grid)
 
 
-def parse_encoded(text: str):
+def parse_encoded(text: str, kind: str = "strip",
+                  fields: Sequence[str] = ("model", "n", "boundary", "R", "x",
+                                           "bits")):
+    """(header fields, grid) of an encoded-lattice file whose first line is
+    `kind` followed by key=value tokens that hold every name in `fields`."""
     lines = text.split("\n", 1)
     head = lines[0].split()
-    if not head or head[0] != "strip" or len(lines) < 2:
-        raise ConfigMismatch("missing strip header")
+    if not head or head[0] != kind or len(lines) < 2:
+        raise ConfigMismatch("missing %s header" % kind)
     meta = {}
     for tok in head[1:]:
         if "=" not in tok:
             raise ConfigMismatch("bad header field %r" % tok)
         k, v = tok.split("=", 1)
         meta[k] = v
-    for want in ("model", "n", "boundary", "R", "x", "bits"):
+    for want in fields:
         if want not in meta:
             raise ConfigMismatch("header misses %r" % want)
     grid, _ = lat.load_grid(lines[1])
@@ -294,26 +332,49 @@ def _cached_strip(name: str, n: int, boundary: str) -> StripModel:
     return _strip_cache[key]
 
 
+def _strip_trial_codec(precision, name, n, boundary, cols):
+    codec = LatticeCodec(_cached_strip(name, n, boundary), precision)
+    # decode already enforces column validity and pair compatibility (which
+    # is the vertical-cyclic check); the flat scan double-checks the
+    # non-wrapping modes against the base model directly
+    model = None if boundary == "cyclic" else codec.strip.model
+    return (lambda bits: codec.encode(bits, cols, partial=True),
+            lambda res: codec.decode(res.grid, res.final_state, res.consumed),
+            model, n * cols)
+
+
 def _rate_trial(args):
-    name, n, boundary, cols, precision, seed, t, verify = args
-    strip = _cached_strip(name, n, boundary)
-    codec = LatticeCodec(strip, precision)
+    """Trial t of a codec on random bits: (t, net payload bits per node).
+
+    `make(precision, *params)` builds the codec as (encode, decode, model
+    to scan or None, nodes) inside the worker, so only its name travels.
+    """
+    make, precision, params, seed, t, verify = args
+    encode, decode, model, nodes = make(precision, *params)
     rng = SplitMix64(seed).spawn(t)
-    nodes = n * cols
     bits = [rng.randbelow(2) for _ in range(nodes + 64)]
-    res = codec.encode(bits, cols, partial=True)
+    res = encode(bits)
     if verify:
-        back = codec.decode(res.grid, res.final_state, res.consumed)
-        if back != bits[:res.consumed]:
+        if decode(res) != bits[:res.consumed]:
             raise CorruptStream("roundtrip mismatch in rate trial %d" % t)
-        # decode already enforced column validity and pair compatibility
-        # (which is the vertical-cyclic check); the flat scan double-checks
-        # the non-wrapping modes against the base model directly
-        if boundary != "cyclic" and lat.scan(res.grid, strip.model):
+        if model is not None and lat.scan(res.grid, model):
             raise InvalidLattice("rate trial emitted an invalid grid")
     # the final state is ancillary information: charge precision+1 bits
-    net = res.consumed - (precision + 1)
-    return t, net / nodes
+    return t, (res.consumed - (precision + 1)) / nodes
+
+
+def _map_trials(fn, args, jobs: int) -> list:
+    """fn over args, in `jobs` worker processes when jobs > 1, sorted."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return sorted(pool.map(fn, args))
+    return sorted(map(fn, args))
+
+
+def _mean_stderr(x) -> tuple[float, float]:
+    """Mean over trials and its ddof=1 standard error (0 for one trial)."""
+    err = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    return float(np.mean(x)), err
 
 
 def evaluate_rate(model_name: str, n: int, cols: int, trials: int = 3,
@@ -321,14 +382,8 @@ def evaluate_rate(model_name: str, n: int, cols: int, trials: int = 3,
                   jobs: int = 1, verify: bool = False) -> RateReport:
     """Realized payload bits per lattice node over randomized trials."""
     strip = _cached_strip(model_name, n, boundary)
-    args = [(model_name, n, boundary, cols, precision, seed, t, verify)
-            for t in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_rate_trial, args))
-    else:
-        results = sorted(map(_rate_trial, args))
-    rates = [r for _, r in results]
-    mean = float(np.mean(rates))
-    err = float(np.std(rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    args = [(_strip_trial_codec, precision, (model_name, n, boundary, cols),
+             seed, t, verify) for t in range(trials)]
+    rates = [r for _, r in _map_trials(_rate_trial, args, jobs)]
+    mean, err = _mean_stderr(rates)
     return RateReport(rates, mean, err, strip.capacity, trials, n * cols)

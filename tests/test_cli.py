@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -243,6 +244,50 @@ def test_strip_pipeline(tmp_path):
     assert any(ln.startswith("capacity,") for ln in out.splitlines())
 
 
+@pytest.mark.parametrize("argv, held", [
+    (["strip", "encode", "--width", "4", "--columns", "5"], 28),
+    (["algo1", "encode", "--rows", "10", "--cols", "10"], 75)])
+def test_capacity_exceeded_is_one_error_line(tmp_path, argv, held):
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(80, 4))
+    rc, out, err = run(argv + ["--in", str(src), "--out", str(tmp_path / "x")])
+    assert rc == 1 and out == ""
+    assert err.splitlines()[1:] == [
+        "error: lattice holds only %d of 640 payload bits" % held]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace(" x=", " y=", 1), "header misses 'x'"),
+    (lambda t: t.replace(" R=", " junk R=", 1), "bad header field 'junk'"),
+    (lambda t: t.split("\n", 1)[0], "missing algo1 header")],
+    ids=["no-x", "bare-token", "no-newline"])
+def test_algo1_bad_header(tmp_path, edit, message):
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(10, 5))
+    latf = tmp_path / "a1.lat"
+    rc, _, _ = run(["algo1", "encode", "--rows", "16", "--cols", "16",
+                    "--in", str(src), "--out", str(latf)])
+    assert rc == 0
+    latf.write_text(edit(latf.read_text()))
+    rc, _, err = run(["algo1", "decode", "--in", str(latf),
+                      "--out", str(tmp_path / "back")])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: " + message]
+
+
+@pytest.mark.parametrize("argv", [["strip", "encode", "--width", "4"],
+                                  ["algo1", "encode"]])
+def test_precision_zero_is_rejected(tmp_path, argv):
+    # a 1-state coder has no dyadic law strictly inside (0, 1)
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(4, 5))
+    rc, _, err = run(argv + ["--precision", "0", "--in", str(src),
+                             "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: precision must be positive"]
+
+
 def test_algo1_pipeline(tmp_path):
     payload = rand_bytes(30, 5)
     src = tmp_path / "pay"
@@ -302,3 +347,52 @@ def test_console_entry_subprocess():
                          capture_output=True, text=True)
     assert got.returncode == 0
     assert "benefit 65%" in got.stdout
+
+
+
+# Recorded before the strip codec and the checkerboard writer moved onto one
+# shared walk-draw-replay driver; the move must not change a single byte.
+CODEC_DIGESTS = {
+    "algo1opt": "b9a6cf28e34a33f56204ca6922dc91afa03c00221d895a6d9d3b5633aeb84ca1",
+    "algo1q0": "763fdc076f0dc104726a67d23a04e40cc2e45c2e2f65201316138868288f691c",
+    "algo1q17": "8cc48789267deb71634ab9f9e88b16a57041eb1da1e653b541f80186acdbd4f2",
+    "evaluate": "c5e151aa120595d23c0d16318149aa82978dfeaab87941d12c370cc5ecd3fa52",
+    "rate": "4b325ea657ba7fe11b92f2a0cb75ec38a5fee2a9dcf51de744312f5944060f7a",
+    "strip5cyclic": "6833aff9d15c8b36f25e935a72dbc23f333e62d65b21460dbea402540b970bba",
+    "strip8zero": "938f48c261966a5f391ceacb48c7029aff7da7fb2d3c83094c50a63a05772ef0",
+}
+
+
+def test_codec_outputs_are_byte_identical(tmp_path):
+    # strip and algo1 lattice files (which must also decode back) and the
+    # stdout of the two rate measurements, as sha256 digests
+    got = {}
+    files = {"strip8zero": (["strip", "encode", "--width", "8", "--columns",
+                             "120"], 60),
+             "strip5cyclic": (["strip", "encode", "--width", "5", "--boundary",
+                               "cyclic", "--columns", "150"], 40),
+             "algo1opt": (["algo1", "encode", "--rows", "32", "--cols", "32"], 40),
+             "algo1q17": (["algo1", "encode", "--rows", "32", "--cols", "33",
+                           "--q", "0.17"], 40),
+             "algo1q0": (["algo1", "encode", "--rows", "33", "--cols", "32",
+                          "--q", "0"], 40)}
+    for name, (argv, nbytes) in files.items():
+        payload = rand_bytes(nbytes, 31)
+        src, latf, back = (tmp_path / (name + ext) for ext in (".bin", ".lat",
+                                                               ".back"))
+        src.write_bytes(payload)
+        rc, _, _ = run(argv + ["--in", str(src), "--out", str(latf)])
+        assert rc == 0, name
+        rc, _, _ = run([argv[0], "decode", "--in", str(latf), "--out", str(back)])
+        assert rc == 0 and back.read_bytes() == payload, name
+        got[name] = hashlib.sha256(latf.read_bytes()).hexdigest()
+    for name, argv in (("evaluate", ["strip", "evaluate", "--verify", "--width",
+                                     "6", "--columns", "256", "--trials", "3",
+                                     "--seed", "3"]),
+                       ("rate", ["algo1", "rate", "--verify", "--side", "48",
+                                 "--trials", "3", "--seed", "2"])):
+        rc, out, _ = run(argv)
+        assert rc == 0, name
+        got[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == CODEC_DIGESTS
+

@@ -102,6 +102,18 @@ def test_algorithm1_decode_rejections():
         ex.algorithm1_decode(forced, 0.0, zres.final_state, zres.consumed)
 
 
+def test_algorithm1_rate_verify_failure_is_a_data_error(monkeypatch):
+    # a failed round trip or scan in a rate trial is reported like the strip
+    # trial's, as a decode error the CLI prints as one line
+    monkeypatch.setattr(ex, "algorithm1_decode", lambda *args: [])
+    with pytest.raises(CorruptStream):
+        ex.algorithm1_rate(0.17, side=16, trials=1, verify=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(lat, "scan", lambda grid, model: [(0, 0)])
+    with pytest.raises(InvalidLattice):
+        ex.algorithm1_rate(0.17, side=16, trials=1, verify=True)
+
+
 def test_algorithm1_rate_matches_closed_form():
     qstar, _ = ex.algorithm1_optimum()
     rep = ex.algorithm1_rate(qstar, side=256, trials=4, seed=0, verify=True)
