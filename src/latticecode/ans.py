@@ -501,6 +501,10 @@ def unpack_container(blob: bytes) -> tuple[AnsTable, int, list[int]]:
     except struct.error:
         raise CorruptStream("truncated container") from None
     off += 24
+    if not 1 <= w <= 8:
+        raise CorruptStream("digit width %d outside 1..8" % w)
+    if ndigits * w > 8 * (len(blob) - off):
+        raise CorruptStream("truncated payload")
     l = 1 << r
     b = 1 << w
     if sum(l_s) != l:
@@ -516,8 +520,6 @@ def unpack_container(blob: bytes) -> tuple[AnsTable, int, list[int]]:
     mask = b - 1
     for _ in range(ndigits):
         while nbits < w:
-            if pos >= len(blob):
-                raise CorruptStream("truncated payload")
             acc |= blob[pos] << nbits
             pos += 1
             nbits += 8

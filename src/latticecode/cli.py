@@ -184,6 +184,8 @@ def cmd_ans(args) -> int:
     qs = [_parse_fraction(tok, "--probs entry") for tok in args.probs.split(",")]
     if any(q <= 0 for q in qs) or sum(qs) != 1:
         raise UsageError("probabilities must be positive and sum to 1")
+    if not 1 <= args.digit_bits <= 8:
+        raise UsageError("--digit-bits must be in 1..8")
     n = len(qs)
     if args.forbidden_eps:
         qs = ans.forbidden_symbol_wrap(qs, _parse_fraction(args.forbidden_eps,

@@ -463,40 +463,41 @@ def entropy_estimate(side: int, model: LatticeModel, boundary: str = "free") -> 
 
 
 def scan(grid: np.ndarray, model: LatticeModel, boundary: str = "free") -> list:
-    """All violated forbidden-pattern placements; empty means valid."""
+    """All violated forbidden-pattern placements; empty means valid.
+
+    Each violation is (base cell, pattern), listed by base cell in
+    row-major order, then by the pattern's index in `model.forbidden`.  A
+    1-d model reads the grid flattened.  ``free`` counts only placements
+    inside the grid, ``zero`` reads outside cells as alphabet[0] and
+    ``cyclic`` wraps every axis.
+    """
     arr = np.asarray(grid)
-    if arr.ndim == 1:
-        arr = arr[None, :] if model.dimension == 1 else arr
     if model.dimension == 1:
-        cells = {(j,): int(arr.flat[j]) for j in range(arr.size)}
-        dims = (arr.size,)
-    else:
-        cells = {(i, j): int(arr[i, j]) for i in range(arr.shape[0])
-                 for j in range(arr.shape[1])}
-        dims = arr.shape
-    out = []
-    for x in cells:
-        for pat, base in model.pattern_placements(x):
-            if base != x:
-                continue  # one check per placement
-            hit = True
-            for off, sym in pat:
-                y = tuple(b + o for b, o in zip(base, off))
-                if boundary == "cyclic":
-                    y = _wrap(y, dims)
-                if y in cells:
-                    if cells[y] != sym:
-                        hit = False
-                        break
-                elif boundary == "zero":
-                    if sym != model.alphabet[0]:
-                        hit = False
-                        break
-                else:
-                    hit = False
-                    break
-            if hit:
-                out.append((base, pat))
+        arr = arr.reshape(-1)
+    if arr.ndim != model.dimension:
+        raise ValueError("a %d-d model cannot scan a %d-d grid"
+                         % (model.dimension, arr.ndim))
+    if not model.forbidden or not arr.size:
+        return []
+    hits = np.ones((len(model.forbidden),) + arr.shape, dtype=bool)
+    for hit, pat in zip(hits, model.forbidden):
+        for off, sym in pat:
+            hit &= _translate(arr == sym, off, boundary == "cyclic",
+                              boundary == "zero" and sym == model.alphabet[0])
+    found = np.argwhere(np.moveaxis(hits, 0, -1)).tolist()
+    return [(tuple(x[:-1]), model.forbidden[x[-1]]) for x in found]
+
+
+def _translate(a: np.ndarray, off, cyclic: bool, fill: bool) -> np.ndarray:
+    """b[x] = a[x + off], wrapped when cyclic, else `fill` where x + off
+    leaves the array."""
+    if cyclic:
+        return np.roll(a, [-o for o in off], axis=tuple(range(a.ndim)))
+    out = np.full(a.shape, fill)
+    if all(abs(o) < n for o, n in zip(off, a.shape)):
+        dst = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, a.shape))
+        src = tuple(slice(max(o, 0), n + min(o, 0)) for o, n in zip(off, a.shape))
+        out[dst] = a[src]
     return out
 
 

@@ -53,7 +53,7 @@ class StripModel:
     eigs: spec.EigenSystem
     coder: spec.MarkovCoder
     index: dict = field(repr=False, default=None)
-    _tries: dict = field(repr=False, default=None)
+    _tables: dict = field(repr=False, default=None)
 
     @property
     def capacity(self) -> float:
@@ -96,7 +96,7 @@ def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero",
     eigs = spec.dominant_eigs(graph)
     coder = spec.merw_coder(graph, eigs)
     return StripModel(model, n, boundary, cols, graph, eigs, coder,
-                      index={c: i for i, c in enumerate(cols)}, _tries={})
+                      index={c: i for i, c in enumerate(cols)}, _tables={})
 
 
 def strip_capacity(model: lat.LatticeModel, n: int, boundary: str = "zero") -> float:
@@ -106,9 +106,6 @@ def strip_capacity(model: lat.LatticeModel, n: int, boundary: str = "zero") -> f
 def _suffix_trie(strip: StripModel, u: int):
     """W[j][prefix] = total eigenvector weight of columns compatible with
     the previous column u whose first j entries equal the prefix."""
-    cached = strip._tries.get(u)
-    if cached is not None:
-        return cached
     psi = strip.eigs.right
     W = strip.graph.weights
     levels = [dict() for _ in range(strip.n + 1)]
@@ -119,8 +116,35 @@ def _suffix_trie(strip: StripModel, u: int):
         for j in range(strip.n + 1):
             key = col[:j]
             levels[j][key] = levels[j].get(key, 0.0) + w
-    strip._tries[u] = levels
     return levels
+
+
+def _walk_table(strip: StripModel, u: int, precision: int) -> tuple:
+    """(laws, nexts) of the column after state u, compiled once per
+    (state, precision).  A prefix's node is its binary-heap code (root 1,
+    child 2·node + b): laws[node] is its quantised one-law m, and
+    nexts[node - 2^n] is the state of a full column.  Unreachable entries
+    are None."""
+    table = strip._tables.get((u, precision))
+    if table is None:
+        levels, n, l = _suffix_trie(strip, u), strip.n, 1 << precision
+        laws, nexts = [None] * (1 << n), [None] * (1 << n)
+        for j in range(n):
+            for prefix in levels[j]:
+                w0 = levels[j + 1].get(prefix + (0,), 0.0)
+                w1 = levels[j + 1].get(prefix + (1,), 0.0)
+                laws[_heap_code(prefix)] = _quantize(w1 / (w0 + w1), l)
+        for col in levels[n]:
+            nexts[_heap_code(col) - (1 << n)] = strip.index[col]
+        table = strip._tables[(u, precision)] = laws, nexts
+    return table
+
+
+def _heap_code(prefix: tuple) -> int:
+    node = 1
+    for b in prefix:
+        node = 2 * node + b
+    return node
 
 
 def conditional_tables(strip: StripModel, u: int) -> dict:
@@ -223,8 +247,8 @@ class LatticeCodec:
     """Bits-to-lattice coder over a strip model (binary alphabets).
 
     The walk visits the grid column-major and gives each node the
-    entropy-maximizing conditional one-probability, read off the suffix
-    trie of the previous column and quantized to m/2^R.  Encoding draws
+    entropy-maximizing conditional one-probability, quantized to m/2^R and
+    read from the previous column's compiled table.  Encoding draws
     the free nodes from the payload; decoding replays the walk to recover
     every (symbol, m) pair and runs the coder backwards from the stored
     final state.
@@ -233,23 +257,23 @@ class LatticeCodec:
     def __init__(self, strip: StripModel, precision: int = 16):
         if len(strip.model.alphabet) != 2:
             raise ValueError("the codec draws binary symbols")
+        if precision < 1:
+            raise ValueError("precision must be positive")
         self.strip = strip
         self.precision = precision
-        self.l = 1 << precision
 
     def _walk(self, cols: int):
-        strip, l = self.strip, self.l
-        index = strip.index
+        strip, precision = self.strip, self.precision
+        rows = range(strip.n)
+        leaf = 1 << strip.n
         u = strip.zero_state
         for c in range(cols):
-            levels = _suffix_trie(strip, u)
-            prefix = ()
-            for j in range(1, strip.n + 1):
-                w0 = levels[j].get(prefix + (0,), 0.0)
-                w1 = levels[j].get(prefix + (1,), 0.0)
-                b = yield (j - 1, c), _quantize(w1 / (w0 + w1), l)
-                prefix += (b,)
-            u = index[prefix]
+            laws, nexts = _walk_table(strip, u, precision)
+            node = 1
+            for j in rows:
+                b = yield (j, c), laws[node]
+                node = 2 * node + b
+            u = nexts[node - leaf]
 
     def encode(self, bits: Sequence[int], cols: int, partial: bool = False) -> EncodeResult:
         grid = np.zeros((self.strip.n, cols), dtype=np.int8)

@@ -122,6 +122,15 @@ def test_ans_usage_and_data_errors(tmp_path):
                       "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "alphabet" in err
+    # the container stores digits of 1..8 bits
+    for bits in (0, 9):
+        rc, _, err = run(["ans", "encode", "--digit-bits", str(bits),
+                          "--in", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2 and "--digit-bits" in err
+    src.write_bytes(b"\x00\x01")
+    rc, _, _ = run(["ans", "encode", "--digit-bits", "8", "--in", str(src),
+                    "--out", str(tmp_path / "o"), "--verify"])
+    assert rc == 0
 
 
 def test_ans_decode_truncated_header(tmp_path):
@@ -142,6 +151,29 @@ def test_ans_decode_truncated_header(tmp_path):
         assert rc == 1, k
         assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1, k
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("width", [0, 1, 9])
+def test_ans_decode_oversized_digit_count(tmp_path, width):
+    # 2^40 digits of width 0 read no byte at all: the decoder used to spin
+    src = tmp_path / "in"
+    src.write_bytes(bytes([0, 1, 2, 1, 0]))
+    blob = tmp_path / "blob"
+    rc, _, _ = run(["ans", "encode", "--probs", "1/2,1/4,1/4", "--in", str(src),
+                    "--out", str(blob)])
+    assert rc == 0
+    data = bytearray(blob.read_bytes())
+    data[5] = width
+    count = 4 + 5 + 4 * 3 + 16  # magic, version/w/R/n, l_s[3], key/x
+    data[count:count + 8] = (1 << 40).to_bytes(8, "little")
+    blob.write_bytes(data)
+    got = subprocess.run([sys.executable, "-m", "latticecode.cli", "ans",
+                          "decode", "--probs", "1/2,1/4,1/4", "--in", str(blob),
+                          "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 1
+    assert sum(ln.startswith("error:") for ln in got.stderr.splitlines()) == 1
+    assert "Traceback" not in got.stderr
 
 
 def test_merw_output(tmp_path):
@@ -286,6 +318,31 @@ def test_precision_zero_is_rejected(tmp_path, argv):
                              "--out", str(tmp_path / "x")])
     assert rc == 1
     assert err.splitlines()[1:] == ["error: precision must be positive"]
+
+
+@pytest.mark.parametrize("case", ["encode", "evaluate", "header"])
+def test_negative_precision_is_one_error_line(tmp_path, case):
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(4, 5))
+    latf = tmp_path / "x.lat"
+    if case == "encode":
+        argv = ["strip", "encode", "--width", "4", "--precision", "-1",
+                "--in", str(src), "--out", str(latf)]
+    elif case == "evaluate":
+        argv = ["strip", "evaluate", "--width", "4", "--columns", "16",
+                "--trials", "2", "--precision", "-1"]
+    else:
+        rc, _, _ = run(["strip", "encode", "--width", "4", "--in", str(src),
+                        "--out", str(latf)])
+        assert rc == 0
+        latf.write_text(latf.read_text().replace(" R=16 ", " R=-1 ", 1))
+        argv = ["strip", "decode", "--in", str(latf),
+                "--out", str(tmp_path / "back")]
+    rc, _, err = run(argv)
+    assert rc == 1
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: precision must be positive"]
+    assert "Traceback" not in err
 
 
 def test_algo1_pipeline(tmp_path):

@@ -130,6 +130,70 @@ def test_scan():
     assert L.is_valid(np.array([1, 0, 1, 0]), L.kmodel(2)) is False
 
 
+def _scan_oracle(grid, model, boundary="free"):
+    """The per-cell dict walk that `scan` replaced, kept as its reference."""
+    arr = np.asarray(grid)
+    if model.dimension == 1:
+        cells = {(j,): int(arr.flat[j]) for j in range(arr.size)}
+        dims = (arr.size,)
+    else:
+        cells = {(i, j): int(arr[i, j]) for i in range(arr.shape[0])
+                 for j in range(arr.shape[1])}
+        dims = arr.shape
+    out = []
+    for x in cells:
+        for pat, base in model.pattern_placements(x):
+            if base != x:
+                continue  # one check per placement
+            hit = True
+            for off, sym in pat:
+                y = tuple(b + o for b, o in zip(base, off))
+                if boundary == "cyclic":
+                    y = L._wrap(y, dims)
+                if y in cells:
+                    if cells[y] != sym:
+                        hit = False
+                        break
+                elif boundary == "zero":
+                    if sym != model.alphabet[0]:
+                        hit = False
+                        break
+                else:
+                    hit = False
+                    break
+            if hit:
+                out.append((base, pat))
+    return out
+
+
+# three symbols; a diagonal pair reaching back one column, a diagonal pair
+# forward, and a pattern of 0s two rows deep that the zero padding can match
+DIAGONAL3 = L.LatticeModel(2, (0, 1, 2), (
+    (((0, 0), 1), ((1, -1), 2)),
+    (((0, 0), 2), ((1, 1), 0)),
+    (((0, 0), 0), ((0, 1), 2), ((2, 0), 0))))
+
+
+def test_scan_equals_the_dict_walk():
+    models = (HS, L.no111(), L.kmodel(3), L.unconstrained(), DIAGONAL3)
+    rng = np.random.default_rng(20)
+    cases = 0
+    for model in models:
+        for boundary in ("free", "zero", "cyclic"):
+            for side in range(1, 7):
+                for _ in range(5):
+                    shape = ((side,) if model.dimension == 1
+                             else (side, int(rng.integers(1, 7))))
+                    weights = rng.random(len(model.alphabet)) + 0.2
+                    grid = rng.choice(model.alphabet, size=shape,
+                                      p=weights / weights.sum())
+                    assert (L.scan(grid, model, boundary)
+                            == _scan_oracle(grid, model, boundary)), \
+                        (model.name, boundary, grid.tolist())
+                    cases += 1
+    assert cases == 450
+
+
 def test_enumerated_valuations_pass_scan():
     for boundary, dims in (("free", None), ("cyclic", (3, 3))):
         vals = L.enumerate_valuations(L.rect(3, 3), HS, boundary=boundary, dims=dims)

@@ -127,6 +127,28 @@ def test_conditional_chaining():
         assert all(abs(r - 1) < 1e-12 for r in row)
 
 
+@pytest.mark.parametrize("boundary", ["zero", "cyclic"])
+def test_compiled_walk_tables_match_conditional_tables(boundary):
+    # a prefix's node is its binary-heap code: a leading 1, then its bits
+    for n in range(1, 9):
+        s = st.strip_model(HS, n, boundary)
+        for u in range(len(s.columns)):
+            tab = st.conditional_tables(s, u)
+            succ = [v for v in range(len(s.columns)) if s.graph.weights[u, v]]
+            for R in (4, 16):
+                laws, nexts = st._walk_table(s, u, R)
+                want = [None] * (1 << n)
+                for (j, prefix), q in tab.items():
+                    code = int("1" + "".join(map(str, prefix)), 2)
+                    want[code] = st._quantize(q[1], 1 << R)
+                assert laws == want, (n, u, R)
+                want = [None] * (1 << n)
+                for v in succ:
+                    col = s.columns[v]
+                    want[int("".join(map(str, col)), 2)] = s.index[col]
+                assert nexts == want, (n, u, R)
+
+
 def test_first_column_frequencies():
     s = st.strip_model(HS, 3, "zero")
     codec = st.LatticeCodec(s)
