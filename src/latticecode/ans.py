@@ -459,6 +459,9 @@ def ans_stream_decode_checked(digits: Sequence[int], table: AnsTable, final_x: i
 
 _MAGIC = b"ANS1"
 _VERSION = 1
+# Largest decode table, (b - 1)·l slots, that a container or a command may
+# ask for; 2^20 slots take about 2 s and 140 MB to build.
+MAX_TABLE_SLOTS = 1 << 20
 
 
 def pack_container(table: AnsTable, final_x: int, digits: Sequence[int]) -> bytes:
@@ -503,6 +506,9 @@ def unpack_container(blob: bytes) -> tuple[AnsTable, int, list[int]]:
     off += 24
     if not 1 <= w <= 8:
         raise CorruptStream("digit width %d outside 1..8" % w)
+    if ((1 << w) - 1) << r > MAX_TABLE_SLOTS:
+        raise CorruptStream("table of (2^%d - 1) * 2^%d slots exceeds %d"
+                            % (w, r, MAX_TABLE_SLOTS))
     if ndigits * w > 8 * (len(blob) - off):
         raise CorruptStream("truncated payload")
     l = 1 << r

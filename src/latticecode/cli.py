@@ -28,12 +28,8 @@ class UsageError(Exception):
     """Bad flag combination or malformed flag value; exits 2."""
 
 
-_DATA_ERRORS = (ValueError, KeyError, OSError,
-                ans.CorruptStream, ans.CapacityExceeded,
-                st.TooWide, st.InvalidLattice, st.ConfigMismatch,
-                spec.ReducibleGraph, spec.NoConvergence, spec.EmptyModel,
-                spec.ForbiddenPath,
-                lat.TooLarge, lat.EmptyConditioning, lat.ZeroPrefix)
+_DATA_ERRORS = (ValueError, KeyError, OSError, ans.CapacityExceeded,
+                st.TooWide, spec.NoConvergence, lat.TooLarge)
 
 
 def _fmt(x: float) -> str:
@@ -145,9 +141,18 @@ def cmd_merw(args) -> int:
     return 0
 
 
+def _check_table(precision: int, digit_bits: int) -> None:
+    if precision < 1:
+        raise UsageError("--precision must be positive")
+    if ((1 << digit_bits) - 1) << precision > ans.MAX_TABLE_SLOTS:
+        raise UsageError("table of (2^%d - 1) * 2^%d slots exceeds %d"
+                         % (digit_bits, precision, ans.MAX_TABLE_SLOTS))
+
+
 def _binary_table(q: Fraction, precision: int, key: int) -> ans.AnsTable:
     if not 0 < q < 1:
         raise UsageError("q must lie strictly inside (0, 1)")
+    _check_table(precision, 1)
     return ans.ans_build_table([1 - q, q], 1 << precision, 2, key)
 
 
@@ -186,6 +191,7 @@ def cmd_ans(args) -> int:
         raise UsageError("probabilities must be positive and sum to 1")
     if not 1 <= args.digit_bits <= 8:
         raise UsageError("--digit-bits must be in 1..8")
+    _check_table(args.precision, args.digit_bits)
     n = len(qs)
     if args.forbidden_eps:
         qs = ans.forbidden_symbol_wrap(qs, _parse_fraction(args.forbidden_eps,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,10 +21,10 @@ LG2 = math.log(2.0)
 class ReducibleGraph(ValueError):
     """Raised when a weight matrix is not strongly connected."""
 
-    def __init__(self, components):
-        self.components = components
+    def __init__(self, nodes):
+        self.nodes = nodes
         super().__init__(
-            "graph is reducible; strongly connected components: %r" % (components,)
+            "graph is reducible; nodes %r are not on a cycle through node 0" % (nodes,)
         )
 
 
@@ -40,63 +40,24 @@ class ForbiddenPath(ValueError):
     pass
 
 
-def strongly_connected_components(weights: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm (iterative) on the nonzero pattern of `weights`."""
-    n = len(weights)
-    adj = [np.nonzero(weights[i])[0].tolist() for i in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
+def _reached(adj: np.ndarray) -> np.ndarray:
+    """Nodes reachable from node 0 along the edges of boolean `adj`."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Nonnegative irreducible weight matrix with node labels."""
+    """Nonnegative irreducible weight matrix."""
 
     weights: np.ndarray
-    labels: tuple[str, ...]
 
-    def __init__(self, weights, labels=None):
+    def __init__(self, weights):
         w = np.array(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
@@ -106,48 +67,23 @@ class WeightedGraph:
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("weight matrix has no edges")
-        if labels is None:
-            labels = tuple(str(i) for i in range(len(w)))
-        else:
-            labels = tuple(str(x) for x in labels)
-        if len(labels) != len(w):
-            raise ValueError("label count does not match matrix size")
-        comps = strongly_connected_components(w)
-        if len(comps) != 1:
-            raise ReducibleGraph(comps)
+        # irreducible iff node 0 reaches every node and every node reaches it
+        adj = w > 0
+        unreached = ~(_reached(adj) & _reached(adj.T))
+        if unreached.any():
+            raise ReducibleGraph(np.flatnonzero(unreached).tolist())
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
         return len(self.weights)
 
 
-def decompose(weights) -> list[WeightedGraph]:
-    """Split a reducible matrix into its strongly connected blocks.
-
-    Components without any internal edge (isolated transient nodes) are
-    dropped, since they carry no bi-infinite sequences.
-    """
-    w = np.asarray(weights, dtype=float)
-    out = []
-    for comp in strongly_connected_components(w):
-        block = w[np.ix_(comp, comp)]
-        if np.any(block > 0):
-            out.append(WeightedGraph(block, [str(i) for i in comp]))
-    return out
-
-
-def build_from_constraints(labels: Sequence, allowed: Callable[[int, int], bool]) -> WeightedGraph:
-    """0/1 graph over `labels` with an edge a -> b whenever allowed(a, b)."""
-    n = len(labels)
-    w = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if allowed(a, b):
-                w[a, b] = 1.0
-    return WeightedGraph(w, labels)
+def build_from_constraints(allowed) -> WeightedGraph:
+    """0/1 graph with an edge a -> b wherever the (n, n) boolean matrix
+    `allowed` holds True."""
+    return WeightedGraph(np.asarray(allowed, dtype=float))
 
 
 def block_symbols(alphabet: Sequence, l: int, window_ok: Callable[[tuple], bool]) -> WeightedGraph:
@@ -190,8 +126,7 @@ def block_symbols(alphabet: Sequence, l: int, window_ok: Callable[[tuple], bool]
         for j in edges[i]:
             if j in alive:
                 w[remap[i], remap[j]] = 1.0
-    labels = ["".join(str(s) for s in nodes[i]) for i in order]
-    return WeightedGraph(w, labels)
+    return WeightedGraph(w)
 
 
 @dataclass(frozen=True)
@@ -210,7 +145,7 @@ class Potentials:
         object.__setattr__(self, "edge", e)
 
 
-def from_potentials(pot: Potentials, labels=None) -> WeightedGraph:
+def from_potentials(pot: Potentials) -> WeightedGraph:
     """Weight matrix M_ij = exp(-(V_i/2 + V'_ij + V_j/2)); inf maps to 0."""
     half = 0.5 * pot.vertex
     expo = half[:, None] + pot.edge + half[None, :]
@@ -218,7 +153,7 @@ def from_potentials(pot: Potentials, labels=None) -> WeightedGraph:
         w = np.exp(-expo)
     w[~np.isfinite(expo)] = 0.0
     w[np.isposinf(pot.edge)] = 0.0
-    return WeightedGraph(w, labels)
+    return WeightedGraph(w)
 
 
 @dataclass(frozen=True)
@@ -380,7 +315,7 @@ def kmodel_graph(k: int) -> WeightedGraph:
         w[0, k] = 1.0
         for i in range(1, n):
             w[i, i - 1] = 1.0
-    return WeightedGraph(w, [str(i) for i in range(n)])
+    return WeightedGraph(w)
 
 
 def kmodel_capacity(k: int, tol: float = 1e-12) -> float:

@@ -41,6 +41,8 @@ class ConfigMismatch(ValueError):
 
 
 MAX_STATES = 1 << 14
+# Coder precision R: a float law holds 53 bits, and p * 2^R must stay finite.
+MAX_PRECISION = 64
 
 
 @dataclass
@@ -71,8 +73,7 @@ class StripModel:
         return self.boundary == "cyclic" and self.n <= 2
 
 
-def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero",
-                max_states: int = MAX_STATES) -> StripModel:
+def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero") -> StripModel:
     if model.dimension != 2:
         raise ValueError("strip decomposition needs a 2D model")
     if boundary not in ("zero", "free", "cyclic"):
@@ -86,13 +87,13 @@ def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero",
         raise TooWide("patterns spanning more than two columns "
                       "need a blocked alphabet")
     states = lat.valid_columns(model, n, cyclic)
-    if len(states) > max_states:
-        raise TooWide("%d column states exceed the limit %d" % (len(states), max_states))
+    if len(states) > MAX_STATES:
+        raise TooWide("%d column states exceed the limit %d" % (len(states), MAX_STATES))
     if not len(states):
         raise spec.EmptyModel("no valid columns")
-    compat = lat.column_compat(model, n, cyclic, states, states)
+    graph = spec.build_from_constraints(
+        lat.column_compat(model, n, cyclic, states, states))
     cols = [tuple(c) for c in states.tolist()]
-    graph = spec.build_from_constraints(cols, lambda i, j: compat[i, j])
     eigs = spec.dominant_eigs(graph)
     coder = spec.merw_coder(graph, eigs)
     return StripModel(model, n, boundary, cols, graph, eigs, coder,
@@ -193,9 +194,17 @@ def _quantize(p: float, l: int) -> int:
     return min(max(round(p * l), 1), l - 1)
 
 
+def _check_precision(precision: int) -> None:
+    if precision < 1:
+        raise ValueError("precision must be positive")
+    if precision > MAX_PRECISION:
+        raise ValueError("precision must be at most %d" % MAX_PRECISION)
+
+
 def _write(bits, precision: int, grid: np.ndarray, walk,
            partial: bool) -> EncodeResult:
     """Draw every free node of the walk from the payload into the grid."""
+    _check_precision(precision)
     dec = AbsStreamDecoder(bits, precision)
     draw, l = dec.draw, dec.l
     send = walk.send
@@ -215,6 +224,7 @@ def _write(bits, precision: int, grid: np.ndarray, walk,
 def _read(grid: np.ndarray, walk, final_state: int, nbits: int,
           precision: int) -> list:
     """Replay the walk over a written grid and run the coder backwards."""
+    _check_precision(precision)
     l = 1 << precision
     if not l <= final_state < 2 * l:
         raise ConfigMismatch("final coder state out of range")
@@ -257,8 +267,6 @@ class LatticeCodec:
     def __init__(self, strip: StripModel, precision: int = 16):
         if len(strip.model.alphabet) != 2:
             raise ValueError("the codec draws binary symbols")
-        if precision < 1:
-            raise ValueError("precision must be positive")
         self.strip = strip
         self.precision = precision
 

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
 import io
+import resource
+import struct
 import subprocess
 import sys
 
@@ -176,6 +178,41 @@ def test_ans_decode_oversized_digit_count(tmp_path, width):
     assert "Traceback" not in got.stderr
 
 
+def _limit_memory():
+    # 2 GB of address space: an unbounded table build fails fast, not late
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_ans_decode_oversized_table(tmp_path):
+    # R = 32 and two slots of 2^31 sum to 2^R, so only a bound on the
+    # (b - 1)·2^R table stops the build
+    blob = tmp_path / "blob"
+    blob.write_bytes(b"ANS1" + struct.pack("<BBBH", 1, 1, 32, 2)
+                     + struct.pack("<2I", 1 << 31, 1 << 31)
+                     + struct.pack("<QQQ", 0, 1 << 32, 0))
+    got = subprocess.run([sys.executable, "-m", "latticecode.cli", "ans",
+                          "decode", "--in", str(blob),
+                          "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_memory)
+    assert got.returncode == 1
+    assert [ln for ln in got.stderr.splitlines() if ln.startswith("error:")] == [
+        "error: table of (2^1 - 1) * 2^32 slots exceeds 1048576"]
+    assert "Traceback" not in got.stderr
+
+
+@pytest.mark.parametrize("flags", [["--precision", "-1"], ["--precision", "0"],
+                                   ["--precision", "21"],
+                                   ["--precision", "13", "--digit-bits", "8"]])
+def test_ans_table_bound_is_a_usage_error(tmp_path, flags):
+    src = tmp_path / "in"
+    src.write_bytes(b"\x00\x01")
+    rc, _, err = run(["ans", "encode", "--in", str(src),
+                      "--out", str(tmp_path / "o")] + flags)
+    assert rc == 2
+    assert err.splitlines()[1].startswith("usage error: ")
+
+
 def test_merw_output(tmp_path):
     g = tmp_path / "graph.txt"
     g.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
@@ -184,6 +221,16 @@ def test_merw_output(tmp_path):
     assert "lambda = 2" in out
     assert "entropy_bits = 1" in out
     assert "path_prob = 0.25" in out
+
+
+def test_merw_reducible_graph_names_the_nodes(tmp_path):
+    g = tmp_path / "graph.txt"
+    g.write_text("4\n1 1 0 0\n1 0 0 0\n1 0 0 1\n0 0 1 0\n")
+    rc, _, err = run(["merw", "--graph", str(g)])
+    assert rc == 1
+    assert err.splitlines()[1:] == [
+        "error: graph is reducible; nodes [2, 3] are not on a cycle "
+        "through node 0"]
 
 
 def test_sample_describe_pipeline(tmp_path):
@@ -345,6 +392,32 @@ def test_negative_precision_is_one_error_line(tmp_path, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["strip", "algo1", "header"])
+def test_huge_precision_is_one_error_line(tmp_path, case):
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(4, 5))
+    latf = tmp_path / "x.lat"
+    if case == "header":
+        rc, _, _ = run(["strip", "encode", "--width", "4", "--in", str(src),
+                        "--out", str(latf)])
+        assert rc == 0
+        head, grid = latf.read_text().split("\n", 1)
+        head = " ".join("R=1100" if t.startswith("R=") else
+                        "x=%d" % (1 << 1100) if t.startswith("x=") else t
+                        for t in head.split())
+        latf.write_text(head + "\n" + grid)
+        argv = ["strip", "decode", "--in", str(latf),
+                "--out", str(tmp_path / "back")]
+    else:
+        argv = [case, "encode", "--precision", "1100", "--in", str(src),
+                "--out", str(latf)]
+        if case == "strip":
+            argv += ["--width", "4"]
+    rc, _, err = run(argv)
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: precision must be at most 64"]
+
+
 def test_algo1_pipeline(tmp_path):
     payload = rand_bytes(30, 5)
     src = tmp_path / "pay"
@@ -453,3 +526,36 @@ def test_codec_outputs_are_byte_identical(tmp_path):
         got[name] = hashlib.sha256(out.encode()).hexdigest()
     assert got == CODEC_DIGESTS
 
+
+
+# Recorded before the strip graph was built straight from the compatibility
+# matrix: capacity --width 1..14 per boundary (stdout joined in width order),
+# strip build --width 8 and merw on a 3-node file.
+GRAPH_DIGESTS = {
+    "capacity_zero": "418d949d903f06011118150a551f40f7ebab4943a616d7bab502e26001d82404",
+    "capacity_cyclic": "53f736647eab174fcda81b66c65a4f87a00f6950cef1450ed98be811bf569cc9",
+    "strip_build": "d3a5dc40d9d9b82c867e736e309d0763041f07efe0632cfb419c4f2836432def",
+    "merw": "a3613ea50f17a7cc660aeac2fa8bdac79079ec6537507b98f7d91020ae5de4d1",
+}
+
+
+def test_graph_outputs_are_byte_identical(tmp_path):
+    got = {}
+    for boundary in ("zero", "cyclic"):
+        outs = []
+        for n in range(1, 15):
+            rc, out, _ = run(["capacity", "--width", str(n), "--boundary",
+                              boundary])
+            assert rc == 0, (boundary, n)
+            outs.append(out)
+        got["capacity_" + boundary] = hashlib.sha256(
+            "".join(outs).encode()).hexdigest()
+    rc, out, _ = run(["strip", "build", "--width", "8"])
+    assert rc == 0
+    got["strip_build"] = hashlib.sha256(out.encode()).hexdigest()
+    g = tmp_path / "graph.txt"
+    g.write_text("3\n0 1 1\n1 0 1\n1 1 2\n")
+    rc, out, _ = run(["merw", "--graph", str(g), "--path", "0,1,2"])
+    assert rc == 0
+    got["merw"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == GRAPH_DIGESTS

@@ -24,7 +24,7 @@ def brute_growth(allowed_pair, length, alphabet=(0, 1)):
 
 
 def fib_graph():
-    return sp.build_from_constraints(["0", "1"], lambda a, b: not (a == 1 and b == 1))
+    return sp.build_from_constraints(np.array([[True, True], [True, False]]))
 
 
 def test_fibonacci_eigensystem():
@@ -74,9 +74,6 @@ def test_reducible_rejected_and_decomposed():
     w = [[1, 1, 0], [0, 1, 0], [0, 1, 1]]
     with pytest.raises(sp.ReducibleGraph):
         sp.WeightedGraph(w)
-    blocks = sp.decompose(w)
-    assert len(blocks) == 3
-    assert all(b.size == 1 for b in blocks)
 
 
 def test_all_zero_rejected():
@@ -87,7 +84,33 @@ def test_all_zero_rejected():
 def test_build_from_constraints_rejects_dead_symbol():
     # symbol 1 allows nothing incoming: reducible
     with pytest.raises(sp.ReducibleGraph):
-        sp.build_from_constraints([0, 1], lambda a, b: b == 0)
+        sp.build_from_constraints(np.array([[True, False], [True, False]]))
+
+
+def test_reducible_exactly_when_oracle_says_so():
+    # oracle: A is irreducible iff (I + A)^(n-1) has no zero entry
+    rng = np.random.default_rng(77)
+    seen = {True: 0, False: 0}
+    for n in range(1, 13):
+        for density in (0.1, 0.25, 0.5):
+            for _ in range(10):
+                a = (rng.random((n, n)) < density).astype(np.int64)
+                if not a.any():
+                    continue
+                reach = np.linalg.matrix_power(np.eye(n, dtype=np.int64) + a,
+                                               n - 1)
+                reducible = bool((reach == 0).any())
+                seen[reducible] += 1
+                try:
+                    sp.WeightedGraph(a)
+                except sp.ReducibleGraph as e:
+                    assert reducible, (n, a)
+                    # the named nodes are those off every cycle through 0
+                    cut = ~((reach[0] > 0) & (reach[:, 0] > 0))
+                    assert e.nodes == np.flatnonzero(cut).tolist()
+                else:
+                    assert not reducible, (n, a)
+    assert min(seen.values()) >= 50
 
 
 def no111_ok(w):

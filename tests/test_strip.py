@@ -96,9 +96,10 @@ def test_column_engine_against_independent_code(case):
         assert int(np.count_nonzero(s.graph.weights)) == two
 
 
-def test_state_guards():
+def test_state_guards(monkeypatch):
+    monkeypatch.setattr(st, "MAX_STATES", 4)
     with pytest.raises(st.TooWide):
-        st.strip_model(HS, 4, "zero", max_states=4)
+        st.strip_model(HS, 4, "zero")
     gap2 = lat.LatticeModel(2, (0, 1), ((((0, 0), 1), ((0, 2), 1)),))
     with pytest.raises(st.TooWide):
         st.strip_model(gap2, 3, "zero")
