@@ -65,26 +65,6 @@ class ErrorDetected:
     position: int
 
 
-@dataclass(frozen=True)
-class AbsParams:
-    """Two-symbol stream parameters: q = P(1), interval base l = 2^precision."""
-
-    q: Fraction
-    precision: int
-    digit_bits: int = 1
-    variant: str = "ceiling"
-
-    def __post_init__(self):
-        q = Fraction(self.q)
-        object.__setattr__(self, "q", q)
-        if not 0 < q < 1:
-            raise ValueError("q must be strictly between 0 and 1")
-        if self.precision < 1 or self.digit_bits < 1:
-            raise ValueError("precision and digit_bits must be positive")
-        if self.variant not in ("ceiling", "floor"):
-            raise ValueError("variant must be 'ceiling' or 'floor'")
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -130,35 +110,9 @@ def abs_encode_step(s: int, xs: int, q, variant: str = "ceiling") -> int:
     raise ValueError("unknown variant %r" % variant)
 
 
-@dataclass(frozen=True)
-class AbsValidation:
-    ok: bool
-    reason: str = ""
-    residue: int = 0
-
-
-def abs_validate(params: AbsParams) -> AbsValidation:
-    """Check that the digit intervals are base-2^w absorbing for this q.
-
-    Requires q dyadic with at most `precision` fractional bits, and the
-    boundary count ceil(2^(R+w) q) (floor for the floor variant) to be a
-    multiple of 2^w.
-    """
-    num, den = params.q.numerator, params.q.denominator
-    l = 1 << params.precision
-    if l % den != 0:
-        return AbsValidation(False, "q is not dyadic with <= %d fractional bits" % params.precision)
-    b = 1 << params.digit_bits
-    scaled = b * l * num
-    edge = _ceil_div(scaled, den) if params.variant == "ceiling" else scaled // den
-    residue = edge % b
-    if residue:
-        return AbsValidation(False, "interval edge not divisible by digit base", residue)
-    return AbsValidation(True)
-
-
 def largest_remainder(l: int, qs: Sequence[float]) -> list[int]:
-    """Apportion l state slots to probabilities; ties broken by symbol index."""
+    """Apportion l state slots to probabilities; ties broken by symbol index.
+    A probability that rounds to zero slots is DegenerateSymbol."""
     fr = [Fraction(q) for q in qs]
     total = sum(fr)
     if total <= 0:
@@ -170,6 +124,8 @@ def largest_remainder(l: int, qs: Sequence[float]) -> list[int]:
     out = list(base)
     for s in order[:rem]:
         out[s] += 1
+    if 0 in out:
+        raise DegenerateSymbol("a probability rounded to zero slots; increase l")
     return out
 
 
@@ -201,10 +157,6 @@ class AnsTable:
             if counters[s] != b * ls:
                 raise ValueError("symbol %d occupies %d slots, expected %d" % (s, counters[s] - ls, (b - 1) * ls))
 
-    @property
-    def probabilities(self) -> list[Fraction]:
-        return [Fraction(ls, self.l) for ls in self.l_s]
-
     def decode_step(self, x: int) -> tuple[int, int]:
         i = x - self.l
         return self.dec_sym[i], self.dec_xs[i]
@@ -217,8 +169,6 @@ def ans_build_table(qs: Sequence[float], l: int, b: int = 2, key: int = 0) -> An
     """Keyed pseudo-random table: pool of (b-1) l_s copies per symbol,
     consumed by the pinned splitmix64 stream in state order x = l .. bl-1."""
     l_s = largest_remainder(l, qs)
-    if any(v == 0 for v in l_s):
-        raise DegenerateSymbol("a probability rounded to zero slots; increase l")
     pool: list[int] = []
     for s, ls in enumerate(l_s):
         pool.extend([s] * ((b - 1) * ls))
@@ -244,8 +194,6 @@ def ans_build_table_precise(qs: Sequence[float], l: int, b: int = 2) -> AnsTable
     symbol receives exactly (b-1) l_s states and the single-split case
     reproduces abs_decode_step."""
     l_s = largest_remainder(l, qs)
-    if any(v == 0 for v in l_s):
-        raise DegenerateSymbol("a probability rounded to zero slots; increase l")
     n = len(l_s)
     suffix = [0] * (n + 1)
     for s in range(n - 1, -1, -1):
@@ -302,41 +250,6 @@ class StreamState:
         return s
 
 
-def ans_table_from_abs(q, l: int, b: int = 2, variant: str = "ceiling") -> AnsTable:
-    """Two-symbol table whose state layout comes from the closed-form coder
-    at exact rational q (not quantized to a multiple of 1/l)."""
-    dec_sym = [abs_decode_step(x, q, variant)[0] for x in range(l, b * l)]
-    ones = sum(dec_sym)
-    if ones % (b - 1):
-        raise DegenerateSymbol("symbol slots not divisible by b-1")
-    l1 = ones // (b - 1)
-    if l1 == 0 or l1 == l:
-        raise DegenerateSymbol("q too extreme for this interval")
-    return AnsTable(l, b, [l - l1, l1], dec_sym)
-
-
-def absorb(x: int, l: int, b: int, digits: Optional[Iterable[int]] = None) -> tuple[int, list[int], int]:
-    """Normalize x into I: divide out digits while too big, pull digits while
-    too small.  Returns (state, emitted digits, steps)."""
-    if x < 1:
-        raise ValueError("state must be positive")
-    emitted = []
-    steps = 0
-    it = iter(digits) if digits is not None else iter(())
-    while x > b * l - 1:
-        emitted.append(x % b)
-        x //= b
-        steps += 1
-    while x < l:
-        try:
-            d = next(it)
-        except StopIteration:
-            raise CorruptStream("digit stream exhausted during renormalization")
-        x = x * b + d
-        steps += 1
-    return x, emitted, steps
-
-
 def ans_stream_encode(symbols: Sequence[int], table: AnsTable, initial_x: Optional[int] = None) -> tuple[list[int], int]:
     """Encode symbols (walked back to front); digits come back in decoder order."""
     l, b = table.l, table.b
@@ -381,30 +294,6 @@ def stream_bits(digits_count: int, table: AnsTable) -> int:
     w = int(round(math.log2(table.b)))
     r = int(round(math.log2(table.l)))
     return digits_count * w + r + w
-
-
-def waste_estimate(table: AnsTable, qs: Optional[Sequence[float]] = None) -> float:
-    """Second-order redundancy estimate in bits per symbol.
-
-    For each state x = C(s, x_s) of the table, the step cost above the
-    ideal lg(1/q_s) is approximated by q_s (x_s/q_s - x)^2 / (x^2 ln 4);
-    states are averaged with weight proportional to 1/x, the stationary
-    visit law of the coder.
-    """
-    if qs is None:
-        qs = [ls / table.l for ls in table.l_s]
-    total = 0.0
-    norm = 0.0
-    l = table.l
-    for i, s in enumerate(table.dec_sym):
-        x = l + i
-        xs = table.dec_xs[i]
-        w = 1.0 / x
-        q = float(qs[s])
-        d = xs / q - x
-        total += w * q * d * d / (x * x)
-        norm += w
-    return total / (norm * math.log(4.0))
 
 
 def forbidden_symbol_wrap(qs: Sequence[float], eps: Fraction) -> list[Fraction]:

@@ -149,13 +149,6 @@ def _check_table(precision: int, digit_bits: int) -> None:
                          % (digit_bits, precision, ans.MAX_TABLE_SLOTS))
 
 
-def _binary_table(q: Fraction, precision: int, key: int) -> ans.AnsTable:
-    if not 0 < q < 1:
-        raise UsageError("q must lie strictly inside (0, 1)")
-    _check_table(precision, 1)
-    return ans.ans_build_table([1 - q, q], 1 << precision, 2, key)
-
-
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
@@ -163,26 +156,46 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise UsageError("bad %s %r" % (what, text))
 
 
-def cmd_abs(args) -> int:
-    q = _parse_fraction(args.q, "--q")
-    table = _binary_table(q, args.precision, args.key)
+def _code_file(args, qs, digit_bits: int, read, write,
+               forbidden: bool = False) -> int:
+    """Shared body of `abs` and `ans`.  Encode turns the input file into
+    symbols with `read` and stores them as an ANS1 container; decode reads
+    the container's own table, so the law flags are only validated there,
+    and `write` turns the symbols back into bytes."""
+    l = 1 << args.precision
+    ans.largest_remainder(l, qs)  # refuses a law that starves a symbol
     if args.mode == "encode":
-        bits = _bits_from_bytes(Path(args.infile).read_bytes())
-        digits, x = ans.ans_stream_encode(bits, table)
+        syms = read(Path(args.infile).read_bytes())
+        table = ans.ans_build_table(qs, l, 1 << digit_bits, args.key)
+        digits, x = ans.ans_stream_encode(syms, table)
         blob = ans.pack_container(table, x, digits)
         Path(args.out).write_bytes(blob)
         if args.verify:
             t2, x2, d2 = ans.unpack_container(blob)
-            if ans.ans_stream_decode(d2, t2, x2) != bits:
+            if ans.ans_stream_decode(d2, t2, x2) != syms:
                 raise ans.CorruptStream("verification reread mismatch")
-        print("symbols %d" % len(bits))
+        print("symbols %d" % len(syms))
         print("stored_bits %d" % ans.stream_bits(len(digits), table))
+        return 0
+    table, x, digits = ans.unpack_container(Path(args.infile).read_bytes())
+    if forbidden:
+        syms, hit = ans.ans_stream_decode_checked(digits, table, x, table.n - 1)
+        if hit is not None:
+            raise ans.CorruptStream("forbidden symbol at position %d"
+                                    % hit.position)
     else:
-        table2, x, digits = ans.unpack_container(Path(args.infile).read_bytes())
-        bits = ans.ans_stream_decode(digits, table2, x)
-        Path(args.out).write_bytes(_bytes_from_bits(bits))
-        print("symbols %d" % len(bits))
+        syms = ans.ans_stream_decode(digits, table, x)
+    Path(args.out).write_bytes(write(syms))
+    print("symbols %d" % len(syms))
     return 0
+
+
+def cmd_abs(args) -> int:
+    q = _parse_fraction(args.q, "--q")
+    if not 0 < q < 1:
+        raise UsageError("q must lie strictly inside (0, 1)")
+    _check_table(args.precision, 1)
+    return _code_file(args, [1 - q, q], 1, _bits_from_bytes, _bytes_from_bits)
 
 
 def cmd_ans(args) -> int:
@@ -196,34 +209,14 @@ def cmd_ans(args) -> int:
     if args.forbidden_eps:
         qs = ans.forbidden_symbol_wrap(qs, _parse_fraction(args.forbidden_eps,
                                                             "--forbidden-eps"))
-    table = ans.ans_build_table(qs, 1 << args.precision, 1 << args.digit_bits,
-                                args.key)
-    if args.mode == "encode":
-        data = Path(args.infile).read_bytes()
+
+    def read(data: bytes) -> list:
         if any(byte >= n for byte in data):
             raise ValueError("input byte outside the %d-symbol alphabet" % n)
-        digits, x = ans.ans_stream_encode(list(data), table)
-        blob = ans.pack_container(table, x, digits)
-        Path(args.out).write_bytes(blob)
-        if args.verify:
-            t2, x2, d2 = ans.unpack_container(blob)
-            if ans.ans_stream_decode(d2, t2, x2) != list(data):
-                raise ans.CorruptStream("verification reread mismatch")
-        print("symbols %d" % len(data))
-        print("stored_bits %d" % ans.stream_bits(len(digits), table))
-    else:
-        table2, x, digits = ans.unpack_container(Path(args.infile).read_bytes())
-        if args.forbidden_eps:
-            syms, hit = ans.ans_stream_decode_checked(digits, table2, x,
-                                                      table2.n - 1)
-            if hit is not None:
-                raise ans.CorruptStream("forbidden symbol at position %d"
-                                        % hit.position)
-        else:
-            syms = ans.ans_stream_decode(digits, table2, x)
-        Path(args.out).write_bytes(bytes(syms))
-        print("symbols %d" % len(syms))
-    return 0
+        return list(data)
+
+    return _code_file(args, qs, args.digit_bits, read, bytes,
+                      forbidden=bool(args.forbidden_eps))
 
 
 def cmd_sample(args) -> int:

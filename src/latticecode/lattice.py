@@ -27,8 +27,8 @@ Boundary modes for finite regions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,12 +49,7 @@ class EmptyConditioning(ValueError):
     pass
 
 
-class ZeroPrefix(ValueError):
-    pass
-
-
 Coord = tuple
-Pattern = dict
 
 
 def _anchor(pattern: Mapping) -> tuple:
@@ -505,21 +500,6 @@ def is_valid(grid, model, boundary="free") -> bool:
     return not scan(grid, model, boundary)
 
 
-def approx_description(region, model, clamp, pattern, boundary="free") -> float:
-    """p_f^{A,v} = N(A, v + f) / N(A, v)."""
-    pattern = dict(pattern)
-    base = dict(clamp) if clamp else {}
-    for x in pattern:
-        if tuple(x) in base:
-            raise ValueError("pattern overlaps the clamp")
-    denom = count(region, model, base, boundary)
-    if denom == 0:
-        raise EmptyConditioning("conditioning context has no valid extension")
-    merged = dict(base)
-    merged.update(pattern)
-    return count(region, model, merged, boundary) / denom
-
-
 class Description:
     """Pattern probabilities backed by per-shape joint tables.
 
@@ -660,30 +640,6 @@ def check_pLOC(description: Description, model: LatticeModel, context_shapes) ->
             if len(ps) >= 2:
                 worst = max(worst, max(ps) - min(ps))
     return worst
-
-
-def sequential_description(p, order, alphabet, assignment) -> list:
-    """Conditional laws q(b) = p(prefix + b)/p(prefix) along a node order,
-    following the given assignment; raises ZeroPrefix on a dead prefix."""
-    if isinstance(p, Description):
-        fn = p.prob
-    else:
-        fn = p
-    out = []
-    prefix = {}
-    for x in order:
-        x = tuple(x)
-        pp = fn(prefix) if prefix else 1.0
-        if pp <= 0:
-            raise ZeroPrefix("prefix has probability zero")
-        qs = {}
-        for b in alphabet:
-            ext = dict(prefix)
-            ext[x] = b
-            qs[b] = fn(ext) / pp
-        out.append(qs)
-        prefix[x] = assignment[x]
-    return out
 
 
 def description_bounds(regions, model, pattern, boundary="free"):

@@ -15,8 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-LG2 = math.log(2.0)
-
 
 class ReducibleGraph(ValueError):
     """Raised when a weight matrix is not strongly connected."""
@@ -126,33 +124,6 @@ def block_symbols(alphabet: Sequence, l: int, window_ok: Callable[[tuple], bool]
         for j in edges[i]:
             if j in alive:
                 w[remap[i], remap[j]] = 1.0
-    return WeightedGraph(w)
-
-
-@dataclass(frozen=True)
-class Potentials:
-    """Vertex and edge potentials; +inf forbids a vertex or edge."""
-
-    vertex: np.ndarray
-    edge: np.ndarray
-
-    def __init__(self, vertex, edge):
-        v = np.array(vertex, dtype=float)
-        e = np.array(edge, dtype=float)
-        if v.ndim != 1 or e.shape != (len(v), len(v)):
-            raise ValueError("edge potential must be n x n for n vertex potentials")
-        object.__setattr__(self, "vertex", v)
-        object.__setattr__(self, "edge", e)
-
-
-def from_potentials(pot: Potentials) -> WeightedGraph:
-    """Weight matrix M_ij = exp(-(V_i/2 + V'_ij + V_j/2)); inf maps to 0."""
-    half = 0.5 * pot.vertex
-    expo = half[:, None] + pot.edge + half[None, :]
-    with np.errstate(over="ignore"):
-        w = np.exp(-expo)
-    w[~np.isfinite(expo)] = 0.0
-    w[np.isposinf(pot.edge)] = 0.0
     return WeightedGraph(w)
 
 

@@ -225,6 +225,8 @@ def _read(grid: np.ndarray, walk, final_state: int, nbits: int,
           precision: int) -> list:
     """Replay the walk over a written grid and run the coder backwards."""
     _check_precision(precision)
+    if nbits < 0:
+        raise ConfigMismatch("declared bit count %d is negative" % nbits)
     l = 1 << precision
     if not l <= final_state < 2 * l:
         raise ConfigMismatch("final coder state out of range")

@@ -15,27 +15,6 @@ def sample_symbols(qs, n, seed):
     return np.searchsorted(cum, u, side="right").astype(np.int64).tolist()
 
 
-def exact_stream_excess(table, qs):
-    """Expected bits/symbol above H(qs): stationary law of the encode chain."""
-    l, b = table.l, table.b
-    T = np.zeros((l, l))
-    dig = np.zeros(l)
-    for x in range(l, b * l):
-        for s, q in enumerate(qs):
-            v, k = x, 0
-            top = b * table.l_s[s] - 1
-            while v > top:
-                v //= b
-                k += 1
-            T[x - l, table.encode_step(s, v) - l] += q
-            dig[x - l] += q * k
-    w, V = np.linalg.eig(T.T)
-    pi = np.abs(V[:, np.argmax(w.real)].real)
-    pi /= pi.sum()
-    H = -sum(q * math.log2(q) for q in qs)
-    return float(pi @ dig) - H
-
-
 def test_abs_golden_table():
     q = Fraction(3, 10)
     ones = [x for x in range(20) if ans.abs_decode_step(x, q)[0] == 1]
@@ -68,18 +47,6 @@ def test_abs_roundtrip_other_ratios_and_floor():
             for x in range(20000):
                 s, xs = ans.abs_decode_step(x, q, variant)
                 assert ans.abs_encode_step(s, xs, q, variant) == x
-
-
-def test_abs_validate():
-    ok = ans.abs_validate(ans.AbsParams(Fraction(1, 2), 8, 1))
-    assert ok.ok
-    bad = ans.abs_validate(ans.AbsParams(Fraction(3, 10), 8, 1))
-    assert not bad.ok and "dyadic" in bad.reason
-    # exact float 0.3 is not dyadic with <= 8 bits either
-    assert not ans.abs_validate(ans.AbsParams(Fraction(0.3), 8, 1)).ok
-    # 77/256 at w=3: edge ceil(2^11 * 77/256) = 616, divisible by 8
-    fine = ans.abs_validate(ans.AbsParams(Fraction(77, 256), 8, 3))
-    assert fine.ok and fine.residue == 0
 
 
 def test_largest_remainder():
@@ -137,7 +104,6 @@ def test_table_bijectivity_exhaustive():
     tables = [
         ans.ans_build_table([0.2, 0.3, 0.5], 256, 4, key=5),
         ans.ans_build_table_precise([0.6, 0.4], 1024, 2),
-        ans.ans_table_from_abs(Fraction(3, 10), 256),
     ]
     for t in tables:
         for x in range(t.l, t.b * t.l):
@@ -217,27 +183,6 @@ def test_stream_state_incremental_matches_batch():
     assert out == msg and rd.x == t.l and not rd.digits
 
 
-def test_b_absorption_trichotomy():
-    for l, b in ((1 << 6, 2), (27, 3)):
-        for x in range(1, b * b * l):
-            if x >= l:
-                xx, emitted, steps = ans.absorb(x, l, b)
-                assert l <= xx < b * l
-                assert steps <= math.ceil(math.log(max(x, 2), b)) + 1
-                # landing state unique: x divided by b^steps
-                assert xx == x // (b ** steps)
-            else:
-                k = 0
-                v = x
-                while v < l:
-                    v *= b
-                    k += 1
-                assert l <= x * b ** k < b * l  # unique normalizing power
-                assert k <= math.ceil(math.log(l, b))
-                xx, emitted, steps = ans.absorb(x, l, b, digits=[0] * k)
-                assert steps == k and l <= xx < b * l
-
-
 def test_state_visit_law():
     # visit frequency correlates with 1/x (rank correlation > 0.9)
     t = ans.ans_build_table([0.2, 0.3, 0.5], 1 << 6, 2, key=1)
@@ -253,41 +198,6 @@ def test_state_visit_law():
     ra = np.argsort(np.argsort(visits))
     rb = np.argsort(np.argsort(inv))
     assert np.corrcoef(ra, rb)[0, 1] > 0.9
-
-
-def test_waste_dyadic_floor():
-    # perfectly dyadic probabilities: waste at the quantization floor ~1/l^2
-    for qs, l in (([Fraction(1, 2)] * 2, 1 << 8), ([Fraction(1, 4)] * 4, 1 << 8)):
-        t = ans.ans_build_table_precise(qs, l, 2)
-        assert ans.waste_estimate(t) <= 2.0 / l ** 2
-
-
-def test_waste_monotone_in_l():
-    prev = None
-    for r in range(4, 13):
-        w = ans.waste_estimate(ans.ans_build_table_precise([0.7, 0.3], 1 << r, 2))
-        if prev is not None:
-            assert w < prev
-        prev = w
-
-
-def test_waste_estimate_matches_measured_excess():
-    # table from the closed form at exact q=0.3, l=2^8; estimate within
-    # factor 3 of the excess over the ideal codelength, both exactly
-    # (stationary chain) and on a 1e7-symbol run
-    t = ans.ans_table_from_abs(Fraction(3, 10), 256)
-    qs = [0.7, 0.3]
-    est = ans.waste_estimate(t, qs)
-    exact = exact_stream_excess(t, qs)
-    assert exact / 3 <= est <= 3 * exact
-    n = 10 ** 7
-    src = np.random.default_rng(0).random(n) < 0.3
-    msg = src.view(np.int8).tolist()
-    k1 = int(src.sum())
-    ideal = -(k1 * math.log2(0.3) + (n - k1) * math.log2(0.7))
-    d, fx = ans.ans_stream_encode(msg, t)
-    measured = (len(d) - ideal) / n
-    assert measured / 3 <= est <= 3 * measured
 
 
 def test_forbidden_symbol_wrap_probs():

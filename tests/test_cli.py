@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from latticecode import ans
 from latticecode import strip as st
 from latticecode.cli import main
 from latticecode.rng import SplitMix64
@@ -353,6 +354,47 @@ def test_algo1_bad_header(tmp_path, edit, message):
                       "--out", str(tmp_path / "back")])
     assert rc == 1
     assert err.splitlines()[1:] == ["error: " + message]
+
+
+@pytest.mark.parametrize("argv", [["strip", "encode", "--width", "4"],
+                                  ["algo1", "encode"]])
+def test_negative_bit_count_is_one_error_line(tmp_path, argv):
+    # a negative bits= header used to slice the payload from its end
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(64, 5))
+    latf, back = tmp_path / "x.lat", tmp_path / "back"
+    rc, _, _ = run(argv + ["--in", str(src), "--out", str(latf)])
+    assert rc == 0
+    latf.write_text(latf.read_text().replace(" bits=512", " bits=-5", 1))
+    rc, _, err = run([argv[0], "decode", "--in", str(latf), "--out", str(back)])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: declared bit count -5 is negative"]
+    assert not back.exists()
+
+
+@pytest.mark.parametrize("cmd, flags", [
+    ("abs", ["--q", "3/10", "--precision", "14"]),
+    ("ans", ["--probs", "1/2,1/4,1/4", "--forbidden-eps", "1/64",
+             "--digit-bits", "2"])])
+def test_decode_builds_only_the_container_table(tmp_path, monkeypatch, cmd,
+                                                flags):
+    src, enc, dec = tmp_path / "in", tmp_path / "enc", tmp_path / "dec"
+    src.write_bytes(bytes([0, 1, 2, 0, 2]) * 20)
+    rc, _, _ = run([cmd, "encode"] + flags + ["--in", str(src), "--out",
+                                              str(enc)])
+    assert rc == 0
+    built = []
+    real = ans.ans_build_table
+
+    def counting(*a, **k):
+        built.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(ans, "ans_build_table", counting)
+    rc, _, _ = run([cmd, "decode"] + flags + ["--in", str(enc), "--out",
+                                              str(dec)])
+    assert rc == 0 and dec.read_bytes() == src.read_bytes()
+    assert len(built) == 1   # unpack_container rebuilding the stored table
 
 
 @pytest.mark.parametrize("argv", [["strip", "encode", "--width", "4"],

@@ -208,17 +208,6 @@ def test_enumerated_valuations_pass_scan():
     assert all(v[(0, 0)] == 1 for v in vals)
 
 
-def test_approx_description():
-    r3 = L.centered_square(3)
-    p = L.approx_description(r3, HS, {}, {(0, 0): 1})
-    assert abs(p - 16 / 63) < 1e-15
-    # conditioning on an impossible context
-    with pytest.raises(L.EmptyConditioning):
-        L.approx_description(r3, HS, {(0, 0): 1, (0, 1): 1}, {(1, 1): 0})
-    with pytest.raises(ValueError):
-        L.approx_description(r3, HS, {(0, 0): 1}, {(0, 0): 0})
-
-
 def test_exact_description_normalization_and_symmetry():
     r5 = L.centered_square(5)
     cross = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -252,31 +241,6 @@ def test_uniform_completion_identity():
         p_ring = L.count(B, HS, rv) / N
         completions = L.count(B, HS, rv)
         assert abs(1 / N - p_ring / completions) < 1e-15
-
-
-def test_sequential_description():
-    r23 = L.rect(2, 3)
-    N = L.count(r23, HS)
-
-    def pfn(pattern):
-        return L.count(r23, HS, pattern) / N
-
-    order = sorted(r23)
-    for v in L.enumerate_valuations(r23, HS):
-        qs = L.sequential_description(pfn, order, HS.alphabet, v)
-        prod = 1.0
-        for x, q in zip(order, qs):
-            assert abs(sum(q.values()) - 1.0) < 1e-12
-            prod *= q[v[x]]
-        assert abs(prod - pfn(v)) < 1e-12
-    # a neighbor set to 1 forces the next node deterministically to 0
-    forced = {(0, 0): 1, (0, 1): 0, (0, 2): 0, (1, 0): 0, (1, 1): 0, (1, 2): 0}
-    qs = L.sequential_description(pfn, order, HS.alphabet, forced)
-    assert qs[1] == {0: 1.0, 1: 0.0}
-    with pytest.raises(L.ZeroPrefix):
-        L.sequential_description(pfn, order, HS.alphabet,
-                                 {(0, 0): 1, (0, 1): 1, (0, 2): 0,
-                                  (1, 0): 0, (1, 1): 0, (1, 2): 0})
 
 
 def test_description_bounds_chain():
@@ -394,7 +358,8 @@ def test_empirical_description_20x20():
     assert abs(p1 - exact_avg) < 3.5 * sem
     # centered 5x5 exact value is a coarser proxy: agreement at the
     # single-sample scale only (free-boundary offset is systematic)
-    p5 = L.approx_description(L.centered_square(5), HS, {}, {(0, 0): 1})
+    p5 = L.exact_description(L.centered_square(5), HS, [[(0, 0)]]).prob(
+        {(0, 0): 1})
     assert abs(p1 - p5) < 3 * per.std(ddof=1)
 
 

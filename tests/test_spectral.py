@@ -281,36 +281,6 @@ def test_forbidden_path():
         sp.path_prob(c, [1, 1])
 
 
-def test_potentials_symmetric():
-    rng = SplitMix64(99)
-    n = 5
-    v = np.array([rng.uniform() for _ in range(n)])
-    edge = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            edge[i, j] = edge[j, i] = rng.uniform()
-    pot = sp.Potentials(v, edge)
-    g = sp.from_potentials(pot)
-    # symmetric M: left and right eigenvectors coincide
-    assert np.allclose(g.weights, g.weights.T)
-    e = sp.dominant_eigs(g)
-    l = e.left / np.linalg.norm(e.left)
-    r = e.right / np.linalg.norm(e.right)
-    assert np.max(np.abs(l - r)) < 1e-9
-    # stationary p_i = psi_i^2 under unit 2-norm
-    c = sp.merw_coder(g, e)
-    psi2 = r ** 2
-    assert np.max(np.abs(c.stationary - psi2)) < 1e-9
-
-
-def test_potentials_infinite_edge_forbids():
-    v = [0.0, 0.0]
-    edge = [[0.0, 0.0], [0.0, np.inf]]
-    g = sp.from_potentials(sp.Potentials(v, edge))
-    assert g.weights[1, 1] == 0.0
-    assert g.weights[0, 0] > 0
-
-
 def test_load_graph_roundtrip_and_errors():
     g = sp.load_graph("2\n0 1\n1 0\n")
     assert g.size == 2
