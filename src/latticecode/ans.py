@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .rng import SplitMix64
 
 
@@ -165,6 +167,10 @@ class AnsTable:
         return self.enc[s][xs - self.l_s[s]]
 
 
+# keyed-shuffle draws taken from the generator per block
+_SHUFFLE_CHUNK = 1 << 16
+
+
 def ans_build_table(qs: Sequence[float], l: int, b: int = 2, key: int = 0) -> AnsTable:
     """Keyed pseudo-random table: pool of (b-1) l_s copies per symbol,
     consumed by the pinned splitmix64 stream in state order x = l .. bl-1."""
@@ -175,11 +181,15 @@ def ans_build_table(qs: Sequence[float], l: int, b: int = 2, key: int = 0) -> An
     rng = SplitMix64(key)
     m = len(pool)
     dec_sym = []
-    for _ in range(m):
-        i = rng.randbelow(m)
-        dec_sym.append(pool[i])
-        pool[i] = pool[m - 1]
-        m -= 1
+    while m:
+        # up to _SHUFFLE_CHUNK draws at once, each reduced modulo the pool
+        # size at its turn
+        k = min(m, _SHUFFLE_CHUNK)
+        picks = rng.block(k) % np.arange(m, m - k, -1, dtype=np.uint64)
+        for i in picks.tolist():
+            dec_sym.append(pool[i])
+            m -= 1
+            pool[i] = pool[m]
     return AnsTable(l, b, l_s, dec_sym, key)
 
 
@@ -351,6 +361,8 @@ _VERSION = 1
 # Largest decode table, (b - 1)·l slots, that a container or a command may
 # ask for; 2^20 slots take about 2 s and 140 MB to build.
 MAX_TABLE_SLOTS = 1 << 20
+# digits unpacked per chunk, so the bit arrays stay small beside the list
+_UNPACK_CHUNK = 1 << 16
 
 
 def pack_container(table: AnsTable, final_x: int, digits: Sequence[int]) -> bytes:
@@ -364,19 +376,10 @@ def pack_container(table: AnsTable, final_x: int, digits: Sequence[int]) -> byte
     for ls in table.l_s:
         head += struct.pack("<I", ls)
     head += struct.pack("<QQQ", table.key, final_x, len(digits))
-    acc = 0
-    nbits = 0
-    payload = bytearray()
-    for d in digits:
-        acc |= d << nbits
-        nbits += w
-        while nbits >= 8:
-            payload.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-    if nbits:
-        payload.append(acc & 0xFF)
-    return bytes(head) + bytes(payload)
+    bits = np.asarray(digits, dtype=np.uint8)
+    if w > 1:
+        bits = np.unpackbits(bits[:, None], axis=1, bitorder="little")[:, :w]
+    return bytes(head) + np.packbits(bits, bitorder="little").tobytes()
 
 
 def unpack_container(blob: bytes) -> tuple[AnsTable, int, list[int]]:
@@ -408,19 +411,16 @@ def unpack_container(blob: bytes) -> tuple[AnsTable, int, list[int]]:
     table = ans_build_table(qs, l, b, key)
     if table.l_s != l_s:
         raise CorruptStream("slot counts do not rebuild")
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=off)
     digits = []
-    acc = 0
-    nbits = 0
-    pos = off
-    mask = b - 1
-    for _ in range(ndigits):
-        while nbits < w:
-            acc |= blob[pos] << nbits
-            pos += 1
-            nbits += 8
-        digits.append(acc & mask)
-        acc >>= w
-        nbits -= w
+    # a chunk is a multiple of 8 digits, so it starts on a byte boundary
+    for start in range(0, ndigits, _UNPACK_CHUNK):
+        k = min(_UNPACK_CHUNK, ndigits - start)
+        bits = np.unpackbits(payload[start * w // 8:], count=k * w,
+                             bitorder="little")
+        if w > 1:
+            bits = np.packbits(bits.reshape(k, w), axis=1, bitorder="little")
+        digits.extend(bits.ravel().tolist())
     return table, final_x, digits
 
 

@@ -37,23 +37,14 @@ def _fmt(x: float) -> str:
 
 
 def _bits_from_bytes(data: bytes) -> list:
-    out = []
-    for byte in data:
-        for k in range(7, -1, -1):
-            out.append((byte >> k) & 1)
-    return out
+    """Bits of each byte, most significant first."""
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
 
 
 def _bytes_from_bits(bits) -> bytes:
     if len(bits) % 8:
         raise ValueError("bit count %d is not a whole number of bytes" % len(bits))
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i:i + 8]:
-            byte = (byte << 1) | int(b)
-        out.append(byte)
-    return bytes(out)
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
 def _read_text(path: str) -> str:
@@ -161,18 +152,20 @@ def _code_file(args, qs, digit_bits: int, read, write,
     """Shared body of `abs` and `ans`.  Encode turns the input file into
     symbols with `read` and stores them as an ANS1 container; decode reads
     the container's own table, so the law flags are only validated there,
-    and `write` turns the symbols back into bytes."""
+    and `write` turns the symbols back into bytes (for decode and for the
+    --verify reread)."""
     l = 1 << args.precision
     ans.largest_remainder(l, qs)  # refuses a law that starves a symbol
     if args.mode == "encode":
-        syms = read(Path(args.infile).read_bytes())
+        data = Path(args.infile).read_bytes()
+        syms = read(data)
         table = ans.ans_build_table(qs, l, 1 << digit_bits, args.key)
         digits, x = ans.ans_stream_encode(syms, table)
         blob = ans.pack_container(table, x, digits)
         Path(args.out).write_bytes(blob)
         if args.verify:
             t2, x2, d2 = ans.unpack_container(blob)
-            if ans.ans_stream_decode(d2, t2, x2) != syms:
+            if write(ans.ans_stream_decode(d2, t2, x2)) != data:
                 raise ans.CorruptStream("verification reread mismatch")
         print("symbols %d" % len(syms))
         print("stored_bits %d" % ans.stream_bits(len(digits), table))
@@ -210,10 +203,11 @@ def cmd_ans(args) -> int:
         qs = ans.forbidden_symbol_wrap(qs, _parse_fraction(args.forbidden_eps,
                                                             "--forbidden-eps"))
 
-    def read(data: bytes) -> list:
-        if any(byte >= n for byte in data):
+    def read(data: bytes) -> bytes:
+        # the bytes themselves are the symbols
+        if data and max(data) >= n:
             raise ValueError("input byte outside the %d-symbol alphabet" % n)
-        return list(data)
+        return data
 
     return _code_file(args, qs, args.digit_bits, read, bytes,
                       forbidden=bool(args.forbidden_eps))

@@ -16,6 +16,7 @@ the package and reports pass/fail per row.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -229,36 +230,47 @@ def _h_array(p):
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+# time-sorted nodes the visit loop turns into Python values at once
+_VISIT_CHUNK = 1 << 10
+
+
 def _algo2_trial(args):
     side, coeffs, seed, t_index, bins = args
     profile = ChargingProfile(coeffs)
     rng = SplitMix64(seed).spawn(t_index)
     n = side * side
-    t = np.fromiter((rng.uniform() for _ in range(n)), dtype=float, count=n)
-    draw = np.fromiter((rng.uniform() for _ in range(n)), dtype=float, count=n)
+    t = rng.uniforms(n)
     q = np.asarray(profile(t), dtype=float)
     hq = _h_array(q)
-    tau = np.full(n, np.inf)
+    write = rng.uniforms(n) < q
+    # blocking times: when a neighbour was first written 1 (doubles, so the
+    # times kept do not pin the loop's float objects)
+    tau = array("d", [math.inf]) * n
+    free = bytearray(n)  # 1 where the visit found the node free
+    order = np.argsort(t, kind="stable")
+    for start in range(0, n, _VISIT_CHUNK):
+        ids = order[start:start + _VISIT_CHUNK]
+        for idx, s, w in zip(ids.tolist(), t[ids].tolist(), write[ids].tolist()):
+            if s >= tau[idx]:
+                continue
+            free[idx] = 1
+            if w:
+                i, j = divmod(idx, side)
+                if i > 0 and tau[idx - side] > s:
+                    tau[idx - side] = s
+                if i + 1 < side and tau[idx + side] > s:
+                    tau[idx + side] = s
+                if j > 0 and tau[idx - 1] > s:
+                    tau[idx - 1] = s
+                if j + 1 < side and tau[idx + 1] > s:
+                    tau[idx + 1] = s
+    free = np.frombuffer(free, dtype=bool)
     slot = np.minimum((t * bins).astype(int), bins - 1)
     visits = np.bincount(slot, minlength=bins).astype(float)
-    frees = np.zeros(bins)
-    h_sum = 0.0
-    for idx in np.argsort(t, kind="stable"):
-        if t[idx] >= tau[idx]:
-            continue
-        frees[slot[idx]] += 1.0
-        h_sum += hq[idx]
-        if draw[idx] < q[idx]:
-            s = t[idx]
-            i, j = divmod(int(idx), side)
-            if i > 0 and tau[idx - side] > s:
-                tau[idx - side] = s
-            if i + 1 < side and tau[idx + side] > s:
-                tau[idx + side] = s
-            if j > 0 and tau[idx - 1] > s:
-                tau[idx - 1] = s
-            if j + 1 < side and tau[idx + 1] > s:
-                tau[idx + 1] = s
+    frees = np.bincount(slot[free], minlength=bins).astype(float)
+    # a running total in visit order, as the loop would add it up: np.sum's
+    # pairwise order would move the last digits
+    h_sum = float(np.cumsum(hq[order[free[order]]])[-1])
     edges = np.linspace(0.0, 1.0, bins + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     stimes = np.sort(tau)

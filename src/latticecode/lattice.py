@@ -760,6 +760,10 @@ def _bounds_fast_hs(region, model, pattern, boundary):
     return float(ps.min()), float(ps.max()), float(ps.max() - ps.min())
 
 
+# flip-chain site picks taken from the generator per block
+_MOVE_CHUNK = 1 << 16
+
+
 def thermalize(shape, model=None, seed=0, samples=1, warmup_sweeps=5,
                spacing_moves=None, boundary="free"):
     """Single-site-flip sampler over an all-zeros start.
@@ -813,19 +817,21 @@ def thermalize(shape, model=None, seed=0, samples=1, warmup_sweeps=5,
                 return False
         return True
 
-    def move():
-        x = coords[rng.randbelow(area)]
-        if flip_ok(x):
-            xx = x if model.dimension == 2 else (0, x[0])
-            arr[xx] = 1 - arr[xx]
+    def moves(count):
+        # one draw per move, as `randbelow(area)` would take it
+        for start in range(0, count, _MOVE_CHUNK):
+            picks = rng.block(min(_MOVE_CHUNK, count - start)) % np.uint64(area)
+            for k in picks.tolist():
+                x = coords[k]
+                if flip_ok(x):
+                    xx = x if model.dimension == 2 else (0, x[0])
+                    arr[xx] = 1 - arr[xx]
 
-    for _ in range(warmup_sweeps * area * area):
-        move()
+    moves(warmup_sweeps * area * area)
     out = []
     for k in range(samples):
         if k:
-            for _ in range(spacing):
-                move()
+            moves(spacing)
         out.append(arr.copy())
     return out
 
@@ -863,6 +869,9 @@ def thermalize_chain_matrix(shape, model=None, boundary="free"):
 EXACT_MAX_ROWS = 20
 # float64 column weights the exact sampler may keep (32 MB)
 EXACT_MAX_WEIGHTS = 1 << 22
+# float64 entries of one broken-line profile (4 MB); a column step holds
+# about three profiles at once
+EXACT_MAX_PROFILE = 1 << 19
 
 
 class Unsupported(ValueError):
@@ -965,7 +974,8 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     column.  Covers 2-d binary models whose forbidden patterns are all 1s
     inside a 2x2 window, with free or zero boundary (the same thing for
     such patterns) and at most EXACT_MAX_ROWS rows; anything else, or
-    weights past EXACT_MAX_WEIGHTS floats, raises Unsupported.
+    weights past EXACT_MAX_WEIGHTS floats, or a broken-line profile past
+    EXACT_MAX_PROFILE floats, raises Unsupported.
     """
     if model is None:
         model = hard_square()
@@ -987,6 +997,12 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     if len(states) * cols > EXACT_MAX_WEIGHTS:
         raise Unsupported("%d columns of %d states exceed the exact sampler's "
                           "weight budget" % (cols, len(states)))
+    # after cell step t the profile is |codes[t+1]| x |codes[rows-t]| (t = 0:
+    # the input, which also bounds the last step's |states| x 1)
+    profile = max(len(codes[t + 1]) * len(codes[rows - t]) for t in range(rows))
+    if profile > EXACT_MAX_PROFILE:
+        raise Unsupported("%d-row profiles of %d entries exceed the exact "
+                          "sampler's profile budget" % (rows, profile))
     steps = _cell_steps(model, rows, codes)
     del codes  # only the full-height columns are needed from here on
     weights = [np.ones(len(states))]
@@ -1032,10 +1048,12 @@ def save_grid(arr: np.ndarray, alphabet: str = "01") -> str:
     else:
         m = 2
     rows, cols = arr.shape
-    lines = ["%d %d %d %s" % (m, rows, cols, alphabet)]
-    for i in range(rows):
-        lines.append("".join(alphabet[int(v)] for v in arr[i]))
-    return "\n".join(lines) + "\n"
+    # one code point per cell and a newline closing each row, as UTF-32
+    chars = np.full((rows, cols + 1), ord("\n"), dtype="<u4")
+    chars[:, :cols] = np.take(np.array([ord(c) for c in alphabet], dtype="<u4"),
+                              arr)
+    return ("%d %d %d %s\n" % (m, rows, cols, alphabet)
+            + chars.tobytes().decode("utf-32-le"))
 
 
 def load_grid(text: str):

@@ -386,7 +386,7 @@ def _rate_trial(args):
     make, precision, params, seed, t, verify = args
     encode, decode, model, nodes = make(precision, *params)
     rng = SplitMix64(seed).spawn(t)
-    bits = [rng.randbelow(2) for _ in range(nodes + 64)]
+    bits = (rng.block(nodes + 64) & np.uint64(1)).tolist()  # randbelow(2)
     res = encode(bits)
     if verify:
         if decode(res) != bits[:res.consumed]:

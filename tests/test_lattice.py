@@ -435,6 +435,23 @@ def test_sample_uniform_unsupported():
         L.sample_uniform((0, 4), HS)
 
 
+def test_sample_uniform_profile_budget(monkeypatch):
+    # hard-square keeps the exact sampler at the row limit
+    rows = L.EXACT_MAX_ROWS
+    (grid,) = L.sample_uniform((rows, 3), HS, seed=1)
+    assert grid.shape == (rows, 3) and L.is_valid(grid, HS)
+
+    # an unconstrained column of 20 rows needs 2^21-entry profiles: refused
+    # before any profile is built
+    def no_profile(*args):
+        raise AssertionError("the profile was built")
+
+    monkeypatch.setattr(L, "_cell_steps", no_profile)
+    assert 1 << (rows + 1) > L.EXACT_MAX_PROFILE
+    with pytest.raises(L.Unsupported, match="profile budget"):
+        L.sample_uniform((rows, 4), L.unconstrained())
+
+
 def test_grid_io():
     arr = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.int8)
     text = L.save_grid(arr)
