@@ -147,17 +147,22 @@ class AnsTable:
         if len(dec_sym) != (b - 1) * l:
             raise ValueError("decode column has wrong length")
         self.dec_sym = list(dec_sym)
-        self.dec_xs = [0] * len(self.dec_sym)
-        counters = list(self.l_s)
-        self.enc = [[0] * ((b - 1) * ls) for ls in self.l_s]
-        for i, s in enumerate(self.dec_sym):
-            xs = counters[s]
-            counters[s] += 1
-            self.dec_xs[i] = xs
-            self.enc[s][xs - self.l_s[s]] = l + i
-        for s, ls in enumerate(self.l_s):
-            if counters[s] != b * ls:
-                raise ValueError("symbol %d occupies %d slots, expected %d" % (s, counters[s] - ls, (b - 1) * ls))
+        sym = np.asarray(self.dec_sym, dtype=np.int64)
+        if len(sym) and not 0 <= sym.min() <= sym.max() < self.n:
+            raise ValueError("decode column holds a symbol outside 0..%d" % (self.n - 1))
+        span = (b - 1) * np.asarray(self.l_s, dtype=np.int64)
+        held = np.bincount(sym, minlength=self.n)
+        for s in np.flatnonzero(held != span)[:1].tolist():
+            raise ValueError("symbol %d occupies %d slots, expected %d" % (s, held[s], span[s]))
+        # the slots of each symbol in state order; its k-th slot holds the
+        # reduced state l_s + k
+        slots = np.argsort(sym, kind="stable")
+        start = np.cumsum(span) - span
+        xs = np.empty_like(slots)
+        xs[slots] = np.arange(len(slots)) - np.repeat(start - self.l_s, span)
+        self.dec_xs = xs.tolist()
+        self.enc = [(l + slots[a:a + k]).tolist()
+                    for a, k in zip(start.tolist(), span.tolist())]
 
     def decode_step(self, x: int) -> tuple[int, int]:
         i = x - self.l
@@ -436,7 +441,11 @@ class AbsStreamDecoder:
     The state is seeded with the first R payload bits, so it starts
     uniform over [l, 2l) for random input and even the first draw is
     distributed per its probability (a fixed start would make the leading
-    symbols deterministic)."""
+    symbols deterministic).
+
+    The lattice codecs' walk loops (`strip._write` / `strip._read`) run
+    this pair's steps inline; the classes are the step-by-step reference
+    their tests compare against."""
 
     def __init__(self, bits: Iterable[int], precision: int):
         if precision < 1:

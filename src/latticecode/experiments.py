@@ -4,10 +4,13 @@ Two Monte-Carlo lattice writers live here.  The first is a two-pass
 checkerboard scheme with a closed-form rate: the even sublattice is
 written as independent Bernoulli(q) draws, then every odd node whose four
 neighbours are 0 carries one fair payload bit.  It is a visiting order
-plus per-node laws run by the same walk-draw-replay driver as the strip
-codec (`strip._write` / `strip._read`).  The second visits nodes
-in a random time order and writes a 1 with a time-dependent probability
-(a "charging profile"); it is a measurement device, not a codec.
+(the even sublattice, then the odd one) plus a walk, run by the same
+walk-draw-replay loops as the strip codec (`strip._write` /
+`strip._read`): the walk yields the even laws, then reads the even
+symbols back from the shared `placed` list to give each odd node its
+law.  The second visits nodes in a random time order and writes a 1
+with a time-dependent probability (a "charging profile"); it is a
+measurement device, not a codec.
 
 `reproduce_tables` recomputes every frozen reference value shipped with
 the package and reports pass/fail per row.
@@ -19,6 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -86,30 +90,30 @@ def _dims(dims) -> tuple[int, int]:
     return rows, cols
 
 
-def _checkerboard(rows: int, cols: int, phase: int):
-    for i in range(rows):
-        for j in range((i + phase) % 2, cols, 2):
-            yield i, j
+def _algorithm1_order(rows: int, cols: int) -> np.ndarray:
+    """Visiting order of the two-pass writer as flat grid indices: the even
+    checkerboard sublattice row by row, then the odd one."""
+    odd = np.indices((rows, cols)).sum(axis=0).ravel() % 2
+    return np.concatenate((np.flatnonzero(odd == 0), np.flatnonzero(odd)))
 
 
-def _algorithm1_walk(rows: int, cols: int, q: float, precision: int):
-    """Visiting order and laws of the two-pass writer: Bernoulli(q) on the
-    even sublattice, then one fair bit on each odd node whose four
-    neighbours are 0 (zero boundary: nodes outside the grid never block)."""
+def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
+                     precision: int, placed: list):
+    """Laws of the two-pass writer: Bernoulli(q) on the even sublattice,
+    then one fair bit on each odd node whose four neighbours are 0 (zero
+    boundary: nodes outside the grid never block).  The odd laws follow
+    from the even symbols, read from `placed` once the first pass ends."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     l = 1 << precision
-    m = _quantize(q, l)
-    even = [[0] * cols for _ in range(rows)]
-    for i, j in _checkerboard(rows, cols, 0):
-        even[i][j] = yield (i, j), m
+    neven = (rows * cols + 1) // 2
+    yield from repeat(_quantize(q, l), neven)
+    even = np.zeros(rows * cols, dtype=bool)
+    even[order[:neven]] = placed[:neven]
+    g = np.pad(even.reshape(rows, cols), 1)
+    blocked = g[:-2, 1:-1] | g[2:, 1:-1] | g[1:-1, :-2] | g[1:-1, 2:]
     half = l >> 1
-    for i, j in _checkerboard(rows, cols, 1):
-        blocked = ((i > 0 and even[i - 1][j])
-                   or (i + 1 < rows and even[i + 1][j])
-                   or (j > 0 and even[i][j - 1])
-                   or (j + 1 < cols and even[i][j + 1]))
-        yield (i, j), 0 if blocked else half
+    yield from [0 if b else half for b in blocked.ravel()[order[neven:]].tolist()]
 
 
 def algorithm1_encode(dims, q: float, bits, precision: int = 16,
@@ -125,8 +129,10 @@ def algorithm1_encode(dims, q: float, bits, precision: int = 16,
     """
     rows, cols = _dims(dims)
     grid = np.zeros((rows, cols), dtype=np.int8)
-    return _write(bits, precision, grid,
-                  _algorithm1_walk(rows, cols, q, precision), partial)
+    order = _algorithm1_order(rows, cols)
+    return _write(bits, precision, grid, order,
+                  lambda placed: _algorithm1_walk(rows, cols, order, q,
+                                                  precision, placed), partial)
 
 
 def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
@@ -136,7 +142,10 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
     if grid.ndim != 2:
         raise ConfigMismatch("expected a 2-d grid")
     rows, cols = grid.shape
-    return _read(grid, _algorithm1_walk(rows, cols, q, precision),
+    order = _algorithm1_order(rows, cols)
+    return _read(grid, order,
+                 lambda placed: _algorithm1_walk(rows, cols, order, q,
+                                                 precision, placed),
                  final_state, nbits, precision)
 
 

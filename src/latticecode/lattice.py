@@ -349,14 +349,20 @@ def _hits(columns, cells):
     return hit
 
 
-def valid_columns(model, n, cyclic) -> np.ndarray:
+def valid_columns(model, n, cyclic, limit: Optional[int] = None) -> np.ndarray:
     """Width-n columns free of single-column forbidden translates, as an
     (S, n) symbol array in itertools.product order.  Columns grow one row
     at a time and a translate is checked once its last row is placed, so
-    memory follows the valid prefixes, not |alphabet|^n."""
+    memory follows the valid prefixes, not |alphabet|^n.
+
+    More than `limit` columns is TooLarge.  When every pattern forbids only
+    1s, as in every 2-d preset, each valid prefix extends by 0s to a valid
+    column, so a prefix level over the limit is refused at once, before
+    the next row doubles it; other models are refused on their full count."""
     alphabet = np.array(model.alphabet)
     single = [left for left, right in _column_translates(model, n, cyclic)
               if not right]
+    early = _all_ones_patterns(model)
     columns = np.empty((1, 0), dtype=alphabet.dtype)
     for row in range(n):
         columns = np.column_stack((np.repeat(columns, len(alphabet), axis=0),
@@ -364,6 +370,10 @@ def valid_columns(model, n, cyclic) -> np.ndarray:
         for cells in single:
             if max(cells) == row:
                 columns = columns[~_hits(columns, cells)]
+        if limit is not None and len(columns) > limit and (early or row == n - 1):
+            raise TooLarge("%s%d column states exceed the limit %d"
+                           % ("" if row == n - 1 else "at least ",
+                              len(columns), limit))
     return columns
 
 

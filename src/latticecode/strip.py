@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from . import lattice as lat
 from . import spectral as spec
-from .ans import AbsStreamDecoder, AbsStreamEncoder, CapacityExceeded, CorruptStream
+from .ans import CapacityExceeded, CorruptStream
 from .rng import SplitMix64
 
 
@@ -86,9 +87,10 @@ def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero") -> Stri
     if lat._column_window(model) > 1:
         raise TooWide("patterns spanning more than two columns "
                       "need a blocked alphabet")
-    states = lat.valid_columns(model, n, cyclic)
-    if len(states) > MAX_STATES:
-        raise TooWide("%d column states exceed the limit %d" % (len(states), MAX_STATES))
+    try:
+        states = lat.valid_columns(model, n, cyclic, MAX_STATES)
+    except lat.TooLarge as e:
+        raise TooWide(str(e)) from None
     if not len(states):
         raise spec.EmptyModel("no valid columns")
     graph = spec.build_from_constraints(
@@ -177,11 +179,14 @@ class EncodeResult:
     padded: int
 
 
-# A codec is a walk over its grid plus this one driver pair.  The walk is a
-# generator: it yields ((row, col), law) for each node in visiting order and
-# is sent back the symbol placed there.  The law is the numerator m of the
-# dyadic one-probability m/2^R; m = 0 and m = 2^R force a 0 or a 1 and cost
-# no payload.
+# A codec is a visiting order plus a walk, run by this one pair of loops.
+# The order lists the grid's nodes as flat indices.  The walk is a function
+# of a shared list `placed`; it returns a generator that yields the law of
+# each node in visiting order and, once resumed, finds that node's symbol
+# in placed[t].  The law is the numerator m of the dyadic one-probability
+# m/2^R; m = 0 and m = 2^R force a 0 or a 1 and cost no payload.  `_write`
+# and `_read` run the binary coder step (`AbsStreamDecoder.draw` and
+# `AbsStreamEncoder.absorb`, written inline) on every free node.
 
 
 def _quantize(p: float, l: int) -> int:
@@ -201,58 +206,91 @@ def _check_precision(precision: int) -> None:
         raise ValueError("precision must be at most %d" % MAX_PRECISION)
 
 
-def _write(bits, precision: int, grid: np.ndarray, walk,
-           partial: bool) -> EncodeResult:
+def _write(bits: Sequence[int], precision: int, grid: np.ndarray, order,
+           walk, partial: bool) -> EncodeResult:
     """Draw every free node of the walk from the payload into the grid."""
     _check_precision(precision)
-    dec = AbsStreamDecoder(bits, precision)
-    draw, l = dec.draw, dec.l
-    send = walk.send
-    try:
-        cell, m = next(walk)
-        while True:
-            s = draw(m) if 0 < m < l else m >> precision
-            grid[cell] = s
-            cell, m = send(s)
-    except StopIteration:
-        pass
-    if not partial and dec.consumed < len(bits):
-        raise CapacityExceeded(dec.consumed, len(bits))
-    return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
+    R, l = precision, 1 << precision
+    nbits = len(bits)
+    # the state starts as 1 followed by the first R payload bits, zero-padded
+    seed = bits[:R]
+    x = 1
+    for b in seed:
+        x = 2 * x + b
+    pos, padded = len(seed), R - len(seed)
+    x <<= padded
+    placed = []
+    place = placed.append
+    for m in walk(placed):
+        if 0 < m < l:
+            # ceiling split at m/2^R, then refill one payload bit at a time
+            xm = x * m + l - 1
+            x1 = xm >> R
+            s = ((xm + m) >> R) - x1
+            x = x1 if s else x - x1
+            while x < l:
+                if pos < nbits:
+                    x = 2 * x + bits[pos]
+                    pos += 1
+                else:
+                    x *= 2
+                    padded += 1
+        else:
+            s = m >> R
+        place(s)
+    grid.flat[order] = placed
+    if not partial and pos < nbits:
+        raise CapacityExceeded(pos, nbits)
+    return EncodeResult(grid, x, pos, padded)
 
 
-def _read(grid: np.ndarray, walk, final_state: int, nbits: int,
+def _read(grid: np.ndarray, order, walk, final_state: int, nbits: int,
           precision: int) -> list:
     """Replay the walk over a written grid and run the coder backwards."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
-    l = 1 << precision
+    R, l = precision, 1 << precision
     if not l <= final_state < 2 * l:
         raise ConfigMismatch("final coder state out of range")
-    rows = grid.tolist()
-    draws = []
-    send = walk.send
-    try:
-        (i, j), m = next(walk)
-        while True:
-            s = rows[i][j]
-            if s not in (0, 1):
-                raise InvalidLattice("non-binary value at (%d, %d)" % (i, j))
+    cols = grid.shape[1]
+    vals = grid.flat[order]
+    binary = (vals == 0) | (vals == 1)
+    # the walk runs only up to the first non-binary node
+    n = len(vals) if binary.all() else int(np.argmin(binary))
+    placed = vals.tolist()
+    laws = list(islice(walk(placed), n))
+    bad = n < len(placed)
+    x = final_state
+    emitted = []
+    emit = emitted.append
+    if not bad:
+        for s, m in zip(reversed(placed), reversed(laws)):
             if 0 < m < l:
-                draws.append((s, m))
-            elif s != m >> precision:
-                raise InvalidLattice("forced node disagrees at (%d, %d)" % (i, j))
-            (i, j), m = send(s)
-    except StopIteration:
-        pass
-    enc = AbsStreamEncoder(final_state, precision)
-    for s, m in reversed(draws):
-        enc.absorb(s, m)
-    out = enc.finish()
-    if len(out) < nbits:
+                ls = m if s else l - m
+                top = 2 * ls
+                while x >= top:
+                    emit(x & 1)
+                    x >>= 1
+                x = (x << R) // m if s else (((x + 1) << R) - 1) // ls
+            elif s != m >> R:
+                bad = True
+    if bad:
+        for t, (s, m) in enumerate(zip(placed, laws)):
+            if not 0 < m < l and s != m >> R:
+                raise InvalidLattice("forced node disagrees at (%d, %d)"
+                                     % divmod(int(order[t]), cols))
+        raise InvalidLattice("non-binary value at (%d, %d)"
+                             % divmod(int(order[n]), cols))
+    if not l <= x < 2 * l:
+        raise CorruptStream("state did not drain into the seed interval")
+    while x > 1:
+        emit(x & 1)
+        x >>= 1
+    emitted.reverse()
+    if len(emitted) < nbits:
         raise CorruptStream("stream holds fewer bits than declared")
-    return out[:nbits]
+    return emitted[:nbits]
 
 
 class LatticeCodec:
@@ -272,22 +310,27 @@ class LatticeCodec:
         self.strip = strip
         self.precision = precision
 
-    def _walk(self, cols: int):
+    def _walk(self, cols: int, placed: list):
         strip, precision = self.strip, self.precision
-        rows = range(strip.n)
-        leaf = 1 << strip.n
+        n = strip.n
+        leaf = 1 << n
         u = strip.zero_state
-        for c in range(cols):
+        for c in range(0, n * cols, n):
             laws, nexts = _walk_table(strip, u, precision)
             node = 1
-            for j in rows:
-                b = yield (j, c), laws[node]
-                node = 2 * node + b
+            for t in range(c, c + n):
+                yield laws[node]
+                node = 2 * node + placed[t]
             u = nexts[node - leaf]
+
+    def _order(self, cols: int) -> np.ndarray:
+        """Column-major visiting order as flat indices of the grid."""
+        return np.arange(self.strip.n * cols).reshape(self.strip.n, cols).T.ravel()
 
     def encode(self, bits: Sequence[int], cols: int, partial: bool = False) -> EncodeResult:
         grid = np.zeros((self.strip.n, cols), dtype=np.int8)
-        return _write(bits, self.precision, grid, self._walk(cols), partial)
+        return _write(bits, self.precision, grid, self._order(cols),
+                      lambda placed: self._walk(cols, placed), partial)
 
     def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> list:
         strip = self.strip
@@ -300,8 +343,10 @@ class LatticeCodec:
             if v is None or strip.graph.weights[u, v] == 0:
                 raise InvalidLattice("column %d breaks the constraints" % c)
             u = v
-        return _read(grid, self._walk(grid.shape[1]), final_state, nbits,
-                     self.precision)
+        cols = grid.shape[1]
+        return _read(grid, self._order(cols),
+                     lambda placed: self._walk(cols, placed), final_state,
+                     nbits, self.precision)
 
 
 def encode_to_text(strip: StripModel, res: EncodeResult, nbits: int,
@@ -341,7 +386,11 @@ def decode_text(text: str) -> list:
         model = lat.model_preset(meta["model"])
     except ValueError as e:
         raise ConfigMismatch(str(e))
-    strip = strip_model(model, int(meta["n"]), meta["boundary"])
+    n = int(meta["n"])
+    # the grid in the file, not the header, decides how large a strip to build
+    if grid.shape[0] != n:
+        raise ConfigMismatch("grid height does not match the strip width")
+    strip = strip_model(model, n, meta["boundary"])
     codec = LatticeCodec(strip, int(meta["R"]))
     return codec.decode(grid, int(meta["x"]), int(meta["bits"]))
 

@@ -15,6 +15,38 @@ def sample_symbols(qs, n, seed):
     return np.searchsorted(cum, u, side="right").astype(np.int64).tolist()
 
 
+def _slot_loop_tables(table):
+    """dec_xs and enc filled one slot at a time, the way AnsTable once did."""
+    l, l_s = table.l, table.l_s
+    counters = list(l_s)
+    dec_xs = [0] * len(table.dec_sym)
+    enc = [[0] * ((table.b - 1) * ls) for ls in l_s]
+    for i, s in enumerate(table.dec_sym):
+        xs = counters[s]
+        counters[s] += 1
+        dec_xs[i] = xs
+        enc[s][xs - l_s[s]] = l + i
+    return dec_xs, enc
+
+
+@pytest.mark.parametrize("w", [1, 3, 8])
+def test_table_columns_equal_the_slot_loop(w):
+    for qs, key in (([0.5, 0.25, 0.25], 99), ([0.1] * 7 + [0.3], 3),
+                    ([0.9, 0.1], 2 ** 64 - 1)):
+        t = ans.ans_build_table(qs, 1 << 10, 1 << w, key=key)
+        dec_xs, enc = _slot_loop_tables(t)
+        assert t.dec_xs == dec_xs and t.enc == enc
+        assert type(t.dec_xs) is list and type(t.dec_xs[0]) is int
+        assert all(type(row) is list and type(row[0]) is int for row in t.enc)
+
+
+def test_table_rejects_a_bad_decode_column():
+    with pytest.raises(ValueError, match="symbol 0 occupies 3 slots, expected 2"):
+        ans.AnsTable(4, 2, [2, 2], [0, 0, 0, 1])
+    with pytest.raises(ValueError, match="outside 0..1"):
+        ans.AnsTable(4, 2, [2, 2], [0, 2, 1, 1])
+
+
 def test_abs_golden_table():
     q = Fraction(3, 10)
     ones = [x for x in range(20) if ans.abs_decode_step(x, q)[0] == 1]

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from latticecode import ans
@@ -200,6 +201,41 @@ def test_ans_decode_oversized_table(tmp_path):
     assert [ln for ln in got.stderr.splitlines() if ln.startswith("error:")] == [
         "error: table of (2^1 - 1) * 2^32 slots exceeds 1048576"]
     assert "Traceback" not in got.stderr
+
+
+# runs argv under 1 GB of address space and reports the seconds main took
+_BOUNDED_MAIN = """
+import resource, sys, time
+from latticecode.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+t = time.perf_counter()
+rc = main(sys.argv[1:])
+print("seconds %f" % (time.perf_counter() - t))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["strip", "decode"],
+    ["strip", "build", "--model", "unconstrained", "--width", "24"],
+    ["capacity", "--model", "unconstrained", "--width", "24"]],
+    ids=["decode-header", "build", "capacity"])
+def test_huge_strip_width_is_refused_before_enumeration(tmp_path, argv):
+    # 2^24 unconstrained columns took 7.6 GB and 12 s to build before
+    # their count met the state limit
+    if argv[1] == "decode":
+        latf = tmp_path / "s.lat"
+        latf.write_text("strip model=unconstrained n=24 boundary=zero R=16 "
+                        "key=0 x=65536 bits=0\n"
+                        + st.lat.save_grid(np.zeros((24, 2), dtype=np.int8)))
+        argv = argv + ["--in", str(latf), "--out", str(tmp_path / "o")]
+    got = subprocess.run([sys.executable, "-c", _BOUNDED_MAIN] + argv,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 1
+    assert [ln for ln in got.stderr.splitlines() if ln.startswith("error:")] == [
+        "error: at least 32768 column states exceed the limit 16384"]
+    assert "Traceback" not in got.stderr
+    assert float(got.stdout.split()[-1]) < 1.0
 
 
 @pytest.mark.parametrize("flags", [["--precision", "-1"], ["--precision", "0"],

@@ -318,11 +318,12 @@ def _avg_density_by_transfer(rows, cols):
     ones = np.array([bin(m).count("1") for m in range(n)], dtype=float)
 
     def zeta(v):
+        # subset sums, one bit per pass: entries with bit b set add the
+        # entry without it
         f = v.copy()
         for b in range(rows):
-            step = 1 << b
-            hasbit = (np.arange(n) & step).astype(bool)
-            f[hasbit] += f[np.arange(n)[hasbit] ^ step]
+            g = f.reshape(-1, 2, 1 << b)
+            g[:, 1, :] += g[:, 0, :]
         return f
 
     full = n - 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latticecode import ans
 from latticecode import lattice as lat
 from latticecode import strip as st
 from latticecode.ans import CapacityExceeded, CorruptStream
@@ -266,3 +267,78 @@ def test_encoded_text_container():
         st.decode_text("nope\n" + text.split("\n", 1)[1])
     with pytest.raises(st.ConfigMismatch):
         st.decode_text(text.replace("model=hard-square", "model=unknown"))
+
+
+def _random_laws(rng, R, count):
+    """Dyadic one-laws m over [0, 2^R]: forced 0 and 2^R, the extremes 1
+    and 2^R - 1, and uniform draws in between."""
+    l = 1 << R
+    pick = (0, l, 1, l - 1)
+    return [pick[k] if k < 4 else rng.randbelow(l - 1) + 1
+            for k in (rng.randbelow(8) for _ in range(count))]
+
+
+def _reference_coding(bits, R, laws):
+    """The step-by-step coder pair that `_write` / `_read` inline: symbols,
+    final state, consumed, padded, and every bit read back (padding
+    included)."""
+    l = 1 << R
+    dec = ans.AbsStreamDecoder(iter(bits), R)
+    syms = [dec.draw(m) if 0 < m < l else m >> R for m in laws]
+    enc = ans.AbsStreamEncoder(dec.x, R)
+    for s, m in zip(reversed(syms), reversed(laws)):
+        if 0 < m < l:
+            enc.absorb(s, m)
+    return syms, dec.x, dec.consumed, dec.padded, enc.finish()
+
+
+@pytest.mark.parametrize("R", [1, 16, 63, 64])
+def test_write_read_match_reference_coder(R):
+    rng = SplitMix64(1000 + R)
+    for trial in range(40):
+        rows, cols = 1 + rng.randbelow(5), 1 + rng.randbelow(40)
+        laws = _random_laws(rng, R, rows * cols)
+        # payloads from empty through shorter than the walk (zero padding)
+        # to longer than it
+        nbits = (0, rng.randbelow(R + 8), rng.randbelow(4 * rows * cols + 8))[trial % 3]
+        bits = [rng.randbelow(2) for _ in range(nbits)]
+        order = np.argsort(rng.block(rows * cols), kind="stable")
+        seen = []
+
+        def walk(placed):
+            for t, m in enumerate(laws):
+                yield m
+                seen.append(placed[t])
+
+        res = st._write(bits, R, np.zeros((rows, cols), dtype=np.int8),
+                        order, walk, partial=True)
+        syms, x, consumed, padded, back = _reference_coding(bits, R, laws)
+        assert seen == syms
+        assert res.grid.flat[order].tolist() == syms
+        assert (res.final_state, res.consumed, res.padded) == (x, consumed, padded)
+        assert back == bits[:consumed] + [0] * padded
+        assert st._read(res.grid, order, lambda placed: iter(laws), x,
+                        consumed, R) == back[:consumed]
+
+
+def test_read_reports_the_first_bad_node():
+    # laws: free, forced 0, free, forced 1 over a 2x2 grid visited
+    # column-major; _read names the first bad node in visiting order
+    R, l = 4, 16
+    laws = [5, 0, 7, l]
+    order = np.array([0, 2, 1, 3])
+    grid = np.array([[0, 1], [1, 0]])
+    with pytest.raises(st.InvalidLattice, match=r"forced node disagrees at \(1, 0\)"):
+        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+    grid[1, 0] = 2
+    with pytest.raises(st.InvalidLattice, match=r"non-binary value at \(1, 0\)"):
+        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+    grid[1, 0], grid[0, 1] = 1, 3
+    with pytest.raises(st.InvalidLattice, match=r"forced node disagrees at \(1, 0\)"):
+        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+    grid[1, 0] = 0
+    with pytest.raises(st.InvalidLattice, match=r"non-binary value at \(0, 1\)"):
+        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+    grid[0, 1] = 0
+    with pytest.raises(st.InvalidLattice, match=r"forced node disagrees at \(1, 1\)"):
+        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
