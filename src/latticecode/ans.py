@@ -152,7 +152,9 @@ class AnsTable:
             raise ValueError("decode column holds a symbol outside 0..%d" % (self.n - 1))
         span = (b - 1) * np.asarray(self.l_s, dtype=np.int64)
         held = np.bincount(sym, minlength=self.n)
-        for s in np.flatnonzero(held != span)[:1].tolist():
+        bad = np.flatnonzero(held != span)
+        if len(bad):
+            s = int(bad[0])
             raise ValueError("symbol %d occupies %d slots, expected %d" % (s, held[s], span[s]))
         # the slots of each symbol in state order; its k-th slot holds the
         # reduced state l_s + k
@@ -434,7 +436,7 @@ class AbsStreamDecoder:
 
     Used in the direction that turns payload bits into constrained symbols:
     each draw(m) performs a ceiling-variant decode split at q = m / 2^R and
-    refills the state from the bit iterator.  Exhausted input is padded
+    refills the state one payload bit at a time.  Exhausted input is padded
     with zero bits (the pad count is tracked so callers can account for
     real payload separately).
 
@@ -443,48 +445,52 @@ class AbsStreamDecoder:
     distributed per its probability (a fixed start would make the leading
     symbols deterministic).
 
-    The lattice codecs' walk loops (`strip._write` / `strip._read`) run
-    this pair's steps inline; the classes are the step-by-step reference
-    their tests compare against."""
+    This is the per-node step of the lattice codecs' walk loops
+    (`strip._write`), so it splits with shifts rather than `_ceil_div`:
+    for l = 2^R, ceil(x*m / l) = (x*m + l - 1) >> R."""
 
     def __init__(self, bits: Iterable[int], precision: int):
         if precision < 1:
             raise ValueError("precision must be positive")
         self.r = precision
         self.l = 1 << precision
-        self._bits = iter(bits)
-        self.consumed = 0
-        self.padded = 0
+        self._bits = list(bits)
+        seed = self._bits[:precision]
         x = 1
-        while x < self.l:
-            x = 2 * x + self._pull()
-        self.x = x
-
-    def _pull(self) -> int:
-        b = next(self._bits, None)
-        if b is None:
-            self.padded += 1
-            return 0
-        self.consumed += 1
-        return b
+        for b in seed:
+            x = 2 * x + b
+        self.consumed = len(seed)
+        self.padded = precision - len(seed)
+        self.x = x << self.padded
 
     def draw(self, m: int) -> int:
-        l = self.l
+        r = self.r
+        l = 1 << r
         if not 0 < m < l:
             raise ValueError("probability numerator out of range")
         x = self.x
-        x1 = _ceil_div(x * m, l)
-        s = _ceil_div((x + 1) * m, l) - x1
+        xm = x * m + l - 1
+        x1 = xm >> r
+        s = ((xm + m) >> r) - x1
         x = x1 if s else x - x1
-        while x < l:
-            x = 2 * x + self._pull()
+        if x < l:
+            bits, pos = self._bits, self.consumed
+            while x < l:
+                if pos < len(bits):
+                    x = 2 * x + bits[pos]
+                    pos += 1
+                else:
+                    x *= 2
+                    self.padded += 1
+            self.consumed = pos
         self.x = x
         return s
 
 
 class AbsStreamEncoder:
     """Inverse of AbsStreamDecoder: absorbs symbols walked in reverse order
-    starting from the decoder's final state, emitting the bits it consumed."""
+    starting from the decoder's final state, emitting the bits it consumed.
+    `strip._read` runs absorb on every free node."""
 
     def __init__(self, final_state: int, precision: int):
         if precision < 1:
@@ -495,20 +501,20 @@ class AbsStreamEncoder:
         self._emitted: list[int] = []
 
     def absorb(self, s: int, m: int) -> None:
-        l = self.l
+        r = self.r
+        l = 1 << r
         if not 0 < m < l:
             raise ValueError("probability numerator out of range")
         x = self.x
         ls = m if s else l - m
-        top = 2 * ls - 1
-        emit = self._emitted.append
-        while x > top:
-            emit(x & 1)
-            x >>= 1
-        if s:
-            self.x = (x * l) // m
-        else:
-            self.x = _ceil_div((x + 1) * l, l - m) - 1
+        top = 2 * ls
+        if x >= top:
+            emit = self._emitted.append
+            while x >= top:
+                emit(x & 1)
+                x >>= 1
+        # floor(x*l / m) for a one; ceil((x+1)*l / ls) - 1 for a zero
+        self.x = (x << r) // m if s else (((x + 1) << r) - 1) // ls
 
     def finish(self) -> list[int]:
         """Bits in original payload order, including the R state-seed bits."""

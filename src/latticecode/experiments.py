@@ -102,18 +102,24 @@ def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
     """Laws of the two-pass writer: Bernoulli(q) on the even sublattice,
     then one fair bit on each odd node whose four neighbours are 0 (zero
     boundary: nodes outside the grid never block).  The odd laws follow
-    from the even symbols, read from `placed` once the first pass ends."""
+    from the even symbols, read from `placed` once the first pass ends.
+    q is checked on the call, so a bad q is reported even when the walk
+    never yields (an empty grid, or a non-binary first node)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     l = 1 << precision
     neven = (rows * cols + 1) // 2
-    yield from repeat(_quantize(q, l), neven)
-    even = np.zeros(rows * cols, dtype=bool)
-    even[order[:neven]] = placed[:neven]
-    g = np.pad(even.reshape(rows, cols), 1)
-    blocked = g[:-2, 1:-1] | g[2:, 1:-1] | g[1:-1, :-2] | g[1:-1, 2:]
-    half = l >> 1
-    yield from [0 if b else half for b in blocked.ravel()[order[neven:]].tolist()]
+
+    def laws():
+        yield from repeat(_quantize(q, l), neven)
+        even = np.zeros(rows * cols, dtype=bool)
+        even[order[:neven]] = placed[:neven]
+        g = np.pad(even.reshape(rows, cols), 1)
+        blocked = g[:-2, 1:-1] | g[2:, 1:-1] | g[1:-1, :-2] | g[1:-1, 2:]
+        half = l >> 1
+        yield from [0 if b else half for b in blocked.ravel()[order[neven:]].tolist()]
+
+    return laws()
 
 
 def algorithm1_encode(dims, q: float, bits, precision: int = 16,

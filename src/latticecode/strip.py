@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lattice as lat
 from . import spectral as spec
-from .ans import CapacityExceeded, CorruptStream
+from .ans import AbsStreamDecoder, AbsStreamEncoder, CapacityExceeded, CorruptStream
 from .rng import SplitMix64
 
 
@@ -186,7 +186,7 @@ class EncodeResult:
 # in placed[t].  The law is the numerator m of the dyadic one-probability
 # m/2^R; m = 0 and m = 2^R force a 0 or a 1 and cost no payload.  `_write`
 # and `_read` run the binary coder step (`AbsStreamDecoder.draw` and
-# `AbsStreamEncoder.absorb`, written inline) on every free node.
+# `AbsStreamEncoder.absorb`) on every free node.
 
 
 def _quantize(p: float, l: int) -> int:
@@ -210,38 +210,16 @@ def _write(bits: Sequence[int], precision: int, grid: np.ndarray, order,
            walk, partial: bool) -> EncodeResult:
     """Draw every free node of the walk from the payload into the grid."""
     _check_precision(precision)
-    R, l = precision, 1 << precision
-    nbits = len(bits)
-    # the state starts as 1 followed by the first R payload bits, zero-padded
-    seed = bits[:R]
-    x = 1
-    for b in seed:
-        x = 2 * x + b
-    pos, padded = len(seed), R - len(seed)
-    x <<= padded
+    dec = AbsStreamDecoder(bits, precision)
+    draw, l = dec.draw, dec.l
     placed = []
     place = placed.append
     for m in walk(placed):
-        if 0 < m < l:
-            # ceiling split at m/2^R, then refill one payload bit at a time
-            xm = x * m + l - 1
-            x1 = xm >> R
-            s = ((xm + m) >> R) - x1
-            x = x1 if s else x - x1
-            while x < l:
-                if pos < nbits:
-                    x = 2 * x + bits[pos]
-                    pos += 1
-                else:
-                    x *= 2
-                    padded += 1
-        else:
-            s = m >> R
-        place(s)
+        place(draw(m) if 0 < m < l else m >> precision)
     grid.flat[order] = placed
-    if not partial and pos < nbits:
-        raise CapacityExceeded(pos, nbits)
-    return EncodeResult(grid, x, pos, padded)
+    if not partial and dec.consumed < len(bits):
+        raise CapacityExceeded(dec.consumed, len(bits))
+    return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
 
 
 def _read(grid: np.ndarray, order, walk, final_state: int, nbits: int,
@@ -250,7 +228,7 @@ def _read(grid: np.ndarray, order, walk, final_state: int, nbits: int,
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
-    R, l = precision, 1 << precision
+    l = 1 << precision
     if not l <= final_state < 2 * l:
         raise ConfigMismatch("final coder state out of range")
     cols = grid.shape[1]
@@ -261,36 +239,31 @@ def _read(grid: np.ndarray, order, walk, final_state: int, nbits: int,
     placed = vals.tolist()
     laws = list(islice(walk(placed), n))
     bad = n < len(placed)
-    x = final_state
-    emitted = []
-    emit = emitted.append
+    enc = AbsStreamEncoder(final_state, precision)
+    absorb = enc.absorb
     if not bad:
         for s, m in zip(reversed(placed), reversed(laws)):
             if 0 < m < l:
-                ls = m if s else l - m
-                top = 2 * ls
-                while x >= top:
-                    emit(x & 1)
-                    x >>= 1
-                x = (x << R) // m if s else (((x + 1) << R) - 1) // ls
-            elif s != m >> R:
+                absorb(s, m)
+            elif s != m >> precision:
                 bad = True
+                break
     if bad:
         for t, (s, m) in enumerate(zip(placed, laws)):
-            if not 0 < m < l and s != m >> R:
+            if not 0 < m < l and s != m >> precision:
                 raise InvalidLattice("forced node disagrees at (%d, %d)"
                                      % divmod(int(order[t]), cols))
         raise InvalidLattice("non-binary value at (%d, %d)"
                              % divmod(int(order[n]), cols))
-    if not l <= x < 2 * l:
-        raise CorruptStream("state did not drain into the seed interval")
-    while x > 1:
-        emit(x & 1)
-        x >>= 1
-    emitted.reverse()
-    if len(emitted) < nbits:
+    out = enc.finish()
+    if len(out) < nbits:
         raise CorruptStream("stream holds fewer bits than declared")
-    return emitted[:nbits]
+    return out[:nbits]
+
+
+def _check_height(grid: np.ndarray, n: int) -> None:
+    if grid.ndim != 2 or grid.shape[0] != n:
+        raise ConfigMismatch("grid height does not match the strip width")
 
 
 class LatticeCodec:
@@ -335,8 +308,7 @@ class LatticeCodec:
     def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> list:
         strip = self.strip
         grid = np.asarray(grid)
-        if grid.ndim != 2 or grid.shape[0] != strip.n:
-            raise ConfigMismatch("grid height does not match the strip width")
+        _check_height(grid, strip.n)
         u = strip.zero_state
         for c, col in enumerate(zip(*grid.tolist())):
             v = strip.index.get(col)
@@ -388,8 +360,7 @@ def decode_text(text: str) -> list:
         raise ConfigMismatch(str(e))
     n = int(meta["n"])
     # the grid in the file, not the header, decides how large a strip to build
-    if grid.shape[0] != n:
-        raise ConfigMismatch("grid height does not match the strip width")
+    _check_height(grid, n)
     strip = strip_model(model, n, meta["boundary"])
     codec = LatticeCodec(strip, int(meta["R"]))
     return codec.decode(grid, int(meta["x"]), int(meta["bits"]))

@@ -392,6 +392,17 @@ def test_algo1_bad_header(tmp_path, edit, message):
     assert err.splitlines()[1:] == ["error: " + message]
 
 
+@pytest.mark.parametrize("grid", ["2 0 4 01\n", "3 3 3 012\n222\n222\n222\n"],
+                         ids=["empty", "non-binary"])
+def test_algo1_bad_q_is_one_error_line(tmp_path, grid):
+    latf = tmp_path / "a1.lat"
+    latf.write_text("algo1 q=2 R=16 x=65536 bits=0\n" + grid)
+    rc, _, err = run(["algo1", "decode", "--in", str(latf),
+                      "--out", str(tmp_path / "back")])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: q must lie in [0, 1]"]
+
+
 @pytest.mark.parametrize("argv", [["strip", "encode", "--width", "4"],
                                   ["algo1", "encode"]])
 def test_negative_bit_count_is_one_error_line(tmp_path, argv):

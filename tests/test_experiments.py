@@ -102,6 +102,17 @@ def test_algorithm1_decode_rejections():
         ex.algorithm1_decode(forced, 0.0, zres.final_state, zres.consumed)
 
 
+def test_algorithm1_checks_q_before_the_walk_yields():
+    # q is rejected even when no law is drawn: on an empty grid, and ahead
+    # of the non-binary node that stops the decode walk at its first step
+    for grid in (np.zeros((0, 4), dtype=np.int8),
+                 np.full((3, 3), 2, dtype=np.int8)):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            ex.algorithm1_decode(grid, 2.0, 1 << 16, 0)
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+        ex.algorithm1_encode((3, 3), -0.5, [])
+
+
 def test_algorithm1_rate_verify_failure_is_a_data_error(monkeypatch):
     # a failed round trip or scan in a rate trial is reported like the strip
     # trial's, as a decode error the CLI prints as one line

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,17 +280,41 @@ def _random_laws(rng, R, count):
 
 
 def _reference_coding(bits, R, laws):
-    """The step-by-step coder pair that `_write` / `_read` inline: symbols,
-    final state, consumed, padded, and every bit read back (padding
-    included)."""
+    """The coder pair `_write` / `_read` run, rebuilt step by step from the
+    exact-fraction `abs_decode_step` / `abs_encode_step`: symbols, final
+    state, consumed, padded, and every bit read back (padding included)."""
     l = 1 << R
-    dec = ans.AbsStreamDecoder(iter(bits), R)
-    syms = [dec.draw(m) if 0 < m < l else m >> R for m in laws]
-    enc = ans.AbsStreamEncoder(dec.x, R)
+    stream = iter(bits)
+    count = {"consumed": 0, "padded": 0}
+
+    def refill(x):
+        while x < l:
+            b = next(stream, None)
+            count["padded" if b is None else "consumed"] += 1
+            x = 2 * x + (b or 0)
+        return x
+
+    x = refill(1)
+    syms = []
+    for m in laws:
+        if 0 < m < l:
+            s, x = ans.abs_decode_step(x, Fraction(m, l))
+            x = refill(x)
+        else:
+            s = m >> R
+        syms.append(s)
+    final, back = x, []
     for s, m in zip(reversed(syms), reversed(laws)):
         if 0 < m < l:
-            enc.absorb(s, m)
-    return syms, dec.x, dec.consumed, dec.padded, enc.finish()
+            while x >= 2 * (m if s else l - m):
+                back.append(x & 1)
+                x >>= 1
+            x = ans.abs_encode_step(s, x, Fraction(m, l))
+    assert l <= x < 2 * l
+    while x > 1:
+        back.append(x & 1)
+        x >>= 1
+    return syms, final, count["consumed"], count["padded"], back[::-1]
 
 
 @pytest.mark.parametrize("R", [1, 16, 63, 64])

@@ -13,7 +13,6 @@ KEEP = {
     # references and fixtures for tests of code the package does call
     "StreamState", "ans_build_table_precise", "pair_probs",
     "first_column_rule", "conditional_tables",
-    "AbsStreamDecoder", "AbsStreamEncoder",
     # console entry point
     "main",
 }
