@@ -11,10 +11,14 @@ for two-dimensional binary models), entropy estimates, exact/empirical
 statistical descriptions, local-optimality and bound diagnostics, and two
 uniform samplers: exact column-by-column draws (`sample_uniform`) for
 binary models whose patterns are all 1s inside a 2x2 window, and the
-single-site-flip chain (`thermalize`) for every model.  It also owns the
-column transfer engine (`valid_columns`, `column_compat`) that the strip
-decomposition, the rectangle DP and the bound fast path share, and its
-cell-by-cell (broken-line) form that the exact sampler runs on.
+single-site-flip chain (`thermalize`) for every model.  One resolver,
+`_placement_cells`, gives the cells a forbidden-pattern placement needs,
+boundary applied, to the backtracking counter, the pLOC check and the
+chain, which compiles each node's placements once before its first move.
+The module also owns the column transfer engine (`valid_columns`,
+`column_compat`) that the strip decomposition, the rectangle DP and the
+bound fast path share, and its cell-by-cell (broken-line) form that the
+exact sampler runs on.
 
 Boundary modes for finite regions:
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -197,6 +202,33 @@ def _wrap(cell, dims):
     return tuple(c % d for c, d in zip(cell, dims))
 
 
+def _placement_cells(pat, base, index, ctx, boundary_mode, dims):
+    """The (index[cell], required symbol) pairs of the placement of `pat`
+    at `base` over the cells that `index` holds, cyclic coordinates wrapped
+    and context cells folded in; None when the placement can never match
+    (it asks two symbols of one wrapped cell, contradicts the context or
+    sticks out of a free region)."""
+    need = {}
+    for off, sym in pat:
+        y = tuple(b + o for b, o in zip(base, off))
+        if boundary_mode == "cyclic":
+            y = _wrap(y, dims)
+        if need.setdefault(y, sym) != sym:
+            return None  # self-overlapping translate, unsatisfiable
+    inside = []
+    for y, sym in need.items():
+        if y in index:
+            inside.append((index[y], sym))
+        elif y in ctx:
+            if ctx[y] != sym:
+                return None
+        else:
+            if boundary_mode != "free":
+                raise AssertionError("unresolved cell %r" % (y,))
+            return None  # sticks outside a free region
+    return inside
+
+
 def _compile_checks(cells, model, ctx, boundary_mode, dims):
     """Per-cell constraint checks for the backtracking engine.
 
@@ -205,45 +237,18 @@ def _compile_checks(cells, model, ctx, boundary_mode, dims):
     assigned; context cells are folded in at compile time.
     """
     index = {x: i for i, x in enumerate(cells)}
-    cellset = set(cells)
     checks = [[] for _ in cells]
     seen = set()
     for cell in cells:
-        for pat, base in model.pattern_placements(cell):
-            if (pat, base) in seen:
+        for placement in model.pattern_placements(cell):
+            if placement in seen:
                 continue
-            seen.add((pat, base))
-            need = {}
-            ok = True
-            for off, sym in pat:
-                y = tuple(b + o for b, o in zip(base, off))
-                if boundary_mode == "cyclic":
-                    y = _wrap(y, dims)
-                if y in need and need[y] != sym:
-                    ok = False  # self-overlapping translate, unsatisfiable
-                    break
-                need[y] = sym
-            if not ok:
-                continue
-            inside = []
-            for y, sym in need.items():
-                if y in cellset:
-                    inside.append((index[y], sym))
-                elif y in ctx:
-                    if ctx[y] != sym:
-                        ok = False
-                        break
-                else:
-                    if boundary_mode != "free":
-                        raise AssertionError("unresolved cell %r" % (y,))
-                    ok = False  # sticks outside a free region
-                    break
-            if not ok or not inside:
-                continue
-            last = max(i for i, _ in inside)
-            rest = [(i, s) for i, s in inside if i != last]
-            sym_last = next(s for i, s in inside if i == last)
-            checks[last].append((sym_last, rest))
+            seen.add(placement)
+            inside = _placement_cells(*placement, index, ctx, boundary_mode, dims)
+            if inside:
+                inside.sort()
+                last, sym_last = inside.pop()
+                checks[last].append((sym_last, inside))
     return checks
 
 
@@ -562,11 +567,6 @@ class Description:
         return worst
 
 
-def _shape_assignments(shape, alphabet):
-    import itertools
-    return itertools.product(alphabet, repeat=len(shape))
-
-
 def exact_description(region, model, shapes, clamp=None, boundary="free") -> Description:
     """Counting-based description: p(f) = N(A, clamp+f)/N(A, clamp)."""
     base = dict(clamp) if clamp else {}
@@ -579,7 +579,7 @@ def exact_description(region, model, shapes, clamp=None, boundary="free") -> Des
         if not set(shape) <= set(region):
             raise ValueError("shape must lie inside the region")
         probs = {}
-        for assign in _shape_assignments(shape, model.alphabet):
+        for assign in product(model.alphabet, repeat=len(shape)):
             merged = dict(base)
             merged.update(zip(shape, assign))
             probs[assign] = count(region, model, merged, boundary) / denom
@@ -614,16 +614,17 @@ def empirical_description(samples: Sequence[np.ndarray], shapes, alphabet=(0, 1)
         if total == 0:
             raise ValueError("shapes do not fit inside the samples")
         tables[shape] = {a: counts.get(a, 0) / total
-                         for a in _shape_assignments(shape, alphabet)}
+                         for a in product(alphabet, repeat=len(shape))}
     return Description(tables, alphabet)
 
 
 def _locally_valid(pattern: Mapping, model: LatticeModel) -> bool:
+    # the resolver reads each cell's symbol where the counter reads its index
     cells = {tuple(x): s for x, s in pattern.items()}
     for x in cells:
-        for pat, base in model.pattern_placements(x):
-            need = {tuple(b + o for b, o in zip(base, off)): sym for off, sym in pat}
-            if all(y in cells and cells[y] == s for y, s in need.items()):
+        for placement in model.pattern_placements(x):
+            need = _placement_cells(*placement, cells, {}, "free", None)
+            if need is not None and all(v == s for v, s in need):
                 return False
     return True
 
@@ -637,7 +638,7 @@ def check_pLOC(description: Description, model: LatticeModel, context_shapes) ->
         shape = tuple(sorted(map(tuple, shape)))
         if origin in shape:
             raise ValueError("context shape must exclude the origin")
-        for assign in _shape_assignments(shape, description.alphabet):
+        for assign in product(description.alphabet, repeat=len(shape)):
             ctx = dict(zip(shape, assign))
             if description.prob(ctx) <= 0:
                 continue
@@ -778,12 +779,17 @@ def thermalize(shape, model=None, seed=0, samples=1, warmup_sweeps=5,
                spacing_moves=None, boundary="free"):
     """Single-site-flip sampler over an all-zeros start.
 
-    One move: pick a uniform node; toggle it when the toggled value stays
-    locally valid.  The proposal is symmetric and acceptance depends only
-    on validity, so the chain is doubly stochastic over valid valuations
-    and converges to the uniform law.  Emits `samples` grids, the first
-    after warmup_sweeps*|A|^2 moves (|A| = rows*cols), then every
-    spacing_moves (default |A|) moves.
+    One move: pick a uniform node; toggle it between 0 and 1 when the
+    toggled value stays locally valid.  The proposal is symmetric and
+    acceptance depends only on validity, so the chain is doubly stochastic
+    over valid valuations and converges to the uniform law.  Emits
+    `samples` grids, the first after warmup_sweeps*|A|^2 moves
+    (|A| = rows*cols), then every spacing_moves (default |A|) moves.
+
+    Each node's placements go through `_placement_cells` once, before the
+    first move: per toggle value, the other cells (flat offset, symbol) of
+    each placement it would complete.  Equal lists are shared, and a cyclic
+    coordinate that wraps onto the node reads as the node.
     """
     if model is None:
         model = hard_square()
@@ -793,56 +799,44 @@ def thermalize(shape, model=None, seed=0, samples=1, warmup_sweeps=5,
         rows, cols = 1, shape if isinstance(shape, int) else shape[0]
     area = rows * cols
     spacing = area if spacing_moves is None else spacing_moves
+    dims = (rows, cols)[2 - model.dimension:]
+    coords = list(product(*map(range, dims)))
+    index = {x: k for k, x in enumerate(coords)}
+    ctx = _resolve_context(coords, model, None, boundary, dims)
+    shared = {}
+    blocks = []  # blocks[k][v]: what a toggle of node k to v would complete
+    for k, x in enumerate(coords):
+        by_value = ([], [])
+        for placement in model.pattern_placements(x):
+            need = dict(_placement_cells(*placement, index, ctx, boundary, dims) or ())
+            if need.get(k) in (0, 1):
+                by_value[need.pop(k)].append(tuple((i - k, s) for i, s in need.items()))
+        key = tuple(map(tuple, by_value))
+        blocks.append(shared.setdefault(key, key))
     rng = SplitMix64(seed)
-    arr = np.zeros((rows, cols), dtype=np.int8)
-    cells = {}
-    if model.dimension == 2:
-        coords = [(i, j) for i in range(rows) for j in range(cols)]
-    else:
-        coords = [(j,) for j in range(cols)]
-
-    def flip_ok(x):
-        cur = arr[x] if model.dimension == 2 else arr[0, x[0]]
-        new = 1 - int(cur)
-        for pat, base in model.pattern_placements(x):
-            hit = True
-            for off, sym in pat:
-                y = tuple(b + o for b, o in zip(base, off))
-                yy = y if model.dimension == 2 else (0, y[0])
-                if y == x:
-                    val = new
-                elif 0 <= yy[0] < rows and 0 <= yy[1] < cols:
-                    val = int(arr[yy])
-                elif boundary == "cyclic":
-                    val = int(arr[yy[0] % rows, yy[1] % cols])
-                elif boundary == "zero":
-                    val = model.alphabet[0]
-                else:
-                    hit = False
-                    break
-                if val != sym:
-                    hit = False
-                    break
-            if hit:
-                return False
-        return True
+    cells = bytearray(area)
 
     def moves(count):
         # one draw per move, as `randbelow(area)` would take it
         for start in range(0, count, _MOVE_CHUNK):
             picks = rng.block(min(_MOVE_CHUNK, count - start)) % np.uint64(area)
             for k in picks.tolist():
-                x = coords[k]
-                if flip_ok(x):
-                    xx = x if model.dimension == 2 else (0, x[0])
-                    arr[xx] = 1 - arr[xx]
+                new = cells[k] ^ 1
+                for need in blocks[k][new]:
+                    for i, s in need:
+                        if cells[k + i] != s:
+                            break
+                    else:
+                        break  # the toggle completes this placement
+                else:
+                    cells[k] = new
 
     moves(warmup_sweeps * area * area)
     out = []
     for k in range(samples):
         if k:
             moves(spacing)
-        out.append(arr.copy())
+        out.append(np.frombuffer(cells, dtype=np.int8).reshape(rows, cols).copy())
     return out
 
 

@@ -309,12 +309,16 @@ class LatticeCodec:
         strip = self.strip
         grid = np.asarray(grid)
         _check_height(grid, strip.n)
-        u = strip.zero_state
-        for c, col in enumerate(zip(*grid.tolist())):
-            v = strip.index.get(col)
-            if v is None or strip.graph.weights[u, v] == 0:
-                raise InvalidLattice("column %d breaks the constraints" % c)
-            u = v
+        # each column's state by its binary code, then every column pair
+        bit = 1 << np.arange(strip.n - 1, -1, -1, dtype=np.int64)
+        codes = np.array(strip.columns, dtype=np.int64) @ bit
+        by_code = np.argsort(codes)
+        got = bit @ (grid == 1)
+        v = by_code[np.searchsorted(codes[by_code], got).clip(max=len(codes) - 1)]
+        ok = ((grid == 0) | (grid == 1)).all(axis=0) & (codes[v] == got)
+        ok &= strip.graph.weights[np.append(strip.zero_state, v[:-1]), v] != 0
+        if not ok.all():
+            raise InvalidLattice("column %d breaks the constraints" % np.argmin(ok))
         cols = grid.shape[1]
         return _read(grid, self._order(cols),
                      lambda placed: self._walk(cols, placed), final_state,

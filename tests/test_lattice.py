@@ -311,6 +311,49 @@ def test_thermalize_chain_matrix():
     assert (Q > 0).all()
 
 
+# "span3" forbids a 1, a 0 and a 1 down three rows: on a 2-row cyclic grid
+# its first and last cells wrap onto one cell
+CHAIN_MODELS = {
+    "hs": HS, "no111": L.no111(), "k2": L.kmodel(2),
+    "span3": L.LatticeModel(2, (0, 1),
+                            ((((0, 0), 1), ((1, 0), 0), ((2, 0), 1)),)),
+}
+
+
+def _chain_grids(name, shape, boundary):
+    return L.thermalize(shape, CHAIN_MODELS[name], seed=sum(shape) + 7,
+                        samples=40, warmup_sweeps=1, spacing_moves=3,
+                        boundary=boundary)
+
+
+@pytest.mark.parametrize("name,shape", [("hs", (1, n)) for n in range(1, 7)]
+                         + [("hs", (n, 1)) for n in range(1, 7)]
+                         + [("span3", (2, n)) for n in range(1, 5)])
+def test_chain_on_thin_cyclic_grids_emits_valid_grids(name, shape):
+    # a pattern longer than a side wraps onto the toggled node itself
+    for grid in _chain_grids(name, shape, "cyclic"):
+        assert L.scan(grid, CHAIN_MODELS[name], "cyclic") == []
+
+
+@pytest.mark.parametrize("boundary", ["free", "zero", "cyclic"])
+@pytest.mark.parametrize("name,shape", [
+    ("hs", (1, 1)), ("hs", (1, 5)), ("hs", (4, 1)), ("hs", (2, 2)),
+    ("hs", (3, 3)), ("hs", (2, 4)), ("span3", (2, 3)), ("span3", (3, 3)),
+    ("no111", (2,)), ("no111", (9,)), ("k2", (3,)), ("k2", (8,))])
+def test_chain_grids_are_enumerated_valuations(name, shape, boundary):
+    model = CHAIN_MODELS[name]
+    if model.dimension == 1:
+        region, cells = L.segment(shape[0]), [(j,) for j in range(shape[0])]
+    else:
+        region, cells = L.rect(*shape), sorted(L.rect(*shape))
+    dims = shape if boundary == "cyclic" else None
+    valid = {tuple(v[x] for x in cells)
+             for v in L.enumerate_valuations(region, model, boundary=boundary,
+                                             dims=dims)}
+    for grid in _chain_grids(name, shape, boundary):
+        assert tuple(grid.flat) in valid
+
+
 def _avg_density_by_transfer(rows, cols):
     # weighted column transfer: counts and accumulated number of 1s
     n = 1 << rows

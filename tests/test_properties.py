@@ -3,17 +3,20 @@
 Both codecs write through `strip._write` and read back through
 `strip._read`; every example must decode to exactly the payload bits the
 encoder consumed and leave a valid lattice.  Mutated strip and algo1 files
-must decode or fail with one `error:` line, in bounded time.  The profiles
-are derandomized, so the examples are the same on every run.
+and mutated ANS1 containers must decode or fail with one `error:` line, in
+bounded time.  The profiles are derandomized and the container mutations
+seeded, so the examples are the same on every run.
 """
 
 import contextlib
 import functools
 import io
+import random
 import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as hs
 
 from latticecode import experiments as ex
@@ -146,3 +149,93 @@ def test_mutated_lattice_files_decode_or_fail_cleanly(kind, ops):
         else:
             assert rc == 1
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# mutated ANS1 containers
+
+CONTAINERS = {
+    "ans-forbidden": ["ans", "--probs", "1/2,1/4,1/4", "--forbidden-eps", "1/64"],
+    "ans-w3": ["ans", "--probs", "1/2,1/4,1/4", "--digit-bits", "3", "--key", "9"],
+    "abs": ["abs", "--q", "1/3", "--key", "5"],
+}
+SYMBOLS = {"ans-forbidden": bytes([0, 1, 2, 0, 0, 2, 1, 0] * 24),
+           "ans-w3": bytes([2, 0, 0, 1, 0, 2, 0, 1] * 24),
+           "abs": bytes(range(0, 256, 5))}
+# seconds a container decode may take: a changed digit width can ask for a
+# table of up to 2^20 slots, about half a second to build
+ANS_DECODE_BOUND = 5.0
+
+
+@functools.lru_cache(maxsize=None)
+def _container(kind):
+    with tempfile.TemporaryDirectory() as d:
+        src, blob = Path(d) / "sym", Path(d) / "blob"
+        src.write_bytes(SYMBOLS[kind])
+        cmd = CONTAINERS[kind]
+        assert _main(cmd[:1] + ["encode"] + cmd[1:]
+                     + ["--in", str(src), "--out", str(blob)])[0] == 0
+        return blob.read_bytes()
+
+
+def _header_fields(blob):
+    """(name, offset, byte size) of every ANS1 header field after the magic
+    and version: w, R, n, each l_s, key, final state and digit count."""
+    n = int.from_bytes(blob[7:9], "little")
+    fields = [("w", 5, 1), ("R", 6, 1), ("n", 7, 2)]
+    fields += [("l_s%d" % i, 9 + 4 * i, 4) for i in range(n)]
+    off = 9 + 4 * n
+    fields += [("key", off, 8), ("x", off + 8, 8), ("ndigits", off + 16, 8)]
+    return fields
+
+
+def _container_mutations(blob, rng):
+    """Seeded (label, mutated blob) cases: single bit flips anywhere, random
+    header bytes, edge and random values in every header field, and
+    truncations at every header length and inside the payload."""
+    fields = _header_fields(blob)
+    head = fields[-1][1] + fields[-1][2]
+    for _ in range(120):
+        k = rng.randrange(8 * len(blob))
+        out = bytearray(blob)
+        out[k // 8] ^= 1 << (k % 8)
+        yield "flip bit %d" % k, bytes(out)
+    for _ in range(60):
+        out = bytearray(blob)
+        for _ in range(rng.randint(1, 4)):
+            out[rng.randrange(head)] = rng.randrange(256)
+        yield "header bytes %s" % out[:head].hex(), bytes(out)
+    for name, off, size in fields:
+        old = int.from_bytes(blob[off:off + size], "little")
+        top = (1 << (8 * size)) - 1
+        for v in {0, 1, 2, 8, 9, 20, 64, old - 1, old + 1, old * 2, top,
+                  rng.randrange(top + 1), rng.randrange(top + 1)}:
+            if 0 <= v <= top:
+                out = blob[:off] + v.to_bytes(size, "little") + blob[off + size:]
+                yield "%s=%d" % (name, v), out
+    for cut in sorted({*range(head + 2), *rng.sample(range(len(blob)), 10)}):
+        yield "truncate to %d" % cut, blob[:cut]
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_mutated_containers_decode_or_fail_cleanly(kind):
+    blob = _container(kind)
+    cmd = CONTAINERS[kind]
+    cases = 0
+    with tempfile.TemporaryDirectory() as d:
+        src, back = Path(d) / "blob", Path(d) / "back"
+        for label, mutated in _container_mutations(blob, random.Random(kind)):
+            src.write_bytes(mutated)
+            t = time.perf_counter()
+            rc, _, err = _main(cmd[:1] + ["decode"] + cmd[1:]
+                               + ["--in", str(src), "--out", str(back)])
+            assert time.perf_counter() - t < ANS_DECODE_BOUND, label
+            lines = [ln for ln in err.splitlines() if not ln.startswith("# ")]
+            if rc == 0:
+                assert lines == [], label
+            else:
+                assert rc == 1, label
+                assert len(lines) == 1 and lines[0].startswith("error: "), \
+                    (label, lines)
+            cases += 1
+    assert cases > 250

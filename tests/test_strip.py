@@ -254,6 +254,27 @@ def test_decode_rejections():
     assert 0 < e.value.achieved_bits < 800
 
 
+@pytest.mark.parametrize("case,first", [("non-binary", 7), ("column", 5),
+                                        ("pair", 4)])
+def test_decode_names_the_first_bad_column(case, first):
+    s = st.strip_model(HS, 4, "zero")
+    codec = st.LatticeCodec(s)
+    res = codec.encode([1, 0, 0, 1] * 10, 20, partial=True)
+    bad = res.grid.copy()
+    if case == "non-binary":
+        bad[2, 7] = 2
+    elif case == "column":
+        bad[1:3, 5] = 1  # two 1s one above the other
+    else:
+        # 1010 after 0000 is fine, 1010 after 1010 is not
+        bad[:, 2], bad[:, 3], bad[:, 4] = 0, [1, 0, 1, 0], [1, 0, 1, 0]
+    # a later defect of every kind must not be the one reported
+    bad[0, 11], bad[:2, 14], bad[3, 17] = 3, 1, 2
+    with pytest.raises(st.InvalidLattice,
+                       match=r"^column %d breaks the constraints$" % first):
+        codec.decode(bad, res.final_state, res.consumed)
+
+
 def test_encoded_text_container():
     s = st.strip_model(HS, 5, "zero")
     codec = st.LatticeCodec(s)
