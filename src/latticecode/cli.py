@@ -69,6 +69,15 @@ def _parse_shape(token: str):
     return tuple(sorted((i, j) for i in range(rows) for j in range(cols)))
 
 
+def _check_sizes(args, **least) -> None:
+    """Usage error for the first size flag --name that is given (not None)
+    and below least[name]."""
+    for name, low in least.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise UsageError("--%s must be at least %d" % (name, low))
+
+
 def _load_grids(text: str) -> list:
     """Parse a file of concatenated grid blocks."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
@@ -93,6 +102,8 @@ def _load_grids(text: str) -> list:
 
 
 def cmd_capacity(args) -> int:
+    if args.width:  # 0: not given
+        _check_sizes(args, width=1)
     name = args.model
     print("model %s" % name)
     if name.startswith("k-model:"):
@@ -214,12 +225,7 @@ def cmd_ans(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    for flag, value, least in (("--rows", args.rows, 1), ("--cols", args.cols, 1),
-                               ("--samples", args.samples, 1),
-                               ("--warmup", args.warmup, 0),
-                               ("--spacing", args.spacing, 0)):
-        if value is not None and value < least:
-            raise UsageError("%s must be at least %d" % (flag, least))
+    _check_sizes(args, rows=1, cols=1, samples=1, warmup=0, spacing=0)
     model = lat.model_preset(args.model)
     shape = (args.cols,) if model.dimension == 1 else (args.rows, args.cols)
     try:
@@ -237,6 +243,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_describe(args) -> int:
+    _check_sizes(args, rows=1, cols=1)
     model = lat.model_preset(args.model)
     shapes = [_parse_shape(tok) for tok in args.shapes.split(",")]
     if model.dimension == 1:
@@ -278,6 +285,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_strip(args) -> int:
+    _check_sizes(args, width=1, columns=1, trials=1)
     model = lat.model_preset(args.model)
     if args.mode in ("build", "capacity"):
         strip = st.strip_model(model, args.width, args.boundary)
@@ -327,6 +335,7 @@ def cmd_strip(args) -> int:
 
 
 def cmd_algo1(args) -> int:
+    _check_sizes(args, side=1, rows=1, cols=1, trials=1)
     if args.mode == "rate":
         if args.q is None:
             q, closed = exp.algorithm1_optimum()
@@ -365,6 +374,7 @@ def cmd_algo1(args) -> int:
 
 
 def cmd_algo2(args) -> int:
+    _check_sizes(args, side=1, trials=1, bins=1)
     profile = exp.DEFAULT_PROFILE
     if args.profile:
         try:
@@ -464,7 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="uniform valid valuations: exact column "
                        "draws for 2x2-window binary models up to %d rows, "
-                       "else a flip chain" % lat.EXACT_MAX_ROWS)
+                       "else a flip chain, uniform when every forbidden "
+                       "pattern asks only 1s" % lat.EXACT_MAX_ROWS)
     p.add_argument("--model", default="hard-square")
     p.add_argument("--rows", type=int, default=8)
     p.add_argument("--cols", type=int, default=8)

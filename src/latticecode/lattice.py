@@ -11,14 +11,15 @@ for two-dimensional binary models), entropy estimates, exact/empirical
 statistical descriptions, local-optimality and bound diagnostics, and two
 uniform samplers: exact column-by-column draws (`sample_uniform`) for
 binary models whose patterns are all 1s inside a 2x2 window, and the
-single-site-flip chain (`thermalize`) for every model.  One resolver,
+single-site-flip chain (`thermalize`), uniform in the limit when every
+forbidden pattern asks only 1s, as in every preset.  One resolver,
 `_placement_cells`, gives the cells a forbidden-pattern placement needs,
 boundary applied, to the backtracking counter, the pLOC check and the
 chain, which compiles each node's placements once before its first move.
-The module also owns the column transfer engine (`valid_columns`,
-`column_compat`) that the strip decomposition, the rectangle DP and the
-bound fast path share, and its cell-by-cell (broken-line) form that the
-exact sampler runs on.
+The module also owns the column transfer engine (`_column_levels`, one
+integer code per valid column; `valid_columns`, `column_compat`) that the
+strip decomposition, the rectangle DP, the bound fast path and, in its
+cell-by-cell (broken-line) form, the exact sampler share.
 
 Boundary modes for finite regions:
 
@@ -301,6 +302,8 @@ def enumerate_valuations(region, model, clamp=None, boundary="free", dims=None):
 
 
 def _is_rect(region):
+    if not region:
+        return None
     rows = sorted({x[0] for x in region})
     cols = sorted({x[1] for x in region})
     if rows != list(range(rows[0], rows[-1] + 1)):
@@ -354,32 +357,53 @@ def _hits(columns, cells):
     return hit
 
 
-def valid_columns(model, n, cyclic, limit: Optional[int] = None) -> np.ndarray:
-    """Width-n columns free of single-column forbidden translates, as an
-    (S, n) symbol array in itertools.product order.  Columns grow one row
-    at a time and a translate is checked once its last row is placed, so
-    memory follows the valid prefixes, not |alphabet|^n.
+def _column_levels(model, n, cyclic, limit: Optional[int] = None) -> list:
+    """Sorted int64 codes of the valid height-h prefixes of width-n
+    columns (free of single-column forbidden translates), for h = 0..n.  A
+    code has one base-|alphabet| digit per row, the symbol's alphabet
+    index, row 0 the most significant, so code order is itertools.product
+    order.  A translate is checked once its last row is placed, so memory
+    follows the valid prefixes, not |alphabet|^n; without a cyclic wrap,
+    level h is the valid columns of height h.
 
     More than `limit` columns is TooLarge.  When every pattern forbids only
     1s, as in every 2-d preset, each valid prefix extends by 0s to a valid
     column, so a prefix level over the limit is refused at once, before
     the next row doubles it; other models are refused on their full count."""
-    alphabet = np.array(model.alphabet)
-    single = [left for left, right in _column_translates(model, n, cyclic)
-              if not right]
+    a = len(model.alphabet)
+    if a ** n >> 63:
+        raise TooLarge("%d-row codes over %d symbols overflow int64" % (n, a))
+    # per translate: (last row, [(digit weight, digit)]); a translate that
+    # asks a symbol outside the alphabet never matches
+    single = [(max(left), [(a ** (max(left) - r), model.alphabet.index(s))
+                           for r, s in left.items()])
+              for left, right in _column_translates(model, n, cyclic)
+              if not right and all(s in model.alphabet for s in left.values())]
     early = _all_ones_patterns(model)
-    columns = np.empty((1, 0), dtype=alphabet.dtype)
+    levels = [np.zeros(1, dtype=np.int64)]
     for row in range(n):
-        columns = np.column_stack((np.repeat(columns, len(alphabet), axis=0),
-                                   np.tile(alphabet, len(columns))))
-        for cells in single:
-            if max(cells) == row:
-                columns = columns[~_hits(columns, cells)]
-        if limit is not None and len(columns) > limit and (early or row == n - 1):
+        codes = (levels[-1][:, None] * a + np.arange(a)).ravel()
+        for last, digits in single:
+            if last == row:
+                codes = codes[~np.all([codes // w % a == d for w, d in digits], axis=0)]
+        if limit is not None and len(codes) > limit and (early or row == n - 1):
             raise TooLarge("%s%d column states exceed the limit %d"
                            % ("" if row == n - 1 else "at least ",
-                              len(columns), limit))
-    return columns
+                              len(codes), limit))
+        levels.append(codes)
+    return levels
+
+
+def _column_symbols(model, n, codes) -> np.ndarray:
+    """The (S, n) symbol array of width-n column codes."""
+    a = len(model.alphabet)
+    return np.array(model.alphabet)[codes[:, None] // a ** np.arange(n - 1, -1, -1) % a]
+
+
+def valid_columns(model, n, cyclic, limit: Optional[int] = None) -> np.ndarray:
+    """Width-n columns free of single-column forbidden translates, as an
+    (S, n) symbol array in itertools.product order (`_column_levels`)."""
+    return _column_symbols(model, n, _column_levels(model, n, cyclic, limit)[n])
 
 
 def column_compat(model, n, cyclic, left, right) -> np.ndarray:
@@ -461,6 +485,8 @@ def lg(n: int) -> float:
 
 def entropy_estimate(side: int, model: LatticeModel, boundary: str = "free") -> float:
     """lg N(side-hypercube) / side^m."""
+    if side < 1:
+        raise ValueError("side must be positive")
     if model.dimension == 1:
         region = segment(side)
     elif model.dimension == 2:
@@ -782,7 +808,10 @@ def thermalize(shape, model=None, seed=0, samples=1, warmup_sweeps=5,
     One move: pick a uniform node; toggle it between 0 and 1 when the
     toggled value stays locally valid.  The proposal is symmetric and
     acceptance depends only on validity, so the chain is doubly stochastic
-    over valid valuations and converges to the uniform law.  Emits
+    over valid valuations.  It converges to the uniform law when every
+    forbidden pattern asks only 1s, as in every preset: clearing 1s one at
+    a time joins every valid valuation to the zero grid.  A pattern that
+    asks a 0 can leave the chain stuck at the zero grid.  Emits
     `samples` grids, the first after warmup_sweeps*|A|^2 moves
     (|A| = rows*cols), then every spacing_moves (default |A|) moves.
 
@@ -882,27 +911,9 @@ class Unsupported(ValueError):
     """The exact sampler does not cover this model, boundary or grid."""
 
 
-def _column_codes(model, n) -> list:
-    """Valid columns of heights 0..n as bitmasks, row 0 the most significant
-    bit, so each array is sorted and in `valid_columns` order.  Patterns
-    demand only 1s and span at most two rows.  One int64 per column where
-    `valid_columns` holds n: at 20 rows unconstrained, 8 MB against 168 MB."""
-    single = [left for left, right in _column_translates(model, n, False)
-              if not right]
-    out = [np.zeros(1, dtype=np.int64)]
-    for row in range(n):
-        codes = np.stack((out[-1] << 1, (out[-1] << 1) | 1), axis=1).ravel()
-        for cells in single:
-            if max(cells) == row:
-                mask = sum(1 << (row - r) for r in cells)
-                codes = codes[(codes & mask) != mask]
-        out.append(codes)
-    return out
-
-
 def _cell_steps(model, n, codes) -> list:
     """The column transfer of a 2x2-window model as n cell steps over a
-    broken-line profile; codes is `_column_codes(model, n)`.
+    broken-line profile; codes is `_column_levels(model, n, False)`.
 
     Before step t (1..n) the profile holds rows 0..t-1 of the left column
     L and rows t-1..n-1 of the right column R, as a 2-d array indexed by
@@ -996,7 +1007,7 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     if rows > EXACT_MAX_ROWS:
         raise Unsupported("the exact sampler takes at most %d rows"
                           % EXACT_MAX_ROWS)
-    codes = _column_codes(model, rows)
+    codes = _column_levels(model, rows, False)
     states = codes[rows]
     if len(states) * cols > EXACT_MAX_WEIGHTS:
         raise Unsupported("%d columns of %d states exceed the exact sampler's "

@@ -157,12 +157,12 @@ def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 *
     u = np.full(n, 1.0 / n)
     v_prev = v.copy()
     u_prev = u.copy()
-    lam = float(u @ (M @ v) / (u @ v))
+    mv = M @ v  # each step's quotient product is the next step's M @ v
+    lam = float(u @ mv / (u @ v))
     averaged = False
     it = 0
     while it < max_iter:
         it += 1
-        mv = M @ v
         mu = MT @ u
         if averaged:
             mv = mv + lam * v
@@ -173,13 +173,14 @@ def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 *
             raise NoConvergence("iterate collapsed to zero")
         v2 = mv / sv
         u2 = mu / su
-        lam = float(u2 @ (M @ v2) / (u2 @ v2))
+        mv2 = M @ v2
+        lam = float(u2 @ mv2 / (u2 @ v2))
         delta = max(float(np.max(np.abs(v2 - v))), float(np.max(np.abs(u2 - u))))
         # two-step change; near zero while delta stays large means a
         # period-2 oscillation from equal-modulus eigenvalues
         delta2 = max(float(np.max(np.abs(v2 - v_prev))), float(np.max(np.abs(u2 - u_prev))))
         v_prev, u_prev = v, u
-        v, u = v2, u2
+        v, u, mv = v2, u2, mv2
         if delta < tol:
             psi = v / np.max(v)
             res = _residual(M, lam, u, psi)

@@ -54,8 +54,8 @@ class StripModel:
     columns: list
     graph: spec.WeightedGraph
     eigs: spec.EigenSystem
-    coder: spec.MarkovCoder
-    index: dict = field(repr=False, default=None)
+    # the columns' sorted integer codes (`lat._column_levels`)
+    codes: np.ndarray = field(repr=False)
     _tables: dict = field(repr=False, default=None)
 
     @property
@@ -65,7 +65,10 @@ class StripModel:
 
     @property
     def zero_state(self) -> int:
-        return self.index[(self.model.alphabet[0],) * self.n]
+        """The all-alphabet[0] column: code 0, first in code order."""
+        if self.codes[0]:
+            raise ValueError("the all-zero column is not valid")
+        return 0
 
     @property
     def degenerate_cyclic(self) -> bool:
@@ -88,29 +91,56 @@ def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero") -> Stri
         raise TooWide("patterns spanning more than two columns "
                       "need a blocked alphabet")
     try:
-        states = lat.valid_columns(model, n, cyclic, MAX_STATES)
+        codes = lat._column_levels(model, n, cyclic, MAX_STATES)[n]
     except lat.TooLarge as e:
         raise TooWide(str(e)) from None
-    if not len(states):
+    if not len(codes):
         raise spec.EmptyModel("no valid columns")
+    states = lat._column_symbols(model, n, codes)
     graph = spec.build_from_constraints(
         lat.column_compat(model, n, cyclic, states, states))
     cols = [tuple(c) for c in states.tolist()]
-    eigs = spec.dominant_eigs(graph)
-    coder = spec.merw_coder(graph, eigs)
-    return StripModel(model, n, boundary, cols, graph, eigs, coder,
-                      index={c: i for i, c in enumerate(cols)}, _tables={})
+    return StripModel(model, n, boundary, cols, graph,
+                      spec.dominant_eigs(graph), codes, _tables={})
 
 
 def strip_capacity(model: lat.LatticeModel, n: int, boundary: str = "zero") -> float:
     return strip_model(model, n, boundary).capacity
 
 
-def _suffix_trie(strip: StripModel, u: int):
-    """W[j][prefix] = total eigenvector weight of columns compatible with
-    the previous column u whose first j entries equal the prefix."""
-    psi = strip.eigs.right
-    W = strip.graph.weights
+def _walk_table(strip: StripModel, u: int, precision: int) -> tuple:
+    """(laws, nexts) of the column after state u, compiled once per
+    (state, precision).  A prefix's node is its binary-heap code (root 1,
+    child 2·node + b): laws[node] is its quantised one-law m, and
+    nexts[code] is the state of the full column with that code.
+    Unreachable entries are None."""
+    table = strip._tables.get((u, precision))
+    if table is None:
+        n, l = strip.n, 1 << precision
+        succ = strip.graph.weights[u] != 0
+        psi = strip.eigs.right * succ
+        # weight[node]: psi summed over u's successors below that node;
+        # bincount adds in state order, which fixes the laws' last bits
+        weight = np.concatenate([[0.0]] + [
+            np.bincount(strip.codes >> (n - j), psi, minlength=1 << j)
+            for j in range(n + 1)]).tolist()
+        laws = [None] + [_quantize(w1 / (w0 + w1), l) if w0 + w1 > 0 else None
+                         for w0, w1 in zip(weight[2::2], weight[3::2])]
+        nexts = [None] * (1 << n)
+        for v in np.flatnonzero(succ).tolist():
+            nexts[int(strip.codes[v])] = v
+        table = strip._tables[(u, precision)] = laws, nexts
+    return table
+
+
+def conditional_tables(strip: StripModel, u: int) -> dict:
+    """Per-node conditional laws q_j(b | prefix) for columns following
+    state u; chaining them over a full column reproduces the transition
+    row S[u, .] of the entropy-maximizing coder.  The reference for the
+    compiled walk tables, summed over a dict suffix trie of the columns;
+    each law divides by the sum of its children, as the tables do."""
+    psi, W = strip.eigs.right, strip.graph.weights
+    # levels[j][prefix]: psi summed over u's successors with that prefix
     levels = [dict() for _ in range(strip.n + 1)]
     for v, col in enumerate(strip.columns):
         if W[u, v] == 0:
@@ -119,56 +149,24 @@ def _suffix_trie(strip: StripModel, u: int):
         for j in range(strip.n + 1):
             key = col[:j]
             levels[j][key] = levels[j].get(key, 0.0) + w
-    return levels
-
-
-def _walk_table(strip: StripModel, u: int, precision: int) -> tuple:
-    """(laws, nexts) of the column after state u, compiled once per
-    (state, precision).  A prefix's node is its binary-heap code (root 1,
-    child 2·node + b): laws[node] is its quantised one-law m, and
-    nexts[node - 2^n] is the state of a full column.  Unreachable entries
-    are None."""
-    table = strip._tables.get((u, precision))
-    if table is None:
-        levels, n, l = _suffix_trie(strip, u), strip.n, 1 << precision
-        laws, nexts = [None] * (1 << n), [None] * (1 << n)
-        for j in range(n):
-            for prefix in levels[j]:
-                w0 = levels[j + 1].get(prefix + (0,), 0.0)
-                w1 = levels[j + 1].get(prefix + (1,), 0.0)
-                laws[_heap_code(prefix)] = _quantize(w1 / (w0 + w1), l)
-        for col in levels[n]:
-            nexts[_heap_code(col) - (1 << n)] = strip.index[col]
-        table = strip._tables[(u, precision)] = laws, nexts
-    return table
-
-
-def _heap_code(prefix: tuple) -> int:
-    node = 1
-    for b in prefix:
-        node = 2 * node + b
-    return node
-
-
-def conditional_tables(strip: StripModel, u: int) -> dict:
-    """Per-node conditional laws q_j(b | prefix) for columns following
-    state u; chaining them over a full column reproduces the transition
-    row S[u, .] of the entropy-maximizing coder."""
-    levels = _suffix_trie(strip, u)
     out = {}
     for j in range(strip.n):
         for prefix, wp in levels[j].items():
             if wp <= 0:
                 continue
-            out[(j, prefix)] = {
-                b: levels[j + 1].get(prefix + (b,), 0.0) / wp
-                for b in strip.model.alphabet}
+            child = {b: levels[j + 1].get(prefix + (b,), 0.0)
+                     for b in strip.model.alphabet}
+            total = sum(child.values())
+            out[(j, prefix)] = {b: w / total for b, w in child.items()}
     return out
 
 
 def first_column_rule(strip: StripModel) -> np.ndarray:
-    """Column distribution with a virtual all-zero previous column."""
-    return strip.coder.transition[strip.zero_state].copy()
+    """Column distribution with a virtual all-zero previous column: row a
+    of the entropy-maximizing chain, M_ab psi_b / (M psi)_a as in
+    `spectral.merw_coder`."""
+    M, psi, a = strip.graph.weights, strip.eigs.right, strip.zero_state
+    return M[a] * psi / (M @ psi)[a]
 
 
 @dataclass
@@ -309,12 +307,10 @@ class LatticeCodec:
         strip = self.strip
         grid = np.asarray(grid)
         _check_height(grid, strip.n)
-        # each column's state by its binary code, then every column pair
-        bit = 1 << np.arange(strip.n - 1, -1, -1, dtype=np.int64)
-        codes = np.array(strip.columns, dtype=np.int64) @ bit
-        by_code = np.argsort(codes)
-        got = bit @ (grid == 1)
-        v = by_code[np.searchsorted(codes[by_code], got).clip(max=len(codes) - 1)]
+        # each column's state by its code, then every column pair
+        codes = strip.codes
+        got = (1 << np.arange(strip.n - 1, -1, -1, dtype=np.int64)) @ (grid == 1)
+        v = np.searchsorted(codes, got).clip(max=len(codes) - 1)
         ok = ((grid == 0) | (grid == 1)).all(axis=0) & (codes[v] == got)
         ok &= strip.graph.weights[np.append(strip.zero_state, v[:-1]), v] != 0
         if not ok.all():

@@ -282,15 +282,32 @@ def test_sample_describe_pipeline(tmp_path):
     assert "p[0,0;1,0][11] = 0" in out
 
 
-@pytest.mark.parametrize("flags", [["--rows", "0"], ["--rows", "-1"],
-                                   ["--cols", "0"], ["--samples", "0"],
-                                   ["--samples", "-2"], ["--warmup", "-1"],
-                                   ["--spacing", "-1"]])
+_SAMPLE = ["sample", "--cols", "4"]
+
+
+# every subcommand checks its size flags the way `sample` does; the last
+# flag of each argv is the bad one
+@pytest.mark.parametrize("flags", [
+    _SAMPLE + ["--rows", "0"], _SAMPLE + ["--rows", "-1"],
+    _SAMPLE + ["--cols", "0"], _SAMPLE + ["--samples", "0"],
+    _SAMPLE + ["--samples", "-2"], _SAMPLE + ["--warmup", "-1"],
+    _SAMPLE + ["--spacing", "-1"],
+    ["strip", "evaluate", "--columns", "0"],
+    ["strip", "evaluate", "--trials", "0"],
+    ["strip", "build", "--width", "0"],
+    ["describe", "--exact", "--rows", "0"],
+    ["describe", "--exact", "--cols", "0"],
+    ["algo1", "rate", "--side", "16", "--trials", "0"],
+    ["algo1", "rate", "--side", "0"],
+    ["algo1", "encode", "--in", "x", "--rows", "0"],
+    ["algo2", "--side", "50", "--trials", "1", "--bins", "0"],
+    ["algo2", "--trials", "0"],
+    ["capacity", "--width", "-1"]])
 def test_sample_rejects_bad_sizes(flags):
-    rc, out, err = run(["sample", "--cols", "4"] + flags)
+    rc, out, err = run(flags)
     assert rc == 2
     assert out == ""
-    assert err.splitlines()[-1].startswith("usage error: " + flags[0])
+    assert err.splitlines()[-1].startswith("usage error: " + flags[-2])
 
 
 def test_sample_exact_or_chain():

@@ -111,6 +111,14 @@ def test_entropy_estimate():
     assert abs(L.entropy_estimate(4, HS) - math.log2(1234) / 16) < 1e-12
 
 
+def test_empty_region_has_one_valuation():
+    for model in (HS, L.kmodel(2)):
+        for method in ("auto", "backtracking"):
+            assert L.count(frozenset(), model, method=method) == 1
+    with pytest.raises(ValueError, match="side must be positive"):
+        L.entropy_estimate(0, HS)
+
+
 def test_work_guard():
     with pytest.raises(L.TooLarge):
         L.count(L.rect(6, 6), L.unconstrained(), method="backtracking")
@@ -416,7 +424,7 @@ DIAG = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 1), 1)),
 def test_broken_line_step_equals_dense_transfer(model):
     rng = np.random.default_rng(4)
     for n in range(1, 9):
-        codes = L._column_codes(model, n)
+        codes = L._column_levels(model, n, False)
         cols = L.valid_columns(model, n, False)
         assert (codes[n] == cols @ (1 << np.arange(n - 1, -1, -1))).all()
         w = rng.random(len(cols))

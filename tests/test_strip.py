@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from latticecode import ans
 from latticecode import lattice as lat
+from latticecode import spectral as sp
 from latticecode import strip as st
 from latticecode.ans import CapacityExceeded, CorruptStream
 from latticecode.rng import SplitMix64
@@ -21,7 +23,7 @@ def test_width1_is_fibonacci():
     phi = (1 + math.sqrt(5)) / 2
     assert abs(s.eigs.value - phi) < 1e-12
     assert abs(s.capacity - math.log2(phi)) < 1e-12
-    S = s.coder.transition
+    S = sp.merw_coder(s.graph, s.eigs).transition
     assert abs(S[0, 0] - 1 / phi) < 1e-12
     assert abs(S[0, 1] - 1 / phi ** 2) < 1e-12
     assert S[1, 0] == 1.0 and S[1, 1] == 0.0
@@ -96,6 +98,10 @@ def test_column_engine_against_independent_code(case):
         two = lat.count(lat.rect(n, 2), MIXED, method="backtracking")
         assert len(s.columns) == one
         assert int(np.count_nonzero(s.graph.weights)) == two
+        # in itertools.product order, each column checked on its own
+        assert s.columns == [c for c in product(MIXED.alphabet, repeat=n)
+                             if lat.count(lat.rect(n, 1), MIXED, {
+                                 (i, 0): x for i, x in enumerate(c)})]
 
 
 def test_state_guards(monkeypatch):
@@ -114,7 +120,7 @@ def test_state_guards(monkeypatch):
 
 def test_conditional_chaining():
     s = st.strip_model(HS, 4, "zero")
-    S = s.coder.transition
+    S = sp.merw_coder(s.graph, s.eigs).transition
     for u in range(len(s.columns)):
         tab = st.conditional_tables(s, u)
         for v, col in enumerate(s.columns):
@@ -138,7 +144,7 @@ def test_compiled_walk_tables_match_conditional_tables(boundary):
         for u in range(len(s.columns)):
             tab = st.conditional_tables(s, u)
             succ = [v for v in range(len(s.columns)) if s.graph.weights[u, v]]
-            for R in (4, 16):
+            for R in (4, 16, 64):
                 laws, nexts = st._walk_table(s, u, R)
                 want = [None] * (1 << n)
                 for (j, prefix), q in tab.items():
@@ -148,7 +154,7 @@ def test_compiled_walk_tables_match_conditional_tables(boundary):
                 want = [None] * (1 << n)
                 for v in succ:
                     col = s.columns[v]
-                    want[int("".join(map(str, col)), 2)] = s.index[col]
+                    want[int("".join(map(str, col)), 2)] = v
                 assert nexts == want, (n, u, R)
 
 
@@ -162,7 +168,7 @@ def test_first_column_frequencies():
     for _ in range(trials):
         bits = [rng.randbelow(2) for _ in range(40)]
         res = codec.encode(bits, 1, partial=True)
-        counts[s.index[tuple(int(x) for x in res.grid[:, 0])]] += 1
+        counts[s.columns.index(tuple(int(x) for x in res.grid[:, 0]))] += 1
     freq = counts / trials
     sigma = np.sqrt(fc * (1 - fc) / trials)
     assert (np.abs(freq - fc) < 3 * sigma).all()
@@ -222,7 +228,7 @@ def test_parallel_rate_matches_serial():
 
 def test_bulk_density_matches_stationary():
     s = st.strip_model(HS, 6, "zero")
-    pi = s.coder.stationary
+    pi = sp.merw_coder(s.graph, s.eigs).stationary
     target = float(pi @ np.array([sum(c) for c in s.columns])) / 6
     codec = st.LatticeCodec(s)
     rng = SplitMix64(22)
