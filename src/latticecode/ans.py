@@ -179,9 +179,14 @@ _SHUFFLE_CHUNK = 1 << 16
 
 
 def ans_build_table(qs: Sequence[float], l: int, b: int = 2, key: int = 0) -> AnsTable:
+    """Keyed pseudo-random table over the largest-remainder slot counts of
+    the probabilities qs (`_keyed_table`)."""
+    return _keyed_table(largest_remainder(l, qs), l, b, key)
+
+
+def _keyed_table(l_s: Sequence[int], l: int, b: int, key: int) -> AnsTable:
     """Keyed pseudo-random table: pool of (b-1) l_s copies per symbol,
     consumed by the pinned splitmix64 stream in state order x = l .. bl-1."""
-    l_s = largest_remainder(l, qs)
     pool: list[int] = []
     for s, ls in enumerate(l_s):
         pool.extend([s] * ((b - 1) * ls))
@@ -324,14 +329,12 @@ def forbidden_symbol_wrap(qs: Sequence[float], eps: Fraction) -> list[Fraction]:
 
 
 def ans_stream_decode_checked(digits: Sequence[int], table: AnsTable, final_x: int,
-                              forbidden: int, count: Optional[int] = None,
-                              consumed_at: Optional[list] = None
+                              forbidden: int, count: Optional[int] = None
                               ) -> tuple[list[int], Optional[ErrorDetected]]:
     """Decode, flagging the first occurrence of the forbidden symbol.
 
     Digit exhaustion mid-stream is also treated as a detection at the
-    current position rather than an exception.  When consumed_at is given
-    it receives, per emitted symbol, the digit count consumed before it.
+    current position rather than an exception.
     """
     l, b = table.l, table.b
     if not l <= final_x < b * l:
@@ -351,8 +354,6 @@ def ans_stream_decode_checked(digits: Sequence[int], table: AnsTable, final_x: i
         s = dec_sym[i]
         if s == forbidden:
             return out, ErrorDetected(len(out))
-        if consumed_at is not None:
-            consumed_at.append(pos)
         out.append(s)
         x = dec_xs[i]
         while x < l:
@@ -389,8 +390,10 @@ def pack_container(table: AnsTable, final_x: int, digits: Sequence[int]) -> byte
     return bytes(head) + np.packbits(bits, bitorder="little").tobytes()
 
 
-def unpack_container(blob: bytes) -> tuple[AnsTable, int, list[int]]:
-    """Inverse of pack_container; rebuilds the table from l_s and key."""
+def unpack_container(blob: bytes, table: Optional[AnsTable] = None
+                     ) -> tuple[AnsTable, int, list[int]]:
+    """Inverse of pack_container; the table is rebuilt from l_s and key,
+    or is `table`, whose w, R, l_s and key the header must repeat."""
     if blob[:4] != _MAGIC:
         raise CorruptStream("bad magic")
     try:
@@ -412,12 +415,12 @@ def unpack_container(blob: bytes) -> tuple[AnsTable, int, list[int]]:
         raise CorruptStream("truncated payload")
     l = 1 << r
     b = 1 << w
-    if sum(l_s) != l:
-        raise CorruptStream("slot counts do not sum to the interval size")
-    qs = [Fraction(ls, l) for ls in l_s]
-    table = ans_build_table(qs, l, b, key)
-    if table.l_s != l_s:
-        raise CorruptStream("slot counts do not rebuild")
+    if table is None:
+        if sum(l_s) != l:
+            raise CorruptStream("slot counts do not sum to the interval size")
+        table = _keyed_table(l_s, l, b, key)
+    elif (l, b, l_s, key) != (table.l, table.b, table.l_s, table.key):
+        raise CorruptStream("container header does not match the table")
     payload = np.frombuffer(blob, dtype=np.uint8, offset=off)
     digits = []
     # a chunk is a multiple of 8 digits, so it starts on a byte boundary

@@ -117,9 +117,7 @@ def cmd_capacity(args) -> int:
     if model.dimension == 1:
         if args.width:
             raise UsageError("--width applies to 2-d models only")
-        graph = spec.block_symbols(
-            model.alphabet, max(1, model.constraint_range),
-            lambda w: not lat.scan(np.array(w, dtype=int), model))
+        graph = spec.build_from_constraints(lat.window_graph(model))
         print("capacity %.6f" % math.log2(spec.dominant_eigs(graph).value))
         return 0
     if not args.width:
@@ -175,8 +173,8 @@ def _code_file(args, qs, digit_bits: int, read, write,
         blob = ans.pack_container(table, x, digits)
         Path(args.out).write_bytes(blob)
         if args.verify:
-            t2, x2, d2 = ans.unpack_container(blob)
-            if write(ans.ans_stream_decode(d2, t2, x2)) != data:
+            _, x2, d2 = ans.unpack_container(blob, table)
+            if write(ans.ans_stream_decode(d2, table, x2)) != data:
                 raise ans.CorruptStream("verification reread mismatch")
         print("symbols %d" % len(syms))
         print("stored_bits %d" % ans.stream_bits(len(digits), table))
@@ -302,7 +300,7 @@ def cmd_strip(args) -> int:
         bits = _bits_from_bytes(Path(args.infile).read_bytes())
         res = codec.encode(bits, args.columns)
         text = st.encode_to_text(strip, res, len(bits), args.precision)
-        if args.verify and st.decode_text(text) != bits:
+        if args.verify and st.decode_text(text, codec) != bits:
             raise ans.CorruptStream("verification reread mismatch")
         _emit(args, text)
         print("consumed %d" % res.consumed, file=sys.stderr)
@@ -361,16 +359,23 @@ def cmd_algo1(args) -> int:
                                     args.precision)
         head = ("algo1 q=%r R=%d x=%d bits=%d"
                 % (args.q, args.precision, res.final_state, len(bits)))
-        _emit(args, head + "\n" + lat.save_grid(res.grid))
+        text = head + "\n" + lat.save_grid(res.grid)
+        if args.verify and _algo1_decode_text(text) != bits:
+            raise ans.CorruptStream("verification reread mismatch")
+        _emit(args, text)
         return 0
     if not args.infile or not args.out:
         raise UsageError("decode needs --in and --out")
-    meta, grid = st.parse_encoded(_read_text(args.infile), "algo1",
-                                  ("q", "R", "x", "bits"))
-    bits = exp.algorithm1_decode(grid, float(meta["q"]), int(meta["x"]),
-                                 int(meta["bits"]), int(meta["R"]))
+    bits = _algo1_decode_text(_read_text(args.infile))
     Path(args.out).write_bytes(_bytes_from_bits(bits))
     return 0
+
+
+def _algo1_decode_text(text: str) -> list:
+    """Payload bits of an algo1 encoded-lattice file."""
+    meta, grid = st.parse_encoded(text, "algo1", ("q", "R", "x", "bits"))
+    return exp.algorithm1_decode(grid, float(meta["q"]), int(meta["x"]),
+                                 int(meta["bits"]), int(meta["R"]))
 
 
 def cmd_algo2(args) -> int:

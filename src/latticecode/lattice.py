@@ -18,8 +18,9 @@ boundary applied, to the backtracking counter, the pLOC check and the
 chain, which compiles each node's placements once before its first move.
 The module also owns the column transfer engine (`_column_levels`, one
 integer code per valid column; `valid_columns`, `column_compat`) that the
-strip decomposition, the rectangle DP, the bound fast path and, in its
-cell-by-cell (broken-line) form, the exact sampler share.
+strip decomposition, the rectangle DP, the bound fast path and the exact
+sampler (its pair rule, and a cell-by-cell broken-line form) share; read
+on single columns it gives a 1-d model's window graph (`window_graph`).
 
 Boundary modes for finite regions:
 
@@ -39,6 +40,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .rng import SplitMix64
+from .spectral import EmptyModel
 
 # bits/node of the hard-square model, the reference constant for every
 # capacity comparison in this package
@@ -414,6 +416,34 @@ def column_compat(model, n, cyclic, left, right) -> np.ndarray:
         if rcells:
             bad |= _hits(left, lcells)[:, None] & _hits(right, rcells)[None, :]
     return ~bad
+
+
+def window_graph(model) -> np.ndarray:
+    """Boolean transfer graph of a 1-d model over its valid l-windows,
+    l = max(1, constraint range), trimmed of windows with no live
+    predecessor or successor.  Read as single columns (`_column_levels`),
+    each valid (l+1)-window code c is the edge c // |A| -> c mod |A|^l."""
+    if model.dimension != 1:
+        raise ValueError("window graphs need a 1-d model")
+    l = max(1, model.constraint_range)
+    column = LatticeModel(2, model.alphabet, tuple(
+        {(i, 0): s for (i,), s in pat} for pat in model.forbidden))
+    levels = _column_levels(column, l + 1, False)
+    nodes, a = levels[l], len(model.alphabet)
+    if not len(nodes):
+        raise EmptyModel("no valid window of length %d" % l)
+    adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    adj[np.searchsorted(nodes, levels[l + 1] // a),
+        np.searchsorted(nodes, levels[l + 1] % a ** l)] = True
+    alive = np.ones(len(nodes), dtype=bool)
+    while True:
+        live = adj[alive][:, alive]
+        keep = live.any(axis=0) & live.any(axis=1)
+        if keep.all():
+            return live
+        alive[alive] = keep
+        if not alive.any():
+            raise EmptyModel("every window is transient")
 
 
 def _rect_dp_count(row0, col0, rows, cols, model, ctx) -> Optional[int]:
@@ -1025,17 +1055,13 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
         w = _column_step(weights[-1], steps)
         weights.append(w / w.max())
     weights.reverse()
-    # blocked[i]: columns that translate i forbids after a column holding
-    # all of its left cells
-    pairs = [(left, right) for left, right in _column_translates(model, rows, False)
-             if right]
-    need = np.array([sum(1 << (rows - 1 - r) for r in left) for left, _ in pairs],
-                    dtype=np.int64)
-    blocked = np.zeros((len(pairs), len(states)), dtype=bool)
-    for i, (_, right) in enumerate(pairs):
-        m = sum(1 << (rows - 1 - r) for r in right)
-        blocked[i] = (states & m) == m
-    shifts = np.arange(rows - 1, -1, -1)
+    # the pair rule: two-column translate i forbids the columns blocked[i]
+    # after a column k with holds[i, k]
+    symbols = _column_symbols(model, rows, states)
+    holds, blocked = np.array(
+        [[_hits(symbols, side) for side in sides]
+         for sides in _column_translates(model, rows, False) if sides[1]],
+        dtype=bool).reshape(-1, 2, len(states)).transpose(1, 0, 2)
     rng = SplitMix64(seed)
     out = []
     for _ in range(samples):
@@ -1043,14 +1069,12 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
         p = weights[0]
         for j in range(cols):
             if j:
-                prev = states[k]
-                p = np.where(blocked[(prev & need) == need].any(axis=0),
-                             0.0, weights[j])
+                p = np.where(blocked[holds[:, k]].any(axis=0), 0.0, weights[j])
             cum = np.cumsum(p)
             k = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
             if k == len(p):  # u * total rounded up to total
                 k = int(np.flatnonzero(p)[-1])
-            grid[:, j] = (states[k] >> shifts) & 1
+            grid[:, j] = symbols[k]
         out.append(grid)
     return out
 

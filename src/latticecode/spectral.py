@@ -84,49 +84,6 @@ def build_from_constraints(allowed) -> WeightedGraph:
     return WeightedGraph(np.asarray(allowed, dtype=float))
 
 
-def block_symbols(alphabet: Sequence, l: int, window_ok: Callable[[tuple], bool]) -> WeightedGraph:
-    """Blocked graph over valid l-symbol windows.
-
-    `window_ok` must accept any window of length up to l+1 and decide
-    whether it is consistent with the constraints.  Nodes are the valid
-    l-windows; an edge joins v -> w when they overlap in l-1 symbols and
-    the combined (l+1)-window is consistent.  Windows that cannot occur in
-    a bi-infinite sequence (no predecessor or no successor) are trimmed.
-    """
-    if l < 1:
-        raise ValueError("window length must be >= 1")
-    from itertools import product
-
-    nodes = [w for w in product(alphabet, repeat=l) if window_ok(w)]
-    if not nodes:
-        raise EmptyModel("no valid window of length %d" % l)
-    idx = {w: i for i, w in enumerate(nodes)}
-    edges: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
-    for v in nodes:
-        for c in alphabet:
-            w = v[1:] + (c,)
-            if w in idx and window_ok(v + (c,)):
-                edges[idx[v]].append(idx[w])
-    alive = set(range(len(nodes)))
-    while True:
-        has_in = {j for i in alive for j in edges[i] if j in alive}
-        keep = {i for i in alive if i in has_in and any(j in alive for j in edges[i])}
-        if keep == alive:
-            break
-        alive = keep
-        if not alive:
-            raise EmptyModel("every window is transient")
-    order = sorted(alive)
-    remap = {old: new for new, old in enumerate(order)}
-    n = len(order)
-    w = np.zeros((n, n))
-    for i in order:
-        for j in edges[i]:
-            if j in alive:
-                w[remap[i], remap[j]] = 1.0
-    return WeightedGraph(w)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Dominant eigenvalue with left/right eigenvectors.

@@ -16,10 +16,9 @@ quantization, not per-node rounding to whole bits).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -352,17 +351,23 @@ def parse_encoded(text: str, kind: str = "strip",
     return meta, np.atleast_2d(grid)
 
 
-def decode_text(text: str) -> list:
+def decode_text(text: str, codec: Optional[LatticeCodec] = None) -> list:
+    """Payload bits of an encoded-lattice file, decoded with the strip its
+    header names, or with `codec`, whose settings the header must repeat."""
     meta, grid = parse_encoded(text)
-    try:
-        model = lat.model_preset(meta["model"])
-    except ValueError as e:
-        raise ConfigMismatch(str(e))
-    n = int(meta["n"])
-    # the grid in the file, not the header, decides how large a strip to build
-    _check_height(grid, n)
-    strip = strip_model(model, n, meta["boundary"])
-    codec = LatticeCodec(strip, int(meta["R"]))
+    if codec is None:
+        try:
+            model = lat.model_preset(meta["model"])
+        except ValueError as e:
+            raise ConfigMismatch(str(e))
+        n = int(meta["n"])
+        # the grid in the file, not the header, decides how large a strip to build
+        _check_height(grid, n)
+        codec = LatticeCodec(strip_model(model, n, meta["boundary"]), int(meta["R"]))
+    elif [meta[k] for k in ("model", "n", "boundary", "R")] != [
+            codec.strip.model.name or "custom", str(codec.strip.n),
+            codec.strip.boundary, str(codec.precision)]:
+        raise ConfigMismatch("header does not match the codec")
     return codec.decode(grid, int(meta["x"]), int(meta["bits"]))
 
 
@@ -420,6 +425,9 @@ def _rate_trial(args):
 def _map_trials(fn, args, jobs: int) -> list:
     """fn over args, in `jobs` worker processes when jobs > 1, sorted."""
     if jobs > 1:
+        # imported here: it pulls in multiprocessing, which only jobs > 1 needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return sorted(pool.map(fn, args))
     return sorted(map(fn, args))

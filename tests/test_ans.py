@@ -258,9 +258,14 @@ def test_forbidden_detection_gap():
     t = ans.ans_build_table(w, 1 << 12, 2, key=9)
     msg = sample_symbols([0.25, 0.75], 4000, seed=22)
     d, fx = ans.ans_stream_encode(msg, t)
-    consumed = []
-    out, err = ans.ans_stream_decode_checked(d, t, fx, forbidden=2, consumed_at=consumed)
+    out, err = ans.ans_stream_decode_checked(d, t, fx, forbidden=2)
     assert err is None
+    # per symbol, the digits the reference decoder consumed before it
+    ref = ans.StreamState(t, fx, d)
+    consumed = []
+    for _ in msg:
+        consumed.append(len(d) - len(ref.digits))
+        ref.pop()
     rng = SplitMix64(derive(40, 1))
     hits = 0
     for _ in range(1000):
@@ -305,6 +310,21 @@ def test_container_roundtrip():
         ans.unpack_container(b"XXXX" + blob[4:])
     with pytest.raises(ans.CorruptStream):
         ans.unpack_container(blob[:-1])
+
+
+def test_container_reread_with_its_table():
+    t = ans.ans_build_table([0.25, 0.75], 1 << 8, 4, key=5)
+    msg = sample_symbols([0.25, 0.75], 500, seed=31)
+    d, fx = ans.ans_stream_encode(msg, t)
+    blob = ans.pack_container(t, fx, d)
+    t2, fx2, d2 = ans.unpack_container(blob, t)
+    assert t2 is t and (fx2, d2) == (fx, d)
+    for other in (ans.ans_build_table([0.25, 0.75], 1 << 8, 4, key=6),
+                  ans.ans_build_table([0.25, 0.75], 1 << 8, 2, key=5),
+                  ans.ans_build_table([0.25, 0.75], 1 << 9, 4, key=5),
+                  ans.ans_build_table([0.5, 0.5], 1 << 8, 4, key=5)):
+        with pytest.raises(ans.CorruptStream, match="does not match the table"):
+            ans.unpack_container(blob, other)
 
 
 def test_container_header_layout():

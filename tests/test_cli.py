@@ -1,15 +1,19 @@
 import contextlib
 import hashlib
 import io
+import os
 import resource
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticecode
 from latticecode import ans
+from latticecode import experiments as exp
 from latticecode import strip as st
 from latticecode.cli import main
 from latticecode.rng import SplitMix64
@@ -448,17 +452,109 @@ def test_decode_builds_only_the_container_table(tmp_path, monkeypatch, cmd,
                                               str(enc)])
     assert rc == 0
     built = []
-    real = ans.ans_build_table
+    real = ans.AnsTable.__init__
+
+    def counting(self, *a, **k):
+        built.append(a)
+        real(self, *a, **k)
+
+    monkeypatch.setattr(ans.AnsTable, "__init__", counting)
+    rc, _, _ = run([cmd, "decode"] + flags + ["--in", str(enc), "--out",
+                                              str(dec)])
+    assert rc == 0 and dec.read_bytes() == src.read_bytes()
+    assert len(built) == 1   # unpack_container rebuilding the stored table
+
+
+def test_ans_encode_verify_builds_one_table(tmp_path, monkeypatch):
+    src, enc, dec = tmp_path / "in", tmp_path / "enc", tmp_path / "dec"
+    src.write_bytes(bytes([0, 1, 2, 2, 1]) * 100)
+    flags = ["--probs", "1/2,1/4,1/4", "--digit-bits", "8", "--precision", "6"]
+    built = []
+    real = ans.AnsTable.__init__
+
+    def counting(self, *a, **k):
+        built.append(a)
+        real(self, *a, **k)
+
+    monkeypatch.setattr(ans.AnsTable, "__init__", counting)
+    rc, out, _ = run(["ans", "encode"] + flags + ["--in", str(src), "--out",
+                                                  str(enc), "--verify"])
+    assert rc == 0 and out.startswith("symbols 500\n")
+    assert len(built) == 1   # the reread decodes with the encoder's table
+    rc, _, _ = run(["ans", "decode"] + flags + ["--in", str(enc), "--out",
+                                                str(dec)])
+    assert rc == 0 and dec.read_bytes() == src.read_bytes()
+
+
+def test_zero_slot_count_is_one_error_line(tmp_path):
+    src, enc = tmp_path / "in", tmp_path / "enc"
+    src.write_bytes(bytes([0, 1, 2, 0]))
+    flags = ["--probs", "1/2,1/4,1/4", "--precision", "4"]
+    rc, _, _ = run(["ans", "encode"] + flags + ["--in", str(src), "--out",
+                                                str(enc)])
+    assert rc == 0
+    blob = bytearray(enc.read_bytes())
+    assert struct.unpack_from("<3I", blob, 9) == (8, 4, 4)
+    struct.pack_into("<3I", blob, 9, 12, 4, 0)  # still sums to l = 16
+    enc.write_bytes(bytes(blob))
+    rc, _, err = run(["ans", "decode"] + flags + ["--in", str(enc), "--out",
+                                                  str(tmp_path / "dec")])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: every symbol needs at least one slot"]
+
+
+def test_strip_encode_verify_builds_one_strip(tmp_path, monkeypatch):
+    src, latf = tmp_path / "pay", tmp_path / "s.lat"
+    src.write_bytes(rand_bytes(16, 3))
+    built = []
+    real = st.strip_model
 
     def counting(*a, **k):
         built.append(a)
         return real(*a, **k)
 
-    monkeypatch.setattr(ans, "ans_build_table", counting)
-    rc, _, _ = run([cmd, "decode"] + flags + ["--in", str(enc), "--out",
-                                              str(dec)])
-    assert rc == 0 and dec.read_bytes() == src.read_bytes()
-    assert len(built) == 1   # unpack_container rebuilding the stored table
+    monkeypatch.setattr(st, "strip_model", counting)
+    rc, _, _ = run(["strip", "encode", "--width", "6", "--columns", "64",
+                    "--in", str(src), "--out", str(latf), "--verify"])
+    assert rc == 0
+    assert len(built) == 1   # the reread decodes with the encoder's codec
+    assert st.decode_text(latf.read_text()) == list(np.unpackbits(
+        np.frombuffer(src.read_bytes(), dtype=np.uint8)))
+
+
+def test_algo1_encode_verify_rereads(tmp_path, monkeypatch):
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(16, 4))
+    argv = ["algo1", "encode", "--rows", "20", "--cols", "20", "--in", str(src),
+            "--verify", "--out"]
+    calls = []
+    real = exp.algorithm1_decode
+
+    def counting(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(exp, "algorithm1_decode", counting)
+    rc, _, _ = run(argv + [str(tmp_path / "a.lat")])
+    assert rc == 0 and len(calls) == 1
+    # a reread that disagrees with the payload is a data error
+    monkeypatch.setattr(exp, "algorithm1_decode", lambda *a, **k: [])
+    rc, _, err = run(argv + [str(tmp_path / "b.lat")])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: verification reread mismatch"]
+    assert not (tmp_path / "b.lat").exists()
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # the process pool is imported only when --jobs asks for workers
+    code = ("import sys, latticecode.cli; "
+            "print('multiprocessing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(latticecode.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert got.returncode == 0 and got.stdout == "False\n"
 
 
 @pytest.mark.parametrize("argv", [["strip", "encode", "--width", "4"],

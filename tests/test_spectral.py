@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from latticecode import lattice as L
 from latticecode import spectral as sp
 from latticecode.rng import SplitMix64
 
@@ -113,15 +114,8 @@ def test_reducible_exactly_when_oracle_says_so():
     assert min(seen.values()) >= 50
 
 
-def no111_ok(w):
-    for i in range(len(w) - 2):
-        if w[i] == w[i + 1] == w[i + 2] == 1:
-            return False
-    return True
-
-
-def test_block_symbols_no111():
-    g = sp.block_symbols([0, 1], 2, no111_ok)
+def test_window_graph_no111():
+    g = sp.build_from_constraints(L.window_graph(L.no111()))
     assert g.size == 4
     e = sp.dominant_eigs(g)
     # oracle: tribonacci growth x^3 = x^2 + x + 1
@@ -131,21 +125,9 @@ def test_block_symbols_no111():
     assert abs(math.log2(e.value) - 0.8791) < 1e-4
 
 
-def kmodel_window_ok(k):
-    def ok(w):
-        for i, v in enumerate(w):
-            if v == 1:
-                for j in range(i + 1, min(i + 1 + k, len(w))):
-                    if w[j] == 1:
-                        return False
-        return True
-
-    return ok
-
-
-def test_block_symbols_matches_direct_kmodel():
+def test_window_graph_matches_direct_kmodel():
     k = 2
-    blocked = sp.block_symbols([0, 1], k, kmodel_window_ok(k))
+    blocked = sp.build_from_constraints(L.window_graph(L.kmodel(k)))
     assert blocked.size == 3
     direct = sp.kmodel_graph(k)
     lb = sp.dominant_eigs(blocked).value
@@ -153,9 +135,51 @@ def test_block_symbols_matches_direct_kmodel():
     assert abs(lb - ld) < 1e-10
 
 
-def test_block_symbols_empty_model():
+def test_window_graph_empty_model():
+    model = L.LatticeModel(1, (0, 1), [{(0,): 0}, {(0,): 1}])
     with pytest.raises(sp.EmptyModel):
-        sp.block_symbols([0, 1], 2, lambda w: False)
+        L.window_graph(model)
+
+
+def brute_window_graph(model):
+    """Window graph by itertools.product, a scan per window and trimming
+    of windows with no live predecessor or successor."""
+    l = max(1, model.constraint_range)
+
+    def ok(w):
+        return not L.scan(np.array(w, dtype=int), model)
+
+    nodes = [w for w in product(model.alphabet, repeat=l) if ok(w)]
+    adj = np.array([[v[1:] == w[:-1] and ok(v + w[-1:]) for w in nodes]
+                    for v in nodes], dtype=bool)
+    alive = list(range(len(nodes)))
+    while True:
+        keep = [i for i in alive
+                if any(adj[j, i] for j in alive) and any(adj[i, j] for j in alive)]
+        if keep == alive:
+            return adj[np.ix_(alive, alive)], len(nodes)
+        alive = keep
+
+
+def test_window_graph_matches_brute_force():
+    M = L.LatticeModel
+    models = [L.no111(), L.unconstrained(1)] + [L.kmodel(k) for k in range(1, 7)]
+    models += [
+        M(1, (0, 1, 2), [{(0,): 0, (1,): 1, (2,): 2}, {(0,): 1, (2,): 0},
+                         {(0,): 2, (1,): 2}]),
+        # no window may end in 2 after another symbol: 2 is transient
+        M(1, (0, 1, 2), [{(0,): s, (1,): 2} for s in (0, 1, 2)]),
+    ]
+    trimmed = 0
+    for model in models:
+        want, windows = brute_window_graph(model)
+        got = L.window_graph(model)
+        assert got.dtype == bool and np.array_equal(got, want), model.name
+        trimmed += len(want) < windows
+    assert trimmed == 1
+    # forbidding 10 leaves 0 -> 1 one way only
+    with pytest.raises(sp.ReducibleGraph):
+        sp.build_from_constraints(L.window_graph(M(1, (0, 1), [{(0,): 1, (1,): 0}])))
 
 
 def test_kmodel_capacity_closed_forms():

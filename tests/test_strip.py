@@ -295,6 +295,13 @@ def test_encoded_text_container():
         st.decode_text("nope\n" + text.split("\n", 1)[1])
     with pytest.raises(st.ConfigMismatch):
         st.decode_text(text.replace("model=hard-square", "model=unknown"))
+    # a given codec decodes only a file whose header names it
+    assert st.decode_text(text, codec) == bits[:res.consumed]
+    for other in (st.LatticeCodec(s, 12),
+                  st.LatticeCodec(st.strip_model(HS, 5, "cyclic")),
+                  st.LatticeCodec(st.strip_model(HS, 6, "zero"))):
+        with pytest.raises(st.ConfigMismatch, match="header does not match"):
+            st.decode_text(text, other)
 
 
 def _random_laws(rng, R, count):
