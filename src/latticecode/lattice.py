@@ -656,21 +656,36 @@ def empirical_description(samples: Sequence[np.ndarray], shapes, alphabet=(0, 1)
     r1 = max(x[0] for x in allcells)
     c0 = min(x[1] for x in allcells)
     c1 = max(x[1] for x in allcells)
+    m = len(alphabet)
+    grids = []
+    for arr in samples:
+        arr = np.asarray(arr, dtype=np.int64)
+        rows, cols = arr.shape[0] - (r1 - r0), arr.shape[1] - (c1 - c0)
+        if rows > 0 and cols > 0:
+            # alphabet index of each cell, -1 where the symbol is foreign
+            idx = np.full(arr.shape, -1, dtype=np.int64)
+            for a, sym in enumerate(alphabet):
+                idx[arr == sym] = a
+            grids.append((idx, rows, cols))
+    if not grids:
+        raise ValueError("shapes do not fit inside the samples")
+    total = sum(rows * cols for _, rows, cols in grids)
     tables = {}
     for shape in shapes:
-        counts = {}
-        total = 0
-        for arr in samples:
-            arr = np.asarray(arr)
-            for i in range(-r0, arr.shape[0] - r1):
-                for j in range(-c0, arr.shape[1] - c1):
-                    key = tuple(int(arr[i + dr, j + dc]) for dr, dc in shape)
-                    counts[key] = counts.get(key, 0) + 1
-                    total += 1
-        if total == 0:
-            raise ValueError("shapes do not fit inside the samples")
-        tables[shape] = {a: counts.get(a, 0) / total
-                         for a in product(alphabet, repeat=len(shape))}
+        # a window's base-m code, first cell most significant: its index
+        # in product(alphabet); a window holding a foreign symbol counts
+        # in the total only
+        counts = np.zeros(m ** len(shape), dtype=np.int64)
+        for idx, rows, cols in grids:
+            code = np.zeros((rows, cols), dtype=np.int64)
+            foreign = np.zeros((rows, cols), dtype=bool)
+            for dr, dc in shape:
+                cell = idx[dr - r0:dr - r0 + rows, dc - c0:dc - c0 + cols]
+                code = code * m + cell
+                foreign |= cell < 0
+            counts += np.bincount(code[~foreign], minlength=len(counts))
+        tables[shape] = {a: c / total for a, c in
+                         zip(product(alphabet, repeat=len(shape)), counts.tolist())}
     return Description(tables, alphabet)
 
 

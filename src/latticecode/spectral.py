@@ -104,48 +104,48 @@ def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 *
     """Power iteration on M and its transpose, run simultaneously.
 
     Periodic graphs make plain iteration oscillate; that is detected from
-    the Rayleigh-quotient history and handled by averaging each iterate
-    with its predecessor (kills the equal-modulus rotated components).
+    the two-step change and handled by averaging each iterate with its
+    predecessor (kills the equal-modulus rotated components).
+
+    The right iterate v and the left iterate u are the rows of one (2, n)
+    array Z, so a step normalizes both and measures their change with one
+    call each; every entry sees the arithmetic it would see alone.
     """
     M = graph.weights
     MT = M.T.copy()
     n = graph.size
-    v = np.full(n, 1.0 / n)
-    u = np.full(n, 1.0 / n)
-    v_prev = v.copy()
-    u_prev = u.copy()
-    mv = M @ v  # each step's quotient product is the next step's M @ v
-    lam = float(u @ mv / (u @ v))
+    Z = Z_prev = np.full((2, n), 1.0 / n)
+    v, u = Z
+    P = np.empty((2, n))  # rows M @ v and M^T @ u before normalizing
+    Mv, MTu = P
+    np.matmul(M, v, out=Mv)  # each step's quotient product is the next step's M @ v
+    lam = float(u @ Mv / (u @ v))
     averaged = False
     it = 0
     while it < max_iter:
         it += 1
-        mu = MT @ u
+        np.matmul(MT, u, out=MTu)
         if averaged:
-            mv = mv + lam * v
-            mu = mu + lam * u
-        sv = mv.sum()
-        su = mu.sum()
-        if sv <= 0 or su <= 0:
+            P += lam * Z
+        s = P.sum(axis=1)
+        if s.min() <= 0:
             raise NoConvergence("iterate collapsed to zero")
-        v2 = mv / sv
-        u2 = mu / su
-        mv2 = M @ v2
-        lam = float(u2 @ mv2 / (u2 @ v2))
-        delta = max(float(np.max(np.abs(v2 - v))), float(np.max(np.abs(u2 - u))))
-        # two-step change; near zero while delta stays large means a
-        # period-2 oscillation from equal-modulus eigenvalues
-        delta2 = max(float(np.max(np.abs(v2 - v_prev))), float(np.max(np.abs(u2 - u_prev))))
-        v_prev, u_prev = v, u
-        v, u, mv = v2, u2, mv2
+        Z2 = P / s[:, None]
+        v, u = Z2
+        np.matmul(M, v, out=Mv)
+        lam = float(u @ Mv / (u @ v))
+        delta = abs(Z2 - Z).max()
         if delta < tol:
             psi = v / np.max(v)
             res = _residual(M, lam, u, psi)
             if res < 10 * tol:
                 phi = u / float(u @ psi)
                 return EigenSystem(lam, phi, psi, res, it)
-        elif not averaged and it >= 4 and delta2 < 1e-3 * delta:
+        elif not averaged and it >= 4 and abs(Z2 - Z_prev).max() < 1e-3 * delta:
+            # the two-step change is near zero while delta stays large: a
+            # period-2 oscillation from equal-modulus eigenvalues
             averaged = True
+        Z_prev, Z = Z, Z2
     raise NoConvergence("no convergence after %d iterations" % max_iter)
 
 

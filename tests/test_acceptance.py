@@ -102,7 +102,7 @@ def test_criterion_04_stream_roundtrip_and_rate():
         syms = [min(s, len(qs) - 1) for s in syms]
         t0 = time.time()
         digits, x = ans.ans_stream_encode(syms, table)
-        back = ans.ans_stream_decode(digits, table, x, count=len(syms))
+        back = ans.ans_stream_decode(digits, table, x)
         coding += time.time() - t0
         assert back == syms
         rate = ans.stream_bits(len(digits), table) / len(syms)

@@ -486,7 +486,7 @@ def test_ans_encode_verify_builds_one_table(tmp_path, monkeypatch):
     assert rc == 0 and dec.read_bytes() == src.read_bytes()
 
 
-def test_zero_slot_count_is_one_error_line(tmp_path):
+def test_zero_slot_count_is_one_error_line(tmp_path, monkeypatch):
     src, enc = tmp_path / "in", tmp_path / "enc"
     src.write_bytes(bytes([0, 1, 2, 0]))
     flags = ["--probs", "1/2,1/4,1/4", "--precision", "4"]
@@ -497,6 +497,12 @@ def test_zero_slot_count_is_one_error_line(tmp_path):
     assert struct.unpack_from("<3I", blob, 9) == (8, 4, 4)
     struct.pack_into("<3I", blob, 9, 12, 4, 0)  # still sums to l = 16
     enc.write_bytes(bytes(blob))
+
+    # the count is refused before the keyed shuffle draws anything
+    def no_draws(self, k):
+        raise AssertionError("the keyed shuffle ran")
+
+    monkeypatch.setattr(SplitMix64, "block", no_draws)
     rc, _, err = run(["ans", "decode"] + flags + ["--in", str(enc), "--out",
                                                   str(tmp_path / "dec")])
     assert rc == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -520,3 +521,51 @@ def test_grid_io():
         L.load_grid("2 2 2 01\n01\n0\n")
     with pytest.raises(ValueError, match="row 1 column 2 holds '2'"):
         L.load_grid("2 2 3 01\n010\n012\n")
+
+
+def brute_description_tables(samples, shapes, alphabet):
+    """Per-window count over the common placement window of all shapes."""
+    shapes = [tuple(sorted(map(tuple, s))) for s in shapes]
+    cells = [x for s in shapes for x in s]
+    r0, r1 = min(x[0] for x in cells), max(x[0] for x in cells)
+    c0, c1 = min(x[1] for x in cells), max(x[1] for x in cells)
+    tables = {}
+    for shape in shapes:
+        counts, total = {}, 0
+        for arr in samples:
+            for i in range(-r0, arr.shape[0] - r1):
+                for j in range(-c0, arr.shape[1] - c1):
+                    key = tuple(int(arr[i + dr, j + dc]) for dr, dc in shape)
+                    counts[key] = counts.get(key, 0) + 1
+                    total += 1
+        tables[shape] = {a: counts.get(a, 0) / total
+                         for a in itertools.product(alphabet, repeat=len(shape))}
+    return tables
+
+
+def test_empirical_description_matches_window_count():
+    rng = np.random.default_rng(31)
+    binary = [rng.integers(0, 2, size=(rng.integers(3, 9), rng.integers(3, 9)))
+              for _ in range(6)]
+    ternary = [rng.integers(0, 3, size=(7, 5)) for _ in range(3)]
+    foreign = [g.copy() for g in binary[:3]]
+    foreign[0][1, 2] = 5
+    foreign[2][0, :] = -1
+    cases = [
+        (binary, [[(0, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 0)]], (0, 1)),
+        (binary, [[(0, 0), (1, 1), (0, 1)], [(2, 0)]], (0, 1)),
+        (ternary, [[(0, 0), (0, 1)], [(0, 0), (1, 0), (1, 1)]], (0, 1, 2)),
+        (foreign, [[(0, 0)], [(0, 0), (1, 0)]], (0, 1)),
+        (binary, [[(0, 0), (-1, 1)], [(0, -2)], [(1, -1), (0, 0)]], (0, 1)),
+        # a sample too small for the shapes adds no window
+        (binary + [np.zeros((1, 9), dtype=int)], [[(0, 0), (1, 0)]], (0, 1)),
+    ]
+    for samples, shapes, alphabet in cases:
+        want = brute_description_tables(samples, shapes, alphabet)
+        got = L.empirical_description(samples, shapes, alphabet).tables
+        assert got == want
+        assert [list(t) for t in got.values()] == [list(t) for t in want.values()]
+    with pytest.raises(ValueError, match="do not fit"):
+        L.empirical_description([np.zeros((2, 5), dtype=int)], [[(0, 0), (2, 0)]])
+    with pytest.raises(ValueError, match="do not fit"):
+        L.empirical_description(binary, [[(0, 0), (0, 9)]])

@@ -334,3 +334,86 @@ def test_eigen_residual_invariant():
         assert e.residual < 1e-11
         assert np.all(e.right > 0) and np.all(e.left > 0)
         assert abs(float(e.left @ e.right) - 1.0) < 1e-12
+
+
+def reference_dominant_eigs(graph, tol=1e-12, max_iter=10 ** 6):
+    """The power iteration with separate right and left iterates, kept as
+    the oracle of `dominant_eigs`; also says whether it averaged."""
+    M = graph.weights
+    MT = M.T.copy()
+    n = graph.size
+    v = np.full(n, 1.0 / n)
+    u = np.full(n, 1.0 / n)
+    v_prev = v.copy()
+    u_prev = u.copy()
+    mv = M @ v  # each step's quotient product is the next step's M @ v
+    lam = float(u @ mv / (u @ v))
+    averaged = False
+    it = 0
+    while it < max_iter:
+        it += 1
+        mu = MT @ u
+        if averaged:
+            mv = mv + lam * v
+            mu = mu + lam * u
+        sv = mv.sum()
+        su = mu.sum()
+        if sv <= 0 or su <= 0:
+            raise sp.NoConvergence("iterate collapsed to zero")
+        v2 = mv / sv
+        u2 = mu / su
+        mv2 = M @ v2
+        lam = float(u2 @ mv2 / (u2 @ v2))
+        delta = max(float(np.max(np.abs(v2 - v))), float(np.max(np.abs(u2 - u))))
+        # two-step change; near zero while delta stays large means a
+        # period-2 oscillation from equal-modulus eigenvalues
+        delta2 = max(float(np.max(np.abs(v2 - v_prev))), float(np.max(np.abs(u2 - u_prev))))
+        v_prev, u_prev = v, u
+        v, u, mv = v2, u2, mv2
+        if delta < tol:
+            psi = v / np.max(v)
+            res = sp._residual(M, lam, u, psi)
+            if res < 10 * tol:
+                phi = u / float(u @ psi)
+                return sp.EigenSystem(lam, phi, psi, res, it), averaged
+        elif not averaged and it >= 4 and delta2 < 1e-3 * delta:
+            averaged = True
+    raise sp.NoConvergence("no convergence after %d iterations" % max_iter)
+
+
+PERIODIC = ([[0, 2], [1, 0]], [[0, 3, 1], [1, 0, 0], [2, 0, 0]],
+            [[0, 2], [8, 0]], [[0, 0, 1, 1], [0, 0, 1, 0], [1, 2, 0, 0],
+                               [3, 1, 0, 0]])
+
+
+def solver_cases():
+    from latticecode import strip as st
+    for k in range(13):
+        yield "k-model %d" % k, sp.kmodel_graph(k)
+    hs = L.hard_square()
+    for n in range(1, 17):
+        for boundary in ("zero", "cyclic"):
+            cyclic = boundary == "cyclic"
+            codes = L._column_levels(hs, n, cyclic, st.MAX_STATES)[n]
+            cols = L._column_symbols(hs, n, codes)
+            yield ("hard square %d %s" % (n, boundary),
+                   sp.build_from_constraints(L.column_compat(hs, n, cyclic, cols, cols)))
+    yield "merw 3-node", sp.WeightedGraph([[0, 1, 1], [1, 0, 1], [1, 1, 2]])
+    yield "no-111", sp.build_from_constraints(L.window_graph(L.no111()))
+    for w in PERIODIC:
+        yield "periodic %r" % (w,), sp.WeightedGraph(w)
+
+
+def test_dominant_eigs_bit_identical_to_reference():
+    averaged = set()
+    for name, g in solver_cases():
+        want, avg = reference_dominant_eigs(g)
+        got = sp.dominant_eigs(g)
+        assert got.value == want.value, name
+        assert got.residual == want.residual, name
+        assert got.iterations == want.iterations, name
+        assert np.array_equal(got.left, want.left), name
+        assert np.array_equal(got.right, want.right), name
+        if avg:
+            averaged.add(name)
+    assert {"periodic %r" % (w,) for w in PERIODIC} <= averaged
