@@ -283,7 +283,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_strip(args) -> int:
-    _check_sizes(args, width=1, columns=1, trials=1)
+    _check_sizes(args, width=1, columns=1, trials=1, jobs=1)
     model = lat.model_preset(args.model)
     if args.mode in ("build", "capacity"):
         strip = st.strip_model(model, args.width, args.boundary)
@@ -333,7 +333,7 @@ def cmd_strip(args) -> int:
 
 
 def cmd_algo1(args) -> int:
-    _check_sizes(args, side=1, rows=1, cols=1, trials=1)
+    _check_sizes(args, side=1, rows=1, cols=1, trials=1, jobs=1)
     if args.mode == "rate":
         if args.q is None:
             q, closed = exp.algorithm1_optimum()
@@ -379,31 +379,27 @@ def _algo1_decode_text(text: str) -> list:
 
 
 def cmd_algo2(args) -> int:
-    _check_sizes(args, side=1, trials=1, bins=1)
+    _check_sizes(args, side=1, trials=1, bins=1, jobs=1)
     profile = exp.DEFAULT_PROFILE
     if args.profile:
         try:
-            coeffs = tuple(float(x) for x in args.profile.split(","))
-        except ValueError:
-            raise UsageError("bad --profile %r" % args.profile)
-        profile = exp.ChargingProfile(coeffs)
+            profile = exp.ChargingProfile(
+                tuple(float(x) for x in args.profile.split(",")))
+        except ValueError as e:
+            raise UsageError("--profile %r: %s" % (args.profile, e)) from None
     rep = exp.algorithm2_simulate(args.side, trials=args.trials,
                                   profile=profile, seed=args.seed,
                                   bins=args.bins, jobs=args.jobs)
-    if args.format == "csv":
+    csv = args.format == "csv"
+    if csv:
         print("name,value,stderr")
-        for name in sorted(rep.scalars):
-            v, s = rep.scalars[name]
-            print("%s,%s,%s" % (name, _fmt(v), _fmt(s)))
-        for cname in sorted(rep.curves):
-            xs, ys = rep.curves[cname]
+    for name, (v, s) in sorted(rep.scalars.items()):
+        print(("%s,%s,%s" if csv else "%s = %s +- %s") % (name, _fmt(v), _fmt(s)))
+    if csv:
+        for cname, (xs, ys) in sorted(rep.curves.items()):
             print("curve,%s" % cname)
             for x, y in zip(xs, ys):
                 print("%s,%s" % (_fmt(x), _fmt(y)))
-    else:
-        for name in sorted(rep.scalars):
-            v, s = rep.scalars[name]
-            print("%s = %s +- %s" % (name, _fmt(v), _fmt(s)))
     return 0
 
 

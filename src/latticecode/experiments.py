@@ -19,7 +19,6 @@ the package and reports pass/fail per row.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -97,6 +96,13 @@ def _algorithm1_order(rows: int, cols: int) -> np.ndarray:
     return np.concatenate((np.flatnonzero(odd == 0), np.flatnonzero(odd)))
 
 
+def _around(op, pad):
+    """op over the four neighbours of each cell inside the border of pad."""
+    out = op(pad[:-2, 1:-1], pad[2:, 1:-1])
+    op(out, pad[1:-1, :-2], out=out)
+    return op(out, pad[1:-1, 2:], out=out)
+
+
 def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
                      precision: int, placed: list):
     """Laws of the two-pass writer: Bernoulli(q) on the even sublattice,
@@ -114,8 +120,7 @@ def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
         yield from repeat(_quantize(q, l), neven)
         even = np.zeros(rows * cols, dtype=bool)
         even[order[:neven]] = placed[:neven]
-        g = np.pad(even.reshape(rows, cols), 1)
-        blocked = g[:-2, 1:-1] | g[2:, 1:-1] | g[1:-1, :-2] | g[1:-1, 2:]
+        blocked = _around(np.logical_or, np.pad(even.reshape(rows, cols), 1))
         half = l >> 1
         yield from [0 if b else half for b in blocked.ravel()[order[neven:]].tolist()]
 
@@ -203,8 +208,8 @@ class ChargingProfile:
 
     def __post_init__(self):
         c = tuple(float(x) for x in self.coeffs)
-        if len(c) > 5:
-            raise ValueError("at most degree 4")
+        if len(c) > 5 or not all(map(math.isfinite, c)):
+            raise ValueError("at most five finite coefficients (degree 4)")
         object.__setattr__(self, "coeffs", c + (0.0,) * (5 - len(c)))
 
     def __call__(self, t):
@@ -245,8 +250,31 @@ def _h_array(p):
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-# time-sorted nodes the visit loop turns into Python values at once
-_VISIT_CHUNK = 1 << 10
+def _random_order_visit(t, write, side: int):
+    """Stable time order of the nodes, whether each was free (no neighbour
+    written 1 before it) and tau, the least time of a written neighbour
+    (inf for none).  The written nodes are the greedy maximal independent
+    set of the coin-1 nodes in visit order, built in whole-grid rounds
+    (Blelloch, Fineman and Shun, SPAA 2012) that each write every undecided
+    node ranked before its undecided neighbours and decide its neighbours."""
+    n = side * side
+    order = np.argsort(t, kind="stable")
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    rank = rank.reshape(side, side)
+    pad = np.full((side + 2, side + 2), n, dtype=np.int32)  # n ranks last
+    hit = np.zeros((side + 2, side + 2), dtype=bool)
+    written = hit[1:-1, 1:-1]
+    undecided = write.reshape(side, side).copy()
+    while undecided.any():
+        pad[1:-1, 1:-1] = np.where(undecided, rank, n)
+        written |= undecided & (rank < _around(np.minimum, pad))
+        undecided &= ~(written | _around(np.logical_or, hit))
+    pad[1:-1, 1:-1] = np.where(written, rank, n)
+    low = _around(np.minimum, pad).ravel()
+    # rank, not time, decides freedom: an equal-time neighbour visited
+    # first blocks.  Times ascend with rank, so tau is a lookup by rank
+    return order, rank.ravel() < low, np.append(t[order], math.inf)[low]
 
 
 def _algo2_trial(args):
@@ -258,38 +286,16 @@ def _algo2_trial(args):
     q = np.asarray(profile(t), dtype=float)
     hq = _h_array(q)
     write = rng.uniforms(n) < q
-    # blocking times: when a neighbour was first written 1 (doubles, so the
-    # times kept do not pin the loop's float objects)
-    tau = array("d", [math.inf]) * n
-    free = bytearray(n)  # 1 where the visit found the node free
-    order = np.argsort(t, kind="stable")
-    for start in range(0, n, _VISIT_CHUNK):
-        ids = order[start:start + _VISIT_CHUNK]
-        for idx, s, w in zip(ids.tolist(), t[ids].tolist(), write[ids].tolist()):
-            if s >= tau[idx]:
-                continue
-            free[idx] = 1
-            if w:
-                i, j = divmod(idx, side)
-                if i > 0 and tau[idx - side] > s:
-                    tau[idx - side] = s
-                if i + 1 < side and tau[idx + side] > s:
-                    tau[idx + side] = s
-                if j > 0 and tau[idx - 1] > s:
-                    tau[idx - 1] = s
-                if j + 1 < side and tau[idx + 1] > s:
-                    tau[idx + 1] = s
-    free = np.frombuffer(free, dtype=bool)
+    order, free, tau = _random_order_visit(t, write, side)
     slot = np.minimum((t * bins).astype(int), bins - 1)
     visits = np.bincount(slot, minlength=bins).astype(float)
     frees = np.bincount(slot[free], minlength=bins).astype(float)
-    # a running total in visit order, as the loop would add it up: np.sum's
-    # pairwise order would move the last digits
+    # a running total in visit order: np.sum's pairwise order would move
+    # the last digits of the reported entropy
     h_sum = float(np.cumsum(hq[order[free[order]]])[-1])
     edges = np.linspace(0.0, 1.0, bins + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    stimes = np.sort(tau)
-    a_block = 1.0 - np.searchsorted(stimes, edges, side="right") / n
+    a_block = 1.0 - np.searchsorted(np.sort(tau), edges, side="right") / n
     a_visit = np.where(visits > 0, frees / np.maximum(visits, 1.0), 1.0)
     h_visit = float(np.sum(a_visit * _h_array(profile(mids))) / bins)
     h_block = float(_trapezoid(a_block * _h_array(profile(edges)), edges))
@@ -323,12 +329,8 @@ def algorithm2_simulate(side: int, trials: int = 4,
         raise ValueError("need at least one trial")
     args = [(side, profile.coeffs, seed, t, bins) for t in range(trials)]
     got = _map_trials(_algo2_trial, args, jobs)
-    direct = np.array([g[1] for g in got])
-    visit = np.array([g[2] for g in got])
-    block = np.array([g[3] for g in got])
-    curves_block = np.array([g[4] for g in got])
-    curves_visit = np.array([g[5] for g in got])
-    free = np.array([g[6] for g in got])
+    _, direct, visit, block, curves_block, curves_visit, free = map(
+        np.array, zip(*got))
 
     edges = np.linspace(0.0, 1.0, bins + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])

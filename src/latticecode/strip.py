@@ -423,7 +423,8 @@ def _rate_trial(args):
 
 
 def _map_trials(fn, args, jobs: int) -> list:
-    """fn over args, in `jobs` worker processes when jobs > 1, sorted."""
+    """fn over args, in min(jobs, len(args)) worker processes if > 1, sorted."""
+    jobs = min(jobs, len(args))
     if jobs > 1:
         # imported here: it pulls in multiprocessing, which only jobs > 1 needs
         from concurrent.futures import ProcessPoolExecutor

@@ -306,7 +306,10 @@ _SAMPLE = ["sample", "--cols", "4"]
     ["algo1", "encode", "--in", "x", "--rows", "0"],
     ["algo2", "--side", "50", "--trials", "1", "--bins", "0"],
     ["algo2", "--trials", "0"],
-    ["capacity", "--width", "-1"]])
+    ["capacity", "--width", "-1"],
+    ["strip", "evaluate", "--jobs", "0"],
+    ["algo1", "rate", "--side", "16", "--jobs", "-3"],
+    ["algo2", "--side", "50", "--jobs", "0"]])
 def test_sample_rejects_bad_sizes(flags):
     rc, out, err = run(flags)
     assert rc == 2
@@ -654,6 +657,17 @@ def test_algo2_formats():
     assert rc == 0
     assert "curve,a" in out
     assert "curve,q" in out
+
+
+@pytest.mark.parametrize("profile", ["nan", "inf", "0.2,-inf", "1,2,3,4,5,6",
+                                     "0.2,x"])
+def test_algo2_rejects_bad_profile(profile):
+    rc, out, err = run(["algo2", "--side", "50", "--profile", profile])
+    assert rc == 2
+    assert out == ""
+    lines = [ln for ln in err.splitlines() if not ln.startswith("# ")]
+    assert len(lines) == 1
+    assert lines[0].startswith("usage error: --profile %r: " % profile)
 
 
 def test_usage_exit_codes(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -150,6 +151,9 @@ def test_charging_profile():
     assert np.allclose(vals, [0.2, 0.5])
     with pytest.raises(ValueError):
         ex.ChargingProfile((1, 2, 3, 4, 5, 6))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ex.ChargingProfile((0.2, bad))
 
 
 def test_algorithm2_zero_profile():
@@ -195,6 +199,76 @@ def test_algorithm2_parallel_matches_serial():
     b = ex.algorithm2_simulate(50, trials=2, seed=4, jobs=2)
     assert a.scalars == b.scalars
     assert a.curves == b.curves
+
+
+_VISIT_CHUNK = 1 << 10
+
+
+def _reference_visit(t, write, side):
+    """The per-node visit loop of the random-order writer: free flags and
+    blocking times, as `_random_order_visit` must reproduce them."""
+    n = side * side
+    # blocking times: when a neighbour was first written 1 (doubles, so the
+    # times kept do not pin the loop's float objects)
+    tau = array("d", [math.inf]) * n
+    free = bytearray(n)  # 1 where the visit found the node free
+    order = np.argsort(t, kind="stable")
+    for start in range(0, n, _VISIT_CHUNK):
+        ids = order[start:start + _VISIT_CHUNK]
+        for idx, s, w in zip(ids.tolist(), t[ids].tolist(), write[ids].tolist()):
+            if s >= tau[idx]:
+                continue
+            free[idx] = 1
+            if w:
+                i, j = divmod(idx, side)
+                if i > 0 and tau[idx - side] > s:
+                    tau[idx - side] = s
+                if i + 1 < side and tau[idx + side] > s:
+                    tau[idx + side] = s
+                if j > 0 and tau[idx - 1] > s:
+                    tau[idx - 1] = s
+                if j + 1 < side and tau[idx + 1] > s:
+                    tau[idx + 1] = s
+    return order, np.frombuffer(free, dtype=bool), np.asarray(tau)
+
+
+def _visit_cases():
+    rng = np.random.default_rng(15)
+    for side in list(range(1, 13)) + [50]:
+        n = side * side
+        for p in (0.3, 0.7):
+            yield side, rng.random(n), rng.random(n) < p
+        # coarse timestamps: many ties, broken by index in visit order
+        yield side, np.floor(rng.random(n) * 4) / 4, rng.random(n) < 0.6
+        yield side, rng.random(n), np.ones(n, dtype=bool)
+        yield side, rng.random(n), np.zeros(n, dtype=bool)
+    yield 50, np.zeros(2500), np.ones(2500, dtype=bool)
+
+
+def test_random_order_visit_matches_loop():
+    for side, t, write in _visit_cases():
+        order, free, tau = ex._random_order_visit(t, write, side)
+        ref_order, ref_free, ref_tau = _reference_visit(t, write, side)
+        assert np.array_equal(order, ref_order)
+        assert np.array_equal(free, ref_free), side
+        assert np.array_equal(tau, ref_tau), side
+
+
+def test_algo2_trial_bit_identical_to_loop(monkeypatch):
+    cases = [(side, coeffs, seed, t_index, 7)
+             for side in list(range(1, 13)) + [50]
+             for coeffs, seed, t_index in (
+                 (ex.DEFAULT_PROFILE.coeffs, 3, 0),
+                 ((0.1, 0.6, -0.3, 0.0, 0.0), 17, 1),
+                 ((1.0, 0.0, 0.0, 0.0, 0.0), 5, 2),
+                 ((0.0, 0.0, 0.0, 0.0, 0.0), 5, 3))]
+    got = [ex._algo2_trial(c) for c in cases]
+    monkeypatch.setattr(ex, "_random_order_visit", _reference_visit)
+    for case, new in zip(cases, got):
+        ref = ex._algo2_trial(case)
+        assert len(new) == len(ref)
+        for a, b in zip(new, ref):
+            assert np.array_equal(a, b), case
 
 
 def test_reproduce_tables_honest_verdict():

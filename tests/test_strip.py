@@ -226,6 +226,35 @@ def test_parallel_rate_matches_serial():
     assert a.rates == b.rates
 
 
+def test_map_trials_starts_at_most_one_worker_per_arg(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        """Runs in-process; records the worker count it was asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    assert st._map_trials(abs, [-3, 1, -2], 64) == [1, 2, 3]
+    assert st._map_trials(abs, [-3, 1, -2], 2) == [1, 2, 3]
+    assert st._map_trials(abs, [-5], 8) == [5]
+    assert st._map_trials(abs, [-3, 1], 1) == [1, 3]
+    assert started == [3, 2]
+
+
 def test_bulk_density_matches_stationary():
     s = st.strip_model(HS, 6, "zero")
     pi = sp.merw_coder(s.graph, s.eigs).stationary
