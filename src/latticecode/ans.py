@@ -26,16 +26,38 @@ Stream coding renormalizes the state into I with base-b digit moves.  The
 encoder walks its input back to front so the decoder emits symbols in
 natural order; the emitted digit sequence is returned already reversed
 into decoder order, which makes decoding a single forward pass.
+
+An N-symbol stream is coded in K interleaved lanes (Giesen, "Interleaved
+entropy coders", arXiv:1402.3392): symbol i goes to lane i mod K, every
+lane starts at x = l, and one shared digit stream holds, step by step,
+each lane's renormalisation field in lane order, most significant digit
+first.  K comes from N alone (`lanes_for`): 1 below LANE_MIN_SYMBOLS = 2^17,
+where the single-lane Python loops are as fast, and K = 1 is exactly the
+single-lane digit order, and min(1024, N >> 11) from there, where each
+step is a handful of numpy calls over the K lanes.  The K final lane
+states are part of the stored size: `stream_bits` counts D·w + K·(R + w).
+
+The ANS2 container (`pack_container`), little-endian: magic "ANS2",
+version 2, w, R, n (1, 1, 1, 2 bytes), l_s[n] (4 bytes each), key (8),
+symbol count N (8), lane count K (2), digit count D (8), the K final lane
+states (4 bytes each), the D digits at w bits each packed most
+significant bit first, and a crc32 of everything before it.  Decoding
+checks K against N, N against the most symbols D digits can carry, and
+the length before it allocates; the lanes must end at x = l with every
+digit read, which binds N.  A forbidden symbol is reported at its
+smallest message index before a checksum mismatch.  ANS1 files are
+refused.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,13 +80,6 @@ class CapacityExceeded(RuntimeError):
         self.requested_bits = requested_bits
         super().__init__("lattice holds only %d of %d payload bits"
                          % (achieved_bits, requested_bits))
-
-
-@dataclass(frozen=True)
-class ErrorDetected:
-    """Corruption flag raised by the forbidden-symbol mechanism."""
-
-    position: int
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -165,6 +180,13 @@ class AnsTable:
         self.dec_xs = xs.tolist()
         self.enc = [(l + slots[a:a + k]).tolist()
                     for a, k in zip(start.tolist(), span.tolist())]
+        # the same columns as arrays for the lane steps: slot x - l holds
+        # sym_array and xs_array, and s's reduced state xs encodes to
+        # enc_array[enc_base[s] + xs]
+        self.sym_array = sym
+        self.xs_array = xs
+        self.enc_array = l + slots
+        self.enc_base = start - self.l_s
 
     def decode_step(self, x: int) -> tuple[int, int]:
         i = x - self.l
@@ -242,8 +264,8 @@ class StreamState:
 
     Encoding pushes symbols in reverse message order, stacking fresh digits
     at the front (LIFO); decoding pops symbols in message order, consuming
-    the buffer front (FIFO).  ans_stream_encode / ans_stream_decode are the
-    batch equivalents."""
+    the buffer front (FIFO).  ans_stream_encode / ans_stream_decode at one
+    lane are the batch equivalents."""
 
     def __init__(self, table: AnsTable, x: Optional[int] = None, digits: Iterable[int] = ()):
         self.table = table
@@ -271,50 +293,256 @@ class StreamState:
         self.x = x
         return s
 
+# Lanes: symbol i of an N-symbol stream goes to lane i mod K.  Below
+# LANE_MIN_SYMBOLS a single lane runs the plain loops; from there K lanes
+# step together as numpy arrays, K <= N / 2^11, so the K lane states cost
+# at most (R + w) / 2048 bit per symbol.
+LANE_MIN_SYMBOLS = 1 << 17
+MAX_LANES = 1024
+_SYMBOLS_PER_LANE_LOG = 11
+# fields turned into digits per block, so the per-digit arrays stay small
+_EMIT_BLOCK = 1 << 16
+# decoded symbols allocated per block, so a claimed count is not
+# allocated before digits back it
+_OUT_BLOCK = 1 << 20
 
-def ans_stream_encode(symbols: Sequence[int], table: AnsTable, initial_x: Optional[int] = None) -> tuple[list[int], int]:
-    """Encode symbols (walked back to front); digits come back in decoder order."""
+
+def lanes_for(count: int) -> int:
+    """Lane count K of a stream of `count` symbols."""
+    if count < LANE_MIN_SYMBOLS:
+        return 1
+    return min(MAX_LANES, count >> _SYMBOLS_PER_LANE_LOG)
+
+
+def _lane_width(table: AnsTable) -> int:
+    """Digit width w; the lane steps read bit fields, so l and b must be
+    powers of two."""
+    w = table.b.bit_length() - 1
+    if table.b != 1 << w or table.l & (table.l - 1):
+        raise ValueError("lanes need a power-of-two l and b")
+    return w
+
+
+def ans_stream_encode(symbols: Sequence[int], table: AnsTable
+                      ) -> tuple[np.ndarray, list[int]]:
+    """Encode symbols in K = lanes_for(N) interleaved lanes.
+
+    Symbol i goes to lane i mod K.  Every lane starts at x = l and walks
+    its symbols back to front; the step that encodes symbols tK .. tK+K-1
+    emits one renormalisation field per lane.  The digits come back in
+    decoder order, one uint8 each: step by step from the first, lane by
+    lane within a step, each field's digits most significant first.  With
+    K = 1 that is the single-lane coder's order.  Returns the digits and
+    the K final lane states."""
+    k = lanes_for(len(symbols))
+    if k > 1:
+        return _encode_lanes(_symbol_array(symbols, table), table, k)
+    if isinstance(symbols, np.ndarray):
+        symbols = symbols.tolist()
+    digits, x = _encode_one_lane(symbols, table)
+    return np.frombuffer(bytes(digits), dtype=np.uint8), [x]
+
+
+def _encode_one_lane(symbols: Sequence[int], table: AnsTable) -> tuple[list[int], int]:
     l, b = table.l, table.b
-    x = l if initial_x is None else initial_x
-    if not l <= x < b * l:
-        raise ValueError("initial state outside the coding interval")
+    x = l
     enc = table.enc
     l_s = table.l_s
-    hi = [b * ls - 1 for ls in l_s]
+    # no comprehension over b: it would make b a closure cell in the loop
+    hi = (b * np.asarray(l_s, dtype=np.int64) - 1).tolist()
     emitted: list[int] = []
-    append = emitted.append
     for s in reversed(symbols):
         top = hi[s]
         while x > top:
-            append(x % b)
+            emitted.append(x % b)
             x //= b
         x = enc[s][x - l_s[s]]
     emitted.reverse()
     return emitted, x
 
 
-def ans_stream_decode(digits: Sequence[int], table: AnsTable, final_x: int) -> list[int]:
-    """Decode a digit stream produced by ans_stream_encode.
+def _symbol_array(symbols, table: AnsTable) -> np.ndarray:
+    if isinstance(symbols, (bytes, bytearray)):
+        sym = np.frombuffer(symbols, dtype=np.uint8)
+    else:
+        sym = np.asarray(symbols)
+    if len(sym) and not 0 <= sym.min() <= sym.max() < table.n:
+        raise ValueError("symbol outside 0..%d" % (table.n - 1))
+    return sym
 
-    The stream must have started at x = l; decoding drains the state back
-    to l, which is unambiguous because every digit-free encode step
-    strictly increases the state.  It runs the checked loop with no
-    forbidden symbol (-1), so a detection there can only mean the digits
-    ran out.
-    """
-    if not table.l <= final_x < table.b * table.l:
-        raise CorruptStream("final state outside the coding interval")
-    out, hit = ans_stream_decode_checked(digits, table, final_x, -1)
-    if hit is not None:
-        raise CorruptStream("digit stream exhausted during renormalization")
+
+def _encode_lanes(sym: np.ndarray, table: AnsTable, k: int):
+    l, b = table.l, table.b
+    w = _lane_width(table)
+    # Symbol s emits a digit per threshold (b l_s) << (j w) at or below the
+    # state.  States lie in [l, b l), which holds exactly one threshold, so
+    # an encode step emits lo[s] / w digits, one more from state cut[s] on.
+    lo, cut = [], []
+    for ls in table.l_s:
+        t, bits = b * ls, 0
+        while t < l:
+            t <<= w
+            bits += w
+        lo.append(bits)
+        cut.append(t)
+    lo = np.array(lo, dtype=np.int64)
+    cut = np.array(cut, dtype=np.int64)
+    enc, base = table.enc_array, table.enc_base
+
+    steps = -(-len(sym) // k)
+    fields = np.zeros((steps, k), dtype=np.int32)
+    nbits = np.zeros((steps, k), dtype=np.uint8)
+    x = np.full(k, l, dtype=np.int64)
+    for t in range(steps - 1, -1, -1):
+        s = sym[t * k:(t + 1) * k].astype(np.intp)
+        m = len(s)
+        xv = x[:m]
+        nb = lo[s] + w * (xv >= cut[s])
+        xs = xv >> nb
+        fields[t, :m] = xv - (xs << nb)
+        nbits[t, :m] = nb
+        xv[:] = enc[base[s] + xs]
+    return _field_digits(fields.ravel(), nbits.ravel() // w, w), x.tolist()
+
+
+def _field_digits(fields: np.ndarray, counts: np.ndarray, w: int) -> np.ndarray:
+    """The w-bit digits of each field in turn, `counts` of them per field,
+    most significant first."""
+    mask = (1 << w) - 1
+    parts = [np.zeros(0, dtype=np.uint8)]
+    for a in range(0, len(fields), _EMIT_BLOCK):
+        c = counts[a:a + _EMIT_BLOCK].astype(np.intp)
+        ends = np.add.accumulate(c)
+        shift = np.repeat(ends, c) - np.arange(1, int(ends[-1]) + 1)
+        f = np.repeat(fields[a:a + _EMIT_BLOCK], c) >> (shift * w)
+        parts.append((f & mask).astype(np.uint8))
+    return np.concatenate(parts)
+
+
+_FORBIDDEN = "forbidden symbol"
+
+
+class ErrorDetected(CorruptStream):
+    """Decoding stopped at message index `position`: the forbidden symbol
+    decoded there (`forbidden`), or the stream broke off or ended wrong."""
+
+    def __init__(self, position: int, what: str):
+        super().__init__("%s at position %d" % (what, position))
+        self.position = position
+        self.forbidden = what == _FORBIDDEN
+
+
+def ans_stream_decode(digits: Sequence[int], table: AnsTable, states: Sequence[int],
+                      count: int, forbidden: Optional[int] = None) -> np.ndarray:
+    """Decode `count` symbols from ans_stream_encode's digits and its
+    len(states) final lane states; returns them as a uint8 array (uint16
+    past 256 symbols).
+
+    Raises ErrorDetected at the smallest message index that decodes the
+    `forbidden` symbol; else at the symbol whose renormalisation reads past
+    the last digit, or at `count` when a lane does not end at x = l or a
+    digit is left unread.  The last check binds the count: every
+    digit-free decode step strictly lowers a lane's state, so a stream cut
+    short never ends back at l with its digits used up."""
+    top = table.b * table.l
+    if not states or not table.l <= min(states) <= max(states) < top:
+        raise CorruptStream("lane state outside the coding interval")
+    digits = np.asarray(digits, dtype=np.uint8)
+    if len(states) > 1:
+        return _decode_lanes(digits, table, states, count, forbidden)
+    out = _decode_one_lane(digits.tolist(), table, states[0], count, forbidden)
+    if table.n <= 256:
+        return np.frombuffer(bytes(out), dtype=np.uint8)
+    return np.array(out, dtype=np.uint16)
+
+
+def _decode_one_lane(digits: list, table: AnsTable, x: int, count: int,
+                     forbidden: Optional[int]) -> list:
+    l, b = table.l, table.b
+    dec_sym, dec_xs = table.dec_sym, table.dec_xs
+    nd = len(digits)
+    pos = 0
+    out: list[int] = []
+    for _ in repeat(None, count):  # no int object per step, unlike range
+        i = x - l
+        s = dec_sym[i]
+        if s == forbidden:
+            raise ErrorDetected(len(out), _FORBIDDEN)
+        out.append(s)
+        x = dec_xs[i]
+        while x < l:
+            if pos >= nd:
+                raise ErrorDetected(len(out), "digit stream exhausted")
+            x = x * b + digits[pos]
+            pos += 1
+    if x != l or pos != nd:
+        raise ErrorDetected(count, "unread digits or unfinished lanes")
     return out
 
 
-def stream_bits(digits_count: int, table: AnsTable) -> int:
-    """Total stored bits: digits plus the final-state field."""
+def _first_forbidden(syms: np.ndarray, forbidden: Optional[int]) -> None:
+    if forbidden is not None:
+        hit = np.flatnonzero(syms == forbidden)
+        if len(hit):
+            raise ErrorDetected(int(hit[0]), _FORBIDDEN)
+
+
+def _decode_lanes(digits, table, states, count, forbidden):
+    l = table.l
+    w = _lane_width(table)
+    k = len(states)
+    # per slot: its symbol, the bits its renormalisation reads, and its
+    # reduced state shifted up by them
+    top = table.xs_array.copy()
+    bits_at = np.zeros_like(top)
+    while (low := top < l).any():
+        bits_at[low] += w
+        top[low] <<= w
+    sym_at = table.sym_array.astype(np.uint8 if table.n <= 256 else np.uint16)
+    cut_at = (63 - bits_at).astype(np.uint64)
+    # the bit stream, most significant bit first, as one big-endian 64-bit
+    # window per byte offset
+    packed = _pack_digits(digits, w)
+    total = len(digits) * w
+    buf = np.zeros(len(packed) + 8, dtype=np.uint8)
+    buf[:len(packed)] = packed
+    win = np.lib.stride_tricks.sliding_window_view(buf, 8).copy()
+    win = win.view(">u8").ravel().astype(np.uint64)
+
+    x = np.array(states, dtype=np.int64)
+    out = np.empty(min(count, _OUT_BLOCK), dtype=sym_at.dtype)
+    pos = 0
+    for a in range(0, count, k):
+        m = min(k, count - a)
+        xv = x[:m]
+        if a + m > len(out):
+            out = np.concatenate((out, np.empty(min(len(out), count - len(out)),
+                                                dtype=out.dtype)))
+        i = xv - l
+        out[a:a + m] = sym_at[i]
+        nb = bits_at[i]
+        ends = np.add.accumulate(nb)
+        ends += pos
+        if ends[-1] > total:
+            over = a + int(np.argmax(ends > total))
+            _first_forbidden(out[:over + 1], forbidden)
+            raise ErrorDetected(over + 1, "digit stream exhausted")
+        p = ends - nb
+        v = win[p >> 3] << (p & 7).view(np.uint64)
+        xv[:] = top[i] | ((v >> 1) >> cut_at[i]).view(np.int64)
+        pos = int(ends[-1])
+    out = out[:count]
+    _first_forbidden(out, forbidden)
+    if pos != total or (x != l).any():
+        raise ErrorDetected(count, "unread digits or unfinished lanes")
+    return out
+
+
+def stream_bits(digits_count: int, table: AnsTable, lanes: int = 1) -> int:
+    """Total stored bits: digits plus the lanes' final-state fields."""
     w = int(round(math.log2(table.b)))
     r = int(round(math.log2(table.l)))
-    return digits_count * w + r + w
+    return digits_count * w + lanes * (r + w)
 
 
 def forbidden_symbol_wrap(qs: Sequence[float], eps: Fraction) -> list[Fraction]:
@@ -327,90 +555,104 @@ def forbidden_symbol_wrap(qs: Sequence[float], eps: Fraction) -> list[Fraction]:
     return out
 
 
-def ans_stream_decode_checked(digits: Sequence[int], table: AnsTable, final_x: int,
-                              forbidden: int
-                              ) -> tuple[list[int], Optional[ErrorDetected]]:
-    """Decode, flagging the first occurrence of the forbidden symbol.
-
-    Digit exhaustion mid-stream is also treated as a detection at the
-    current position rather than an exception.
-    """
-    l, b = table.l, table.b
-    if not l <= final_x < b * l:
-        return [], ErrorDetected(0)
-    dec_sym, dec_xs = table.dec_sym, table.dec_xs
-    x = final_x
-    pos = 0
-    nd = len(digits)
-    out: list[int] = []
-    while True:  # as a `while` condition this test ran 1.6x slower on CPython 3.11
-        if x == l and pos == nd:
-            break
-        i = x - l
-        s = dec_sym[i]
-        if s == forbidden:
-            return out, ErrorDetected(len(out))
-        out.append(s)
-        x = dec_xs[i]
-        while x < l:
-            if pos >= nd:
-                return out, ErrorDetected(len(out))
-            x = x * b + digits[pos]
-            pos += 1
-    return out, None
-
-
-_MAGIC = b"ANS1"
-_VERSION = 1
+_MAGIC = b"ANS2"
+_VERSION = 2
+# magic, version, w, R, n; then l_s[n]; then key, N, K, D
+_HEAD = struct.Struct("<4sBBBH")
+_COUNTS = struct.Struct("<QQHQ")
 # Largest decode table, (b - 1)·l slots, that a container or a command may
 # ask for; 2^20 slots take about 0.4 s and 135 MB to build.
 MAX_TABLE_SLOTS = 1 << 20
-# digits unpacked per chunk, so the bit arrays stay small beside the list
-_UNPACK_CHUNK = 1 << 16
 
 
-def pack_container(table: AnsTable, final_x: int, digits: Sequence[int]) -> bytes:
-    """Frame a coded stream: magic, version, w, R, n, l_s[], key, final
-    state, digit count, digits packed LSB-first."""
+def _pack_digits(digits: np.ndarray, w: int) -> np.ndarray:
+    """w bits per digit, most significant first, packed MSB-first."""
+    if w == 1:
+        return np.packbits(digits)
+    return np.packbits(np.unpackbits(digits[:, None], axis=1)[:, 8 - w:])
+
+
+def _unpack_digits(payload: np.ndarray, count: int, w: int) -> np.ndarray:
+    bits = np.unpackbits(payload, count=count * w)
+    if w == 1:
+        return bits
+    return np.packbits(bits.reshape(count, w), axis=1).ravel() >> (8 - w)
+
+
+def pack_container(table: AnsTable, states: Sequence[int], digits: Sequence[int],
+                   count: int) -> bytes:
+    """Frame a coded stream as ANS2: magic, version, w, R, n, l_s[], key,
+    symbol count N, lane count K, digit count D, the K final lane states,
+    the digits packed MSB-first, and a crc32 of all that."""
     w = int(round(math.log2(table.b)))
     r = int(round(math.log2(table.l)))
-    head = bytearray()
-    head += _MAGIC
-    head += struct.pack("<BBBH", _VERSION, w, r, table.n)
-    for ls in table.l_s:
-        head += struct.pack("<I", ls)
-    head += struct.pack("<QQQ", table.key, final_x, len(digits))
-    bits = np.frombuffer(bytes(digits), dtype=np.uint8)
-    if w > 1:
-        bits = np.unpackbits(bits[:, None], axis=1, bitorder="little")[:, :w]
-    return bytes(head) + np.packbits(bits, bitorder="little").tobytes()
+    k = len(states)
+    if k != lanes_for(count):
+        raise ValueError("%d symbols code in %d lanes, not %d"
+                         % (count, lanes_for(count), k))
+    # only a one-symbol law, whose steps are all digit-free, gets here
+    if count > (len(digits) + k) * (table.b - 1) * table.l:
+        raise ValueError("%d symbols exceed what %d digits can carry"
+                         % (count, len(digits)))
+    digits = np.asarray(digits, dtype=np.uint8)
+    body = b"".join((_HEAD.pack(_MAGIC, _VERSION, w, r, table.n),
+                     struct.pack("<%dI" % table.n, *table.l_s),
+                     _COUNTS.pack(table.key, count, k, len(digits)),
+                     struct.pack("<%dI" % k, *states),
+                     _pack_digits(digits, w).tobytes()))
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
-def unpack_container(blob: bytes, table: Optional[AnsTable] = None
-                     ) -> tuple[AnsTable, int, list[int]]:
+class Container(NamedTuple):
+    """An unpacked ANS2 container; `crc_ok` tells whether its checksum held."""
+    table: AnsTable
+    states: list
+    count: int
+    digits: np.ndarray
+    crc_ok: bool
+
+
+def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container:
     """Inverse of pack_container; the table is rebuilt from l_s and key,
-    or is `table`, whose w, R, l_s and key the header must repeat."""
+    or is `table`, whose w, R, l_s and key the header must repeat.  Every
+    count is checked against the others and the length before anything is
+    allocated; the checksum is only reported."""
+    if blob[:4] == b"ANS1":
+        raise CorruptStream("ANS1 containers are no longer read; "
+                            "re-encode the source file")
     if blob[:4] != _MAGIC:
         raise CorruptStream("bad magic")
     try:
-        version, w, r, n = struct.unpack_from("<BBBH", blob, 4)
+        _, version, w, r, n = _HEAD.unpack_from(blob)
         if version != _VERSION:
             raise CorruptStream("unsupported version %d" % version)
-        l_s = list(struct.unpack_from("<%dI" % n, blob, 9))
-        off = 9 + 4 * n
-        key, final_x, ndigits = struct.unpack_from("<QQQ", blob, off)
+        l_s = list(struct.unpack_from("<%dI" % n, blob, _HEAD.size))
+        off = _HEAD.size + 4 * n
+        key, count, k, ndigits = _COUNTS.unpack_from(blob, off)
     except struct.error:
         raise CorruptStream("truncated container") from None
-    off += 24
+    off += _COUNTS.size
     if not 1 <= w <= 8:
         raise CorruptStream("digit width %d outside 1..8" % w)
     if ((1 << w) - 1) << r > MAX_TABLE_SLOTS:
         raise CorruptStream("table of (2^%d - 1) * 2^%d slots exceeds %d"
                             % (w, r, MAX_TABLE_SLOTS))
-    if ndigits * w > 8 * (len(blob) - off):
-        raise CorruptStream("truncated payload")
     l = 1 << r
     b = 1 << w
+    if k != lanes_for(count):
+        raise CorruptStream("%d symbols code in %d lanes, not %d"
+                            % (count, lanes_for(count), k))
+    # a lane takes fewer than (b - 1) l digit-free steps in a row
+    if count > (ndigits + k) * (b - 1) * l:
+        raise CorruptStream("%d symbols exceed what %d digits can carry"
+                            % (count, ndigits))
+    end = off + 4 * k + _ceil_div(ndigits * w, 8)
+    if len(blob) != end + 4:
+        raise CorruptStream("container of %d bytes, its header implies %d"
+                            % (len(blob), end + 4))
+    states = list(struct.unpack_from("<%dI" % k, blob, off))
+    if any(not l <= x < b * l for x in states):
+        raise CorruptStream("lane state outside the coding interval")
     if table is None:
         if sum(l_s) != l:
             raise CorruptStream("slot counts do not sum to the interval size")
@@ -420,17 +662,29 @@ def unpack_container(blob: bytes, table: Optional[AnsTable] = None
         table = _keyed_table(l_s, l, b, key)
     elif (l, b, l_s, key) != (table.l, table.b, table.l_s, table.key):
         raise CorruptStream("container header does not match the table")
-    payload = np.frombuffer(blob, dtype=np.uint8, offset=off)
-    digits = []
-    # a chunk is a multiple of 8 digits, so it starts on a byte boundary
-    for start in range(0, ndigits, _UNPACK_CHUNK):
-        k = min(_UNPACK_CHUNK, ndigits - start)
-        bits = np.unpackbits(payload[start * w // 8:], count=k * w,
-                             bitorder="little")
-        if w > 1:
-            bits = np.packbits(bits.reshape(k, w), axis=1, bitorder="little")
-        digits.extend(bits.ravel().tolist())
-    return table, final_x, digits
+    payload = np.frombuffer(blob, dtype=np.uint8, count=end - off - 4 * k,
+                            offset=off + 4 * k)
+    crc_ok = zlib.crc32(memoryview(blob)[:end]) == struct.unpack_from("<I", blob, end)[0]
+    return Container(table, states, count, _unpack_digits(payload, ndigits, w), crc_ok)
+
+
+def decode_container(blob: bytes, table: Optional[AnsTable] = None,
+                     forbidden: bool = False) -> np.ndarray:
+    """Symbols of an ANS2 container; with `forbidden`, the table's last
+    symbol is the never-encoded one.  A forbidden symbol is reported first,
+    at its smallest message index; any other failure of a container whose
+    checksum does not hold is reported as the checksum mismatch."""
+    c = unpack_container(blob, table)
+    try:
+        syms = ans_stream_decode(c.digits, c.table, c.states, c.count,
+                                 c.table.n - 1 if forbidden else None)
+    except ErrorDetected as e:
+        if e.forbidden or c.crc_ok:
+            raise
+    else:
+        if c.crc_ok:
+            return syms
+    raise CorruptStream("checksum mismatch")
 
 
 class AbsStreamDecoder:

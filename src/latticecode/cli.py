@@ -159,7 +159,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 def _code_file(args, qs, digit_bits: int, read, write,
                forbidden: bool = False) -> int:
     """Shared body of `abs` and `ans`.  Encode turns the input file into
-    symbols with `read` and stores them as an ANS1 container; decode reads
+    symbols with `read` and stores them as an ANS2 container; decode reads
     the container's own table, so the law flags are only validated there,
     and `write` turns the symbols back into bytes (for decode and for the
     --verify reread)."""
@@ -169,24 +169,15 @@ def _code_file(args, qs, digit_bits: int, read, write,
         data = Path(args.infile).read_bytes()
         syms = read(data)
         table = ans.ans_build_table(qs, l, 1 << digit_bits, args.key)
-        digits, x = ans.ans_stream_encode(syms, table)
-        blob = ans.pack_container(table, x, digits)
+        digits, states = ans.ans_stream_encode(syms, table)
+        blob = ans.pack_container(table, states, digits, len(syms))
         Path(args.out).write_bytes(blob)
-        if args.verify:
-            _, x2, d2 = ans.unpack_container(blob, table)
-            if write(ans.ans_stream_decode(d2, table, x2)) != data:
-                raise ans.CorruptStream("verification reread mismatch")
+        if args.verify and write(ans.decode_container(blob, table, forbidden)) != data:
+            raise ans.CorruptStream("verification reread mismatch")
         print("symbols %d" % len(syms))
-        print("stored_bits %d" % ans.stream_bits(len(digits), table))
+        print("stored_bits %d" % ans.stream_bits(len(digits), table, len(states)))
         return 0
-    table, x, digits = ans.unpack_container(Path(args.infile).read_bytes())
-    if forbidden:
-        syms, hit = ans.ans_stream_decode_checked(digits, table, x, table.n - 1)
-        if hit is not None:
-            raise ans.CorruptStream("forbidden symbol at position %d"
-                                    % hit.position)
-    else:
-        syms = ans.ans_stream_decode(digits, table, x)
+    syms = ans.decode_container(Path(args.infile).read_bytes(), forbidden=forbidden)
     Path(args.out).write_bytes(write(syms))
     print("symbols %d" % len(syms))
     return 0
@@ -218,7 +209,10 @@ def cmd_ans(args) -> int:
             raise ValueError("input byte outside the %d-symbol alphabet" % n)
         return data
 
-    return _code_file(args, qs, args.digit_bits, read, bytes,
+    def write(syms) -> bytes:
+        return np.asarray(syms, dtype=np.uint8).tobytes()
+
+    return _code_file(args, qs, args.digit_bits, read, write,
                       forbidden=bool(args.forbidden_eps))
 
 
@@ -379,7 +373,7 @@ def _algo1_decode_text(text: str) -> list:
 
 
 def cmd_algo2(args) -> int:
-    _check_sizes(args, side=1, trials=1, bins=1, jobs=1)
+    _check_sizes(args, side=exp.ALGO2_MIN_SIDE, trials=1, bins=1, jobs=1)
     profile = exp.DEFAULT_PROFILE
     if args.profile:
         try:

@@ -302,6 +302,10 @@ def _algo2_trial(args):
     return t_index, h_sum / n, h_visit, h_block, a_block, a_visit, frees.sum() / n
 
 
+# smallest writer grid side whose edge effects stay negligible
+ALGO2_MIN_SIDE = 50
+
+
 def algorithm2_simulate(side: int, trials: int = 4,
                         profile: ChargingProfile = DEFAULT_PROFILE,
                         seed: int = 0, bins: int = 50,
@@ -323,8 +327,9 @@ def algorithm2_simulate(side: int, trials: int = 4,
     been visited cannot have shielded its neighbours, and is reported as
     the diagnostic for exactly that mismatch.
     """
-    if side < 50:
-        raise ValueError("side must be at least 50 to suppress edge effects")
+    if side < ALGO2_MIN_SIDE:
+        raise ValueError("side must be at least %d to suppress edge effects"
+                         % ALGO2_MIN_SIDE)
     if trials < 1:
         raise ValueError("need at least one trial")
     args = [(side, profile.coeffs, seed, t, bins) for t in range(trials)]

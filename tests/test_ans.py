@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -128,8 +130,8 @@ def test_distinct_keys_diverge():
     assert t1.dec_sym != t2.dec_sym
     msg = sample_symbols(qs, 3000, seed=4)
     for t in (t1, t2):
-        d, fx = ans.ans_stream_encode(msg, t)
-        assert ans.ans_stream_decode(d, t, fx) == msg
+        d, xs = ans.ans_stream_encode(msg, t)
+        assert ans.ans_stream_decode(d, t, xs, len(msg)).tolist() == msg
 
 
 def test_table_bijectivity_exhaustive():
@@ -158,20 +160,22 @@ def test_precise_builder_equals_abs_for_dyadic_pairs():
 
 def test_stream_empty_and_single():
     t = ans.ans_build_table([0.25, 0.75], 1 << 6, 2, key=0)
-    d, fx = ans.ans_stream_encode([], t)
-    assert d == [] and fx == t.l
+    d, xs = ans.ans_stream_encode([], t)
+    assert len(d) == 0 and xs == [t.l]
+    assert len(ans.ans_stream_decode(d, t, xs, 0)) == 0
     for s in (0, 1):
-        d, fx = ans.ans_stream_encode([s], t)
-        assert ans.ans_stream_decode(d, t, fx) == [s]
+        d, xs = ans.ans_stream_encode([s], t)
+        assert ans.ans_stream_decode(d, t, xs, 1).tolist() == [s]
 
 
 def test_stream_roundtrip_rate_quarter():
     # 1e6 symbols at q=(1/4,3/4), l=2^12: identity and rate near h(1/4)
     t = ans.ans_build_table_precise([Fraction(1, 4), Fraction(3, 4)], 1 << 12, 2)
     msg = sample_symbols([0.25, 0.75], 10 ** 6, seed=100)
-    d, fx = ans.ans_stream_encode(msg, t)
-    assert ans.ans_stream_decode(d, t, fx) == msg
-    rate = ans.stream_bits(len(d), t) / len(msg)
+    d, xs = ans.ans_stream_encode(msg, t)
+    assert len(xs) == ans.lanes_for(len(msg)) == 488
+    assert ans.ans_stream_decode(d, t, xs, len(msg)).tolist() == msg
+    rate = ans.stream_bits(len(d), t, len(xs)) / len(msg)
     h = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
     assert abs(rate - h) < 0.01
 
@@ -182,8 +186,8 @@ def test_stream_rate_bound_various_distributions():
         t = ans.ans_build_table_precise(qs, 1 << 12, 2)
         qhat = [ls / t.l for ls in t.l_s]
         msg = sample_symbols(qhat, 200000, seed=len(qs) * 7)
-        d, fx = ans.ans_stream_encode(msg, t)
-        rate = ans.stream_bits(len(d), t) / len(msg)
+        d, xs = ans.ans_stream_encode(msg, t)
+        rate = ans.stream_bits(len(d), t, len(xs)) / len(msg)
         H = -sum(q * math.log2(q) for q in qhat)
         assert rate <= H + 0.01
 
@@ -191,21 +195,19 @@ def test_stream_rate_bound_various_distributions():
 def test_stream_corrupt_errors():
     t = ans.ans_build_table([0.5, 0.5], 1 << 8, 2, key=3)
     msg = sample_symbols([0.5, 0.5], 500, seed=9)
-    d, fx = ans.ans_stream_encode(msg, t)
-    # a truncated stream never decodes to the message: the digits run out
-    # mid-symbol, or the state drains to l early and gives a strict prefix
-    # (the stream of that prefix, which draining cannot tell apart)
+    d, xs = ans.ans_stream_encode(msg, t)
+    # a truncated stream never decodes to the message: with the symbol
+    # count given, the digits run out mid-symbol or the lanes end away
+    # from l, so every cut raises
     raised = 0
     for cut in range(1, 30):
         try:
-            out = ans.ans_stream_decode(d[:-cut], t, fx)
+            ans.ans_stream_decode(d[:-cut], t, xs, len(msg))
         except ans.CorruptStream:
             raised += 1
-        else:
-            assert len(out) < len(msg) and out == msg[:len(out)]
-    assert raised >= 10
+    assert raised == 29
     with pytest.raises(ans.CorruptStream):
-        ans.ans_stream_decode(d, t, t.b * t.l)
+        ans.ans_stream_decode(d, t, [t.b * t.l], len(msg))
 
 
 def test_stream_state_incremental_matches_batch():
@@ -215,9 +217,9 @@ def test_stream_state_incremental_matches_batch():
     for s in reversed(msg):
         st.push(s)
         assert t.l <= st.x < t.b * t.l
-    d, fx = ans.ans_stream_encode(msg, t)
-    assert list(st.digits) == d and st.x == fx
-    rd = ans.StreamState(t, fx, d)
+    d, xs = ans.ans_stream_encode(msg, t)
+    assert list(st.digits) == d.tolist() and [st.x] == xs
+    rd = ans.StreamState(t, xs[0], d.tolist())
     out = []
     for _ in msg:
         out.append(rd.pop())
@@ -225,13 +227,230 @@ def test_stream_state_incremental_matches_batch():
     assert out == msg and rd.x == t.l and not rd.digits
 
 
+# The single-lane loops as they stood before lanes, kept as the oracle;
+# a detection comes back as its message index.
+def _reference_stream_encode(symbols, table, initial_x=None):
+    """Encode symbols (walked back to front); digits come back in decoder order."""
+    l, b = table.l, table.b
+    x = l if initial_x is None else initial_x
+    if not l <= x < b * l:
+        raise ValueError("initial state outside the coding interval")
+    enc = table.enc
+    l_s = table.l_s
+    hi = [b * ls - 1 for ls in l_s]
+    emitted = []
+    append = emitted.append
+    for s in reversed(symbols):
+        top = hi[s]
+        while x > top:
+            append(x % b)
+            x //= b
+        x = enc[s][x - l_s[s]]
+    emitted.reverse()
+    return emitted, x
+
+
+def _reference_stream_decode_checked(digits, table, final_x, forbidden):
+    """Decode, flagging the first occurrence of the forbidden symbol.
+
+    Digit exhaustion mid-stream is also treated as a detection at the
+    current position rather than an exception.
+    """
+    l, b = table.l, table.b
+    if not l <= final_x < b * l:
+        return [], 0
+    dec_sym, dec_xs = table.dec_sym, table.dec_xs
+    x = final_x
+    pos = 0
+    nd = len(digits)
+    out = []
+    while True:
+        if x == l and pos == nd:
+            break
+        i = x - l
+        s = dec_sym[i]
+        if s == forbidden:
+            return out, len(out)
+        out.append(s)
+        x = dec_xs[i]
+        while x < l:
+            if pos >= nd:
+                return out, len(out)
+            x = x * b + digits[pos]
+            pos += 1
+    return out, None
+
+
+def _reference_fields(symbols, table):
+    """Per symbol, the digits of its renormalisation field in decoder
+    order, and the final state, from the reference coder."""
+    digits, x = _reference_stream_encode(symbols, table)
+    st = ans.StreamState(table, x, digits)
+    fields = []
+    for _ in symbols:
+        before = list(st.digits)
+        st.pop()
+        fields.append(before[:len(before) - len(st.digits)])
+    return fields, x
+
+
+def _sequential_lanes_decode(digits, table, states, count, forbidden):
+    """Lane decode one symbol at a time: the symbols, and the index of a
+    detection (None if none) with whether it is the forbidden symbol."""
+    x, pos, out = list(states), 0, []
+    for i in range(count):
+        k = i % len(x)
+        s, xs = table.decode_step(x[k])
+        if s == forbidden:
+            return out, i, True
+        out.append(s)
+        while xs < table.l:
+            if pos == len(digits):
+                return out, i + 1, False
+            xs = xs * table.b + digits[pos]
+            pos += 1
+        x[k] = xs
+    if pos != len(digits) or any(v != table.l for v in x):
+        return out, count, False
+    return out, None, False
+
+
+def _random_table(rng, n, w, r, key):
+    """A random n-symbol law and its keyed table at l = 2^r, b = 2^w."""
+    qs = rng.random(n) + 0.05
+    qs /= qs.sum()
+    return qs, ans.ans_build_table(list(qs), 1 << r, 1 << w, key=key)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 8])
+def test_one_lane_equals_the_reference(w):
+    rng = np.random.default_rng(w)
+    for trial in range(6):
+        qs, t = _random_table(rng, 2 + trial % 4, w, 12 if w < 8 else 9, trial)
+        msg = rng.choice(len(qs), size=int(rng.integers(0, 3000)), p=qs).tolist()
+        ref_d, ref_x = _reference_stream_encode(msg, t)
+        d, xs = ans.ans_stream_encode(msg, t)
+        assert d.tolist() == ref_d and xs == [ref_x]
+        # the numpy lane steps at K = 1 write the same stream
+        d1, xs1 = ans._encode_lanes(np.asarray(msg), t, 1)
+        assert d1.tolist() == ref_d and xs1 == [ref_x]
+        assert _reference_stream_decode_checked(ref_d, t, ref_x, -1) == (msg, None)
+        assert ans.ans_stream_decode(d, t, xs, len(msg)).tolist() == msg
+        assert ans._decode_lanes(d, t, xs, len(msg), None).tolist() == msg
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 64])
+def test_lane_fields_equal_the_reference_on_each_lane(k):
+    rng = np.random.default_rng(k)
+    for w, n_sym in ((1, 1001), (2, 770), (5, 129), (8, 64 * 5 + 3)):
+        qs, t = _random_table(rng, 3, w, 10 if w < 8 else 9, k)
+        msg = rng.choice(3, size=n_sym + (n_sym % k == 0), p=qs).tolist()
+        assert len(msg) % k
+        d, xs = ans._encode_lanes(np.asarray(msg), t, k)
+        lanes = [_reference_fields(msg[j::k], t) for j in range(k)]
+        assert xs == [x for _, x in lanes]
+        # read the stream back field by field: step by step, lane by lane
+        d, at = d.tolist(), 0
+        for step in range(-(-len(msg) // k)):
+            for j in range(min(k, len(msg) - step * k)):
+                field = lanes[j][0][step]
+                assert d[at:at + len(field)] == field, (w, step, j)
+                at += len(field)
+        assert at == len(d)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 64])
+def test_lanes_roundtrip_random_laws(k):
+    rng = np.random.default_rng(100 + k)
+    for trial in range(12):
+        w = 1 + trial % 8
+        r = int(rng.integers(3, 11 if w < 6 else 8))
+        try:
+            qs, t = _random_table(rng, int(rng.integers(2, 7)), w, r, trial)
+        except ans.DegenerateSymbol:
+            continue
+        n_sym = int(rng.integers(0, 4000))
+        msg = rng.choice(len(qs), size=n_sym, p=qs).tolist()
+        d, xs = ans._encode_lanes(np.asarray(msg), t, k)
+        assert len(xs) == k
+        assert ans.ans_stream_decode(d, t, xs, n_sym).tolist() == msg
+
+
+@pytest.mark.parametrize("k", [1, 7, 64])
+def test_lane_detection_matches_a_sequential_decode(k):
+    # corrupted streams: the numpy steps stop where a one-symbol-at-a-time
+    # decode of the same lanes stops, with the same reason
+    w4 = ans.forbidden_symbol_wrap([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+                                   Fraction(1, 32))
+    t = ans.ans_build_table(w4, 1 << 8, 2, key=3)
+    msg = sample_symbols([0.5, 0.25, 0.25], 3001, seed=k)
+    d, xs = ans._encode_lanes(np.asarray(msg), t, k)
+    rng = SplitMix64(k)
+    seen = set()
+    for _ in range(60):
+        bad = d.tolist()
+        for _ in range(1 + rng.randbelow(3)):
+            bad[rng.randbelow(len(bad))] ^= 1
+        if rng.randbelow(4) == 0:
+            bad = bad[:-1 - rng.randbelow(20)]
+        count = len(msg) - rng.randbelow(3)
+        want, where, forbidden = _sequential_lanes_decode(bad, t, xs, count, 3)
+        try:
+            got = ans.ans_stream_decode(bad, t, xs, count, forbidden=3).tolist()
+            assert where is None and got == want
+        except ans.ErrorDetected as e:
+            assert (e.position, e.forbidden) == (where, forbidden)
+            seen.add(e.forbidden)
+    assert seen == {True, False}
+
+
+def test_container_lane_count_follows_the_symbol_count(monkeypatch):
+    # K is not the writer's choice: a container with K != lanes_for(N) is
+    # refused even when its lanes decode
+    t = ans.ans_build_table([0.5, 0.5], 1 << 8, 2, key=4)
+    msg = sample_symbols([0.5, 0.5], 300, seed=5)
+    d, xs = ans._encode_lanes(np.asarray(msg), t, 3)
+    with pytest.raises(ValueError, match="300 symbols code in 1 lanes, not 3"):
+        ans.pack_container(t, xs, d, len(msg))
+    monkeypatch.setattr(ans, "lanes_for", lambda count: 3)
+    blob = ans.pack_container(t, xs, d, len(msg))
+    assert ans.decode_container(blob).tolist() == msg
+    monkeypatch.undo()
+    with pytest.raises(ans.CorruptStream, match="300 symbols code in 1 lanes, not 3"):
+        ans.unpack_container(blob)
+
+
+def test_lane_container_mutations_fail_cleanly():
+    t = ans.ans_build_table([0.5, 0.25, 0.25], 1 << 12, 2, key=1)
+    msg = sample_symbols([0.5, 0.25, 0.25], ans.LANE_MIN_SYMBOLS + 5, seed=8)
+    d, xs = ans.ans_stream_encode(msg, t)
+    assert len(xs) == 64
+    blob = ans.pack_container(t, xs, d, len(msg))
+    assert ans.decode_container(blob).tolist() == msg
+    count_at = 4 + 5 + 12 + 8
+    rng = SplitMix64(9)
+    cases = []
+    for cut in range(1, 17):
+        body = bytearray(blob[:-4])
+        struct.pack_into("<Q", body, count_at, len(msg) - cut)
+        cases.append(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+    for _ in range(10):
+        out = bytearray(blob)
+        out[rng.randbelow(len(out))] ^= 1 << rng.randbelow(8)
+        cases.append(bytes(out))
+    for bad in cases:
+        with pytest.raises(ans.CorruptStream):
+            ans.decode_container(bad)
+
+
 def test_state_visit_law():
     # visit frequency correlates with 1/x (rank correlation > 0.9)
     t = ans.ans_build_table([0.2, 0.3, 0.5], 1 << 6, 2, key=1)
     qhat = [ls / t.l for ls in t.l_s]
     msg = sample_symbols(qhat, 200000, seed=2)
-    d, fx = ans.ans_stream_encode(msg, t)
-    st = ans.StreamState(t, fx, d)
+    # the single-lane stream: lanes interleave several states' visits
+    digits, x = _reference_stream_encode(msg, t)
+    st = ans.StreamState(t, x, digits)
     visits = np.zeros(t.l)
     for _ in msg:
         visits[st.x - t.l] += 1
@@ -256,9 +475,9 @@ def test_forbidden_uncorrupted_never_triggers():
     w = ans.forbidden_symbol_wrap([Fraction(1, 4), Fraction(3, 4)], eps)
     t = ans.ans_build_table(w, 1 << 12, 2, key=9)
     msg = sample_symbols([0.25, 0.75], 10 ** 7, seed=21)
-    d, fx = ans.ans_stream_encode(msg, t)
-    out, err = ans.ans_stream_decode_checked(d, t, fx, forbidden=2)
-    assert err is None and out == msg
+    d, xs = ans.ans_stream_encode(msg, t)
+    out = ans.ans_stream_decode(d, t, xs, len(msg), forbidden=2)
+    assert out.tolist() == msg
 
 
 def test_forbidden_detection_gap():
@@ -267,11 +486,11 @@ def test_forbidden_detection_gap():
     w = ans.forbidden_symbol_wrap([Fraction(1, 4), Fraction(3, 4)], eps)
     t = ans.ans_build_table(w, 1 << 12, 2, key=9)
     msg = sample_symbols([0.25, 0.75], 4000, seed=22)
-    d, fx = ans.ans_stream_encode(msg, t)
-    out, err = ans.ans_stream_decode_checked(d, t, fx, forbidden=2)
-    assert err is None
+    d, xs = ans.ans_stream_encode(msg, t)
+    assert ans.ans_stream_decode(d, t, xs, len(msg), forbidden=2).tolist() == msg
+    d = d.tolist()
     # per symbol, the digits the reference decoder consumed before it
-    ref = ans.StreamState(t, fx, d)
+    ref = ans.StreamState(t, xs[0], d)
     consumed = []
     for _ in msg:
         consumed.append(len(d) - len(ref.digits))
@@ -282,12 +501,14 @@ def test_forbidden_detection_gap():
         pos = rng.randbelow(len(d))
         bad = list(d)
         bad[pos] ^= 1
-        _, e = ans.ans_stream_decode_checked(bad, t, fx, forbidden=2)
-        if e is None:
+        try:
+            ans.ans_stream_decode(bad, t, xs, len(msg), forbidden=2)
             continue
+        except ans.ErrorDetected as e:
+            found = e.position
         # first symbol that could see the corrupted digit, from the clean trace
         first = next(i for i, c in enumerate(consumed + [len(d)]) if c > pos)
-        if 0 <= e.position - first + 1 <= 64:
+        if 0 <= found - first + 1 <= 64:
             hits += 1
     assert hits >= 950
 
@@ -309,13 +530,14 @@ def test_container_roundtrip():
     qs = [0.2, 0.3, 0.5]
     t = ans.ans_build_table(qs, 1 << 10, 2, key=77)
     msg = sample_symbols(qs, 5000, seed=30)
-    d, fx = ans.ans_stream_encode(msg, t)
-    blob = ans.pack_container(t, fx, d)
-    assert blob[:4] == b"ANS1"
-    t2, fx2, d2 = ans.unpack_container(blob)
-    assert (t2.l_s, t2.key, fx2, d2) == (t.l_s, t.key, fx, d)
-    assert t2.dec_sym == t.dec_sym
-    assert ans.ans_stream_decode(d2, t2, fx2) == msg
+    d, xs = ans.ans_stream_encode(msg, t)
+    blob = ans.pack_container(t, xs, d, len(msg))
+    assert blob[:4] == b"ANS2"
+    t2, xs2, n2, d2, crc_ok = ans.unpack_container(blob)
+    assert (t2.l_s, t2.key, xs2, n2, d2.tolist()) == (t.l_s, t.key, xs, len(msg), d.tolist())
+    assert crc_ok and t2.dec_sym == t.dec_sym
+    assert ans.ans_stream_decode(d2, t2, xs2, n2).tolist() == msg
+    assert ans.decode_container(blob).tolist() == msg
     with pytest.raises(ans.CorruptStream):
         ans.unpack_container(b"XXXX" + blob[4:])
     with pytest.raises(ans.CorruptStream):
@@ -325,10 +547,10 @@ def test_container_roundtrip():
 def test_container_reread_with_its_table():
     t = ans.ans_build_table([0.25, 0.75], 1 << 8, 4, key=5)
     msg = sample_symbols([0.25, 0.75], 500, seed=31)
-    d, fx = ans.ans_stream_encode(msg, t)
-    blob = ans.pack_container(t, fx, d)
-    t2, fx2, d2 = ans.unpack_container(blob, t)
-    assert t2 is t and (fx2, d2) == (fx, d)
+    d, xs = ans.ans_stream_encode(msg, t)
+    blob = ans.pack_container(t, xs, d, len(msg))
+    t2, xs2, _, d2, _ = ans.unpack_container(blob, t)
+    assert t2 is t and (xs2, d2.tolist()) == (xs, d.tolist())
     for other in (ans.ans_build_table([0.25, 0.75], 1 << 8, 4, key=6),
                   ans.ans_build_table([0.25, 0.75], 1 << 8, 2, key=5),
                   ans.ans_build_table([0.25, 0.75], 1 << 9, 4, key=5),
@@ -339,12 +561,15 @@ def test_container_reread_with_its_table():
 
 def test_container_header_layout():
     t = ans.ans_build_table([0.5, 0.5], 1 << 4, 2, key=0xDEADBEEF)
-    blob = ans.pack_container(t, 17, [1, 0, 1])
-    # 4 magic + 5 fixed + 2*4 slots + 24 trailer + 1 payload byte
-    assert len(blob) == 4 + 5 + 8 + 24 + 1
-    assert blob[4] == 1 and blob[5] == 1 and blob[6] == 4
+    blob = ans.pack_container(t, [17], [1, 0, 1], 2)
+    # 4 magic + 5 fixed + 2*4 slots + 26 counts + 4 lane state
+    # + 1 payload byte + 4 crc
+    assert len(blob) == 4 + 5 + 8 + 26 + 4 + 1 + 4
+    assert blob[4] == 2 and blob[5] == 1 and blob[6] == 4
     assert int.from_bytes(blob[7:9], "little") == 2
-    assert blob[-1] == 0b101
+    assert struct.unpack_from("<QQHQI", blob, 17) == (0xDEADBEEF, 2, 1, 3, 17)
+    assert blob[-5] == 0b10100000          # digits most significant bit first
+    assert blob[-4:] == zlib.crc32(blob[:-4]).to_bytes(4, "little")
 
 
 def test_abs_stream_pair_roundtrip():

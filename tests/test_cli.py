@@ -6,6 +6,7 @@ import resource
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,8 @@ def test_ans_roundtrip_and_corruption(tmp_path):
     rc, _, err = run(["ans", "decode", "--probs", probs, "--forbidden-eps",
                       "1/64", "--in", str(bad), "--out", str(tmp_path / "x")])
     assert rc == 1
+    # reported before the checksum mismatch the flip also causes
+    assert err.splitlines()[-1].startswith("error: forbidden symbol at position ")
 
 
 def test_ans_usage_and_data_errors(tmp_path):
@@ -149,7 +152,8 @@ def test_ans_decode_truncated_header(tmp_path):
                     "--out", str(blob)])
     assert rc == 0
     data = blob.read_bytes()
-    header = 4 + 5 + 4 * 3 + 24  # magic, version/w/R/n, l_s[3], key/x/count
+    # magic, version/w/R/n, l_s[3], key/N/K/D, one lane state
+    header = 4 + 5 + 4 * 3 + 26 + 4
     assert len(data) > header
     cut = tmp_path / "cut"
     for k in range(header):
@@ -172,7 +176,7 @@ def test_ans_decode_oversized_digit_count(tmp_path, width):
     assert rc == 0
     data = bytearray(blob.read_bytes())
     data[5] = width
-    count = 4 + 5 + 4 * 3 + 16  # magic, version/w/R/n, l_s[3], key/x
+    count = 4 + 5 + 4 * 3 + 18  # magic, version/w/R/n, l_s[3], key/N/K
     data[count:count + 8] = (1 << 40).to_bytes(8, "little")
     blob.write_bytes(data)
     got = subprocess.run([sys.executable, "-m", "latticecode.cli", "ans",
@@ -193,9 +197,10 @@ def test_ans_decode_oversized_table(tmp_path):
     # R = 32 and two slots of 2^31 sum to 2^R, so only a bound on the
     # (b - 1)·2^R table stops the build
     blob = tmp_path / "blob"
-    blob.write_bytes(b"ANS1" + struct.pack("<BBBH", 1, 1, 32, 2)
+    blob.write_bytes(b"ANS2" + struct.pack("<BBBH", 2, 1, 32, 2)
                      + struct.pack("<2I", 1 << 31, 1 << 31)
-                     + struct.pack("<QQQ", 0, 1 << 32, 0))
+                     + struct.pack("<QQHQI", 0, 0, 1, 0, 0)
+                     + struct.pack("<I", 0))
     got = subprocess.run([sys.executable, "-m", "latticecode.cli", "ans",
                           "decode", "--in", str(blob),
                           "--out", str(tmp_path / "o")],
@@ -205,6 +210,83 @@ def test_ans_decode_oversized_table(tmp_path):
     assert [ln for ln in got.stderr.splitlines() if ln.startswith("error:")] == [
         "error: table of (2^1 - 1) * 2^32 slots exceeds 1048576"]
     assert "Traceback" not in got.stderr
+
+
+def test_ans1_container_is_refused(tmp_path):
+    blob = tmp_path / "blob"
+    blob.write_bytes(b"ANS1" + struct.pack("<BBBH", 1, 1, 8, 2)
+                     + struct.pack("<2I", 128, 128)
+                     + struct.pack("<QQQ", 0, 256, 0))
+    rc, _, err = run(["ans", "decode", "--in", str(blob),
+                      "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert err.splitlines()[1:] == [
+        "error: ANS1 containers are no longer read; re-encode the source file"]
+
+
+def _ans_container(tmp_path, data, flags):
+    src, blob = tmp_path / "in", tmp_path / "blob"
+    src.write_bytes(data)
+    rc, _, _ = run(["ans", "encode"] + flags + ["--in", str(src),
+                                                "--out", str(blob)])
+    assert rc == 0
+    return blob.read_bytes()
+
+
+def _with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("field", ["N", "D"])
+def test_ans_lowered_counts_fail(tmp_path, field):
+    # the symbol count binds the decode: lowering N or the digit count D,
+    # with the checksum made to match, fails with one error line
+    flags = ["--probs", "1/2,1/4,1/4", "--precision", "8"]
+    data = bytes(SplitMix64(17).randbelow(3) for _ in range(300))
+    blob = _ans_container(tmp_path, data, flags)
+    off = 4 + 5 + 4 * 3 + (8 if field == "N" else 18)
+    old = struct.unpack_from("<Q", blob, off)[0]
+    bad = tmp_path / "bad"
+    for cut in range(1, 17):
+        body = bytearray(blob[:-4])
+        struct.pack_into("<Q", body, off, old - cut)
+        bad.write_bytes(_with_crc(bytes(body)))
+        rc, _, err = run(["ans", "decode"] + flags + ["--in", str(bad),
+                                                      "--out", str(tmp_path / "o")])
+        assert rc == 1, cut
+        assert len(err.splitlines()[1:]) == 1, cut
+        assert err.splitlines()[1].startswith("error: "), cut
+
+
+def test_ans_one_symbol_law(tmp_path):
+    # every step of a one-symbol law is digit-free, so a lane carries at
+    # most (b - 1) l symbols; past that encode refuses to write a file
+    # that decode would refuse
+    for n, rc_want in ((100, 0), (5000, 1)):
+        src, blob = tmp_path / "in", tmp_path / ("blob%d" % n)
+        src.write_bytes(bytes(n))
+        rc, _, err = run(["ans", "encode", "--probs", "1", "--in", str(src),
+                          "--out", str(blob), "--verify"])
+        assert rc == rc_want
+        if rc:
+            assert err.splitlines()[1:] == [
+                "error: 5000 symbols exceed what 0 digits can carry"]
+            assert not blob.exists()
+
+
+def test_ans_checksum_mismatch(tmp_path):
+    flags = ["--probs", "1/2,1/4,1/4", "--digit-bits", "2"]
+    data = bytes(SplitMix64(18).randbelow(3) for _ in range(500))
+    blob = _ans_container(tmp_path, data, flags)
+    bad = tmp_path / "bad"
+    for at in (60, len(blob) - 6, len(blob) - 1):
+        out = bytearray(blob)
+        out[at] ^= 0x24
+        bad.write_bytes(bytes(out))
+        rc, _, err = run(["ans", "decode"] + flags + ["--in", str(bad),
+                                                      "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert err.splitlines()[1:] == ["error: checksum mismatch"], at
 
 
 # runs argv under 1 GB of address space and reports the seconds main took
@@ -309,7 +391,8 @@ _SAMPLE = ["sample", "--cols", "4"]
     ["capacity", "--width", "-1"],
     ["strip", "evaluate", "--jobs", "0"],
     ["algo1", "rate", "--side", "16", "--jobs", "-3"],
-    ["algo2", "--side", "50", "--jobs", "0"]])
+    ["algo2", "--side", "50", "--jobs", "0"],
+    ["algo2", "--side", "20"]])
 def test_sample_rejects_bad_sizes(flags):
     rc, out, err = run(flags)
     assert rc == 2

@@ -3,7 +3,7 @@
 Both codecs write through `strip._write` and read back through
 `strip._read`; every example must decode to exactly the payload bits the
 encoder consumed and leave a valid lattice.  Mutated strip and algo1 files
-and mutated ANS1 containers must decode or fail with one `error:` line, in
+and mutated ANS2 containers must decode or fail with one `error:` line, in
 bounded time.  The profiles are derandomized and the container mutations
 seeded, so the examples are the same on every run.
 """
@@ -14,6 +14,7 @@ import io
 import random
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -152,7 +153,7 @@ def test_mutated_lattice_files_decode_or_fail_cleanly(kind, ops):
 
 
 # ---------------------------------------------------------------------------
-# mutated ANS1 containers
+# mutated ANS2 containers
 
 CONTAINERS = {
     "ans-forbidden": ["ans", "--probs", "1/2,1/4,1/4", "--forbidden-eps", "1/64"],
@@ -179,22 +180,28 @@ def _container(kind):
 
 
 def _header_fields(blob):
-    """(name, offset, byte size) of every ANS1 header field after the magic
-    and version: w, R, n, each l_s, key, final state and digit count."""
+    """(name, offset, byte size) of every ANS2 field after the magic and
+    version: w, R, n, each l_s, key, symbol count N, lane count K, digit
+    count D, each lane state, and the trailing crc."""
     n = int.from_bytes(blob[7:9], "little")
     fields = [("w", 5, 1), ("R", 6, 1), ("n", 7, 2)]
     fields += [("l_s%d" % i, 9 + 4 * i, 4) for i in range(n)]
     off = 9 + 4 * n
-    fields += [("key", off, 8), ("x", off + 8, 8), ("ndigits", off + 16, 8)]
-    return fields
+    fields += [("key", off, 8), ("N", off + 8, 8), ("K", off + 16, 2),
+               ("D", off + 18, 8)]
+    k = int.from_bytes(blob[off + 16:off + 18], "little")
+    fields += [("x%d" % i, off + 26 + 4 * i, 4) for i in range(k)]
+    return fields + [("crc", len(blob) - 4, 4)]
 
 
 def _container_mutations(blob, rng):
     """Seeded (label, mutated blob) cases: single bit flips anywhere, random
-    header bytes, edge and random values in every header field, and
-    truncations at every header length and inside the payload."""
+    header bytes, edge and random values in every field, truncations at
+    every header length and inside the payload, and the cases that must
+    fail: a symbol count lowered by 1-16 under a matching crc, and a
+    flipped payload byte."""
     fields = _header_fields(blob)
-    head = fields[-1][1] + fields[-1][2]
+    head = fields[-2][1] + fields[-2][2]    # the end of the last lane state
     for _ in range(120):
         k = rng.randrange(8 * len(blob))
         out = bytearray(blob)
@@ -215,6 +222,17 @@ def _container_mutations(blob, rng):
                 yield "%s=%d" % (name, v), out
     for cut in sorted({*range(head + 2), *rng.sample(range(len(blob)), 10)}):
         yield "truncate to %d" % cut, blob[:cut]
+    off, size = {name: (o, z) for name, o, z in fields}["N"]
+    count = int.from_bytes(blob[off:off + size], "little")
+    for cut in range(1, 17):
+        body = (blob[:off] + (count - cut).to_bytes(size, "little")
+                + blob[off + size:-4])
+        yield "must fail: N=%d" % (count - cut), body + zlib.crc32(body).to_bytes(4, "little")
+    for _ in range(10):
+        out = bytearray(blob)
+        at = rng.randrange(head, len(blob) - 4)
+        out[at] ^= rng.randrange(1, 256)
+        yield "must fail: payload byte %d" % at, bytes(out)
 
 
 @pytest.mark.parametrize("kind", sorted(CONTAINERS))
@@ -232,7 +250,7 @@ def test_mutated_containers_decode_or_fail_cleanly(kind):
             assert time.perf_counter() - t < ANS_DECODE_BOUND, label
             lines = [ln for ln in err.splitlines() if not ln.startswith("# ")]
             if rc == 0:
-                assert lines == [], label
+                assert lines == [] and not label.startswith("must fail"), label
             else:
                 assert rc == 1, label
                 assert len(lines) == 1 and lines[0].startswith("error: "), \

@@ -63,9 +63,9 @@ RNG_DIGESTS = {
     "sample_exact": "8fd1bf444ab68ce698ae6d79ef8eabc4188092f5e69650d81309970035e01cd7",
     "sample_cyclic": "6e6d0b447b014d96abf37fa6e7030dfe344249bedc1ea0b2720c12a58b9d14d6",
     "sample_chain_1d": "8f2b1cb078368b85d2ad89b442c0d876884a63dc1b75ab866377e91e901c4ede",
-    "ans_w3": "50fd84f42ae097d9e0803cca3f4de1322a887d004a013decc857bf80a2b2b6df",
-    "ans_w8": "240fc739051c1f87bbe75fefe245304a5dcf5c4a7cfd8b8f6985f7dbca8a1e30",
-    "abs_key": "a676552ed54706e53564a1c639e5c85f4c98c7aa436badfc3c44bd1601d21a67",
+    "ans_w3": "708fe25c07fc3e4753f8e9910bf64fe161b1588d5b3a2a7413b5a8e684dbd548",
+    "ans_w8": "7fe73e6a72aa909b58759954f028d6417c1ec85fcdd40e5f99aa592da86248ae",
+    "abs_key": "d71275ddc19e20bb019948d0986980bc2727842d1a4d3b7d1a068b2b8ba30297",
 }
 
 STDOUT = {
