@@ -68,7 +68,12 @@ class DegenerateSymbol(ValueError):
     pass
 
 
-class CorruptStream(ValueError):
+class DecodeError(ValueError):
+    """Base of every failure to decode outside data: a corrupt stream, an
+    invalid lattice or a header that does not match its codec."""
+
+
+class CorruptStream(DecodeError):
     pass
 
 
@@ -746,7 +751,7 @@ class AbsStreamDecoder:
 class AbsStreamEncoder:
     """Inverse of AbsStreamDecoder: absorbs symbols walked in reverse order
     starting from the decoder's final state, emitting the bits it consumed.
-    `strip._read` runs absorb on every free node."""
+    `strip._read` runs absorb on every free node, back to front."""
 
     def __init__(self, final_state: int, precision: int):
         if precision < 1:

@@ -205,7 +205,7 @@ def cmd_ans(args) -> int:
 
     def read(data: bytes) -> bytes:
         # the bytes themselves are the symbols
-        if data and max(data) >= n:
+        if data and np.frombuffer(data, dtype=np.uint8).max() >= n:
             raise ValueError("input byte outside the %d-symbol alphabet" % n)
         return data
 

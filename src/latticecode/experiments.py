@@ -4,13 +4,14 @@ Two Monte-Carlo lattice writers live here.  The first is a two-pass
 checkerboard scheme with a closed-form rate: the even sublattice is
 written as independent Bernoulli(q) draws, then every odd node whose four
 neighbours are 0 carries one fair payload bit.  It is a visiting order
-(the even sublattice, then the odd one) plus a walk, run by the same
-walk-draw-replay loops as the strip codec (`strip._write` /
-`strip._read`): the walk yields the even laws, then reads the even
-symbols back from the shared `placed` list to give each odd node its
-law.  The second visits nodes in a random time order and writes a 1
-with a time-dependent probability (a "charging profile"); it is a
-measurement device, not a codec.
+(the even sublattice, then the odd one) plus a law rule, run by the same
+coders as the strip codec (`strip._write` / `strip._read`).  The encoder
+walks: the walk yields the even laws, then reads the even symbols back
+from the shared `placed` list to give each odd node its law.  The decoder
+gathers every law off the written grid in one pass with the same odd-pass
+rule, then absorbs the free nodes back to front.  The second visits nodes
+in a random time order and writes a 1 with a time-dependent probability
+(a "charging profile"); it is a measurement device, not a codec.
 
 `reproduce_tables` recomputes every frozen reference value shipped with
 the package and reports pass/fail per row.
@@ -30,8 +31,9 @@ from .ans import abs_decode_step
 from .rng import SplitMix64
 from .spectral import (binary_entropy, dominant_eigs, kmodel_benefit,
                        kmodel_capacity, kmodel_graph)
-from .strip import (ConfigMismatch, EncodeResult, _map_trials, _mean_stderr,
-                    _quantize, _rate_trial, _read, _write, strip_capacity)
+from .strip import (ConfigMismatch, EncodeResult, _check_precision, _law_dtype,
+                    _map_trials, _mean_stderr, _quantize, _rate_trial, _read,
+                    _write, strip_capacity)
 
 HARD_SQUARE_ENTROPY = lat.HARD_SQUARE_ENTROPY
 
@@ -92,8 +94,8 @@ def _dims(dims) -> tuple[int, int]:
 def _algorithm1_order(rows: int, cols: int) -> np.ndarray:
     """Visiting order of the two-pass writer as flat grid indices: the even
     checkerboard sublattice row by row, then the odd one."""
-    odd = np.indices((rows, cols)).sum(axis=0).ravel() % 2
-    return np.concatenate((np.flatnonzero(odd == 0), np.flatnonzero(odd)))
+    odd = (np.arange(rows) % 2 == 1)[:, None] ^ (np.arange(cols) % 2 == 1)
+    return np.concatenate((np.flatnonzero(~odd), np.flatnonzero(odd)))
 
 
 def _around(op, pad):
@@ -103,28 +105,54 @@ def _around(op, pad):
     return op(out, pad[1:-1, 2:], out=out)
 
 
+def _check_q(q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+
+
+def _algorithm1_odd_free(rows: int, cols: int, order: np.ndarray,
+                         even) -> np.ndarray:
+    """The odd-pass rule: which odd nodes, in visiting order, carry one
+    fair bit given the even symbols in visiting order.  Those whose four
+    neighbours are 0 (zero boundary: nodes outside the grid never block);
+    every other odd node is forced to 0."""
+    neven = len(even)
+    grid = np.zeros(rows * cols, dtype=bool)
+    grid[order[:neven]] = even
+    blocked = _around(np.logical_or, np.pad(grid.reshape(rows, cols), 1))
+    return ~blocked.ravel()[order[neven:]]
+
+
 def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
                      precision: int, placed: list):
     """Laws of the two-pass writer: Bernoulli(q) on the even sublattice,
-    then one fair bit on each odd node whose four neighbours are 0 (zero
-    boundary: nodes outside the grid never block).  The odd laws follow
-    from the even symbols, read from `placed` once the first pass ends.
-    q is checked on the call, so a bad q is reported even when the walk
-    never yields (an empty grid, or a non-binary first node)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    l = 1 << precision
+    then the odd-pass rule over the even symbols, read from `placed` once
+    the first pass ends.  q is checked on the call, so a bad q is reported
+    even when the walk never yields (an empty grid)."""
+    _check_q(q)
     neven = (rows * cols + 1) // 2
 
     def laws():
-        yield from repeat(_quantize(q, l), neven)
-        even = np.zeros(rows * cols, dtype=bool)
-        even[order[:neven]] = placed[:neven]
-        blocked = _around(np.logical_or, np.pad(even.reshape(rows, cols), 1))
-        half = l >> 1
-        yield from [0 if b else half for b in blocked.ravel()[order[neven:]].tolist()]
+        yield from repeat(_quantize(q, 1 << precision), neven)
+        half = 1 << (precision - 1)
+        free = _algorithm1_odd_free(rows, cols, order, placed[:neven])
+        yield from [half if f else 0 for f in free.tolist()]
 
     return laws()
+
+
+def _algorithm1_laws(grid: np.ndarray, order: np.ndarray, q: float,
+                     precision: int) -> np.ndarray:
+    """Every node's law in visiting order, read off a written grid: the
+    walk's laws with the even symbols taken from the grid."""
+    _check_q(q)
+    rows, cols = grid.shape
+    neven = (rows * cols + 1) // 2
+    laws = np.zeros(rows * cols, _law_dtype(precision))
+    laws[:neven] = _quantize(q, 1 << precision)
+    free = _algorithm1_odd_free(rows, cols, order, grid.flat[order[:neven]] == 1)
+    laws[neven:][free] = 1 << (precision - 1)
+    return laws
 
 
 def algorithm1_encode(dims, q: float, bits, precision: int = 16,
@@ -152,11 +180,9 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ConfigMismatch("expected a 2-d grid")
-    rows, cols = grid.shape
-    order = _algorithm1_order(rows, cols)
-    return _read(grid, order,
-                 lambda placed: _algorithm1_walk(rows, cols, order, q,
-                                                 precision, placed),
+    _check_precision(precision)
+    order = _algorithm1_order(*grid.shape)
+    return _read(grid, order, _algorithm1_laws(grid, order, q, precision),
                  final_state, nbits, precision)
 
 

@@ -10,21 +10,25 @@ The codec turns payload bits into a valid lattice valuation by walking the
 grid column-major and drawing each free node from the entropy-maximizing
 conditional law with a binary stream coder (one coder state threaded
 through the whole lattice, so the rate loss stays bounded by the per-node
-quantization, not per-node rounding to whole bits).
+quantization, not per-node rounding to whole bits).  Each law depends only
+on nodes visited before it, so the decoder, which sees the whole grid,
+gathers every law at once and runs the coder backwards over the free nodes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import lattice as lat
 from . import spectral as spec
-from .ans import AbsStreamDecoder, AbsStreamEncoder, CapacityExceeded, CorruptStream
+from .ans import (AbsStreamDecoder, AbsStreamEncoder, CapacityExceeded,
+                  CorruptStream, DecodeError)
 from .rng import SplitMix64
 
 
@@ -32,17 +36,20 @@ class TooWide(RuntimeError):
     pass
 
 
-class InvalidLattice(ValueError):
+class InvalidLattice(DecodeError):
     pass
 
 
-class ConfigMismatch(ValueError):
+class ConfigMismatch(DecodeError):
     pass
 
 
 MAX_STATES = 1 << 14
 # Coder precision R: a float law holds 53 bits, and p * 2^R must stay finite.
 MAX_PRECISION = 64
+# nodes whose free laws and symbols `_read` turns into Python lists at a
+# time: a list of them all would hold a distinct int object per free node
+ABSORB_BLOCK = 1 << 12
 
 
 @dataclass
@@ -176,14 +183,17 @@ class EncodeResult:
     padded: int
 
 
-# A codec is a visiting order plus a walk, run by this one pair of loops.
-# The order lists the grid's nodes as flat indices.  The walk is a function
-# of a shared list `placed`; it returns a generator that yields the law of
-# each node in visiting order and, once resumed, finds that node's symbol
-# in placed[t].  The law is the numerator m of the dyadic one-probability
-# m/2^R; m = 0 and m = 2^R force a 0 or a 1 and cost no payload.  `_write`
-# and `_read` run the binary coder step (`AbsStreamDecoder.draw` and
-# `AbsStreamEncoder.absorb`) on every free node.
+# A codec is a visiting order plus a law rule, run by this one pair of
+# coders.  The order lists the grid's nodes as flat indices.  The law of a
+# node is the numerator m of its dyadic one-probability m/2^R; m = 0 and
+# m = 2^R force a 0 or a 1 and cost no payload.  The encoder walks: the
+# walk is a function of a shared list `placed`; it returns a generator that
+# yields the law of each node in visiting order and, once resumed, finds
+# that node's symbol in placed[t], and `_write` draws every free node
+# (`AbsStreamDecoder.draw`).  The decoder gathers: a law depends only on
+# nodes visited before it, so the codec reads every law off the written
+# grid at once, and `_read` checks the forced nodes and absorbs the free
+# ones back to front (`AbsStreamEncoder.absorb`).
 
 
 def _quantize(p: float, l: int) -> int:
@@ -203,6 +213,11 @@ def _check_precision(precision: int) -> None:
         raise ValueError("precision must be at most %d" % MAX_PRECISION)
 
 
+def _law_dtype(precision: int):
+    """Law arrays hold int64 while 2^R fits with room, Python ints beyond."""
+    return np.int64 if precision < 62 else object
+
+
 def _write(bits: Sequence[int], precision: int, grid: np.ndarray, order,
            walk, partial: bool) -> EncodeResult:
     """Draw every free node of the walk from the payload into the grid."""
@@ -219,9 +234,10 @@ def _write(bits: Sequence[int], precision: int, grid: np.ndarray, order,
     return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
 
 
-def _read(grid: np.ndarray, order, walk, final_state: int, nbits: int,
+def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
           precision: int) -> list:
-    """Replay the walk over a written grid and run the coder backwards."""
+    """Check a written grid against its laws, one per node in visiting
+    order, and run the coder backwards over the free nodes."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
@@ -230,28 +246,27 @@ def _read(grid: np.ndarray, order, walk, final_state: int, nbits: int,
         raise ConfigMismatch("final coder state out of range")
     cols = grid.shape[1]
     vals = grid.flat[order]
-    binary = (vals == 0) | (vals == 1)
-    # the walk runs only up to the first non-binary node
+    laws = np.asarray(laws, dtype=_law_dtype(precision))
+    ones = vals == 1
+    binary = ones | (vals == 0)
+    # a forced node that disagrees ahead of the first non-binary one is
+    # reported first
     n = len(vals) if binary.all() else int(np.argmin(binary))
-    placed = vals.tolist()
-    laws = list(islice(walk(placed), n))
-    bad = n < len(placed)
-    enc = AbsStreamEncoder(final_state, precision)
-    absorb = enc.absorb
-    if not bad:
-        for s, m in zip(reversed(placed), reversed(laws)):
-            if 0 < m < l:
-                absorb(s, m)
-            elif s != m >> precision:
-                bad = True
-                break
-    if bad:
-        for t, (s, m) in enumerate(zip(placed, laws)):
-            if not 0 < m < l and s != m >> precision:
-                raise InvalidLattice("forced node disagrees at (%d, %d)"
-                                     % divmod(int(order[t]), cols))
+    forced = (laws == 0) | (laws == l)
+    wrong = forced[:n] & (ones[:n] != (laws[:n] == l))
+    if wrong.any():
+        raise InvalidLattice("forced node disagrees at (%d, %d)"
+                             % divmod(int(order[np.argmax(wrong)]), cols))
+    if n < len(vals):
         raise InvalidLattice("non-binary value at (%d, %d)"
                              % divmod(int(order[n]), cols))
+    enc = AbsStreamEncoder(final_state, precision)
+    # deque(map(...), 0) runs the absorb calls without a Python loop
+    for end in range(len(vals), 0, -ABSORB_BLOCK):
+        block = slice(max(end - ABSORB_BLOCK, 0), end)
+        free = ~forced[block]
+        deque(map(enc.absorb, ones[block][free][::-1].tolist(),
+                  laws[block][free][::-1].tolist()), 0)
     out = enc.finish()
     if len(out) < nbits:
         raise CorruptStream("stream holds fewer bits than declared")
@@ -269,9 +284,9 @@ class LatticeCodec:
     The walk visits the grid column-major and gives each node the
     entropy-maximizing conditional one-probability, quantized to m/2^R and
     read from the previous column's compiled table.  Encoding draws
-    the free nodes from the payload; decoding replays the walk to recover
-    every (symbol, m) pair and runs the coder backwards from the stored
-    final state.
+    the free nodes from the payload; decoding gathers every node's law
+    from the tables of the states the grid's columns visit and runs the
+    coder backwards from the stored final state.
     """
 
     def __init__(self, strip: StripModel, precision: int = 16):
@@ -302,21 +317,46 @@ class LatticeCodec:
         return _write(bits, self.precision, grid, self._order(cols),
                       lambda placed: self._walk(cols, placed), partial)
 
-    def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> list:
-        strip = self.strip
-        grid = np.asarray(grid)
-        _check_height(grid, strip.n)
+    def _laws(self, grid: np.ndarray) -> np.ndarray:
+        """Every node's law in visiting order, gathered from the walk tables
+        of the states the grid visits, once its columns are checked."""
+        strip, precision = self.strip, self.precision
+        n, codes = strip.n, strip.codes
+        _check_height(grid, n)
         # each column's state by its code, then every column pair
-        codes = strip.codes
-        got = (1 << np.arange(strip.n - 1, -1, -1, dtype=np.int64)) @ (grid == 1)
+        got = (1 << np.arange(n - 1, -1, -1, dtype=np.int64)) @ (grid == 1)
         v = np.searchsorted(codes, got).clip(max=len(codes) - 1)
+        u = np.append(strip.zero_state, v)[:-1]
         ok = ((grid == 0) | (grid == 1)).all(axis=0) & (codes[v] == got)
-        ok &= strip.graph.weights[np.append(strip.zero_state, v[:-1]), v] != 0
+        ok &= strip.graph.weights[u, v] != 0
         if not ok.all():
             raise InvalidLattice("column %d breaks the constraints" % np.argmin(ok))
-        cols = grid.shape[1]
-        return _read(grid, self._order(cols),
-                     lambda placed: self._walk(cols, placed), final_state,
+        _check_precision(precision)
+        # row j of a column in state v after state u reads heap node
+        # (1 << j) | (code_v >> (n - j)) of u's table.  Each distinct (u, v)
+        # pair is gathered once by an itemgetter over that cached table:
+        # stacking the visited tables would hold states x 2^n laws (129 MB
+        # at width 14).  The stable argsort is the one the ANS table build
+        # runs; np.unique imports numpy.ma and np.sort loads sort code no
+        # other codec call needs, both raising the peak memory
+        key = u * len(codes) + v
+        pairs = key[np.argsort(key, kind="stable")]
+        pairs = pairs[np.flatnonzero(np.diff(pairs, prepend=-1))]
+        pu, pv = np.divmod(pairs, len(codes))
+        j = np.arange(n)
+        nodes = (1 << j) | (codes[pv][:, None] >> (n - j))
+        laws = np.empty((len(pairs), n), _law_dtype(precision))
+        starts = np.flatnonzero(np.diff(pu, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [len(pairs)]):
+            table = _walk_table(strip, int(pu[a]), precision)[0]
+            laws[a:b] = np.reshape(itemgetter(*nodes[a:b].ravel().tolist())(table),
+                                   (b - a, n))
+        return laws[np.searchsorted(pairs, key)].ravel()
+
+    def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> list:
+        grid = np.asarray(grid)
+        laws = self._laws(grid)
+        return _read(grid, self._order(grid.shape[1]), laws, final_state,
                      nbits, self.precision)
 
 

@@ -123,6 +123,17 @@ def test_ans_roundtrip_and_corruption(tmp_path):
     assert err.splitlines()[-1].startswith("error: forbidden symbol at position ")
 
 
+@pytest.mark.parametrize("extra", [[], ["--forbidden-eps", "1/64"]])
+def test_ans_refuses_a_byte_equal_to_the_alphabet_size(tmp_path, extra):
+    # byte n would code as the forbidden symbol, or fall outside the table
+    src = tmp_path / "in"
+    src.write_bytes(bytes([0, 1] * 50 + [2]))
+    rc, _, err = run(["ans", "encode", "--probs", "1/2,1/2", "--in", str(src),
+                      "--out", str(tmp_path / "o")] + extra)
+    assert rc == 1
+    assert err.splitlines()[-1] == "error: input byte outside the 2-symbol alphabet"
+
+
 def test_ans_usage_and_data_errors(tmp_path):
     src = tmp_path / "in"
     src.write_bytes(b"\x00\x05")

@@ -6,6 +6,7 @@ import pytest
 
 import latticecode.lattice as lat
 from latticecode import experiments as ex
+from latticecode import strip as st
 from latticecode.ans import CapacityExceeded, CorruptStream
 from latticecode.rng import SplitMix64
 from latticecode.strip import ConfigMismatch, InvalidLattice
@@ -105,13 +106,44 @@ def test_algorithm1_decode_rejections():
 
 def test_algorithm1_checks_q_before_the_walk_yields():
     # q is rejected even when no law is drawn: on an empty grid, and ahead
-    # of the non-binary node that stops the decode walk at its first step
+    # of the non-binary first node the decode would otherwise report
     for grid in (np.zeros((0, 4), dtype=np.int8),
                  np.full((3, 3), 2, dtype=np.int8)):
         with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
             ex.algorithm1_decode(grid, 2.0, 1 << 16, 0)
     with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
         ex.algorithm1_encode((3, 3), -0.5, [])
+
+
+@pytest.mark.parametrize("R", [1, 16, 63, 64])
+def test_algorithm1_gathered_laws_equal_the_walk(R):
+    # the encoder's walk is the oracle for the decoder's gather, over the
+    # walk's own output grid
+    rng = SplitMix64(40 + R)
+    for rows, cols in ((1, 1), (1, 6), (3, 3), (4, 6), (7, 5), (8, 8)):
+        order = ex._algorithm1_order(rows, cols)
+        for q in (0.0, 0.17, 0.5, 1.0):
+            bits = [rng.randbelow(2) for _ in range(rows * cols + R)]
+            grid = ex.algorithm1_encode((rows, cols), q, bits, R, partial=True).grid
+            placed = grid.flat[order].tolist()
+            assert ex._algorithm1_laws(grid, order, q, R).tolist() == list(
+                ex._algorithm1_walk(rows, cols, order, q, R, placed))
+
+
+def test_decoders_read_any_binary_dtype():
+    # a float grid once made the strip decode index a list with a float
+    assert st.LatticeCodec(st.strip_model(lat.hard_square(), 3)).decode(
+        np.zeros((3, 3)), 1 << 16, 0) == []
+    rng = SplitMix64(8)
+    bits = [rng.randbelow(2) for _ in range(200)]
+    codec = st.LatticeCodec(st.strip_model(lat.hard_square(), 3))
+    sres = codec.encode(bits, 40, partial=True)
+    ares = ex.algorithm1_encode((12, 12), 0.17, bits, partial=True)
+    for dtype in (np.int8, np.int64, bool, float):
+        assert codec.decode(sres.grid.astype(dtype), sres.final_state,
+                            sres.consumed) == bits[:sres.consumed]
+        assert ex.algorithm1_decode(ares.grid.astype(dtype), 0.17, ares.final_state,
+                                    ares.consumed) == bits[:ares.consumed]
 
 
 def test_algorithm1_rate_verify_failure_is_a_data_error(monkeypatch):

@@ -1,4 +1,4 @@
-"""Properties of the shared walk-draw-replay loops and their files.
+"""Properties of the shared coder pair and the files it writes.
 
 Both codecs write through `strip._write` and read back through
 `strip._read`; every example must decode to exactly the payload bits the

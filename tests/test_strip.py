@@ -9,7 +9,7 @@ from latticecode import ans
 from latticecode import lattice as lat
 from latticecode import spectral as sp
 from latticecode import strip as st
-from latticecode.ans import CapacityExceeded, CorruptStream
+from latticecode.ans import CapacityExceeded, CorruptStream, DecodeError
 from latticecode.rng import SplitMix64
 
 
@@ -278,12 +278,18 @@ def test_decode_rejections():
     bad = res.grid.copy()
     bad[0, 3] = 1
     bad[1, 3] = 1
-    with pytest.raises(st.InvalidLattice):
+    with pytest.raises(st.InvalidLattice) as e:
         codec.decode(bad, res.final_state, res.consumed)
-    with pytest.raises(st.ConfigMismatch):
+    assert isinstance(e.value, DecodeError)
+    with pytest.raises(st.ConfigMismatch) as e:
         codec.decode(res.grid[:3], res.final_state, res.consumed)
-    with pytest.raises(st.ConfigMismatch):
+    assert isinstance(e.value, DecodeError)
+    with pytest.raises(st.ConfigMismatch) as e:
         codec.decode(res.grid, 3, res.consumed)
+    assert isinstance(e.value, DecodeError)
+    with pytest.raises(CorruptStream) as e:
+        codec.decode(res.grid, res.final_state, 10 ** 6)
+    assert isinstance(e.value, DecodeError)
     with pytest.raises(CapacityExceeded) as e:
         codec.encode([1, 0] * 400, 4)
     assert 0 < e.value.achieved_bits < 800
@@ -405,7 +411,7 @@ def test_write_read_match_reference_coder(R):
         assert res.grid.flat[order].tolist() == syms
         assert (res.final_state, res.consumed, res.padded) == (x, consumed, padded)
         assert back == bits[:consumed] + [0] * padded
-        assert st._read(res.grid, order, lambda placed: iter(laws), x,
+        assert st._read(res.grid, order, laws, x,
                         consumed, R) == back[:consumed]
 
 
@@ -416,17 +422,60 @@ def test_read_reports_the_first_bad_node():
     laws = [5, 0, 7, l]
     order = np.array([0, 2, 1, 3])
     grid = np.array([[0, 1], [1, 0]])
-    with pytest.raises(st.InvalidLattice, match=r"forced node disagrees at \(1, 0\)"):
-        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+    with pytest.raises(st.InvalidLattice,
+                       match=r"forced node disagrees at \(1, 0\)") as e:
+        st._read(grid, order, laws, l, 0, R)
+    assert isinstance(e.value, DecodeError)
     grid[1, 0] = 2
-    with pytest.raises(st.InvalidLattice, match=r"non-binary value at \(1, 0\)"):
-        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+    with pytest.raises(st.InvalidLattice, match=r"non-binary value at \(1, 0\)") as e:
+        st._read(grid, order, laws, l, 0, R)
+    assert isinstance(e.value, DecodeError)
     grid[1, 0], grid[0, 1] = 1, 3
     with pytest.raises(st.InvalidLattice, match=r"forced node disagrees at \(1, 0\)"):
-        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+        st._read(grid, order, laws, l, 0, R)
     grid[1, 0] = 0
     with pytest.raises(st.InvalidLattice, match=r"non-binary value at \(0, 1\)"):
-        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+        st._read(grid, order, laws, l, 0, R)
     grid[0, 1] = 0
     with pytest.raises(st.InvalidLattice, match=r"forced node disagrees at \(1, 1\)"):
-        st._read(grid, order, lambda placed: iter(laws), l, 0, R)
+        st._read(grid, order, laws, l, 0, R)
+
+
+def test_read_reports_a_disagreement_only_ahead_of_a_non_binary_node():
+    # on a long walk, a forced node that disagrees before the first
+    # non-binary node is the one reported, and one after it is not
+    R, l = 16, 1 << 16
+    rng = SplitMix64(77)
+    rows, cols = 4, 9000
+    laws = _random_laws(rng, R, rows * cols)
+    order = np.argsort(rng.block(rows * cols), kind="stable")
+    syms = [m >> R if m in (0, l) else rng.randbelow(2) for m in laws]
+    forced = [t for t, m in enumerate(laws) if m in (0, l)]
+    free = [t for t, m in enumerate(laws) if m not in (0, l)]
+    pairs = [(forced[0], free[-1]), (forced[-1], free[0])] + [
+        (forced[rng.randbelow(len(forced))], free[rng.randbelow(len(free))])
+        for _ in range(8)]
+    for f, p in pairs:
+        grid = np.zeros((rows, cols), dtype=np.int8)
+        grid.flat[order] = syms
+        grid.flat[order[f]] = 1 - syms[f]
+        grid.flat[order[p]] = 2
+        kind, t = ("forced node disagrees", f) if f < p else ("non-binary value", p)
+        where = divmod(int(order[t]), cols)
+        with pytest.raises(st.InvalidLattice, match=r"^%s at \(%d, %d\)$" % ((kind,) + where)):
+            st._read(grid, order, laws, l, 0, R)
+
+
+@pytest.mark.parametrize("boundary", ["zero", "free", "cyclic"])
+@pytest.mark.parametrize("R", [1, 16, 63, 64])
+def test_gathered_laws_equal_the_walk(boundary, R):
+    # the encoder's walk is the oracle for the decoder's gather, over the
+    # walk's own output grid
+    rng = SplitMix64(500 + R)
+    for n in range(1, 9):
+        codec = st.LatticeCodec(st._cached_strip("hard-square", n, boundary), R)
+        for cols in (1, 1 + rng.randbelow(60)):
+            bits = [rng.randbelow(2) for _ in range(n * cols + R)]
+            grid = codec.encode(bits, cols, partial=True).grid
+            placed = grid.flat[codec._order(cols)].tolist()
+            assert codec._laws(grid).tolist() == list(codec._walk(cols, placed))
