@@ -6,8 +6,8 @@ A valuation of a finite region is valid when no translate of a forbidden
 pattern, fully contained in the known cells, matches.
 
 The module provides the brute-force machinery everything else is checked
-against: valuation enumeration and counting (with a column-DP fast path
-for two-dimensional binary models), entropy estimates, exact/empirical
+against: valuation enumeration and counting (with a transfer fast path for
+rectangles), entropy estimates, exact/empirical
 statistical descriptions, local-optimality and bound diagnostics, and two
 uniform samplers: exact column-by-column draws (`sample_uniform`) for
 binary models whose patterns are all 1s inside a 2x2 window, and the
@@ -18,9 +18,13 @@ boundary applied, to the backtracking counter, the pLOC check and the
 chain, which compiles each node's placements once before its first move.
 The module also owns the column transfer engine (`_column_levels`, one
 integer code per valid column; `valid_columns`, `column_compat`) that the
-strip decomposition, the rectangle DP, the bound fast path and the exact
-sampler (its pair rule, and a cell-by-cell broken-line form) share; read
-on single columns it gives a 1-d model's window graph (`window_graph`).
+strip decomposition, the bounds batch and the exact sampler's pair rule
+share; read on single columns it gives a 1-d model's window graph
+(`window_graph`).  Its cell-by-cell broken-line form (`_cell_steps`,
+`_column_step`) runs exact rectangle counts and the exact sampler, behind
+one gate (`_broken_line`): binary models whose patterns are all 1s inside
+a 2x2 window, at most EXACT_MAX_ROWS rows and a bounded profile.  The
+bounds batch takes the same models, on free rectangles.
 
 Boundary modes for finite regions:
 
@@ -323,7 +327,7 @@ def _all_ones_patterns(model):
 
 
 def _column_window(model):
-    """Max |column offset| inside any forbidden pattern; DP needs <= 1."""
+    """Max |column offset| inside any forbidden pattern; column pairs need <= 1."""
     w = 0
     for pat in model.forbidden:
         cs = [x[1] for x, _ in pat]
@@ -447,14 +451,11 @@ def window_graph(model) -> np.ndarray:
 
 
 def _rect_dp_count(row0, col0, rows, cols, model, ctx) -> Optional[int]:
-    """Column-by-column transfer count for 2D binary models whose patterns
-    span at most two adjacent columns and demand only 1s.  ctx holds
-    clamped symbols (inside or near the rectangle); returns None when the
-    configuration is outside this fast path."""
-    if model.dimension != 2 or not _all_ones_patterns(model):
-        return None
-    if _column_window(model) > 1 or rows > 20:
-        return None
+    """Exact count of a rectangle on the broken-line column transfer, run
+    from the last column to the first over Python ints.  ctx holds clamped
+    symbols (inside or near the rectangle); returns None when a clamp is
+    outside this fast path or the gate (`_broken_line`) refuses the model
+    or the height."""
     vr = model.constraint_range
     # clamps inside pin column entries; the columns directly left and right
     # act through the pair constraint; any other 1 within reach of the
@@ -469,31 +470,33 @@ def _rect_dp_count(row0, col0, rows, cols, model, ctx) -> Optional[int]:
             side[j][0, i] = s
         elif s == 1 and -vr <= i < rows + vr and -vr <= j < cols + vr:
             return None
-    states = valid_columns(model, rows, False)
-    compat = column_compat(model, rows, False, states, states)
-    pred = [np.flatnonzero(col).tolist() for col in compat.T]
-    counts = (_hits(states, force[0])
-              & column_compat(model, rows, False, side[-1], states)[0]).tolist()
-    for j in range(1, cols):
-        ok = _hits(states, force[j]).tolist()
-        counts = [sum(counts[a] for a in pred[b]) if ok[b] else 0
-                  for b in range(len(states))]
-    last = column_compat(model, rows, False, states, side[cols])[:, 0]
-    return sum(c for c, ok in zip(counts, last.tolist()) if ok)
+    try:
+        codes, steps = _broken_line(model, rows)
+    except Unsupported:
+        return None
+    states = _column_symbols(model, rows, codes[rows])
+    # w[c]: completions of the columns from j on, given column j = c
+    w = (column_compat(model, rows, False, states, side[cols])[:, 0]
+         & _hits(states, force[-1])).astype(int).astype(object)
+    for j in range(cols - 2, -1, -1):
+        w = _column_step(w, steps) * _hits(states, force[j])
+    return int(w @ column_compat(model, rows, False, side[-1], states)[0])
 
 
 def count(region, model, clamp=None, boundary="free", dims=None, method="auto") -> int:
-    """N(A, u): valid valuations of the region extending the clamp."""
+    """N(A, u): valid valuations of the region extending the clamp.
+
+    A free or zero rectangle is counted on the broken-line column transfer
+    when its gate (`_broken_line`, shared with the exact sampler) takes the
+    model and height, and every clamped 1 within reach lies in a column of
+    the rectangle or beside it; the rest backtracks, or with method "dp"
+    raises TooLarge."""
     if method not in ("auto", "backtracking", "dp"):
         raise ValueError("unknown method %r" % method)
     if method != "backtracking" and model.dimension == 2 and boundary in ("free", "zero"):
         shape = _is_rect(region)
         if shape is not None:
             ctx = _resolve_context(region, model, clamp, boundary, dims)
-            ctx = {x: s for x, s in ctx.items() if x not in region}
-            if clamp:
-                for x, s in clamp.items():
-                    ctx[tuple(x)] = s
             n = _rect_dp_count(shape[0], shape[1], shape[2], shape[3], model, ctx)
             if n is not None:
                 return n
@@ -503,14 +506,10 @@ def count(region, model, clamp=None, boundary="free", dims=None, method="auto") 
 
 
 def lg(n: int) -> float:
-    """Exact-ish lg for big integers."""
+    """lg of a positive count (`math.log2` takes ints of any size)."""
     if n <= 0:
         raise ValueError("lg of nonpositive count")
-    bl = n.bit_length()
-    if bl <= 512:
-        return math.log2(n)
-    shift = bl - 512
-    return shift + math.log2(n >> shift)
+    return math.log2(n)
 
 
 def entropy_estimate(side: int, model: LatticeModel, boundary: str = "free") -> float:
@@ -756,7 +755,7 @@ def _bounds_one_region(region, model, pattern, boundary):
     ring = frozenset(region) - inner
     if not set(pattern) <= inner:
         raise ValueError("pattern must sit in the interior")
-    fast = _bounds_fast_hs(region, model, pattern, boundary)
+    fast = _bounds_batch(region, model, pattern, boundary, inner, ring)
     if fast is not None:
         return fast
     lo, hi = None, None
@@ -774,71 +773,51 @@ def _bounds_one_region(region, model, pattern, boundary):
     return lo, hi, hi - lo
 
 
-def _bounds_fast_hs(region, model, pattern, boundary):
-    """Batched column-DP for the hard-square shape on centered squares.
+def _bounds_batch(region, model, pattern, boundary, inner, ring):
+    """`_bounds_one_region` as dense float transfers over the rectangle,
+    one per group of ring valuations; None off its path: a free
+    rectangle, a model `_check_window_model` takes and at most 52 interior
+    cells, so every count (at most 2^52) and partial sum is an exact float.
 
-    Only the ring cells orthogonally adjacent to the interior influence
-    the conditional, so valid ring valuations are grouped by that contact
-    key; each group costs one 13-ish-state transfer product, vectorized
-    over all keys at once."""
-    if boundary != "free" or model.name != "hard-square":
-        return None
+    Only the contact cells, ring cells within the neighbourhood of the
+    interior, reach the conditional.  So valid ring valuations are grouped
+    by their contact symbols, and each group is counted with its contact
+    cells clamped and the other ring cells 0, which changes no count when
+    every pattern asks only 1s."""
     shape = _is_rect(region)
-    if shape is None or shape[2] != shape[3] or shape[2] < 5:
+    if boundary != "free" or shape is None or len(inner) > 52:
         return None
-    row0, col0, side, _ = shape
-    inner_side = side - 2
-    inner = rect(inner_side, inner_side, (row0 + 1, col0 + 1))
-    if not set(pattern) <= inner:
+    try:
+        _check_window_model(model)
+    except Unsupported:
         return None
-    ring = sorted(frozenset(region) - inner)
-    # contact cells: ring cells adjacent to the interior (non-corner)
-    contact = [x for x in ring
-               if any(tuple(c + d for c, d in zip(x, off)) in inner
-                      for off in ((1, 0), (-1, 0), (0, 1), (0, -1)))]
-    cidx = {x: i for i, x in enumerate(contact)}
-    keys = set()
-    for v in enumerate_valuations(frozenset(ring), model):
-        key = 0
-        for x, i in cidx.items():
-            if v[x]:
-                key |= 1 << i
-        keys.add(key)
-    keys = sorted(keys)
-    K = len(keys)
-    states = valid_columns(model, inner_side, False)
-    M = len(states)
-    T = column_compat(model, inner_side, False, states, states).astype(float)
-    # contact bits per key: key_bits[k, cidx[x]] is the symbol at ring cell x
-    key_bits = (np.array(keys, dtype=np.int64)[:, None] >> np.arange(len(contact))) & 1
-    # per-key, per-column allowed states: a 1 above or below the interior
-    # forbids a 1 in the adjacent row
-    allow = np.ones((K, inner_side, M), dtype=bool)
-    for j in range(inner_side):
-        top = key_bits[:, cidx[(row0, col0 + 1 + j)]]
-        bot = key_bits[:, cidx[(row0 + side - 1, col0 + 1 + j)]]
-        allow[:, j, :] &= ~(top[:, None] & states[None, :, 0]).astype(bool)
-        allow[:, j, :] &= ~(bot[:, None] & states[None, :, -1]).astype(bool)
-    left = key_bits[:, [cidx[(row0 + 1 + i, col0)] for i in range(inner_side)]]
-    right = key_bits[:, [cidx[(row0 + 1 + i, col0 + side - 1)] for i in range(inner_side)]]
-    lcompat = column_compat(model, inner_side, False, left, states)
-    rcompat = column_compat(model, inner_side, False, states, right).T
-
-    def run(filtered):
-        V = (allow[:, 0, :] & lcompat & filtered[0][None, :]).astype(float)
-        for j in range(1, inner_side):
-            V = V @ T
-            V *= allow[:, j, :] * filtered[j][None, :]
-        return (V * rcompat).sum(axis=1)
-
-    free_f = [np.ones(M, dtype=bool) for _ in range(inner_side)]
-    denom = run(free_f)
-    pat_f = [np.ones(M, dtype=bool) for _ in range(inner_side)]
-    for (r, c), s in pattern.items():
-        pat_f[c - (col0 + 1)] &= states[:, r - (row0 + 1)] == s
-    numer = run(pat_f)
-    good = denom > 0
-    ps = numer[good] / denom[good]
+    row0, col0, rows, cols = shape
+    contact = sorted(thicken(inner, model) & ring)
+    keys = np.array(list({tuple(map(v.__getitem__, contact)) for v in
+                          _iter_valuations(ring, model, None, "free", None, False)}))
+    # column j's ring rows read as one binary code: kc[j] per key (0 off
+    # the contact cells), sc[j] per state
+    in_ring = np.zeros((rows, cols), dtype=bool)
+    in_ring[[r - row0 for r, _ in ring], [c - col0 for _, c in ring]] = True
+    kc = np.zeros((cols, len(keys)), dtype=np.int64)
+    for (r, c), sym in zip(contact, keys.T):
+        kc[c - col0] |= sym << (r - row0)
+    states = valid_columns(model, rows, False)
+    sc = (states[None] * in_ring.T[:, None]) @ (1 << np.arange(rows))
+    hits = [_hits(states, {r - row0: s for (r, c), s in pattern.items()
+                           if c == col0 + j}) for j in range(cols)]
+    T = column_compat(model, rows, False, states, states).astype(float)
+    chunk = max(1, (1 << 16) // len(states))  # keys per pass: 1 MB of V
+    ps = []
+    for lo in range(0, len(keys), chunk):
+        for j in range(cols):
+            ok = kc[j, lo:lo + chunk, None] == sc[j]
+            # V[0] counts each key's completions, V[1] those holding the pattern
+            mask = np.stack([ok, ok & hits[j]])
+            V = mask.astype(float) if j == 0 else (V @ T) * mask
+        denom, numer = V.sum(axis=2)
+        ps.append(numer[denom > 0] / denom[denom > 0])
+    ps = np.concatenate(ps)
     return float(ps.min()), float(ps.max()), float(ps.max() - ps.min())
 
 
@@ -953,7 +932,39 @@ EXACT_MAX_PROFILE = 1 << 19
 
 
 class Unsupported(ValueError):
-    """The exact sampler does not cover this model, boundary or grid."""
+    """The broken-line transfer (the exact sampler, rectangle counts) does
+    not cover this model, boundary or grid."""
+
+
+def _check_window_model(model):
+    """Refuse (Unsupported) all but the models the broken-line transfer
+    covers: 2-d binary models whose patterns are all 1s inside a 2x2
+    window."""
+    if model.dimension != 2 or not _all_ones_patterns(model) or any(
+            max(x[i] for x, _ in pat) - min(x[i] for x, _ in pat) > 1
+            for pat in model.forbidden for i in (0, 1)):
+        raise Unsupported("the exact sampler needs a 2-d binary model whose "
+                          "patterns are all 1s inside a 2x2 window")
+
+
+def _broken_line(model, rows):
+    """The gate of the broken-line transfer for the exact sampler and
+    rectangle counts: `_column_levels` codes and `_cell_steps` steps of
+    rows-high columns.  Unsupported unless `_check_window_model` takes the
+    model, rows <= EXACT_MAX_ROWS and, sized before any is built, the
+    largest profile fits EXACT_MAX_PROFILE floats."""
+    _check_window_model(model)
+    if rows > EXACT_MAX_ROWS:
+        raise Unsupported("the exact sampler takes at most %d rows"
+                          % EXACT_MAX_ROWS)
+    codes = _column_levels(model, rows, False)
+    # after cell step t the profile is |codes[t+1]| x |codes[rows-t]| (t = 0:
+    # the input, which also bounds the last step's |states| x 1)
+    profile = max(len(codes[t + 1]) * len(codes[rows - t]) for t in range(rows))
+    if profile > EXACT_MAX_PROFILE:
+        raise Unsupported("%d-row profiles of %d entries exceed the exact "
+                          "sampler's profile budget" % (rows, profile))
+    return codes, _cell_steps(model, rows, codes)
 
 
 def _cell_steps(model, n, codes) -> list:
@@ -1039,32 +1050,18 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     """
     if model is None:
         model = hard_square()
-    if model.dimension != 2 or not _all_ones_patterns(model) or any(
-            max(x[i] for x, _ in pat) - min(x[i] for x, _ in pat) > 1
-            for pat in model.forbidden for i in (0, 1)):
-        raise Unsupported("the exact sampler needs a 2-d binary model whose "
-                          "patterns are all 1s inside a 2x2 window")
+    _check_window_model(model)  # before the shape is read
     if boundary not in ("free", "zero"):
         raise Unsupported("the exact sampler needs a free or zero boundary")
     rows, cols = shape
     if rows < 1 or cols < 1 or samples < 0:
         raise ValueError("grid sides must be positive and samples >= 0")
-    if rows > EXACT_MAX_ROWS:
-        raise Unsupported("the exact sampler takes at most %d rows"
-                          % EXACT_MAX_ROWS)
-    codes = _column_levels(model, rows, False)
+    codes, steps = _broken_line(model, rows)
     states = codes[rows]
+    del codes  # only the full-height columns are needed from here on
     if len(states) * cols > EXACT_MAX_WEIGHTS:
         raise Unsupported("%d columns of %d states exceed the exact sampler's "
                           "weight budget" % (cols, len(states)))
-    # after cell step t the profile is |codes[t+1]| x |codes[rows-t]| (t = 0:
-    # the input, which also bounds the last step's |states| x 1)
-    profile = max(len(codes[t + 1]) * len(codes[rows - t]) for t in range(rows))
-    if profile > EXACT_MAX_PROFILE:
-        raise Unsupported("%d-row profiles of %d entries exceed the exact "
-                          "sampler's profile budget" % (rows, profile))
-    steps = _cell_steps(model, rows, codes)
-    del codes  # only the full-height columns are needed from here on
     weights = [np.ones(len(states))]
     for _ in range(cols - 1):
         w = _column_step(weights[-1], steps)

@@ -8,6 +8,9 @@ from latticecode import lattice as L
 
 
 HS = L.hard_square()
+DIAG = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 1), 1)),
+                                   (((0, 0), 1), ((1, -1), 1))), name="diagonal")
+HORIZ = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((0, 1), 1)),), name="horizontal")
 
 
 def test_presets_and_neighborhood():
@@ -42,6 +45,10 @@ def test_hard_square_counts():
         r = L.rect(k, k)
         assert L.count(r, HS, method="backtracking") == n
         assert L.count(r, HS, method="dp") == n
+    # past the backtracking guard (OEIS A006506)
+    for k, n in {6: 5598861, 7: 1280128950, 8: 660647962955,
+                 10: 2030049051145980050}.items():
+        assert L.count(L.rect(k, k), HS, method="dp") == n
 
 
 def test_count_against_transfer_product():
@@ -101,6 +108,30 @@ def test_dp_count_with_clamps_outside_the_rectangle():
                          (HS, {(5, 5): 1})):
         assert L.count(r, model, clamp) == L.count(r, model, clamp,
                                                    method="backtracking")
+
+
+def test_dp_count_matches_backtracking_on_random_clamps():
+    # random 1-4 x 1-4 rectangles with clamps inside, beside, diagonal to
+    # and far from them; the 3-row vertical pattern takes the fallback
+    diag = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 1), 1)),))
+    vert3 = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 0), 1), ((2, 0), 1)),))
+    models = (HS, HORIZ, diag, DIAG, L.unconstrained(), vert3)
+    rng = np.random.default_rng(18)
+    for trial in range(240):
+        model = models[trial % len(models)]
+        boundary = ("free", "zero")[trial // len(models) % 2]
+        rows, cols, r0, c0 = map(int, rng.integers([1, 1, -2, -2], [5, 5, 3, 3]))
+        clamp = {}
+        for _ in range(rng.integers(0, 4)):
+            if rng.random() < 0.1:
+                cell = (r0 - 9, c0 + 9)
+            else:
+                cell = (r0 + int(rng.integers(-2, rows + 2)),
+                        c0 + int(rng.integers(-2, cols + 2)))
+            clamp[cell] = int(rng.integers(0, 2))
+        region = L.rect(rows, cols, (r0, c0))
+        assert L.count(region, model, clamp, boundary) == L.count(
+            region, model, clamp, boundary, method="backtracking"), (model, clamp)
 
 
 def test_entropy_estimate():
@@ -265,24 +296,30 @@ def test_description_bounds_chain():
     # frozen spot values from two independent code paths (see below)
     assert abs(rows[1][0] - 0.058823529411764705) < 1e-12
     assert abs(rows[1][1] - 0.5) < 1e-12
+    # side 7 runs the bounds batch in several key chunks; these are the
+    # old hard-square-only path's values, bit for bit
+    assert rows[2] == (0.1055386693684566, 0.37155297532656023, 0.2660143059581036)
 
 
 def test_description_bounds_fast_path_matches_generic():
-    region = L.centered_square(5)
-    ring = L.boundary(region, HS)
-    lo, hi = None, None
-    for v in L.enumerate_valuations(ring, HS):
-        denom = L.count(region, HS, v)
-        if denom == 0:
-            continue
-        merged = dict(v)
-        merged[(0, 0)] = 1
-        p = L.count(region, HS, merged) / denom
-        lo = p if lo is None else min(lo, p)
-        hi = p if hi is None else max(hi, p)
-    fast = L._bounds_fast_hs(region, HS, {(0, 0): 1}, "free")
-    assert fast is not None
-    assert abs(fast[0] - lo) < 1e-12 and abs(fast[1] - hi) < 1e-12
+    # rings of 8 to 16 cells keep the generic loop short
+    for model, region in ((HS, L.centered_square(5)),
+                          (DIAG, L.rect(3, 4, (-1, -1))),
+                          (HORIZ, L.rect(4, 5, (-1, -2)))):
+        inner = L.interior(region, model)
+        ring = region - inner
+        lo, hi = None, None
+        for v in L.enumerate_valuations(ring, model):
+            denom = L.count(region, model, v)
+            if denom == 0:
+                continue
+            merged = dict(v)
+            merged[(0, 0)] = 1
+            p = L.count(region, model, merged) / denom
+            lo = p if lo is None else min(lo, p)
+            hi = p if hi is None else max(hi, p)
+        fast = L._bounds_batch(region, model, {(0, 0): 1}, "free", inner, ring)
+        assert fast == (lo, hi, hi - lo)
 
 
 def test_description_bounds_unconstrained_is_tight():
@@ -416,10 +453,6 @@ def test_empirical_description_20x20():
     assert abs(p1 - p5) < 3 * per.std(ddof=1)
 
 
-DIAG = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 1), 1)),
-                                   (((0, 0), 1), ((1, -1), 1))), name="diagonal")
-
-
 @pytest.mark.parametrize("model", [HS, L.unconstrained(), DIAG],
                          ids=lambda m: m.name)
 def test_broken_line_step_equals_dense_transfer(model):
@@ -503,6 +536,9 @@ def test_sample_uniform_profile_budget(monkeypatch):
     assert 1 << (rows + 1) > L.EXACT_MAX_PROFILE
     with pytest.raises(L.Unsupported, match="profile budget"):
         L.sample_uniform((rows, 4), L.unconstrained())
+    # the counter's fast path shares the gate: no fast path, no profile
+    with pytest.raises(L.TooLarge):
+        L.count(L.rect(rows, 4), L.unconstrained(), method="dp")
 
 
 def test_grid_io():
