@@ -282,9 +282,16 @@ def _random_order_visit(t, write, side: int):
     (inf for none).  The written nodes are the greedy maximal independent
     set of the coin-1 nodes in visit order, built in whole-grid rounds
     (Blelloch, Fineman and Shun, SPAA 2012) that each write every undecided
-    node ranked before its undecided neighbours and decide its neighbours."""
+    node ranked before its undecided neighbours and decide its neighbours.
+    The order comes from numpy's default (unstable, SIMD) sort, redone
+    stably when two times tie, which 53-bit uniforms almost never do: it
+    is the stable order either way."""
     n = side * side
-    order = np.argsort(t, kind="stable")
+    order = np.argsort(t)
+    ts = t[order]
+    if (ts[1:] == ts[:-1]).any():  # the fast sort may not break ties by index
+        order = np.argsort(t, kind="stable")
+    del ts  # kept through the rounds, it would raise their peak memory
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
     rank = rank.reshape(side, side)

@@ -759,7 +759,7 @@ def _bounds_one_region(region, model, pattern, boundary):
     if fast is not None:
         return fast
     lo, hi = None, None
-    for v in enumerate_valuations(ring, model, boundary=boundary):
+    for v in _iter_valuations(ring, model, None, boundary, None, False):
         denom = count(region, model, v, boundary)
         if denom == 0:
             continue
@@ -929,6 +929,9 @@ EXACT_MAX_WEIGHTS = 1 << 22
 # float64 entries of one broken-line profile (4 MB); a column step holds
 # about three profiles at once
 EXACT_MAX_PROFILE = 1 << 19
+# entries of the exact sampler's per-batch arrays (2 MB of float64): a
+# batch of m grids keeps about three states x m arrays and m x cols uniforms
+SAMPLE_BATCH = 1 << 18
 
 
 class Unsupported(ValueError):
@@ -975,10 +978,11 @@ def _cell_steps(model, n, codes) -> list:
     L and rows t-1..n-1 of the right column R, as a 2-d array indexed by
     the valid prefix of L and the valid suffix of R.  Step t adds L[t]
     (none at t = n), applies every two-column translate whose top row is
-    t-1 and sums R[t-1] out.  A step is (par, terms): par maps each new
-    prefix to the prefix it extends (at t = n: itself), and each term
-    (at, mask) gathers the old suffixes with R[t-1] = 0 or 1 and zeroes
-    the blocked entries (mask None: none blocked)."""
+    t-1 and sums R[t-1] out.  A step is (par, terms): par, a 1-d intp
+    array, maps each new prefix to the prefix it extends (at t = n:
+    itself), and each term (at, mask) holds the intp indices of the old
+    suffixes with R[t-1] = 0 or 1 and a mask that zeroes the blocked
+    entries (None: none blocked)."""
     # ok[k][L[k], L[k+1], R[k], R[k+1]]
     ok = np.ones((n, 2, 2, 2, 2), dtype=bool)
     for left, right in _column_translates(model, n, False):
@@ -999,7 +1003,7 @@ def _cell_steps(model, n, codes) -> list:
             below = (codes[n - t] >> (n - t - 1)) & 1
         else:
             pre = codes[n]
-            par = np.arange(len(pre))
+            par = np.arange(len(pre), dtype=np.intp)
             low, new = pre & 1, np.zeros_like(pre)
             below = codes[0]
         old = codes[n - t + 1]
@@ -1010,20 +1014,24 @@ def _cell_steps(model, n, codes) -> list:
             mask = (ok[t - 1][low[:, None], new[:, None], r, below[None, :]]
                     & (old[at] == want)[None, :])
             if mask.any():
-                terms.append((at.astype(np.int32), None if mask.all() else mask))
-        steps.append((par.astype(np.int32)[:, None], terms))
+                terms.append((at, None if mask.all() else mask))
+        steps.append((par, terms))
     return steps
 
 
 def _column_step(w, steps) -> np.ndarray:
     """y[c] = sum of w[d] over the columns d that may follow column c, both
-    indexed like `valid_columns`, without forming the column-pair matrix."""
+    indexed like `valid_columns`, without forming the column-pair matrix.
+    Each cell step gathers the profile's rows with one `take` over par and
+    each term's columns with one `take` over at; the sums run in the same
+    order for any dtype, so a Python-int (object) w gives exact counts."""
     # before step 1 the profile has one row per value of L[0], each equal to w
     h = np.broadcast_to(w, (2, len(w)))
     for par, terms in steps:
+        hp = h.take(par, 0)
         out = None
         for at, mask in terms:
-            x = h[par, at]
+            x = hp.take(at, 1)
             if mask is not None:
                 x *= mask
             if out is None:
@@ -1041,12 +1049,16 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     column j, weights W_j (float64, scaled to max 1) proportional to the
     number of valid completions of columns j+1.. given column j.  Each
     grid then takes column j with probability proportional to
-    compat(previous column, .) * W_j, one `SplitMix64.uniform()` per
-    column.  Covers 2-d binary models whose forbidden patterns are all 1s
-    inside a 2x2 window, with free or zero boundary (the same thing for
-    such patterns) and at most EXACT_MAX_ROWS rows; anything else, or
-    weights past EXACT_MAX_WEIGHTS floats, or a broken-line profile past
-    EXACT_MAX_PROFILE floats, raises Unsupported.
+    compat(previous column, .) * W_j.  Grids are drawn in batches of up
+    to SAMPLE_BATCH // max(states, cols) (at least 1), column j of every
+    grid in the batch at once, from one `SplitMix64.uniforms` block per
+    batch in sample-major order: the same stream, and the same grids, as
+    one `uniform()` per column, sample after sample.  Covers 2-d binary
+    models whose forbidden patterns are all 1s inside a 2x2 window, with
+    free or zero boundary (the same thing for such patterns) and at most
+    EXACT_MAX_ROWS rows; anything else, or weights past EXACT_MAX_WEIGHTS
+    floats, or a broken-line profile past EXACT_MAX_PROFILE floats, raises
+    Unsupported.
     """
     if model is None:
         model = hard_square()
@@ -1059,36 +1071,62 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     codes, steps = _broken_line(model, rows)
     states = codes[rows]
     del codes  # only the full-height columns are needed from here on
-    if len(states) * cols > EXACT_MAX_WEIGHTS:
+    S = len(states)
+    if S * cols > EXACT_MAX_WEIGHTS:
         raise Unsupported("%d columns of %d states exceed the exact sampler's "
-                          "weight budget" % (cols, len(states)))
-    weights = [np.ones(len(states))]
-    for _ in range(cols - 1):
-        w = _column_step(weights[-1], steps)
-        weights.append(w / w.max())
-    weights.reverse()
-    # the pair rule: two-column translate i forbids the columns blocked[i]
-    # after a column k with holds[i, k]
-    symbols = _column_symbols(model, rows, states)
+                          "weight budget" % (cols, S))
+    # the states in nb blocks of B, the last padded with weight-0 columns:
+    # about sqrt(S / 8) blocks balance one numpy call per block against
+    # each grid's rescan of one block
+    nb = max(1, math.isqrt(S // 8))
+    B = -(-S // nb)
+    weights = np.zeros((cols, nb * B))
+    weights[-1, :S] = 1.0
+    for j in range(cols - 2, -1, -1):
+        w = _column_step(weights[j + 1, :S], steps)
+        weights[j, :S] = w / w.max()
+    del steps  # the draw does not use the transfer
+    # after a column k with holds[i, k], two-column translate i forbids the
+    # columns c with blocked[i, c]; as 0/1 floats blocked.T @ holds counts
+    # the forbidding translates exactly
+    symbols = _column_symbols(model, rows, states).astype(np.int8)
     holds, blocked = np.array(
         [[_hits(symbols, side) for side in sides]
          for sides in _column_translates(model, rows, False) if sides[1]],
-        dtype=bool).reshape(-1, 2, len(states)).transpose(1, 0, 2)
+        dtype=bool).reshape(-1, 2, S).transpose(1, 0, 2)
+    blocked = np.pad(blocked, ((0, 0), (0, nb * B - S))).astype(np.float32)
     rng = SplitMix64(seed)
-    out = []
-    for _ in range(samples):
-        grid = np.empty((rows, cols), dtype=np.int8)
-        p = weights[0]
+    out = np.empty((samples, rows, cols), dtype=np.int8)
+    batch = max(1, SAMPLE_BATCH // max(S, cols))
+    for lo in range(0, samples, batch):
+        m = min(batch, samples - lo)
+        u = rng.uniforms(m * cols).reshape(m, cols)
+        # p[b, 1 + r, i]: the weight of column b * B + r for grid i, 0 where
+        # blocked; p[b, 0, i]: grid i's running sum over blocks 0..b-1.  With
+        # at least two lanes i (a lone grid gets an idle one beside it) the
+        # rows of a block are not its fast axis, so np.add.reduce adds them
+        # one after another, in the order of a 1-d np.cumsum (it sums
+        # pairwise only along the fast axis)
+        p = np.zeros((nb + 1, B + 1, max(m, 2)))
         for j in range(cols):
-            if j:
-                p = np.where(blocked[holds[:, k]].any(axis=0), 0.0, weights[j])
-            cum = np.cumsum(p)
-            k = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
-            if k == len(p):  # u * total rounded up to total
-                k = int(np.flatnonzero(p)[-1])
-            grid[:, j] = symbols[k]
-        out.append(grid)
-    return out
+            good = (blocked.T @ holds[:, k] == 0).reshape(nb, B, m) if j else True
+            np.multiply(weights[j].reshape(nb, B, 1), good, out=p[:nb, 1:, :m])
+            for b in range(nb):
+                np.add.reduce(p[b], axis=0, out=p[b + 1, 0])
+            # k counts the running sums <= u * total, as searchsorted(side=
+            # "right") on one grid's cumsum does: B for each block that ends
+            # <= u * total, then the rows of the next block, summed again
+            # from its carried-in sum
+            x = u[:, j] * p[nb, 0, :m]
+            full = np.count_nonzero(p[1:, 0, :m] <= x, axis=0)
+            k = np.empty(m, dtype=np.intp)
+            on = np.flatnonzero(full < nb)
+            run = np.cumsum(p[full[on], :, on], axis=1)
+            k[on] = full[on] * B + np.count_nonzero(run[:, 1:] <= x[on, None], axis=1)
+            for i in np.flatnonzero(full == nb):  # u * total rounded up to total
+                k[i] = np.flatnonzero(p[:nb, 1:, i])[-1]
+            out[lo:lo + m, :, j] = symbols[k]
+    return list(out)
 
 
 def save_grid(arr: np.ndarray, alphabet: str = "01") -> str:

@@ -275,6 +275,20 @@ def _visit_cases():
         yield side, rng.random(n), np.ones(n, dtype=bool)
         yield side, rng.random(n), np.zeros(n, dtype=bool)
     yield 50, np.zeros(2500), np.ones(2500, dtype=bool)
+    # one tied pair among distinct times, at the first, a middle and the
+    # last sorted place, with its later index first or second before the
+    # tie: numpy's default sort orders some of these against the index
+    for side in list(range(2, 13)) + [50]:
+        n = side * side
+        for place in (0, n // 2 - 1, n - 2):
+            for later_first in (False, True):
+                t = rng.random(n)
+                a, b = sorted(np.argsort(t, kind="stable")[place:place + 2])
+                if later_first:
+                    t[a] = t[b]
+                else:
+                    t[b] = t[a]
+                yield side, t, rng.random(n) < 0.6
 
 
 def test_random_order_visit_matches_loop():

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latticecode import lattice as L
+from latticecode.rng import SplitMix64
 
 
 HS = L.hard_square()
@@ -322,6 +324,22 @@ def test_description_bounds_fast_path_matches_generic():
         assert fast == (lo, hi, hi - lo)
 
 
+def test_description_bounds_generic_loop_streams(monkeypatch):
+    # the bounds batch takes free rectangles only, so a zero boundary runs
+    # the generic loop; it streams the ring valuations instead of listing them
+    region = L.centered_square(5)
+    inner = L.interior(region, HS)
+    assert L._bounds_batch(region, HS, {(0, 0): 1}, "zero", inner,
+                           region - inner) is None
+
+    def no_list(*args, **kwargs):
+        raise AssertionError("the ring valuations were listed")
+
+    monkeypatch.setattr(L, "enumerate_valuations", no_list)
+    rows = L.description_bounds([region], HS, {(0, 0): 1}, boundary="zero")
+    assert rows == [(0.058823529411764705, 0.5, 0.4411764705882353)]
+
+
 def test_description_bounds_unconstrained_is_tight():
     rows = L.description_bounds([L.centered_square(3)], L.unconstrained(),
                                 {(0, 0): 1})
@@ -465,6 +483,107 @@ def test_broken_line_step_equals_dense_transfer(model):
         dense = L.column_compat(model, n, False, cols, cols).astype(float) @ w
         got = L._column_step(w, L._cell_steps(model, n, codes))
         assert np.abs(got - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", [HS, DIAG], ids=lambda m: m.name)
+def test_broken_line_step_is_exact_over_python_ints(model):
+    rng = np.random.default_rng(6)
+    for n in range(1, 11):
+        codes = L._column_levels(model, n, False)
+        cols = L.valid_columns(model, n, False)
+        # past 2^53, so a float anywhere on the way would round
+        w = np.array([int(x) << 40 | int(y) for x, y in
+                      rng.integers(0, 1 << 40, (len(cols), 2))], dtype=object)
+        dense = L.column_compat(model, n, False, cols, cols).astype(int) @ w
+        got = L._column_step(w, L._cell_steps(model, n, codes))
+        assert got.dtype == object
+        assert list(got) == list(dense), n
+
+
+def _reference_sample_uniform(shape, model, seed, samples):
+    """The draw loop that `sample_uniform` batches: per grid and column one
+    `uniform()`, a cumsum of that grid's weights and a searchsorted."""
+    rows, cols = shape
+    codes, steps = L._broken_line(model, rows)
+    states = codes[rows]
+    weights = [np.ones(len(states))]
+    for _ in range(cols - 1):
+        w = L._column_step(weights[-1], steps)
+        weights.append(w / w.max())
+    weights.reverse()
+    symbols = L._column_symbols(model, rows, states)
+    holds, blocked = np.array(
+        [[L._hits(symbols, side) for side in sides]
+         for sides in L._column_translates(model, rows, False) if sides[1]],
+        dtype=bool).reshape(-1, 2, len(states)).transpose(1, 0, 2)
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(samples):
+        grid = np.empty((rows, cols), dtype=np.int8)
+        p = weights[0]
+        for j in range(cols):
+            if j:
+                p = np.where(blocked[holds[:, k]].any(axis=0), 0.0, weights[j])
+            cum = np.cumsum(p)
+            k = int(np.searchsorted(cum, rng.uniform() * cum[-1], side="right"))
+            if k == len(p):
+                k = int(np.flatnonzero(p)[-1])
+            grid[:, j] = symbols[k]
+        out.append(grid)
+    return out
+
+
+@pytest.mark.parametrize("model", [HS, DIAG, L.unconstrained()],
+                         ids=lambda m: m.name)
+def test_sample_uniform_matches_per_grid_loop(model, monkeypatch):
+    # a small batch budget keeps several batches of the short grids cheap;
+    # 16x16 runs at the module's budget
+    for shape in ((1, 1), (1, 7), (5, 1), (9, 11), (16, 16)):
+        budget = L.SAMPLE_BATCH if shape == (16, 16) else 1 << 10
+        monkeypatch.setattr(L, "SAMPLE_BATCH", budget)
+        states = len(L.valid_columns(model, shape[0], False))
+        batch = max(1, budget // max(states, shape[1]))
+        # grid i takes uniforms i * cols.. of the stream, so every count
+        # draws a prefix of the same grids
+        counts = (1, batch, batch + 1, 3 * batch + 2)
+        want = _reference_sample_uniform(shape, model, 7, max(counts))
+        for samples in counts:
+            for boundary in ("free", "zero"):
+                got = L.sample_uniform(shape, model, seed=7, samples=samples,
+                                       boundary=boundary)
+                assert len(got) == samples
+                for g, w in zip(got, want):
+                    assert g.dtype == np.int8 and g.shape == shape
+                    assert np.array_equal(g, w), (shape, samples, boundary)
+
+
+def test_block_reduce_adds_rows_in_order():
+    # sample_uniform's block sums rely on np.add.reduce adding the rows of
+    # a (rows, lanes >= 2) array one after another, as np.cumsum does
+    rng = np.random.default_rng(8)
+    for rows in (9, 130, 600):
+        for lanes in (2, 3, 50):
+            a = rng.random((rows, lanes)) * 10.0 ** rng.integers(-9, 9, (rows, lanes))
+            assert np.array_equal(np.add.reduce(a, axis=0),
+                                  np.cumsum(a, axis=0)[-1])
+
+
+def test_sample_uniform_memory_does_not_grow_with_samples():
+    # the working memory, the peak less what the returned grids hold, is
+    # one batch's whatever the sample count
+    shape = (10, 10)
+    batch = L.SAMPLE_BATCH // len(L.valid_columns(HS, 10, False))
+    working = []
+    for samples in (batch, 8 * batch):
+        tracemalloc.start()
+        grids = L.sample_uniform(shape, HS, seed=2, samples=samples)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(grids) == samples
+        del grids
+        working.append(peak - held)
+    assert working[1] <= working[0] + (256 << 10)
+    assert working[1] <= 4 * 8 * L.SAMPLE_BATCH
 
 
 def test_sample_uniform_3x3_all_valuations():
