@@ -1116,15 +1116,11 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
             # k counts the running sums <= u * total, as searchsorted(side=
             # "right") on one grid's cumsum does: B for each block that ends
             # <= u * total, then the rows of the next block, summed again
-            # from its carried-in sum
+            # from its carried-in sum (full < nb: u < 1 keeps u * total < total)
             x = u[:, j] * p[nb, 0, :m]
             full = np.count_nonzero(p[1:, 0, :m] <= x, axis=0)
-            k = np.empty(m, dtype=np.intp)
-            on = np.flatnonzero(full < nb)
-            run = np.cumsum(p[full[on], :, on], axis=1)
-            k[on] = full[on] * B + np.count_nonzero(run[:, 1:] <= x[on, None], axis=1)
-            for i in np.flatnonzero(full == nb):  # u * total rounded up to total
-                k[i] = np.flatnonzero(p[:nb, 1:, i])[-1]
+            run = np.cumsum(p[full, :, np.arange(m)], axis=1)
+            k = full * B + np.count_nonzero(run[:, 1:] <= x[:, None], axis=1)
             out[lo:lo + m, :, j] = symbols[k]
     return list(out)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +44,8 @@ class ConfigMismatch(DecodeError):
 
 
 MAX_STATES = 1 << 14
+# law-table entries (states x prefixes): hard-square to 17 rows, unconstrained to 12
+MAX_LAW_ENTRIES = 1 << 25
 # Coder precision R: a float law holds 53 bits, and p * 2^R must stay finite.
 MAX_PRECISION = 64
 # nodes whose free laws and symbols `_read` turns into Python lists at a
@@ -62,7 +63,8 @@ class StripModel:
     eigs: spec.EigenSystem
     # the columns' sorted integer codes (`lat._column_levels`)
     codes: np.ndarray = field(repr=False)
-    _tables: dict = field(repr=False, default=None)
+    # precision -> the codec's (laws, child, rank) tables (`_law_table`)
+    _law_tables: dict = field(repr=False, default=None)
 
     @property
     def capacity(self) -> float:
@@ -107,44 +109,19 @@ def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero") -> Stri
         lat.column_compat(model, n, cyclic, states, states))
     cols = [tuple(c) for c in states.tolist()]
     return StripModel(model, n, boundary, cols, graph,
-                      spec.dominant_eigs(graph), codes, _tables={})
+                      spec.dominant_eigs(graph), codes, _law_tables={})
 
 
 def strip_capacity(model: lat.LatticeModel, n: int, boundary: str = "zero") -> float:
     return strip_model(model, n, boundary).capacity
 
 
-def _walk_table(strip: StripModel, u: int, precision: int) -> tuple:
-    """(laws, nexts) of the column after state u, compiled once per
-    (state, precision).  A prefix's node is its binary-heap code (root 1,
-    child 2·node + b): laws[node] is its quantised one-law m, and
-    nexts[code] is the state of the full column with that code.
-    Unreachable entries are None."""
-    table = strip._tables.get((u, precision))
-    if table is None:
-        n, l = strip.n, 1 << precision
-        succ = strip.graph.weights[u] != 0
-        psi = strip.eigs.right * succ
-        # weight[node]: psi summed over u's successors below that node;
-        # bincount adds in state order, which fixes the laws' last bits
-        weight = np.concatenate([[0.0]] + [
-            np.bincount(strip.codes >> (n - j), psi, minlength=1 << j)
-            for j in range(n + 1)]).tolist()
-        laws = [None] + [_quantize(w1 / (w0 + w1), l) if w0 + w1 > 0 else None
-                         for w0, w1 in zip(weight[2::2], weight[3::2])]
-        nexts = [None] * (1 << n)
-        for v in np.flatnonzero(succ).tolist():
-            nexts[int(strip.codes[v])] = v
-        table = strip._tables[(u, precision)] = laws, nexts
-    return table
-
-
 def conditional_tables(strip: StripModel, u: int) -> dict:
     """Per-node conditional laws q_j(b | prefix) for columns following
     state u; chaining them over a full column reproduces the transition
-    row S[u, .] of the entropy-maximizing coder.  The reference for the
-    compiled walk tables, summed over a dict suffix trie of the columns;
-    each law divides by the sum of its children, as the tables do."""
+    row S[u, .] of the entropy-maximizing coder.  The bit-exact reference
+    for `_law_table`: summed in state order over a dict suffix trie of the
+    columns, each law divides by the sum of its children, as the table's do."""
     psi, W = strip.eigs.right, strip.graph.weights
     # levels[j][prefix]: psi summed over u's successors with that prefix
     levels = [dict() for _ in range(strip.n + 1)]
@@ -218,6 +195,49 @@ def _law_dtype(precision: int):
     return np.int64 if precision < 62 else object
 
 
+def _law_table(strip: StripModel, precision: int) -> tuple:
+    """(laws, child, rank) of the codec at precision R, cached on the strip.
+    Flat prefix q = off[j] + r is the r-th valid j-row column prefix (level
+    j of `lat._column_levels`), and flat prefix off[n] + v is state v.
+    laws[u, q]: the law of row j after state u under prefix q (0 if no
+    successor of u has it); child[2q + b]: q extended by bit b, where valid;
+    rank[v, j]: state v's j-row prefix."""
+    if precision in strip._law_tables:
+        return strip._law_tables[precision]
+    n, codes, l = strip.n, strip.codes, 1 << precision
+    levels = lat._column_levels(strip.model, n, strip.boundary == "cyclic")
+    off = np.cumsum([0] + [len(c) for c in levels]).tolist()
+    S, P = len(codes), off[n]
+    if S * P > MAX_LAW_ENTRIES:
+        raise TooWide("a law table of %d states by %d prefixes exceeds %d entries"
+                      % (S, P, MAX_LAW_ENTRIES))
+    # WT[v, u]: psi of state v if v may follow u.  np.add.reduce down axis 0
+    # of a C-order run of states adds its rows in state order, vectorised
+    # over u, as np.bincount did, so the laws keep their last bits
+    WT = (strip.graph.weights * strip.eigs.right).T.copy()
+    laws = np.empty((S, P), _law_dtype(precision))
+    child = np.empty(2 * P, dtype=np.intp)
+    rank = np.empty((S, n), dtype=np.intp)
+    for j in range(n):
+        ext = 2 * levels[j][:, None] + np.arange(3)
+        child[2 * off[j]:2 * off[j + 1]] = off[j + 1] + np.searchsorted(
+            levels[j + 1], ext[:, :2]).ravel()
+        rank[:, j] = off[j] + np.searchsorted(levels[j], codes >> (n - j))
+        w = np.empty((2, len(ext), S))  # the weights of each prefix's bit 0, 1
+        for i, (a, b, c) in enumerate(np.searchsorted(codes >> (n - j - 1), ext).tolist()):
+            np.add.reduce(WT[a:b], axis=0, out=w[0, i])
+            np.add.reduce(WT[b:c], axis=0, out=w[1, i])
+        # _quantize: rint rounds half to even as round() does; exact int clip
+        tot = w[0] + w[1]
+        p = np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0)
+        f = np.rint(p * l)
+        m = f.astype(np.int64) if precision < 62 else np.frompyfunc(int, 1, 1)(f)
+        m[f < 1], m[f >= l], m[p == 0], m[p == 1] = 1, l - 1, 0, l
+        laws[:, off[j]:off[j + 1]] = m.T
+    strip._law_tables[precision] = laws, child.tolist(), rank
+    return strip._law_tables[precision]
+
+
 def _write(bits: Sequence[int], precision: int, grid: np.ndarray, order,
            walk, partial: bool) -> EncodeResult:
     """Draw every free node of the walk from the payload into the grid."""
@@ -283,10 +303,10 @@ class LatticeCodec:
 
     The walk visits the grid column-major and gives each node the
     entropy-maximizing conditional one-probability, quantized to m/2^R and
-    read from the previous column's compiled table.  Encoding draws
-    the free nodes from the payload; decoding gathers every node's law
-    from the tables of the states the grid's columns visit and runs the
-    coder backwards from the stored final state.
+    read from the strip's law table (`_law_table`) by the previous column's
+    state and the new column's prefix.  Encoding draws the free nodes from
+    the payload; decoding gathers every node's law from that table at once
+    and runs the coder backwards from the stored final state.
     """
 
     def __init__(self, strip: StripModel, precision: int = 16):
@@ -296,17 +316,17 @@ class LatticeCodec:
         self.precision = precision
 
     def _walk(self, cols: int, placed: list):
-        strip, precision = self.strip, self.precision
-        n = strip.n
-        leaf = 1 << n
-        u = strip.zero_state
+        n, u = self.strip.n, self.strip.zero_state
+        laws, child, _ = _law_table(self.strip, self.precision)
+        P = laws.shape[1]  # state v is flat prefix P + v
+        rows = {}  # each visited state's laws as a list, made once
         for c in range(0, n * cols, n):
-            laws, nexts = _walk_table(strip, u, precision)
-            node = 1
+            row = rows.get(u) or rows.setdefault(u, laws[u].tolist())
+            q = 0
             for t in range(c, c + n):
-                yield laws[node]
-                node = 2 * node + placed[t]
-            u = nexts[node - leaf]
+                yield row[q]
+                q = child[2 * q + placed[t]]
+            u = q - P
 
     def _order(self, cols: int) -> np.ndarray:
         """Column-major visiting order as flat indices of the grid."""
@@ -318,8 +338,8 @@ class LatticeCodec:
                       lambda placed: self._walk(cols, placed), partial)
 
     def _laws(self, grid: np.ndarray) -> np.ndarray:
-        """Every node's law in visiting order, gathered from the walk tables
-        of the states the grid visits, once its columns are checked."""
+        """Every node's law in visiting order, gathered from the law table
+        by each column's previous state and prefixes, once checked."""
         strip, precision = self.strip, self.precision
         n, codes = strip.n, strip.codes
         _check_height(grid, n)
@@ -332,26 +352,8 @@ class LatticeCodec:
         if not ok.all():
             raise InvalidLattice("column %d breaks the constraints" % np.argmin(ok))
         _check_precision(precision)
-        # row j of a column in state v after state u reads heap node
-        # (1 << j) | (code_v >> (n - j)) of u's table.  Each distinct (u, v)
-        # pair is gathered once by an itemgetter over that cached table:
-        # stacking the visited tables would hold states x 2^n laws (129 MB
-        # at width 14).  The stable argsort is the one the ANS table build
-        # runs; np.unique imports numpy.ma and np.sort loads sort code no
-        # other codec call needs, both raising the peak memory
-        key = u * len(codes) + v
-        pairs = key[np.argsort(key, kind="stable")]
-        pairs = pairs[np.flatnonzero(np.diff(pairs, prepend=-1))]
-        pu, pv = np.divmod(pairs, len(codes))
-        j = np.arange(n)
-        nodes = (1 << j) | (codes[pv][:, None] >> (n - j))
-        laws = np.empty((len(pairs), n), _law_dtype(precision))
-        starts = np.flatnonzero(np.diff(pu, prepend=-1)).tolist()
-        for a, b in zip(starts, starts[1:] + [len(pairs)]):
-            table = _walk_table(strip, int(pu[a]), precision)[0]
-            laws[a:b] = np.reshape(itemgetter(*nodes[a:b].ravel().tolist())(table),
-                                   (b - a, n))
-        return laws[np.searchsorted(pairs, key)].ravel()
+        laws, _, rank = _law_table(strip, precision)
+        return laws[u[:, None], rank[v]].ravel()
 
     def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> list:
         grid = np.asarray(grid)

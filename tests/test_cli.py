@@ -660,6 +660,26 @@ def test_cli_import_leaves_multiprocessing_out():
     assert got.returncode == 0 and got.stdout == "False\n"
 
 
+@pytest.mark.parametrize("cmd", ["encode", "decode"])
+def test_strip_past_the_law_table_bound_is_one_error_line(tmp_path, monkeypatch,
+                                                          cmd):
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(4, 5))
+    latf = tmp_path / "x.lat"
+    argv = ["strip", "encode", "--width", "4", "--in", str(src), "--out", str(latf)]
+    if cmd == "decode":
+        assert run(argv)[0] == 0
+        argv = ["strip", "decode", "--in", str(latf), "--out", str(tmp_path / "back")]
+    # 8 width-4 states by 1 + 2 + 3 + 5 column prefixes
+    monkeypatch.setattr(st, "MAX_LAW_ENTRIES", 87)
+    rc, out, err = run(argv)
+    assert rc == 1 and out == ""
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: a law table of 8 states by 11 prefixes exceeds 87 entries"]
+    assert "Traceback" not in err
+    assert not (tmp_path / ("x.lat" if cmd == "encode" else "back")).exists()
+
+
 @pytest.mark.parametrize("argv", [["strip", "encode", "--width", "4"],
                                   ["algo1", "encode"]])
 def test_precision_zero_is_rejected(tmp_path, argv):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -136,26 +137,64 @@ def test_conditional_chaining():
         assert all(abs(r - 1) < 1e-12 for r in row)
 
 
+# the diagonal model; a binary model whose second pattern asks a 0 (a 1
+# may not have a 0 to its right and a 1 below that); and hard-square with
+# 0s and 1s swapped, whose laws lean to 1 and force it beside a 0
+DIAG = lat.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 1), 1)),
+                                    (((0, 0), 1), ((1, -1), 1))), name="diagonal")
+MIXED01 = lat.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 0), 1)),
+                                       (((0, 0), 1), ((0, 1), 0), ((1, 1), 1))))
+SWAPPED = lat.LatticeModel(2, (0, 1), ((((0, 0), 0), ((1, 0), 0)),
+                                       (((0, 0), 0), ((0, 1), 0))))
+
+
 @pytest.mark.parametrize("boundary", ["zero", "cyclic"])
 def test_compiled_walk_tables_match_conditional_tables(boundary):
-    # a prefix's node is its binary-heap code: a leading 1, then its bits
-    for n in range(1, 9):
-        s = st.strip_model(HS, n, boundary)
-        for u in range(len(s.columns)):
-            tab = st.conditional_tables(s, u)
-            succ = [v for v in range(len(s.columns)) if s.graph.weights[u, v]]
-            for R in (4, 16, 64):
-                laws, nexts = st._walk_table(s, u, R)
-                want = [None] * (1 << n)
-                for (j, prefix), q in tab.items():
-                    code = int("1" + "".join(map(str, prefix)), 2)
-                    want[code] = st._quantize(q[1], 1 << R)
-                assert laws == want, (n, u, R)
-                want = [None] * (1 << n)
-                for v in succ:
-                    col = s.columns[v]
-                    want[int("".join(map(str, col)), 2)] = v
-                assert nexts == want, (n, u, R)
+    # laws[u] holds one law per valid column prefix, level by level in code
+    # order; conditional_tables sums in state order, so the laws match it
+    # bit for bit, and prefixes no successor of u reaches hold 0
+    for model, widths in ((HS, range(1, 9)), (DIAG, range(1, 7)),
+                          (MIXED01, range(1, 7)), (SWAPPED, range(1, 7))):
+        for n in widths:
+            s = st.strip_model(model, n, boundary)
+            levels = lat._column_levels(model, n, boundary == "cyclic")
+            prefixes = [(j, tuple((c >> (j - 1 - i)) & 1 for i in range(j)))
+                        for j in range(n) for c in levels[j].tolist()]
+            tabs = [st.conditional_tables(s, u) for u in range(len(s.columns))]
+            for R in (1, 4, 12, 16, 64):
+                laws, child, rank = st._law_table(s, R)
+                assert laws.shape == (len(s.columns), len(prefixes))
+                for u, tab in enumerate(tabs):
+                    want = [st._quantize(tab[key][1], 1 << R) if key in tab else 0
+                            for key in prefixes]
+                    got = laws[u].tolist()
+                    assert got == want, (model.name, n, u, R)
+                    assert all(type(m) is int for m in got)
+            # every full column steps through its prefixes to state v
+            for v, col in enumerate(s.columns):
+                q = 0
+                for j, b in enumerate(col):
+                    assert rank[v, j] == q
+                    q = child[2 * q + b]
+                assert q == len(prefixes) + v, (model.name, n, v)
+
+
+def test_law_table_is_refused_before_it_is_built(monkeypatch):
+    s = st.strip_model(HS, 12, "zero")
+    entries = len(s.columns) * sum(
+        len(c) for c in lat._column_levels(HS, 12, False)[:12])
+    monkeypatch.setattr(st, "MAX_LAW_ENTRIES", entries - 1)
+    tracemalloc.start()
+    with pytest.raises(st.TooWide):
+        st._law_table(s, 16)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # an int64 table would take 8 bytes an entry, the float weights more
+    assert peak < entries and s._law_tables == {}
+    with pytest.raises(st.TooWide):
+        st.LatticeCodec(s).encode([0, 1], 3)
+    monkeypatch.setattr(st, "MAX_LAW_ENTRIES", entries)
+    assert st._law_table(s, 16)[0].size == entries
 
 
 def test_first_column_frequencies():
