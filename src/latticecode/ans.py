@@ -706,9 +706,11 @@ class AbsStreamDecoder:
     distributed per its probability (a fixed start would make the leading
     symbols deterministic).
 
-    This is the per-node step of the lattice codecs' walk loops
-    (`strip._write`), so it splits with shifts rather than `_ceil_div`:
-    for l = 2^R, ceil(x*m / l) = (x*m + l - 1) >> R."""
+    The lattice codecs' walks call it directly (`strip._write` hands each
+    walk the coder): `draw` is their per-node step, so it splits with
+    shifts rather than `_ceil_div`: for l = 2^R, ceil(x*m / l) =
+    (x*m + l - 1) >> R.  A run of nodes at the fair law m = 2^(R-1), such
+    as the checkerboard writer's odd pass, takes one `fair` call."""
 
     def __init__(self, bits: Iterable[int], precision: int):
         if precision < 1:
@@ -747,11 +749,30 @@ class AbsStreamDecoder:
         self.x = x
         return s
 
+    def fair(self, k: int) -> list:
+        """k draws at the fair law 2^(R-1) as one shift.  Such a draw
+        returns 1 - (x & 1) and replaces the low bit of x by the next
+        payload bit (a pad once the payload is spent); the top R bits stay.
+        So the run yields the inverted low bit of x, then the next k - 1
+        payload bits inverted, and the k-th becomes the new low bit."""
+        if k <= 0:
+            return []
+        pos = self.consumed
+        got = self._bits[pos:pos + k]
+        self.consumed = pos + len(got)
+        self.padded += k - len(got)
+        got += [0] * (k - len(got))
+        x = self.x
+        self.x = x - (x & 1) + got[-1]
+        return [1 - (x & 1)] + [1 - b for b in got[:-1]]
+
 
 class AbsStreamEncoder:
     """Inverse of AbsStreamDecoder: absorbs symbols walked in reverse order
     starting from the decoder's final state, emitting the bits it consumed.
-    `strip._read` runs absorb on every free node, back to front."""
+    `strip._read` runs absorb on every free node that the walk drew with
+    `draw`, back to front, and `absorb_fair` on the fair block a walk drew
+    with `fair`."""
 
     def __init__(self, final_state: int, precision: int):
         if precision < 1:
@@ -776,6 +797,17 @@ class AbsStreamEncoder:
                 x >>= 1
         # floor(x*l / m) for a one; ceil((x+1)*l / ls) - 1 for a zero
         self.x = (x << r) // m if s else (((x + 1) << r) - 1) // ls
+
+    def absorb_fair(self, symbols: list) -> None:
+        """absorb(s, 2^(R-1)) for each s of a fair run given in visiting
+        order, back to front, as one shift: each absorb emits the low bit
+        of x and replaces it by 1 - s (x stays in [l, 2l))."""
+        if not symbols:
+            return
+        x = self.x
+        self._emitted.append(x & 1)
+        self._emitted.extend([1 - s for s in symbols[:0:-1]])
+        self.x = x - (x & 1) + 1 - symbols[0]
 
     def finish(self) -> list[int]:
         """Bits in original payload order, including the R state-seed bits."""

@@ -289,6 +289,7 @@ def cmd_strip(args) -> int:
     if args.mode == "encode":
         if not args.infile:
             raise UsageError("encode needs --in")
+        st.check_law_size(model, args.width, args.boundary)
         strip = st.strip_model(model, args.width, args.boundary)
         codec = st.LatticeCodec(strip, args.precision)
         bits = _bits_from_bytes(Path(args.infile).read_bytes())

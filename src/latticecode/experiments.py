@@ -6,10 +6,12 @@ written as independent Bernoulli(q) draws, then every odd node whose four
 neighbours are 0 carries one fair payload bit.  It is a visiting order
 (the even sublattice, then the odd one) plus a law rule, run by the same
 coders as the strip codec (`strip._write` / `strip._read`).  The encoder
-walks: the walk yields the even laws, then reads the even symbols back
-from the shared `placed` list to give each odd node its law.  The decoder
+walks, coding each pass as one block: it draws the even sublattice at the
+one law q gives, then finds the free odd nodes from those symbols and
+draws them as one fair shift (`AbsStreamDecoder.fair`).  The decoder
 gathers every law off the written grid in one pass with the same odd-pass
-rule, then absorbs the free nodes back to front.  The second visits nodes
+rule, absorbs the odd pass, last in visiting order, as one fair shift,
+then the even free nodes back to front.  The second visits nodes
 in a random time order and writes a 1 with a time-dependent probability
 (a "charging profile"); it is a measurement device, not a codec.
 
@@ -124,21 +126,22 @@ def _algorithm1_odd_free(rows: int, cols: int, order: np.ndarray,
 
 
 def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
-                     precision: int, placed: list):
-    """Laws of the two-pass writer: Bernoulli(q) on the even sublattice,
-    then the odd-pass rule over the even symbols, read from `placed` once
-    the first pass ends.  q is checked on the call, so a bad q is reported
-    even when the walk never yields (an empty grid)."""
+                     precision: int, dec) -> np.ndarray:
+    """Symbols of the two-pass writer in visiting order, drawn by the coder
+    `dec`: the even sublattice at the law of Bernoulli(q), then the free
+    nodes of the odd-pass rule over those symbols as one fair run."""
     _check_q(q)
     neven = (rows * cols + 1) // 2
-
-    def laws():
-        yield from repeat(_quantize(q, 1 << precision), neven)
-        half = 1 << (precision - 1)
-        free = _algorithm1_odd_free(rows, cols, order, placed[:neven])
-        yield from [half if f else 0 for f in free.tolist()]
-
-    return laws()
+    l = 1 << precision
+    m = _quantize(q, l)
+    if 0 < m < l:
+        even = np.fromiter(map(dec.draw, repeat(m, neven)), np.int8, neven)
+    else:
+        even = np.full(neven, m >> precision, dtype=np.int8)
+    free = _algorithm1_odd_free(rows, cols, order, even)
+    odd = np.zeros(len(free), dtype=np.int8)
+    odd[free] = dec.fair(int(np.count_nonzero(free)))
+    return np.concatenate((even, odd))
 
 
 def _algorithm1_laws(grid: np.ndarray, order: np.ndarray, q: float,
@@ -170,8 +173,8 @@ def algorithm1_encode(dims, q: float, bits, precision: int = 16,
     grid = np.zeros((rows, cols), dtype=np.int8)
     order = _algorithm1_order(rows, cols)
     return _write(bits, precision, grid, order,
-                  lambda placed: _algorithm1_walk(rows, cols, order, q,
-                                                  precision, placed), partial)
+                  lambda dec: _algorithm1_walk(rows, cols, order, q,
+                                               precision, dec), partial)
 
 
 def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
@@ -183,7 +186,7 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
     _check_precision(precision)
     order = _algorithm1_order(*grid.shape)
     return _read(grid, order, _algorithm1_laws(grid, order, q, precision),
-                 final_state, nbits, precision)
+                 final_state, nbits, precision, fair=grid.size // 2)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,28 +86,46 @@ class StripModel:
         return self.boundary == "cyclic" and self.n <= 2
 
 
-def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero") -> StripModel:
+def _strip_levels(model: lat.LatticeModel, n: int, boundary: str) -> list:
+    """The column prefix levels of a width-n strip (`lat._column_levels`),
+    its last level the states, once the strip is known to be buildable."""
     if model.dimension != 2:
         raise ValueError("strip decomposition needs a 2D model")
     if boundary not in ("zero", "free", "cyclic"):
         raise ValueError("unknown boundary mode %r" % boundary)
     if n < 1:
         raise ValueError("strip width must be positive")
-    cyclic = boundary == "cyclic"
     if len(model.alphabet) ** n > (1 << 24):
         raise TooWide("column alphabet enumeration too large")
     if lat._column_window(model) > 1:
         raise TooWide("patterns spanning more than two columns "
                       "need a blocked alphabet")
     try:
-        codes = lat._column_levels(model, n, cyclic, MAX_STATES)[n]
+        return lat._column_levels(model, n, boundary == "cyclic", MAX_STATES)
     except lat.TooLarge as e:
         raise TooWide(str(e)) from None
+
+
+def check_law_size(model: lat.LatticeModel, n: int, boundary: str) -> list:
+    """The strip's levels (`_strip_levels`), once the codec's law table,
+    states by the prefixes of rows 0..n-1, is known to fit MAX_LAW_ENTRIES.
+    Counting takes milliseconds; the dense strip that the table would be
+    built on can take seconds and gigabytes, so callers check first."""
+    levels = _strip_levels(model, n, boundary)
+    S, P = len(levels[n]), sum(len(c) for c in levels[:n])
+    if S * P > MAX_LAW_ENTRIES:
+        raise TooWide("a law table of %d states by %d prefixes exceeds %d entries"
+                      % (S, P, MAX_LAW_ENTRIES))
+    return levels
+
+
+def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero") -> StripModel:
+    codes = _strip_levels(model, n, boundary)[n]
     if not len(codes):
         raise spec.EmptyModel("no valid columns")
     states = lat._column_symbols(model, n, codes)
     graph = spec.build_from_constraints(
-        lat.column_compat(model, n, cyclic, states, states))
+        lat.column_compat(model, n, boundary == "cyclic", states, states))
     cols = [tuple(c) for c in states.tolist()]
     return StripModel(model, n, boundary, cols, graph,
                       spec.dominant_eigs(graph), codes, _law_tables={})
@@ -163,14 +182,18 @@ class EncodeResult:
 # A codec is a visiting order plus a law rule, run by this one pair of
 # coders.  The order lists the grid's nodes as flat indices.  The law of a
 # node is the numerator m of its dyadic one-probability m/2^R; m = 0 and
-# m = 2^R force a 0 or a 1 and cost no payload.  The encoder walks: the
-# walk is a function of a shared list `placed`; it returns a generator that
-# yields the law of each node in visiting order and, once resumed, finds
-# that node's symbol in placed[t], and `_write` draws every free node
-# (`AbsStreamDecoder.draw`).  The decoder gathers: a law depends only on
-# nodes visited before it, so the codec reads every law off the written
-# grid at once, and `_read` checks the forced nodes and absorbs the free
-# ones back to front (`AbsStreamEncoder.absorb`).
+# m = 2^R force a 0 or a 1 and cost no payload.  The encoder walks: a walk
+# is a function of the coder that returns the symbols in visiting order.
+# It draws each free node with `AbsStreamDecoder.draw` at the law the
+# symbols before it give, or, for a run of nodes whose law is known to be
+# the fair 2^(R-1) before the run starts, takes the run as one shift
+# (`AbsStreamDecoder.fair`).  `_write` places the symbols in the grid.  The
+# decoder gathers: a law depends only on nodes visited before it, so the
+# codec reads every law off the written grid at once, and `_read` checks
+# the forced nodes, absorbs a trailing fair block that the caller names as
+# one shift (`AbsStreamEncoder.absorb_fair`), and absorbs every other free
+# node back to front (`AbsStreamEncoder.absorb`).  So the nodes that go
+# through `draw` are exactly those that go through `absorb`.
 
 
 def _quantize(p: float, l: int) -> int:
@@ -205,12 +228,9 @@ def _law_table(strip: StripModel, precision: int) -> tuple:
     if precision in strip._law_tables:
         return strip._law_tables[precision]
     n, codes, l = strip.n, strip.codes, 1 << precision
-    levels = lat._column_levels(strip.model, n, strip.boundary == "cyclic")
+    levels = check_law_size(strip.model, n, strip.boundary)
     off = np.cumsum([0] + [len(c) for c in levels]).tolist()
     S, P = len(codes), off[n]
-    if S * P > MAX_LAW_ENTRIES:
-        raise TooWide("a law table of %d states by %d prefixes exceeds %d entries"
-                      % (S, P, MAX_LAW_ENTRIES))
     # WT[v, u]: psi of state v if v may follow u.  np.add.reduce down axis 0
     # of a C-order run of states adds its rows in state order, vectorised
     # over u, as np.bincount did, so the laws keep their last bits
@@ -243,21 +263,18 @@ def _write(bits: Sequence[int], precision: int, grid: np.ndarray, order,
     """Draw every free node of the walk from the payload into the grid."""
     _check_precision(precision)
     dec = AbsStreamDecoder(bits, precision)
-    draw, l = dec.draw, dec.l
-    placed = []
-    place = placed.append
-    for m in walk(placed):
-        place(draw(m) if 0 < m < l else m >> precision)
-    grid.flat[order] = placed
+    grid.flat[order] = walk(dec)
     if not partial and dec.consumed < len(bits):
         raise CapacityExceeded(dec.consumed, len(bits))
     return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
 
 
 def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
-          precision: int) -> list:
+          precision: int, fair: int = 0) -> list:
     """Check a written grid against its laws, one per node in visiting
-    order, and run the coder backwards over the free nodes."""
+    order, and run the coder backwards over the free nodes.  The free
+    nodes among the last `fair` ones were drawn as one fair run
+    (`AbsStreamDecoder.fair`) and are absorbed as one."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
@@ -281,8 +298,10 @@ def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
         raise InvalidLattice("non-binary value at (%d, %d)"
                              % divmod(int(order[n]), cols))
     enc = AbsStreamEncoder(final_state, precision)
+    start = len(vals) - fair
+    enc.absorb_fair(ones[start:][~forced[start:]].tolist())
     # deque(map(...), 0) runs the absorb calls without a Python loop
-    for end in range(len(vals), 0, -ABSORB_BLOCK):
+    for end in range(start, 0, -ABSORB_BLOCK):
         block = slice(max(end - ABSORB_BLOCK, 0), end)
         free = ~forced[block]
         deque(map(enc.absorb, ones[block][free][::-1].tolist(),
@@ -315,18 +334,26 @@ class LatticeCodec:
         self.strip = strip
         self.precision = precision
 
-    def _walk(self, cols: int, placed: list):
-        n, u = self.strip.n, self.strip.zero_state
-        laws, child, _ = _law_table(self.strip, self.precision)
+    def _walk(self, cols: int, dec) -> list:
+        """The symbols of `cols` columns in visiting order, each free node
+        drawn by the coder `dec` at its law."""
+        n, u, R = self.strip.n, self.strip.zero_state, self.precision
+        laws, child, _ = _law_table(self.strip, R)
         P = laws.shape[1]  # state v is flat prefix P + v
+        draw, l = dec.draw, 1 << R
         rows = {}  # each visited state's laws as a list, made once
-        for c in range(0, n * cols, n):
+        out = []
+        put = out.append
+        for _ in range(cols):
             row = rows.get(u) or rows.setdefault(u, laws[u].tolist())
             q = 0
-            for t in range(c, c + n):
-                yield row[q]
-                q = child[2 * q + placed[t]]
+            for _ in repeat(None, n):
+                m = row[q]
+                s = draw(m) if 0 < m < l else m >> R
+                put(s)
+                q = child[2 * q + s]
             u = q - P
+        return out
 
     def _order(self, cols: int) -> np.ndarray:
         """Column-major visiting order as flat indices of the grid."""
@@ -335,7 +362,7 @@ class LatticeCodec:
     def encode(self, bits: Sequence[int], cols: int, partial: bool = False) -> EncodeResult:
         grid = np.zeros((self.strip.n, cols), dtype=np.int8)
         return _write(bits, self.precision, grid, self._order(cols),
-                      lambda placed: self._walk(cols, placed), partial)
+                      lambda dec: self._walk(cols, dec), partial)
 
     def _laws(self, grid: np.ndarray) -> np.ndarray:
         """Every node's law in visiting order, gathered from the law table
@@ -403,8 +430,10 @@ def decode_text(text: str, codec: Optional[LatticeCodec] = None) -> list:
         except ValueError as e:
             raise ConfigMismatch(str(e))
         n = int(meta["n"])
-        # the grid in the file, not the header, decides how large a strip to build
+        # the grid in the file, not the header, decides how large a strip to
+        # build, and its law table is sized before the strip is
         _check_height(grid, n)
+        check_law_size(model, n, meta["boundary"])
         codec = LatticeCodec(strip_model(model, n, meta["boundary"]), int(meta["R"]))
     elif [meta[k] for k in ("model", "n", "boundary", "R")] != [
             codec.strip.model.name or "custom", str(codec.strip.n),

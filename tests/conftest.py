@@ -1,0 +1,41 @@
+"""Shared test helpers."""
+
+import pytest
+
+
+class RecordingCoder:
+    """A coder for a walk over a written grid: `draw` records each law and
+    replays the grid's next free symbol in visiting order, and `fair(k)`
+    records k laws of 2^(R-1) and replays the next k."""
+
+    def __init__(self, free_symbols, R):
+        self.symbols = iter(free_symbols)
+        self.R = R
+        self.laws = []
+
+    def draw(self, m):
+        self.laws.append(m)
+        return next(self.symbols)
+
+    def fair(self, k):
+        self.laws += [1 << (self.R - 1)] * k
+        return [next(self.symbols) for _ in range(k)]
+
+
+def assert_walk_matches_gather(walk, laws, symbols, R):
+    """The encoder's walk, replayed over a written grid's symbols in
+    visiting order, is the oracle for the decoder's gathered laws: the laws
+    it hands the coder are the gathered free laws in order, every forced
+    gathered law is l * symbol, and it places the grid's symbols."""
+    l = 1 << R
+    laws = laws.tolist()
+    free = [0 < m < l for m in laws]
+    coder = RecordingCoder([s for s, f in zip(symbols, free) if f], R)
+    assert list(walk(coder)) == symbols
+    assert coder.laws == [m for m, f in zip(laws, free) if f]
+    assert all(m == l * s for m, s, f in zip(laws, symbols, free) if not f)
+
+
+@pytest.fixture
+def walk_oracle():
+    return assert_walk_matches_gather

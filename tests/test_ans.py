@@ -609,3 +609,35 @@ def test_abs_stream_biased_draws():
     draws = [dec.draw(m) for _ in range(40000)]
     f = sum(draws) / len(draws)
     assert abs(f - 0.25) < 0.01
+
+
+@pytest.mark.parametrize("R", [1, 16, 63, 64])
+def test_fair_shift_equals_per_node_steps(R):
+    # a run of draws at 2^(R-1) after a few at random laws, with payloads
+    # from empty (padding from the seed on) to longer than the walk
+    rng = SplitMix64(2100 + R)
+    l, half = 1 << R, 1 << (R - 1)
+    for trial in range(300):
+        pre = [rng.randbelow(l - 1) + 1 for _ in range(rng.randbelow(5))]
+        k = rng.randbelow(41)
+        walk = R + len(pre) + k
+        nbits = rng.randbelow(walk + 2) if trial % 2 else walk + rng.randbelow(8)
+        bits = [rng.randbelow(2) for _ in range(nbits)]
+        step, shift = ans.AbsStreamDecoder(bits, R), ans.AbsStreamDecoder(bits, R)
+        head = [step.draw(m) for m in pre]
+        assert [shift.draw(m) for m in pre] == head
+        run = [step.draw(half) for _ in range(k)]
+        assert shift.fair(k) == run
+        assert (shift.x, shift.consumed, shift.padded) == (
+            step.x, step.consumed, step.padded)
+        back, whole = (ans.AbsStreamEncoder(step.x, R),
+                       ans.AbsStreamEncoder(step.x, R))
+        for s in reversed(run):
+            back.absorb(s, half)
+        whole.absorb_fair(run)
+        assert (whole.x, whole._emitted) == (back.x, back._emitted)
+        for s, m in zip(reversed(head), reversed(pre)):
+            back.absorb(s, m)
+            whole.absorb(s, m)
+        assert whole.finish() == back.finish() == (
+            bits[:step.consumed] + [0] * step.padded)

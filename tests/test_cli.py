@@ -680,6 +680,32 @@ def test_strip_past_the_law_table_bound_is_one_error_line(tmp_path, monkeypatch,
     assert not (tmp_path / ("x.lat" if cmd == "encode" else "back")).exists()
 
 
+@pytest.mark.parametrize("cmd", ["encode", "decode"])
+def test_strip_too_tall_for_a_law_table_is_refused_first(tmp_path, monkeypatch,
+                                                         cmd):
+    # a 130-byte file of a 19-row grid once built a 10946-state dense strip
+    # (about 10 s and 2 GB) before its law table was refused
+    src, latf = tmp_path / "pay", tmp_path / "tall.lat"
+    src.write_bytes(b"")
+    latf.write_text("strip model=hard-square n=19 boundary=zero R=16 key=0 "
+                    "x=65536 bits=0\n"
+                    + st.lat.save_grid(np.zeros((19, 3), dtype=np.int8)))
+    out = tmp_path / "out"
+    argv = (["strip", "encode", "--width", "19", "--in", str(src)] if cmd == "encode"
+            else ["strip", "decode", "--in", str(latf)])
+
+    def no_pairs(*args):
+        raise AssertionError("the dense strip was built")
+
+    monkeypatch.setattr(st.lat, "column_compat", no_pairs)
+    rc, stdout, err = run(argv + ["--out", str(out)])
+    assert rc == 1 and stdout == ""
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: a law table of 10946 states by 17709 prefixes exceeds "
+        "33554432 entries"]
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["strip", "encode", "--width", "4"],
                                   ["algo1", "encode"]])
 def test_precision_zero_is_rejected(tmp_path, argv):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import latticecode.lattice as lat
+from latticecode import ans
 from latticecode import experiments as ex
 from latticecode import strip as st
 from latticecode.ans import CapacityExceeded, CorruptStream
@@ -116,18 +117,53 @@ def test_algorithm1_checks_q_before_the_walk_yields():
 
 
 @pytest.mark.parametrize("R", [1, 16, 63, 64])
-def test_algorithm1_gathered_laws_equal_the_walk(R):
-    # the encoder's walk is the oracle for the decoder's gather, over the
-    # walk's own output grid
+def test_algorithm1_gathered_laws_equal_the_walk(R, walk_oracle):
     rng = SplitMix64(40 + R)
     for rows, cols in ((1, 1), (1, 6), (3, 3), (4, 6), (7, 5), (8, 8)):
         order = ex._algorithm1_order(rows, cols)
         for q in (0.0, 0.17, 0.5, 1.0):
             bits = [rng.randbelow(2) for _ in range(rows * cols + R)]
             grid = ex.algorithm1_encode((rows, cols), q, bits, R, partial=True).grid
-            placed = grid.flat[order].tolist()
-            assert ex._algorithm1_laws(grid, order, q, R).tolist() == list(
-                ex._algorithm1_walk(rows, cols, order, q, R, placed))
+            walk_oracle(
+                lambda dec: ex._algorithm1_walk(rows, cols, order, q, R, dec),
+                ex._algorithm1_laws(grid, order, q, R), grid.flat[order].tolist(), R)
+
+
+def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):
+    # a benchmark counts `draw` and `absorb` calls and expects equal counts:
+    # every node drawn one at a time is absorbed one at a time, in reverse,
+    # and algo1's fair odd pass reaches neither method
+    calls = {"draw": [], "absorb": []}
+    draw, absorb = ans.AbsStreamDecoder.draw, ans.AbsStreamEncoder.absorb
+
+    def counted_draw(self, m):
+        calls["draw"].append(m)
+        return draw(self, m)
+
+    def counted_absorb(self, s, m):
+        calls["absorb"].append(m)
+        return absorb(self, s, m)
+
+    monkeypatch.setattr(ans.AbsStreamDecoder, "draw", counted_draw)
+    monkeypatch.setattr(ans.AbsStreamEncoder, "absorb", counted_absorb)
+    rng = SplitMix64(21)
+    bits = [rng.randbelow(2) for _ in range(1200)]
+    codec = st.LatticeCodec(st.strip_model(lat.hard_square(), 6), 16)
+    res = codec.encode(bits, 300, partial=True)
+    assert codec.decode(res.grid, res.final_state, res.consumed) == bits[:res.consumed]
+    assert len(calls["draw"]) > 0 and calls["absorb"] == calls["draw"][::-1]
+    rows, cols = 29, 30
+    neven = (rows * cols + 1) // 2
+    for q in (0.17, 0.5, 0.0):
+        m = st._quantize(q, 1 << 16)
+        calls["draw"], calls["absorb"] = [], []
+        res = ex.algorithm1_encode((rows, cols), q, bits, partial=True)
+        assert ex.algorithm1_decode(res.grid, q, res.final_state,
+                                    res.consumed) == bits[:res.consumed]
+        free_even = neven if 0 < m < 1 << 16 else 0
+        assert calls["draw"] == calls["absorb"] == [m] * free_even
+    # at q = 0 every odd node is free and carries one payload bit
+    assert res.consumed == 16 + rows * cols // 2
 
 
 def test_decoders_read_any_binary_dtype():

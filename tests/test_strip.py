@@ -197,6 +197,23 @@ def test_law_table_is_refused_before_it_is_built(monkeypatch):
     assert st._law_table(s, 16)[0].size == entries
 
 
+def test_law_table_is_sized_before_the_strip(monkeypatch):
+    # a 19-row hard-square strip has 10946 states; its dense pair matrix
+    # took seconds and gigabytes before the table it feeds was refused
+    def no_pairs(*args):
+        raise AssertionError("the dense strip was built")
+
+    monkeypatch.setattr(lat, "column_compat", no_pairs)
+    msg = "a law table of 10946 states by 17709 prefixes exceeds 33554432 entries"
+    with pytest.raises(st.TooWide, match="^%s$" % msg):
+        st.check_law_size(HS, 19, "zero")
+    text = ("strip model=hard-square n=19 boundary=zero R=16 key=0 x=65536 "
+            "bits=0\n" + lat.save_grid(np.zeros((19, 3), dtype=np.int8)))
+    with pytest.raises(st.TooWide, match="^%s$" % msg):
+        st.decode_text(text)
+    assert len(st.check_law_size(HS, 17, "zero")[17]) == 4181
+
+
 def test_first_column_frequencies():
     s = st.strip_model(HS, 3, "zero")
     codec = st.LatticeCodec(s)
@@ -436,22 +453,29 @@ def test_write_read_match_reference_coder(R):
         nbits = (0, rng.randbelow(R + 8), rng.randbelow(4 * rows * cols + 8))[trial % 3]
         bits = [rng.randbelow(2) for _ in range(nbits)]
         order = np.argsort(rng.block(rows * cols), kind="stable")
-        seen = []
+        # every other walk ends in a fair block: laws 2^(R-1) or a forced 0,
+        # its free nodes drawn as one run and absorbed as one
+        fair = rng.randbelow(rows * cols + 1) if trial % 2 else 0
+        for t in range(rows * cols - fair, rows * cols):
+            laws[t] = rng.randbelow(2) << (R - 1)
+        l = 1 << R
 
-        def walk(placed):
-            for t, m in enumerate(laws):
-                yield m
-                seen.append(placed[t])
+        def walk(dec):
+            head = [dec.draw(m) if 0 < m < l else m >> R
+                    for m in laws[:rows * cols - fair]]
+            free = np.array([m != 0 for m in laws[len(head):]], dtype=bool)
+            tail = np.zeros(fair, dtype=np.int8)
+            tail[free] = dec.fair(int(free.sum()))
+            return head + tail.tolist()
 
         res = st._write(bits, R, np.zeros((rows, cols), dtype=np.int8),
                         order, walk, partial=True)
         syms, x, consumed, padded, back = _reference_coding(bits, R, laws)
-        assert seen == syms
         assert res.grid.flat[order].tolist() == syms
         assert (res.final_state, res.consumed, res.padded) == (x, consumed, padded)
         assert back == bits[:consumed] + [0] * padded
         assert st._read(res.grid, order, laws, x,
-                        consumed, R) == back[:consumed]
+                        consumed, R, fair) == back[:consumed]
 
 
 def test_read_reports_the_first_bad_node():
@@ -505,16 +529,22 @@ def test_read_reports_a_disagreement_only_ahead_of_a_non_binary_node():
             st._read(grid, order, laws, l, 0, R)
 
 
+# a 1 may not have a 0 below it, so a column's 1s run to its foot and a
+# 1 forces the rest of its column: laws of 2^R, which hard-square lacks
+ONES_SINK = lat.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 0), 0)),))
+
+
 @pytest.mark.parametrize("boundary", ["zero", "free", "cyclic"])
 @pytest.mark.parametrize("R", [1, 16, 63, 64])
-def test_gathered_laws_equal_the_walk(boundary, R):
-    # the encoder's walk is the oracle for the decoder's gather, over the
-    # walk's own output grid
+def test_gathered_laws_equal_the_walk(boundary, R, walk_oracle):
     rng = SplitMix64(500 + R)
-    for n in range(1, 9):
-        codec = st.LatticeCodec(st._cached_strip("hard-square", n, boundary), R)
+    strips = [st._cached_strip("hard-square", n, boundary) for n in range(1, 9)]
+    strips += [st.strip_model(ONES_SINK, n, boundary) for n in range(1, 6)]
+    for strip in strips:
+        n, codec = strip.n, st.LatticeCodec(strip, R)
         for cols in (1, 1 + rng.randbelow(60)):
             bits = [rng.randbelow(2) for _ in range(n * cols + R)]
             grid = codec.encode(bits, cols, partial=True).grid
-            placed = grid.flat[codec._order(cols)].tolist()
-            assert codec._laws(grid).tolist() == list(codec._walk(cols, placed))
+            walk_oracle(
+                lambda dec: codec._walk(cols, dec), codec._laws(grid),
+                grid.flat[codec._order(cols)].tolist(), R)
