@@ -692,14 +692,19 @@ def decode_container(blob: bytes, table: Optional[AnsTable] = None,
     raise CorruptStream("checksum mismatch")
 
 
+# zeros appended at a time once a bit-fed coder has read its whole payload
+_PAD = 1 << 10
+
+
 class AbsStreamDecoder:
     """Bit-fed two-symbol splitter with a per-step dyadic probability.
 
     Used in the direction that turns payload bits into constrained symbols:
     each draw(m) performs a ceiling-variant decode split at q = m / 2^R and
-    refills the state one payload bit at a time.  Exhausted input is padded
-    with zero bits (the pad count is tracked so callers can account for
-    real payload separately).
+    refills the state one payload bit at a time.  The payload reads as
+    followed by zeros: `consumed` counts the payload bits read and `padded`
+    the zeros past its end, so callers can account for real payload
+    separately.
 
     The state is seeded with the first R payload bits, so it starts
     uniform over [l, 2l) for random input and even the first draw is
@@ -709,8 +714,10 @@ class AbsStreamDecoder:
     The lattice codecs' walks call it directly (`strip._write` hands each
     walk the coder): `draw` is their per-node step, so it splits with
     shifts rather than `_ceil_div`: for l = 2^R, ceil(x*m / l) =
-    (x*m + l - 1) >> R.  A run of nodes at the fair law m = 2^(R-1), such
-    as the checkerboard writer's odd pass, takes one `fair` call."""
+    (x*m + l - 1) >> R, and the symbol ceil((x+1)*m / l) - ceil(x*m / l)
+    is 1 exactly when the low R bits of x*m + l - 1 are at least l - m.
+    A run at one law is one coder call (`run`), and the fair law is its
+    shift: each pass of the checkerboard writer is such a run."""
 
     def __init__(self, bits: Iterable[int], precision: int):
         if precision < 1:
@@ -718,61 +725,91 @@ class AbsStreamDecoder:
         self.r = precision
         self.l = 1 << precision
         self._bits = list(bits)
-        seed = self._bits[:precision]
+        self._n = len(self._bits)
         x = 1
-        for b in seed:
+        for b in self._bits[:precision]:
             x = 2 * x + b
-        self.consumed = len(seed)
-        self.padded = precision - len(seed)
-        self.x = x << self.padded
+        self._pos = precision  # bits read, zeros past the payload included
+        self.x = x << max(precision - self._n, 0)
+
+    @property
+    def consumed(self) -> int:
+        return min(self._pos, self._n)
+
+    @property
+    def padded(self) -> int:
+        return self._pos - self.consumed
 
     def draw(self, m: int) -> int:
-        r = self.r
-        l = 1 << r
+        l = self.l
         if not 0 < m < l:
             raise ValueError("probability numerator out of range")
         x = self.x
         xm = x * m + l - 1
-        x1 = xm >> r
-        s = ((xm + m) >> r) - x1
-        x = x1 if s else x - x1
+        if xm & (l - 1) >= l - m:
+            s, x = 1, xm >> self.r
+        else:
+            s, x = 0, x - (xm >> self.r)
         if x < l:
-            bits, pos = self._bits, self.consumed
+            bits, pos = self._bits, self._pos
             while x < l:
-                if pos < len(bits):
+                try:
                     x = 2 * x + bits[pos]
-                    pos += 1
-                else:
-                    x *= 2
-                    self.padded += 1
-            self.consumed = pos
+                except IndexError:  # the payload is spent: read zeros
+                    bits += [0] * (pos - len(bits) + _PAD)
+                    continue
+                pos += 1
+            self._pos = pos
         self.x = x
         return s
 
-    def fair(self, k: int) -> list:
-        """k draws at the fair law 2^(R-1) as one shift.  Such a draw
-        returns 1 - (x & 1) and replaces the low bit of x by the next
-        payload bit (a pad once the payload is spent); the top R bits stay.
-        So the run yields the inverted low bit of x, then the next k - 1
-        payload bits inverted, and the k-th becomes the new low bit."""
+    def run(self, m: int, k: int) -> list:
+        """The k symbols that k draw(m) calls return, as one call.
+
+        At the fair law m = 2^(R-1) a draw returns 1 - (x & 1) and replaces
+        the low bit of x by the next bit read; the top R bits stay.  So a
+        fair run is one shift: the inverted low bit of x, then the next
+        k - 1 bits inverted, and the k-th becomes the new low bit."""
+        l = self.l
+        if not 0 < m < l:
+            raise ValueError("probability numerator out of range")
         if k <= 0:
             return []
-        pos = self.consumed
-        got = self._bits[pos:pos + k]
-        self.consumed = pos + len(got)
-        self.padded += k - len(got)
-        got += [0] * (k - len(got))
-        x = self.x
-        self.x = x - (x & 1) + got[-1]
-        return [1 - (x & 1)] + [1 - b for b in got[:-1]]
+        r, x, bits, pos = self.r, self.x, self._bits, self._pos
+        if m == l >> 1:
+            got = bits[pos:pos + k]
+            got += [0] * (k - len(got))
+            self._pos = pos + k
+            self.x = x - (x & 1) + got[-1]
+            return [1 - (x & 1)] + [1 - b for b in got[:-1]]
+        c, lm = l - 1, l - m
+        out = []
+        put = out.append
+        for _ in repeat(None, k):
+            xm = x * m + c
+            if xm & c >= lm:
+                x = xm >> r
+                put(1)
+            else:
+                x -= xm >> r
+                put(0)
+            while x < l:
+                try:
+                    x = 2 * x + bits[pos]
+                except IndexError:  # the payload is spent: read zeros
+                    bits += [0] * (pos - len(bits) + _PAD)
+                    continue
+                pos += 1
+        self.x, self._pos = x, pos
+        return out
 
 
 class AbsStreamEncoder:
     """Inverse of AbsStreamDecoder: absorbs symbols walked in reverse order
     starting from the decoder's final state, emitting the bits it consumed.
     `strip._read` runs absorb on every free node that the walk drew with
-    `draw`, back to front, and `absorb_fair` on the fair block a walk drew
-    with `fair`."""
+    `draw`, back to front, and absorb_run on each run a walk drew with
+    `run`."""
 
     def __init__(self, final_state: int, precision: int):
         if precision < 1:
@@ -783,31 +820,60 @@ class AbsStreamEncoder:
         self._emitted: list[int] = []
 
     def absorb(self, s: int, m: int) -> None:
-        r = self.r
-        l = 1 << r
+        l = self.l
         if not 0 < m < l:
             raise ValueError("probability numerator out of range")
         x = self.x
-        ls = m if s else l - m
-        top = 2 * ls
-        if x >= top:
-            emit = self._emitted.append
-            while x >= top:
-                emit(x & 1)
-                x >>= 1
         # floor(x*l / m) for a one; ceil((x+1)*l / ls) - 1 for a zero
-        self.x = (x << r) // m if s else (((x + 1) << r) - 1) // ls
+        if s:
+            top = 2 * m
+            if x >= top:
+                emit = self._emitted.append
+                while x >= top:
+                    emit(x & 1)
+                    x >>= 1
+            self.x = (x << self.r) // m
+        else:
+            ls = l - m
+            top = 2 * ls
+            if x >= top:
+                emit = self._emitted.append
+                while x >= top:
+                    emit(x & 1)
+                    x >>= 1
+            self.x = (((x + 1) << self.r) - 1) // ls
 
-    def absorb_fair(self, symbols: list) -> None:
-        """absorb(s, 2^(R-1)) for each s of a fair run given in visiting
-        order, back to front, as one shift: each absorb emits the low bit
-        of x and replaces it by 1 - s (x stays in [l, 2l))."""
+    def absorb_run(self, symbols: list, m: int) -> None:
+        """absorb(s, m) for each s of a run given in visiting order, back
+        to front, as one call.  At the fair law 2^(R-1) it is one shift:
+        each absorb emits the low bit of x and replaces it by 1 - s (x
+        stays in [l, 2l))."""
+        l = self.l
+        if not 0 < m < l:
+            raise ValueError("probability numerator out of range")
         if not symbols:
             return
-        x = self.x
-        self._emitted.append(x & 1)
-        self._emitted.extend([1 - s for s in symbols[:0:-1]])
-        self.x = x - (x & 1) + 1 - symbols[0]
+        r, x, emitted = self.r, self.x, self._emitted
+        if m == l >> 1:
+            emitted.append(x & 1)
+            emitted += [1 - s for s in symbols[:0:-1]]
+            self.x = x - (x & 1) + 1 - symbols[0]
+            return
+        emit = emitted.append
+        ls = l - m
+        top1, top0 = 2 * m, 2 * ls
+        for s in reversed(symbols):
+            if s:
+                while x >= top1:
+                    emit(x & 1)
+                    x >>= 1
+                x = (x << r) // m
+            else:
+                while x >= top0:
+                    emit(x & 1)
+                    x >>= 1
+                x = (((x + 1) << r) - 1) // ls
+        self.x = x
 
     def finish(self) -> list[int]:
         """Bits in original payload order, including the R state-seed bits."""

@@ -6,14 +6,15 @@ written as independent Bernoulli(q) draws, then every odd node whose four
 neighbours are 0 carries one fair payload bit.  It is a visiting order
 (the even sublattice, then the odd one) plus a law rule, run by the same
 coders as the strip codec (`strip._write` / `strip._read`).  The encoder
-walks, coding each pass as one block: it draws the even sublattice at the
-one law q gives, then finds the free odd nodes from those symbols and
-draws them as one fair shift (`AbsStreamDecoder.fair`).  The decoder
-gathers every law off the written grid in one pass with the same odd-pass
-rule, absorbs the odd pass, last in visiting order, as one fair shift,
-then the even free nodes back to front.  The second visits nodes
-in a random time order and writes a 1 with a time-dependent probability
-(a "charging profile"); it is a measurement device, not a codec.
+walks, coding each pass as one run at one law, one coder call each
+(`AbsStreamDecoder.run`): it draws the even sublattice at the law q
+gives, then finds the free odd nodes from those symbols and draws them at
+the fair law, which is one shift.  The decoder gathers every law off the
+written grid in one pass with the same odd-pass rule and absorbs the two
+runs back to front (`AbsStreamEncoder.absorb_run`), the odd one first.
+The second visits nodes in a random time order and writes a 1 with a
+time-dependent probability (a "charging profile"); it is a measurement
+device, not a codec.
 
 `reproduce_tables` recomputes every frozen reference value shipped with
 the package and reports pass/fail per row.
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -128,19 +128,20 @@ def _algorithm1_odd_free(rows: int, cols: int, order: np.ndarray,
 def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
                      precision: int, dec) -> np.ndarray:
     """Symbols of the two-pass writer in visiting order, drawn by the coder
-    `dec`: the even sublattice at the law of Bernoulli(q), then the free
-    nodes of the odd-pass rule over those symbols as one fair run."""
+    `dec` as two runs: the even sublattice at the law of Bernoulli(q) (none
+    when q forces the symbol), then the free nodes of the odd-pass rule
+    over those symbols at the fair law."""
     _check_q(q)
     neven = (rows * cols + 1) // 2
     l = 1 << precision
     m = _quantize(q, l)
     if 0 < m < l:
-        even = np.fromiter(map(dec.draw, repeat(m, neven)), np.int8, neven)
+        even = np.array(dec.run(m, neven), dtype=np.int8)
     else:
         even = np.full(neven, m >> precision, dtype=np.int8)
     free = _algorithm1_odd_free(rows, cols, order, even)
     odd = np.zeros(len(free), dtype=np.int8)
-    odd[free] = dec.fair(int(np.count_nonzero(free)))
+    odd[free] = dec.run(l >> 1, int(np.count_nonzero(free)))
     return np.concatenate((even, odd))
 
 
@@ -185,8 +186,10 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
         raise ConfigMismatch("expected a 2-d grid")
     _check_precision(precision)
     order = _algorithm1_order(*grid.shape)
+    neven = (grid.size + 1) // 2
     return _read(grid, order, _algorithm1_laws(grid, order, q, precision),
-                 final_state, nbits, precision, fair=grid.size // 2)
+                 final_state, nbits, precision,
+                 runs=((0, neven), (neven, grid.size)))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ Boundary modes for finite regions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -471,7 +472,7 @@ def _rect_dp_count(row0, col0, rows, cols, model, ctx) -> Optional[int]:
         elif s == 1 and -vr <= i < rows + vr and -vr <= j < cols + vr:
             return None
     try:
-        codes, steps = _broken_line(model, rows)
+        codes, steps = _counting_gate(model, rows)
     except Unsupported:
         return None
     states = _column_symbols(model, rows, codes[rows])
@@ -960,7 +961,7 @@ def _broken_line(model, rows):
     if rows > EXACT_MAX_ROWS:
         raise Unsupported("the exact sampler takes at most %d rows"
                           % EXACT_MAX_ROWS)
-    codes = _column_levels(model, rows, False)
+    codes = tuple(_column_levels(model, rows, False))
     # after cell step t the profile is |codes[t+1]| x |codes[rows-t]| (t = 0:
     # the input, which also bounds the last step's |states| x 1)
     profile = max(len(codes[t + 1]) * len(codes[rows - t]) for t in range(rows))
@@ -970,7 +971,25 @@ def _broken_line(model, rows):
     return codes, _cell_steps(model, rows, codes)
 
 
-def _cell_steps(model, n, codes) -> list:
+@functools.lru_cache(maxsize=8)
+def _counting_gate(model, rows):
+    """`_broken_line`, kept per (model, rows) for counts, which call it
+    once per clamp at one height; the exact sampler needs it once per call
+    and builds its own.  Callers share the result, so its arrays are
+    read-only.  Unsupported is raised again on every call."""
+    codes, steps = _broken_line(model, rows)
+    for a in codes:
+        a.flags.writeable = False
+    for par, terms in steps:
+        par.flags.writeable = False
+        for at, mask in terms:
+            at.flags.writeable = False
+            if mask is not None:
+                mask.flags.writeable = False
+    return codes, steps
+
+
+def _cell_steps(model, n, codes) -> tuple:
     """The column transfer of a 2x2-window model as n cell steps over a
     broken-line profile; codes is `_column_levels(model, n, False)`.
 
@@ -1015,8 +1034,8 @@ def _cell_steps(model, n, codes) -> list:
                     & (old[at] == want)[None, :])
             if mask.any():
                 terms.append((at, None if mask.all() else mask))
-        steps.append((par, terms))
-    return steps
+        steps.append((par, tuple(terms)))
+    return tuple(steps)
 
 
 def _column_step(w, steps) -> np.ndarray:

@@ -185,15 +185,16 @@ class EncodeResult:
 # m = 2^R force a 0 or a 1 and cost no payload.  The encoder walks: a walk
 # is a function of the coder that returns the symbols in visiting order.
 # It draws each free node with `AbsStreamDecoder.draw` at the law the
-# symbols before it give, or, for a run of nodes whose law is known to be
-# the fair 2^(R-1) before the run starts, takes the run as one shift
-# (`AbsStreamDecoder.fair`).  `_write` places the symbols in the grid.  The
-# decoder gathers: a law depends only on nodes visited before it, so the
-# codec reads every law off the written grid at once, and `_read` checks
-# the forced nodes, absorbs a trailing fair block that the caller names as
-# one shift (`AbsStreamEncoder.absorb_fair`), and absorbs every other free
-# node back to front (`AbsStreamEncoder.absorb`).  So the nodes that go
-# through `draw` are exactly those that go through `absorb`.
+# symbols before it give, or, for a run of nodes whose one law is known
+# before the run starts, draws the run with one `AbsStreamDecoder.run`
+# call: a run at one law is one coder call, and the fair law 2^(R-1) is
+# its shift.  `_write` places the symbols in the grid.  The decoder
+# gathers: a law depends only on nodes visited before it, so the codec
+# reads every law off the written grid at once, and `_read` checks the
+# forced nodes and absorbs the free ones in exact reverse visiting order:
+# each run that the caller names with one `AbsStreamEncoder.absorb_run`,
+# every other free node with `AbsStreamEncoder.absorb`.  So the nodes that
+# go through `draw` are exactly those that go through `absorb`.
 
 
 def _quantize(p: float, l: int) -> int:
@@ -270,11 +271,13 @@ def _write(bits: Sequence[int], precision: int, grid: np.ndarray, order,
 
 
 def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
-          precision: int, fair: int = 0) -> list:
+          precision: int, runs=()) -> list:
     """Check a written grid against its laws, one per node in visiting
-    order, and run the coder backwards over the free nodes.  The free
-    nodes among the last `fair` ones were drawn as one fair run
-    (`AbsStreamDecoder.fair`) and are absorbed as one."""
+    order, and run the coder backwards over the free nodes.  Each of
+    `runs`, a (start, end) span of the visiting order, was drawn as one
+    run: its free nodes share one law, were drawn with one `run` call
+    (none if it has no free node) and are absorbed with one `absorb_run`;
+    every other free node is absorbed by itself."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
@@ -298,14 +301,21 @@ def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
         raise InvalidLattice("non-binary value at (%d, %d)"
                              % divmod(int(order[n]), cols))
     enc = AbsStreamEncoder(final_state, precision)
-    start = len(vals) - fair
-    enc.absorb_fair(ones[start:][~forced[start:]].tolist())
-    # deque(map(...), 0) runs the absorb calls without a Python loop
-    for end in range(start, 0, -ABSORB_BLOCK):
-        block = slice(max(end - ABSORB_BLOCK, 0), end)
-        free = ~forced[block]
-        deque(map(enc.absorb, ones[block][free][::-1].tolist(),
-                  laws[block][free][::-1].tolist()), 0)
+    end = len(vals)
+    # back to front: the nodes after each run one by one, then the run;
+    # the empty run (0, 0) closes the nodes before the first
+    for start, stop in (*runs[::-1], (0, 0)):
+        # deque(map(...), 0) runs the absorb calls without a Python loop
+        for hi in range(end, stop, -ABSORB_BLOCK):
+            block = slice(max(hi - ABSORB_BLOCK, stop), hi)
+            f = ~forced[block]
+            deque(map(enc.absorb, ones[block][f][::-1].tolist(),
+                      laws[block][f][::-1].tolist()), 0)
+        f = ~forced[start:stop]
+        if f.any():
+            enc.absorb_run(ones[start:stop][f].tolist(),
+                           int(laws[start + np.argmax(f)]))
+        end = start
     out = enc.finish()
     if len(out) < nbits:
         raise CorruptStream("stream holds fewer bits than declared")

@@ -5,20 +5,19 @@ import pytest
 
 class RecordingCoder:
     """A coder for a walk over a written grid: `draw` records each law and
-    replays the grid's next free symbol in visiting order, and `fair(k)`
-    records k laws of 2^(R-1) and replays the next k."""
+    replays the grid's next free symbol in visiting order, and `run(m, k)`
+    records k laws of m and replays the next k."""
 
-    def __init__(self, free_symbols, R):
+    def __init__(self, free_symbols):
         self.symbols = iter(free_symbols)
-        self.R = R
         self.laws = []
 
     def draw(self, m):
         self.laws.append(m)
         return next(self.symbols)
 
-    def fair(self, k):
-        self.laws += [1 << (self.R - 1)] * k
+    def run(self, m, k):
+        self.laws += [m] * k
         return [next(self.symbols) for _ in range(k)]
 
 
@@ -30,7 +29,7 @@ def assert_walk_matches_gather(walk, laws, symbols, R):
     l = 1 << R
     laws = laws.tolist()
     free = [0 < m < l for m in laws]
-    coder = RecordingCoder([s for s, f in zip(symbols, free) if f], R)
+    coder = RecordingCoder([s for s, f in zip(symbols, free) if f])
     assert list(walk(coder)) == symbols
     assert coder.laws == [m for m, f in zip(laws, free) if f]
     assert all(m == l * s for m, s, f in zip(laws, symbols, free) if not f)

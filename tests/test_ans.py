@@ -611,33 +611,50 @@ def test_abs_stream_biased_draws():
     assert abs(f - 0.25) < 0.01
 
 
-@pytest.mark.parametrize("R", [1, 16, 63, 64])
+@pytest.mark.parametrize("R", [1, 2, 16, 63, 64])
 def test_fair_shift_equals_per_node_steps(R):
-    # a run of draws at 2^(R-1) after a few at random laws, with payloads
-    # from empty (padding from the seed on) to longer than the walk
+    # run(m, k) and absorb_run equal k per-node steps at one law m, the fair
+    # 2^(R-1) (one shift) or a random one, for runs of 0-40 nodes after 0-4
+    # random-law draws; payloads end anywhere from before the seed to past
+    # the walk, and every third one inside the run
     rng = SplitMix64(2100 + R)
     l, half = 1 << R, 1 << (R - 1)
+    crossed = set()  # fair or not, for runs that read past the payload's end
     for trial in range(300):
         pre = [rng.randbelow(l - 1) + 1 for _ in range(rng.randbelow(5))]
+        m = half if trial % 2 else rng.randbelow(l - 1) + 1
         k = rng.randbelow(41)
-        walk = R + len(pre) + k
-        nbits = rng.randbelow(walk + 2) if trial % 2 else walk + rng.randbelow(8)
-        bits = [rng.randbelow(2) for _ in range(nbits)]
-        step, shift = ans.AbsStreamDecoder(bits, R), ans.AbsStreamDecoder(bits, R)
-        head = [step.draw(m) for m in pre]
-        assert [shift.draw(m) for m in pre] == head
-        run = [step.draw(half) for _ in range(k)]
-        assert shift.fair(k) == run
-        assert (shift.x, shift.consumed, shift.padded) == (
+        # a draw reads at most R bits, so the walk never reads past these
+        bits = (rng.block(R * (1 + len(pre) + k)) & 1).tolist()
+        probe = ans.AbsStreamDecoder(bits, R)
+        for a in pre:
+            probe.draw(a)
+        start = probe.consumed
+        probe.run(m, k)
+        if trial % 3 == 0 and probe.consumed - start > 1:
+            bits = bits[:start + 1 + rng.randbelow(probe.consumed - start - 1)]
+        elif trial % 3 == 1:
+            bits = bits[:rng.randbelow(probe.consumed + 8)]
+        step, whole = ans.AbsStreamDecoder(bits, R), ans.AbsStreamDecoder(bits, R)
+        head = [step.draw(a) for a in pre]
+        assert [whole.draw(a) for a in pre] == head
+        inside, padded = whole.consumed < len(bits), whole.padded
+        run = [step.draw(m) for _ in range(k)]
+        assert whole.run(m, k) == run
+        assert (whole.x, whole.consumed, whole.padded) == (
             step.x, step.consumed, step.padded)
-        back, whole = (ans.AbsStreamEncoder(step.x, R),
-                       ans.AbsStreamEncoder(step.x, R))
+        if inside and whole.padded > padded:
+            crossed.add(m == half)
+        back, one = (ans.AbsStreamEncoder(step.x, R),
+                     ans.AbsStreamEncoder(step.x, R))
         for s in reversed(run):
-            back.absorb(s, half)
-        whole.absorb_fair(run)
-        assert (whole.x, whole._emitted) == (back.x, back._emitted)
-        for s, m in zip(reversed(head), reversed(pre)):
             back.absorb(s, m)
-            whole.absorb(s, m)
-        assert whole.finish() == back.finish() == (
+        one.absorb_run(run, m)
+        assert (one.x, one._emitted) == (back.x, back._emitted)
+        for s, a in zip(reversed(head), reversed(pre)):
+            back.absorb(s, a)
+            one.absorb(s, a)
+        assert one.finish() == back.finish() == (
             bits[:step.consumed] + [0] * step.padded)
+    # R = 1 has no law but the fair one
+    assert crossed == ({True} if R == 1 else {True, False})

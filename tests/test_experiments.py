@@ -131,10 +131,12 @@ def test_algorithm1_gathered_laws_equal_the_walk(R, walk_oracle):
 
 def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):
     # a benchmark counts `draw` and `absorb` calls and expects equal counts:
-    # every node drawn one at a time is absorbed one at a time, in reverse,
-    # and algo1's fair odd pass reaches neither method
-    calls = {"draw": [], "absorb": []}
+    # every node drawn one at a time is absorbed one at a time, in reverse;
+    # algo1 draws its two passes as runs, absorbed as runs in reverse, and
+    # reaches neither per-node method
+    calls = {"draw": [], "absorb": [], "run": [], "absorb_run": []}
     draw, absorb = ans.AbsStreamDecoder.draw, ans.AbsStreamEncoder.absorb
+    run, absorb_run = ans.AbsStreamDecoder.run, ans.AbsStreamEncoder.absorb_run
 
     def counted_draw(self, m):
         calls["draw"].append(m)
@@ -144,24 +146,40 @@ def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):
         calls["absorb"].append(m)
         return absorb(self, s, m)
 
+    def counted_run(self, m, k):
+        calls["run"].append((m, k))
+        return run(self, m, k)
+
+    def counted_absorb_run(self, symbols, m):
+        calls["absorb_run"].append((m, len(symbols)))
+        return absorb_run(self, symbols, m)
+
     monkeypatch.setattr(ans.AbsStreamDecoder, "draw", counted_draw)
     monkeypatch.setattr(ans.AbsStreamEncoder, "absorb", counted_absorb)
+    monkeypatch.setattr(ans.AbsStreamDecoder, "run", counted_run)
+    monkeypatch.setattr(ans.AbsStreamEncoder, "absorb_run", counted_absorb_run)
     rng = SplitMix64(21)
     bits = [rng.randbelow(2) for _ in range(1200)]
     codec = st.LatticeCodec(st.strip_model(lat.hard_square(), 6), 16)
     res = codec.encode(bits, 300, partial=True)
     assert codec.decode(res.grid, res.final_state, res.consumed) == bits[:res.consumed]
     assert len(calls["draw"]) > 0 and calls["absorb"] == calls["draw"][::-1]
+    assert calls["run"] == calls["absorb_run"] == []
     rows, cols = 29, 30
     neven = (rows * cols + 1) // 2
     for q in (0.17, 0.5, 0.0):
         m = st._quantize(q, 1 << 16)
-        calls["draw"], calls["absorb"] = [], []
+        for key in calls:
+            calls[key] = []
         res = ex.algorithm1_encode((rows, cols), q, bits, partial=True)
         assert ex.algorithm1_decode(res.grid, q, res.final_state,
                                     res.consumed) == bits[:res.consumed]
-        free_even = neven if 0 < m < 1 << 16 else 0
-        assert calls["draw"] == calls["absorb"] == [m] * free_even
+        assert calls["draw"] == calls["absorb"] == []
+        k = int(ex._algorithm1_laws(res.grid, ex._algorithm1_order(rows, cols),
+                                    q, 16)[neven:].astype(bool).sum())
+        assert k > 0
+        even = [(m, neven)] if 0 < m < 1 << 16 else []
+        assert calls["run"] == calls["absorb_run"][::-1] == even + [(1 << 15, k)]
     # at q = 0 every odd node is free and carries one payload bit
     assert res.consumed == 16 + rows * cols // 2
 

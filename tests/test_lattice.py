@@ -136,6 +136,48 @@ def test_dp_count_matches_backtracking_on_random_clamps():
             region, model, clamp, boundary, method="backtracking"), (model, clamp)
 
 
+def test_broken_line_gate_is_built_once_per_height(monkeypatch):
+    # counts call the gate once per clamp: a second count at the same
+    # height builds no steps, the shared arrays are read-only, every count
+    # equals the one on a freshly built gate, and a refused model is
+    # refused on every call
+    built = []
+    cell_steps = L._cell_steps
+
+    def counted(model, n, codes):
+        built.append(n)
+        return cell_steps(model, n, codes)
+
+    monkeypatch.setattr(L, "_cell_steps", counted)
+    L._counting_gate.cache_clear()
+    rng = np.random.default_rng(22)
+    clamps = [{(int(r), int(c)): int(s) for r, c, s in
+               rng.integers([0, 0, 0], [5, 5, 2], (int(k), 3))}
+              for k in rng.integers(0, 4, 12)]
+    cached = [L.count(L.rect(5, 5), HS, v, "zero") for v in clamps]
+    assert built == [5]
+    codes, steps = L._counting_gate(HS, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        steps[0][0][0] = 1
+    shared = list(codes)
+    for par, terms in steps:
+        shared += [par] + [a for term in terms for a in term if a is not None]
+    assert any(mask is not None for _, terms in steps for _, mask in terms)
+    assert not any(a.flags.writeable for a in shared)
+    fresh = []
+    for v in clamps:
+        L._counting_gate.cache_clear()
+        fresh.append(L.count(L.rect(5, 5), HS, v, "zero"))
+    assert cached == fresh
+    assert built == [5] * (1 + len(clamps))
+    vert3 = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 0), 1), ((2, 0), 1)),))
+    for _ in range(2):
+        with pytest.raises(L.Unsupported):
+            L._counting_gate(vert3, 5)
+        with pytest.raises(L.Unsupported):
+            L._counting_gate(HS, L.EXACT_MAX_ROWS + 1)
+
+
 def test_entropy_estimate():
     assert L.entropy_estimate(1, HS) == 1.0
     assert L.entropy_estimate(3, L.unconstrained()) == 1.0

@@ -453,20 +453,22 @@ def test_write_read_match_reference_coder(R):
         nbits = (0, rng.randbelow(R + 8), rng.randbelow(4 * rows * cols + 8))[trial % 3]
         bits = [rng.randbelow(2) for _ in range(nbits)]
         order = np.argsort(rng.block(rows * cols), kind="stable")
-        # every other walk ends in a fair block: laws 2^(R-1) or a forced 0,
-        # its free nodes drawn as one run and absorbed as one
-        fair = rng.randbelow(rows * cols + 1) if trial % 2 else 0
-        for t in range(rows * cols - fair, rows * cols):
-            laws[t] = rng.randbelow(2) << (R - 1)
-        l = 1 << R
+        # every other walk ends in a run block: one law, the fair 2^(R-1)
+        # every other time, or a forced 0; its free nodes are drawn with
+        # one `run` call and absorbed with one `absorb_run`
+        l, N = 1 << R, rows * cols
+        tail = rng.randbelow(N + 1) if trial % 2 else 0
+        run_m = 1 << (R - 1) if trial % 4 == 1 else rng.randbelow(l - 1) + 1
+        for t in range(N - tail, N):
+            laws[t] = run_m * rng.randbelow(2)
 
         def walk(dec):
             head = [dec.draw(m) if 0 < m < l else m >> R
-                    for m in laws[:rows * cols - fair]]
-            free = np.array([m != 0 for m in laws[len(head):]], dtype=bool)
-            tail = np.zeros(fair, dtype=np.int8)
-            tail[free] = dec.fair(int(free.sum()))
-            return head + tail.tolist()
+                    for m in laws[:N - tail]]
+            free = np.array([m != 0 for m in laws[N - tail:]], dtype=bool)
+            block = np.zeros(tail, dtype=np.int8)
+            block[free] = dec.run(run_m, int(free.sum()))
+            return head + block.tolist()
 
         res = st._write(bits, R, np.zeros((rows, cols), dtype=np.int8),
                         order, walk, partial=True)
@@ -474,8 +476,8 @@ def test_write_read_match_reference_coder(R):
         assert res.grid.flat[order].tolist() == syms
         assert (res.final_state, res.consumed, res.padded) == (x, consumed, padded)
         assert back == bits[:consumed] + [0] * padded
-        assert st._read(res.grid, order, laws, x,
-                        consumed, R, fair) == back[:consumed]
+        assert st._read(res.grid, order, laws, x, consumed, R,
+                        ((N - tail, N),)) == back[:consumed]
 
 
 def test_read_reports_the_first_bad_node():
