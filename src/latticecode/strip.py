@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +48,9 @@ MAX_STATES = 1 << 14
 MAX_LAW_ENTRIES = 1 << 25
 # Coder precision R: a float law holds 53 bits, and p * 2^R must stay finite.
 MAX_PRECISION = 64
+# prefixes of one level whose float weights `_law_table` holds at a time:
+# a whole level's would take 16 bytes per state and prefix
+_LAW_BLOCK = 256
 # nodes whose free laws and symbols `_read` turns into Python lists at a
 # time: a list of them all would hold a distinct int object per free node
 ABSORB_BLOCK = 1 << 12
@@ -188,7 +190,11 @@ class EncodeResult:
 # symbols before it give, or, for a run of nodes whose one law is known
 # before the run starts, draws the run with one `AbsStreamDecoder.run`
 # call: a run at one law is one coder call, and the fair law 2^(R-1) is
-# its shift.  `_write` places the symbols in the grid.  The decoder
+# its shift.  `_write` places the symbols in the grid.  The strip walk
+# steps prefix to prefix and returns each column's state; the grid's
+# symbols are the states' code bits, gathered once at the end.  Its law
+# table is built a block of prefixes at a time, so the float weights held
+# at once do not grow with a level's prefixes.  The decoder
 # gathers: a law depends only on nodes visited before it, so the codec
 # reads every law off the written grid at once, and `_read` checks the
 # forced nodes and absorbs the free ones in exact reverse visiting order:
@@ -244,17 +250,20 @@ def _law_table(strip: StripModel, precision: int) -> tuple:
         child[2 * off[j]:2 * off[j + 1]] = off[j + 1] + np.searchsorted(
             levels[j + 1], ext[:, :2]).ravel()
         rank[:, j] = off[j] + np.searchsorted(levels[j], codes >> (n - j))
-        w = np.empty((2, len(ext), S))  # the weights of each prefix's bit 0, 1
-        for i, (a, b, c) in enumerate(np.searchsorted(codes >> (n - j - 1), ext).tolist()):
-            np.add.reduce(WT[a:b], axis=0, out=w[0, i])
-            np.add.reduce(WT[b:c], axis=0, out=w[1, i])
-        # _quantize: rint rounds half to even as round() does; exact int clip
-        tot = w[0] + w[1]
-        p = np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0)
-        f = np.rint(p * l)
-        m = f.astype(np.int64) if precision < 62 else np.frompyfunc(int, 1, 1)(f)
-        m[f < 1], m[f >= l], m[p == 0], m[p == 1] = 1, l - 1, 0, l
-        laws[:, off[j]:off[j + 1]] = m.T
+        cuts = np.searchsorted(codes >> (n - j - 1), ext).tolist()
+        for lo in range(0, len(cuts), _LAW_BLOCK):
+            block = cuts[lo:lo + _LAW_BLOCK]
+            w = np.empty((2, len(block), S))  # each prefix's bit-0, bit-1 weights
+            for i, (a, b, c) in enumerate(block):
+                np.add.reduce(WT[a:b], axis=0, out=w[0, i])
+                np.add.reduce(WT[b:c], axis=0, out=w[1, i])
+            # _quantize: rint rounds half to even as round() does; exact int clip
+            tot = w[0] + w[1]
+            p = np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0)
+            f = np.rint(p * l)
+            m = f.astype(np.int64) if precision < 62 else np.frompyfunc(int, 1, 1)(f)
+            m[f < 1], m[f >= l], m[p == 0], m[p == 1] = 1, l - 1, 0, l
+            laws[:, off[j] + lo:off[j] + lo + len(block)] = m.T
     strip._law_tables[precision] = laws, child.tolist(), rank
     return strip._law_tables[precision]
 
@@ -344,26 +353,33 @@ class LatticeCodec:
         self.strip = strip
         self.precision = precision
 
-    def _walk(self, cols: int, dec) -> list:
+    def _walk(self, cols: int, dec) -> np.ndarray:
         """The symbols of `cols` columns in visiting order, each free node
-        drawn by the coder `dec` at its law."""
-        n, u, R = self.strip.n, self.strip.zero_state, self.precision
-        laws, child, _ = _law_table(self.strip, R)
+        drawn by the coder `dec` at its law.  The walk steps prefix to
+        prefix and keeps each column's state; the symbols are the states'
+        code bits, row 0 the highest."""
+        strip, R = self.strip, self.precision
+        laws, child, _ = _law_table(strip, R)
         P = laws.shape[1]  # state v is flat prefix P + v
         draw, l = dec.draw, 1 << R
-        rows = {}  # each visited state's laws as a list, made once
-        out = []
-        put = out.append
+        kids = list(zip(child[0::2], child[1::2]))
+        rows = [None] * len(strip.codes)  # a visited state's laws as a list
+        states = []
+        put = states.append
+        u = strip.zero_state
         for _ in range(cols):
-            row = rows.get(u) or rows.setdefault(u, laws[u].tolist())
+            row = rows[u]
+            if row is None:
+                row = rows[u] = laws[u].tolist()
             q = 0
-            for _ in repeat(None, n):
+            while q < P:
                 m = row[q]
-                s = draw(m) if 0 < m < l else m >> R
-                put(s)
-                q = child[2 * q + s]
+                q = kids[q][draw(m) if 0 < m < l else m >> R]
             u = q - P
-        return out
+            put(u)
+        codes = strip.codes[np.asarray(states, dtype=np.intp)]
+        shifts = np.arange(strip.n - 1, -1, -1)
+        return ((codes[:, None] >> shifts) & 1).astype(np.int8).ravel()
 
     def _order(self, cols: int) -> np.ndarray:
         """Column-major visiting order as flat indices of the grid."""

@@ -214,6 +214,24 @@ def test_law_table_is_sized_before_the_strip(monkeypatch):
     assert len(st.check_law_size(HS, 17, "zero")[17]) == 4181
 
 
+@pytest.mark.parametrize("block", [1, 3])
+def test_law_table_blocks_do_not_change_it(block, monkeypatch):
+    # the weights are summed and quantised a block of prefixes at a time;
+    # every block size gives the default build's tables
+    for boundary in ("zero", "cyclic"):
+        for n in range(1, 11):
+            s = st.strip_model(HS, n, boundary)
+            want = {R: st._law_table(s, R) for R in (1, 16, 64)}
+            with monkeypatch.context() as m:
+                m.setattr(st, "_LAW_BLOCK", block)
+                s._law_tables = {}
+                for R, (laws, child, rank) in want.items():
+                    got = st._law_table(s, R)
+                    assert got[0].dtype == laws.dtype, (boundary, n, R)
+                    assert got[0].tolist() == laws.tolist(), (boundary, n, R)
+                    assert got[1] == child and (got[2] == rank).all()
+
+
 def test_first_column_frequencies():
     s = st.strip_model(HS, 3, "zero")
     codec = st.LatticeCodec(s)
@@ -542,9 +560,13 @@ def test_gathered_laws_equal_the_walk(boundary, R, walk_oracle):
     rng = SplitMix64(500 + R)
     strips = [st._cached_strip("hard-square", n, boundary) for n in range(1, 9)]
     strips += [st.strip_model(ONES_SINK, n, boundary) for n in range(1, 6)]
+    # wide strips, where most states of a walk are visited once
+    if R == 16 and boundary != "free":
+        strips += [st.strip_model(HS, n, boundary) for n in (12, 14)]
     for strip in strips:
         n, codec = strip.n, st.LatticeCodec(strip, R)
-        for cols in (1, 1 + rng.randbelow(60)):
+        counts = (1, 1 + rng.randbelow(60)) if n <= 8 else (1 + rng.randbelow(60),)
+        for cols in counts + (0,):
             bits = [rng.randbelow(2) for _ in range(n * cols + R)]
             grid = codec.encode(bits, cols, partial=True).grid
             walk_oracle(
