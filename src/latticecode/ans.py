@@ -305,7 +305,9 @@ class StreamState:
 LANE_MIN_SYMBOLS = 1 << 17
 MAX_LANES = 1024
 _SYMBOLS_PER_LANE_LOG = 11
-# fields turned into digits per block, so the per-digit arrays stay small
+# Lane fields held at a time: the lane encoder runs its steps back to front
+# in blocks of at most this many fields and turns each block into digits
+# before it starts the next, so its working arrays do not grow with N
 _EMIT_BLOCK = 1 << 16
 # decoded symbols allocated per block, so a claimed count is not
 # allocated before digits back it
@@ -395,33 +397,39 @@ def _encode_lanes(sym: np.ndarray, table: AnsTable, k: int):
     enc, base = table.enc_array, table.enc_base
 
     steps = -(-len(sym) // k)
-    fields = np.zeros((steps, k), dtype=np.int32)
-    nbits = np.zeros((steps, k), dtype=np.uint8)
     x = np.full(k, l, dtype=np.int64)
-    for t in range(steps - 1, -1, -1):
-        s = sym[t * k:(t + 1) * k].astype(np.intp)
-        m = len(s)
-        xv = x[:m]
-        nb = lo[s] + w * (xv >= cut[s])
-        xs = xv >> nb
-        fields[t, :m] = xv - (xs << nb)
-        nbits[t, :m] = nb
-        xv[:] = enc[base[s] + xs]
-    return _field_digits(fields.ravel(), nbits.ravel() // w, w), x.tolist()
+    per = max(1, _EMIT_BLOCK // k)  # steps per block
+    parts = [np.zeros(0, dtype=np.uint8)]
+    for end in range(steps, 0, -per):
+        start = max(end - per, 0)
+        fields = np.zeros((end - start, k), dtype=np.int32)
+        nbits = np.zeros((end - start, k), dtype=np.uint8)
+        block = sym[start * k:end * k].astype(np.intp)
+        for t in range(end - start - 1, -1, -1):
+            s = block[t * k:(t + 1) * k]
+            m = len(s)
+            xv = x[:m]
+            nb = lo[s] + w * (xv >= cut[s])
+            xs = xv >> nb
+            fields[t, :m] = xv - (xs << nb)
+            nbits[t, :m] = nb
+            xv[:] = enc[base[s] + xs]
+        parts.append(_field_digits(fields.ravel(), nbits.ravel() // w, w))
+    return np.concatenate(parts[::-1]), x.tolist()
 
 
 def _field_digits(fields: np.ndarray, counts: np.ndarray, w: int) -> np.ndarray:
     """The w-bit digits of each field in turn, `counts` of them per field,
-    most significant first."""
-    mask = (1 << w) - 1
-    parts = [np.zeros(0, dtype=np.uint8)]
-    for a in range(0, len(fields), _EMIT_BLOCK):
-        c = counts[a:a + _EMIT_BLOCK].astype(np.intp)
-        ends = np.add.accumulate(c)
-        shift = np.repeat(ends, c) - np.arange(1, int(ends[-1]) + 1)
-        f = np.repeat(fields[a:a + _EMIT_BLOCK], c) >> (shift * w)
-        parts.append((f & mask).astype(np.uint8))
-    return np.concatenate(parts)
+    most significant first; a block of at most _EMIT_BLOCK fields, so its
+    digit offsets fit int32."""
+    ends = np.add.accumulate(counts, dtype=np.int32)
+    shift = np.repeat(ends, counts)
+    shift -= np.arange(1, len(shift) + 1, dtype=np.int32)
+    shift *= w
+    f = np.repeat(fields, counts)
+    f >>= shift
+    f &= (1 << w) - 1
+    return f.astype(np.uint8)
 
 
 _FORBIDDEN = "forbidden symbol"
@@ -454,7 +462,9 @@ def ans_stream_decode(digits: Sequence[int], table: AnsTable, states: Sequence[i
         raise CorruptStream("lane state outside the coding interval")
     digits = np.asarray(digits, dtype=np.uint8)
     if len(states) > 1:
-        return _decode_lanes(digits, table, states, count, forbidden)
+        w = _lane_width(table)
+        return _decode_lanes(_pack_digits(digits, w), len(digits), table, states,
+                             count, forbidden)
     out = _decode_one_lane(digits.tolist(), table, states[0], count, forbidden)
     if table.n <= 256:
         return np.frombuffer(bytes(out), dtype=np.uint8)
@@ -492,7 +502,9 @@ def _first_forbidden(syms: np.ndarray, forbidden: Optional[int]) -> None:
             raise ErrorDetected(int(hit[0]), _FORBIDDEN)
 
 
-def _decode_lanes(digits, table, states, count, forbidden):
+def _decode_lanes(packed, ndigits, table, states, count, forbidden):
+    """Lane decode of `ndigits` digits packed MSB-first (`_pack_digits`),
+    as a container holds them; bits past the last digit are never read."""
     l = table.l
     w = _lane_width(table)
     k = len(states)
@@ -505,14 +517,13 @@ def _decode_lanes(digits, table, states, count, forbidden):
         top[low] <<= w
     sym_at = table.sym_array.astype(np.uint8 if table.n <= 256 else np.uint16)
     cut_at = (63 - bits_at).astype(np.uint64)
-    # the bit stream, most significant bit first, as one big-endian 64-bit
-    # window per byte offset
-    packed = _pack_digits(digits, w)
-    total = len(digits) * w
+    # the bit stream, most significant bit first, as one 64-bit window per
+    # byte offset: a big-endian view at a one-byte stride, read once into
+    # native order
+    total = ndigits * w
     buf = np.zeros(len(packed) + 8, dtype=np.uint8)
     buf[:len(packed)] = packed
-    win = np.lib.stride_tricks.sliding_window_view(buf, 8).copy()
-    win = win.view(">u8").ravel().astype(np.uint64)
+    win = np.ndarray(len(packed) + 1, ">u8", buf, strides=(1,)).astype(np.uint64)
 
     x = np.array(states, dtype=np.int64)
     out = np.empty(min(count, _OUT_BLOCK), dtype=sym_at.dtype)
@@ -609,16 +620,19 @@ def pack_container(table: AnsTable, states: Sequence[int], digits: Sequence[int]
 
 
 class Container(NamedTuple):
-    """An unpacked ANS2 container; `crc_ok` tells whether its checksum held."""
+    """An ANS2 container's fields, its D digits left packed as stored;
+    `crc_ok` tells whether its checksum held."""
     table: AnsTable
     states: list
     count: int
-    digits: np.ndarray
+    payload: np.ndarray
+    ndigits: int
     crc_ok: bool
 
 
 def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container:
-    """Inverse of pack_container; the table is rebuilt from l_s and key,
+    """Inverse of pack_container, the digits left packed as stored
+    (`_unpack_digits` lists them); the table is rebuilt from l_s and key,
     or is `table`, whose w, R, l_s and key the header must repeat.  Every
     count is checked against the others and the length before anything is
     allocated; the checksum is only reported."""
@@ -670,7 +684,7 @@ def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container
     payload = np.frombuffer(blob, dtype=np.uint8, count=end - off - 4 * k,
                             offset=off + 4 * k)
     crc_ok = zlib.crc32(memoryview(blob)[:end]) == struct.unpack_from("<I", blob, end)[0]
-    return Container(table, states, count, _unpack_digits(payload, ndigits, w), crc_ok)
+    return Container(table, states, count, payload, ndigits, crc_ok)
 
 
 def decode_container(blob: bytes, table: Optional[AnsTable] = None,
@@ -680,9 +694,15 @@ def decode_container(blob: bytes, table: Optional[AnsTable] = None,
     at its smallest message index; any other failure of a container whose
     checksum does not hold is reported as the checksum mismatch."""
     c = unpack_container(blob, table)
+    forbid = c.table.n - 1 if forbidden else None
     try:
-        syms = ans_stream_decode(c.digits, c.table, c.states, c.count,
-                                 c.table.n - 1 if forbidden else None)
+        if len(c.states) > 1:
+            # the lanes read the digits as packed; one lane reads them unpacked
+            syms = _decode_lanes(c.payload, c.ndigits, c.table, c.states, c.count,
+                                 forbid)
+        else:
+            digits = _unpack_digits(c.payload, c.ndigits, _lane_width(c.table))
+            syms = ans_stream_decode(digits, c.table, c.states, c.count, forbid)
     except ErrorDetected as e:
         if e.forbidden or c.crc_ok:
             raise
@@ -817,7 +837,8 @@ class AbsStreamEncoder:
         self.r = precision
         self.l = 1 << precision
         self.x = final_state
-        self._emitted: list[int] = []
+        # emitted bits, one byte each, last payload bit first
+        self._emitted = bytearray()
 
     def absorb(self, s: int, m: int) -> None:
         l = self.l
@@ -843,11 +864,11 @@ class AbsStreamEncoder:
                     x >>= 1
             self.x = (((x + 1) << self.r) - 1) // ls
 
-    def absorb_run(self, symbols: list, m: int) -> None:
-        """absorb(s, m) for each s of a run given in visiting order, back
-        to front, as one call.  At the fair law 2^(R-1) it is one shift:
-        each absorb emits the low bit of x and replaces it by 1 - s (x
-        stays in [l, 2l))."""
+    def absorb_run(self, symbols: Sequence[int], m: int) -> None:
+        """absorb(s, m) for each s of a run given in visiting order (a list,
+        or bytes of 0s and 1s), back to front, as one call.  At the fair
+        law 2^(R-1) it is one shift: each absorb emits the low bit of x
+        and replaces it by 1 - s (x stays in [l, 2l))."""
         l = self.l
         if not 0 < m < l:
             raise ValueError("probability numerator out of range")
@@ -856,7 +877,7 @@ class AbsStreamEncoder:
         r, x, emitted = self.r, self.x, self._emitted
         if m == l >> 1:
             emitted.append(x & 1)
-            emitted += [1 - s for s in symbols[:0:-1]]
+            emitted.extend([1 - s for s in symbols[:0:-1]])
             self.x = x - (x & 1) + 1 - symbols[0]
             return
         emit = emitted.append
@@ -880,8 +901,9 @@ class AbsStreamEncoder:
         x = self.x
         if not self.l <= x < 2 * self.l:
             raise CorruptStream("state did not drain into the seed interval")
-        emit = self._emitted.append
+        emitted = self._emitted
         while x > 1:
-            emit(x & 1)
+            emitted.append(x & 1)
             x >>= 1
-        return list(reversed(self._emitted))
+        emitted.reverse()
+        return list(emitted)

@@ -44,7 +44,7 @@ def _bits_from_bytes(data: bytes) -> list:
 def _bytes_from_bits(bits) -> bytes:
     if len(bits) % 8:
         raise ValueError("bit count %d is not a whole number of bytes" % len(bits))
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+    return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes()
 
 
 def _read_text(path: str) -> str:

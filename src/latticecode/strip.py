@@ -221,7 +221,10 @@ def _check_precision(precision: int) -> None:
 
 
 def _law_dtype(precision: int):
-    """Law arrays hold int64 while 2^R fits with room, Python ints beyond."""
+    """Law arrays hold int32 while 2^R fits (R <= 30), int64 while it fits
+    with room, Python ints beyond."""
+    if precision <= 30:
+        return np.int32
     return np.int64 if precision < 62 else object
 
 
@@ -242,7 +245,8 @@ def _law_table(strip: StripModel, precision: int) -> tuple:
     # of a C-order run of states adds its rows in state order, vectorised
     # over u, as np.bincount did, so the laws keep their last bits
     WT = (strip.graph.weights * strip.eigs.right).T.copy()
-    laws = np.empty((S, P), _law_dtype(precision))
+    dtype = _law_dtype(precision)
+    laws = np.empty((S, P), dtype)
     child = np.empty(2 * P, dtype=np.intp)
     rank = np.empty((S, n), dtype=np.intp)
     for j in range(n):
@@ -261,7 +265,7 @@ def _law_table(strip: StripModel, precision: int) -> tuple:
             tot = w[0] + w[1]
             p = np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0)
             f = np.rint(p * l)
-            m = f.astype(np.int64) if precision < 62 else np.frompyfunc(int, 1, 1)(f)
+            m = f.astype(dtype) if dtype is not object else np.frompyfunc(int, 1, 1)(f)
             m[f < 1], m[f >= l], m[p == 0], m[p == 1] = 1, l - 1, 0, l
             laws[:, off[j] + lo:off[j] + lo + len(block)] = m.T
     strip._law_tables[precision] = laws, child.tolist(), rank
@@ -322,13 +326,14 @@ def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
                       laws[block][f][::-1].tolist()), 0)
         f = ~forced[start:stop]
         if f.any():
-            enc.absorb_run(ones[start:stop][f].tolist(),
+            enc.absorb_run(ones[start:stop][f].tobytes(),
                            int(laws[start + np.argmax(f)]))
         end = start
     out = enc.finish()
     if len(out) < nbits:
         raise CorruptStream("stream holds fewer bits than declared")
-    return out[:nbits]
+    del out[nbits:]
+    return out
 
 
 def _check_height(grid: np.ndarray, n: int) -> None:
@@ -363,14 +368,23 @@ class LatticeCodec:
         P = laws.shape[1]  # state v is flat prefix P + v
         draw, l = dec.draw, 1 << R
         kids = list(zip(child[0::2], child[1::2]))
-        rows = [None] * len(strip.codes)  # a visited state's laws as a list
+        # a state's laws are read through a view on its first visit and
+        # listed on its second, so a row the walk needs once (most of them
+        # at wide strips) is never listed; object laws have no buffer view
+        view = np.asarray if laws.dtype == object else memoryview
+        rows = [None] * len(strip.codes)
+        seen = bytearray(len(strip.codes))
         states = []
         put = states.append
         u = strip.zero_state
         for _ in range(cols):
             row = rows[u]
             if row is None:
-                row = rows[u] = laws[u].tolist()
+                if seen[u]:
+                    row = rows[u] = laws[u].tolist()
+                else:
+                    seen[u] = 1
+                    row = view(laws[u])
             q = 0
             while q < P:
                 m = row[q]

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -336,7 +337,26 @@ def test_one_lane_equals_the_reference(w):
         assert d1.tolist() == ref_d and xs1 == [ref_x]
         assert _reference_stream_decode_checked(ref_d, t, ref_x, -1) == (msg, None)
         assert ans.ans_stream_decode(d, t, xs, len(msg)).tolist() == msg
-        assert ans._decode_lanes(d, t, xs, len(msg), None).tolist() == msg
+        # and the lane decode reads them packed, as a container holds them
+        packed = ans._pack_digits(d, w)
+        assert ans._decode_lanes(packed, len(d), t, xs, len(msg), None).tolist() == msg
+
+
+def _check_lane_fields(msg, t, k):
+    """`_encode_lanes` in k lanes against the reference coder on each lane:
+    the final states, and the stream read back field by field, step by
+    step, lane by lane.  Returns the digits and states."""
+    d, xs = ans._encode_lanes(np.asarray(msg), t, k)
+    lanes = [_reference_fields(msg[j::k], t) for j in range(k)]
+    assert xs == [x for _, x in lanes]
+    got, at = d.tolist(), 0
+    for step in range(-(-len(msg) // k)):
+        for j in range(min(k, len(msg) - step * k)):
+            field = lanes[j][0][step]
+            assert got[at:at + len(field)] == field, (step, j)
+            at += len(field)
+    assert at == len(got)
+    return d, xs
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 64])
@@ -346,17 +366,24 @@ def test_lane_fields_equal_the_reference_on_each_lane(k):
         qs, t = _random_table(rng, 3, w, 10 if w < 8 else 9, k)
         msg = rng.choice(3, size=n_sym + (n_sym % k == 0), p=qs).tolist()
         assert len(msg) % k
-        d, xs = ans._encode_lanes(np.asarray(msg), t, k)
-        lanes = [_reference_fields(msg[j::k], t) for j in range(k)]
-        assert xs == [x for _, x in lanes]
-        # read the stream back field by field: step by step, lane by lane
-        d, at = d.tolist(), 0
-        for step in range(-(-len(msg) // k)):
-            for j in range(min(k, len(msg) - step * k)):
-                field = lanes[j][0][step]
-                assert d[at:at + len(field)] == field, (w, step, j)
-                at += len(field)
-        assert at == len(d)
+        _check_lane_fields(msg, t, k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("block", [1, 5, 16])
+def test_streamed_lane_encoder_across_block_boundaries(k, block, monkeypatch):
+    # the steps are coded back to front a block of at most _EMIT_BLOCK
+    # fields at a time; small blocks put many boundaries in one stream,
+    # and the last step is partial whenever k > 1
+    monkeypatch.setattr(ans, "_EMIT_BLOCK", block)
+    monkeypatch.setattr(ans, "lanes_for", lambda count: k)
+    rng = np.random.default_rng(10 * k + block)
+    for w, n_sym in ((1, 301), (3, 95), (8, 40)):
+        qs, t = _random_table(rng, 3, w, 10 if w < 8 else 9, block)
+        msg = rng.choice(3, size=n_sym + (n_sym % k == 0 and k > 1), p=qs).tolist()
+        d, xs = _check_lane_fields(msg, t, k)
+        blob = ans.pack_container(t, xs, d, len(msg))
+        assert ans.decode_container(blob).tolist() == msg
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 64])
@@ -533,7 +560,8 @@ def test_container_roundtrip():
     d, xs = ans.ans_stream_encode(msg, t)
     blob = ans.pack_container(t, xs, d, len(msg))
     assert blob[:4] == b"ANS2"
-    t2, xs2, n2, d2, crc_ok = ans.unpack_container(blob)
+    t2, xs2, n2, payload, nd, crc_ok = ans.unpack_container(blob)
+    d2 = ans._unpack_digits(payload, nd, 1)
     assert (t2.l_s, t2.key, xs2, n2, d2.tolist()) == (t.l_s, t.key, xs, len(msg), d.tolist())
     assert crc_ok and t2.dec_sym == t.dec_sym
     assert ans.ans_stream_decode(d2, t2, xs2, n2).tolist() == msg
@@ -549,7 +577,8 @@ def test_container_reread_with_its_table():
     msg = sample_symbols([0.25, 0.75], 500, seed=31)
     d, xs = ans.ans_stream_encode(msg, t)
     blob = ans.pack_container(t, xs, d, len(msg))
-    t2, xs2, _, d2, _ = ans.unpack_container(blob, t)
+    t2, xs2, _, payload, nd, _ = ans.unpack_container(blob, t)
+    d2 = ans._unpack_digits(payload, nd, 2)
     assert t2 is t and (xs2, d2.tolist()) == (xs, d.tolist())
     for other in (ans.ans_build_table([0.25, 0.75], 1 << 8, 4, key=6),
                   ans.ans_build_table([0.25, 0.75], 1 << 8, 2, key=5),
@@ -658,3 +687,21 @@ def test_fair_shift_equals_per_node_steps(R):
             bits[:step.consumed] + [0] * step.padded)
     # R = 1 has no law but the fair one
     assert crossed == ({True} if R == 1 else {True, False})
+
+
+def test_lane_encoder_memory_follows_its_output():
+    # 10^6 symbols at the benchmark's law code to about 1.45 MB of one-byte
+    # digits in 488 lanes; the lane steps hold one block of fields at a
+    # time, where a whole-stream field array held 11.6 MB at its peak
+    qs = ans.forbidden_symbol_wrap([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+                                   Fraction(1, 64))
+    t = ans.ans_build_table(qs, 1 << 12, 2)
+    msg = np.random.default_rng(24).choice(3, size=10 ** 6, p=[0.5, 0.25, 0.25])
+    msg = msg.astype(np.uint8)
+    tracemalloc.start()
+    d, xs = ans.ans_stream_encode(msg, t)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(xs) == 488 and peak <= 6 * 10 ** 6, peak
+    blob = ans.pack_container(t, xs, d, len(msg))
+    assert (ans.decode_container(blob, forbidden=True) == msg).all()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -198,6 +199,21 @@ def test_decoders_read_any_binary_dtype():
                             sres.consumed) == bits[:sres.consumed]
         assert ex.algorithm1_decode(ares.grid.astype(dtype), 0.17, ares.final_state,
                                     ares.consumed) == bits[:ares.consumed]
+
+
+def test_algorithm1_decode_memory_is_bounded():
+    # the benchmark's 512 x 512 file (133,616 payload bits): int32 laws, the
+    # absorbed bits one byte each and no trimmed copy keep the decode under
+    # 6.5 MB, where it took 8.6 MB with int64 laws and a list of bits
+    q = ex.algorithm1_optimum()[0]
+    bits = SplitMix64(24).block(133616).astype(np.int64) & 1
+    bits = bits.tolist()
+    res = ex.algorithm1_encode((512, 512), q, bits)
+    tracemalloc.start()
+    got = ex.algorithm1_decode(res.grid, q, res.final_state, len(bits))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert got == bits and peak <= 6.5 * 10 ** 6, peak
 
 
 def test_algorithm1_rate_verify_failure_is_a_data_error(monkeypatch):
