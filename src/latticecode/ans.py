@@ -462,9 +462,7 @@ def ans_stream_decode(digits: Sequence[int], table: AnsTable, states: Sequence[i
         raise CorruptStream("lane state outside the coding interval")
     digits = np.asarray(digits, dtype=np.uint8)
     if len(states) > 1:
-        w = _lane_width(table)
-        return _decode_lanes(_pack_digits(digits, w), len(digits), table, states,
-                             count, forbidden)
+        return _decode_lanes(digits, table, states, count, forbidden)
     out = _decode_one_lane(digits.tolist(), table, states[0], count, forbidden)
     if table.n <= 256:
         return np.frombuffer(bytes(out), dtype=np.uint8)
@@ -502,9 +500,7 @@ def _first_forbidden(syms: np.ndarray, forbidden: Optional[int]) -> None:
             raise ErrorDetected(int(hit[0]), _FORBIDDEN)
 
 
-def _decode_lanes(packed, ndigits, table, states, count, forbidden):
-    """Lane decode of `ndigits` digits packed MSB-first (`_pack_digits`),
-    as a container holds them; bits past the last digit are never read."""
+def _decode_lanes(digits, table, states, count, forbidden):
     l = table.l
     w = _lane_width(table)
     k = len(states)
@@ -520,7 +516,8 @@ def _decode_lanes(packed, ndigits, table, states, count, forbidden):
     # the bit stream, most significant bit first, as one 64-bit window per
     # byte offset: a big-endian view at a one-byte stride, read once into
     # native order
-    total = ndigits * w
+    packed = _pack_digits(digits, w)
+    total = len(digits) * w
     buf = np.zeros(len(packed) + 8, dtype=np.uint8)
     buf[:len(packed)] = packed
     win = np.ndarray(len(packed) + 1, ">u8", buf, strides=(1,)).astype(np.uint64)
@@ -620,19 +617,16 @@ def pack_container(table: AnsTable, states: Sequence[int], digits: Sequence[int]
 
 
 class Container(NamedTuple):
-    """An ANS2 container's fields, its D digits left packed as stored;
-    `crc_ok` tells whether its checksum held."""
+    """An unpacked ANS2 container; `crc_ok` tells whether its checksum held."""
     table: AnsTable
     states: list
     count: int
-    payload: np.ndarray
-    ndigits: int
+    digits: np.ndarray
     crc_ok: bool
 
 
 def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container:
-    """Inverse of pack_container, the digits left packed as stored
-    (`_unpack_digits` lists them); the table is rebuilt from l_s and key,
+    """Inverse of pack_container; the table is rebuilt from l_s and key,
     or is `table`, whose w, R, l_s and key the header must repeat.  Every
     count is checked against the others and the length before anything is
     allocated; the checksum is only reported."""
@@ -684,7 +678,7 @@ def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container
     payload = np.frombuffer(blob, dtype=np.uint8, count=end - off - 4 * k,
                             offset=off + 4 * k)
     crc_ok = zlib.crc32(memoryview(blob)[:end]) == struct.unpack_from("<I", blob, end)[0]
-    return Container(table, states, count, payload, ndigits, crc_ok)
+    return Container(table, states, count, _unpack_digits(payload, ndigits, w), crc_ok)
 
 
 def decode_container(blob: bytes, table: Optional[AnsTable] = None,
@@ -694,15 +688,9 @@ def decode_container(blob: bytes, table: Optional[AnsTable] = None,
     at its smallest message index; any other failure of a container whose
     checksum does not hold is reported as the checksum mismatch."""
     c = unpack_container(blob, table)
-    forbid = c.table.n - 1 if forbidden else None
     try:
-        if len(c.states) > 1:
-            # the lanes read the digits as packed; one lane reads them unpacked
-            syms = _decode_lanes(c.payload, c.ndigits, c.table, c.states, c.count,
-                                 forbid)
-        else:
-            digits = _unpack_digits(c.payload, c.ndigits, _lane_width(c.table))
-            syms = ans_stream_decode(digits, c.table, c.states, c.count, forbid)
+        syms = ans_stream_decode(c.digits, c.table, c.states, c.count,
+                                 c.table.n - 1 if forbidden else None)
     except ErrorDetected as e:
         if e.forbidden or c.crc_ok:
             raise

@@ -368,23 +368,14 @@ class LatticeCodec:
         P = laws.shape[1]  # state v is flat prefix P + v
         draw, l = dec.draw, 1 << R
         kids = list(zip(child[0::2], child[1::2]))
-        # a state's laws are read through a view on its first visit and
-        # listed on its second, so a row the walk needs once (most of them
-        # at wide strips) is never listed; object laws have no buffer view
-        view = np.asarray if laws.dtype == object else memoryview
-        rows = [None] * len(strip.codes)
-        seen = bytearray(len(strip.codes))
+        rows = [None] * len(strip.codes)  # a visited state's laws as a list
         states = []
         put = states.append
         u = strip.zero_state
         for _ in range(cols):
             row = rows[u]
             if row is None:
-                if seen[u]:
-                    row = rows[u] = laws[u].tolist()
-                else:
-                    seen[u] = 1
-                    row = view(laws[u])
+                row = rows[u] = laws[u].tolist()
             q = 0
             while q < P:
                 m = row[q]

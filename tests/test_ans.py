@@ -337,9 +337,7 @@ def test_one_lane_equals_the_reference(w):
         assert d1.tolist() == ref_d and xs1 == [ref_x]
         assert _reference_stream_decode_checked(ref_d, t, ref_x, -1) == (msg, None)
         assert ans.ans_stream_decode(d, t, xs, len(msg)).tolist() == msg
-        # and the lane decode reads them packed, as a container holds them
-        packed = ans._pack_digits(d, w)
-        assert ans._decode_lanes(packed, len(d), t, xs, len(msg), None).tolist() == msg
+        assert ans._decode_lanes(d, t, xs, len(msg), None).tolist() == msg
 
 
 def _check_lane_fields(msg, t, k):
@@ -560,8 +558,7 @@ def test_container_roundtrip():
     d, xs = ans.ans_stream_encode(msg, t)
     blob = ans.pack_container(t, xs, d, len(msg))
     assert blob[:4] == b"ANS2"
-    t2, xs2, n2, payload, nd, crc_ok = ans.unpack_container(blob)
-    d2 = ans._unpack_digits(payload, nd, 1)
+    t2, xs2, n2, d2, crc_ok = ans.unpack_container(blob)
     assert (t2.l_s, t2.key, xs2, n2, d2.tolist()) == (t.l_s, t.key, xs, len(msg), d.tolist())
     assert crc_ok and t2.dec_sym == t.dec_sym
     assert ans.ans_stream_decode(d2, t2, xs2, n2).tolist() == msg
@@ -577,8 +574,7 @@ def test_container_reread_with_its_table():
     msg = sample_symbols([0.25, 0.75], 500, seed=31)
     d, xs = ans.ans_stream_encode(msg, t)
     blob = ans.pack_container(t, xs, d, len(msg))
-    t2, xs2, _, payload, nd, _ = ans.unpack_container(blob, t)
-    d2 = ans._unpack_digits(payload, nd, 2)
+    t2, xs2, _, d2, _ = ans.unpack_container(blob, t)
     assert t2 is t and (xs2, d2.tolist()) == (xs, d.tolist())
     for other in (ans.ans_build_table([0.25, 0.75], 1 << 8, 4, key=6),
                   ans.ans_build_table([0.25, 0.75], 1 << 8, 2, key=5),

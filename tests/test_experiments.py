@@ -203,8 +203,9 @@ def test_decoders_read_any_binary_dtype():
 
 def test_algorithm1_decode_memory_is_bounded():
     # the benchmark's 512 x 512 file (133,616 payload bits): int32 laws, the
-    # absorbed bits one byte each and no trimmed copy keep the decode under
-    # 6.5 MB, where it took 8.6 MB with int64 laws and a list of bits
+    # absorbed bits one byte each and no trimmed copy keep the decode near
+    # 5.9 MB, where int64 laws and a list of bits took 9.1 MB; the bound
+    # sits between the two, since list overheads vary by interpreter
     q = ex.algorithm1_optimum()[0]
     bits = SplitMix64(24).block(133616).astype(np.int64) & 1
     bits = bits.tolist()
@@ -213,7 +214,7 @@ def test_algorithm1_decode_memory_is_bounded():
     got = ex.algorithm1_decode(res.grid, q, res.final_state, len(bits))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert got == bits and peak <= 6.5 * 10 ** 6, peak
+    assert got == bits and peak <= 7.5 * 10 ** 6, peak
 
 
 def test_algorithm1_rate_verify_failure_is_a_data_error(monkeypatch):
