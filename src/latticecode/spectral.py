@@ -81,7 +81,7 @@ class WeightedGraph:
 def build_from_constraints(allowed) -> WeightedGraph:
     """0/1 graph with an edge a -> b wherever the (n, n) boolean matrix
     `allowed` holds True."""
-    return WeightedGraph(np.asarray(allowed, dtype=float))
+    return WeightedGraph(allowed)
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,11 @@ class EigenSystem:
     iterations: int
 
 
+# residual checks in a row that set no new minimum before the solver
+# stops: the iterate has reached its rounding floor
+_STALL_CHECKS = 16
+
+
 def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 ** 6) -> EigenSystem:
     """Power iteration on M and its transpose, run simultaneously.
 
@@ -109,10 +114,17 @@ def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 *
 
     The right iterate v and the left iterate u are the rows of one (2, n)
     array Z, so a step normalizes both and measures their change with one
-    call each; every entry sees the arithmetic it would see alone.
+    call each; every entry sees the arithmetic it would see alone.  When
+    M is symmetric the two rows stay equal bit for bit, so M^T u is taken
+    as a copy of M v and a step makes one product.
+
+    A converged iterate is accepted once its residual is below 10 * tol.
+    The residual at the rounding floor grows with lambda, so the solver
+    also stops after _STALL_CHECKS checks in a row set no new minimum,
+    and returns the iterate with the smallest residual it saw.
     """
     M = graph.weights
-    MT = M.T.copy()
+    MT = None if np.array_equal(M, M.T) else M.T.copy()
     n = graph.size
     Z = Z_prev = np.full((2, n), 1.0 / n)
     v, u = Z
@@ -121,10 +133,15 @@ def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 *
     np.matmul(M, v, out=Mv)  # each step's quotient product is the next step's M @ v
     lam = float(u @ Mv / (u @ v))
     averaged = False
+    best = (math.inf,)  # smallest residual seen, with its lam, u and psi
+    stalled = 0
     it = 0
     while it < max_iter:
         it += 1
-        np.matmul(MT, u, out=MTu)
+        if MT is None:
+            MTu[:] = Mv
+        else:
+            np.matmul(MT, u, out=MTu)
         if averaged:
             P += lam * Z
         s = P.sum(axis=1)
@@ -138,9 +155,13 @@ def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 *
         if delta < tol:
             psi = v / np.max(v)
             res = _residual(M, lam, u, psi)
-            if res < 10 * tol:
-                phi = u / float(u @ psi)
-                return EigenSystem(lam, phi, psi, res, it)
+            if res < best[0]:
+                best, stalled = (res, lam, u, psi), 0
+            else:
+                stalled += 1
+            if res < 10 * tol or stalled == _STALL_CHECKS:
+                res, lam, u, psi = best
+                return EigenSystem(lam, u / float(u @ psi), psi, res, it)
         elif not averaged and it >= 4 and abs(Z2 - Z_prev).max() < 1e-3 * delta:
             # the two-step change is near zero while delta stays large: a
             # period-2 oscillation from equal-modulus eigenvalues
@@ -257,7 +278,11 @@ def kmodel_capacity(k: int, tol: float = 1e-12) -> float:
 
 def kmodel_benefit(k: int) -> int:
     """Percent gain of coding k+1 nodes jointly over one bit per group."""
-    return round(100.0 * ((k + 1) * kmodel_capacity(k) - 1.0))
+    return _benefit(k, kmodel_capacity(k))
+
+
+def _benefit(k: int, capacity: float) -> int:
+    return round(100.0 * ((k + 1) * capacity - 1.0))
 
 
 def load_graph(text: str) -> WeightedGraph:

@@ -6,6 +6,7 @@ import resource
 import struct
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -68,6 +69,20 @@ def test_report_is_honestly_red():
     assert lines[-1] == "verdict FAIL"
     # every other row passes
     assert sum(ln.endswith(",False") for ln in lines[1:-1]) == 1
+
+
+def test_report_rows_match_the_recorded_report():
+    seed = Path(__file__).resolve().parents[1] / "bench" / "report_seed.txt"
+    rc, out, _ = run(["report"])
+    assert rc == 1
+    got, want = out.splitlines(), seed.read_text().splitlines()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w.startswith("k-model closed form vs automaton"):
+            # the residual may move in its last bits; it stays below 1e-9
+            assert g.split()[-4:] == w.split()[-4:] and float(g.split()[-5]) < 1e-9
+        else:
+            assert g == w
 
 
 def test_abs_roundtrip_and_constant_framing(tmp_path):
@@ -355,6 +370,20 @@ def test_merw_output(tmp_path):
     assert "lambda = 2" in out
     assert "entropy_bits = 1" in out
     assert "path_prob = 0.25" in out
+
+
+def test_merw_large_weights_stop_at_the_rounding_floor(tmp_path):
+    # the converged residual grows with lambda and stays above 10 * tol;
+    # the solver stops when the residual stops falling
+    g = tmp_path / "graph.txt"
+    g.write_text("2\n1e6 1e6\n1e6 0\n")
+    t0 = time.perf_counter()
+    rc, out, _ = run(["merw", "--graph", str(g)])
+    assert time.perf_counter() - t0 < 2.0
+    assert rc == 0
+    lam = float(next(ln for ln in out.splitlines()
+                     if ln.startswith("lambda = ")).split("=")[1])
+    assert abs(lam / (1e6 * (1 + 5 ** 0.5) / 2) - 1.0) < 1e-12
 
 
 def test_merw_reducible_graph_names_the_nodes(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 import latticecode.lattice as lat
 from latticecode import ans
 from latticecode import experiments as ex
+from latticecode import spectral as sp
 from latticecode import strip as st
 from latticecode.ans import CapacityExceeded, CorruptStream
 from latticecode.rng import SplitMix64
@@ -408,3 +409,19 @@ def test_reproduce_tables_honest_verdict():
     assert byname["checkerboard writer entropy gap"].passed
     assert byname["hard-square entropy, cyclic strip n=12"].passed
     assert len(rows) == 35
+
+
+def test_automaton_row_solves_m64_in_few_steps(monkeypatch):
+    iterations = []
+
+    def counted(graph):
+        e = sp.dominant_eigs(graph)
+        iterations.append(e.iterations)
+        return e
+
+    monkeypatch.setattr(ex, "dominant_eigs", counted)
+    for k in range(13):
+        direct = math.log2(sp.dominant_eigs(sp.kmodel_graph(k)).value)
+        assert abs(ex._automaton_capacity(k) - direct) < 1e-15, k
+    # the direct solves of the 13 automata take 1904 steps
+    assert len(iterations) == 13 and sum(iterations) <= 60, iterations

@@ -336,9 +336,19 @@ def test_eigen_residual_invariant():
         assert abs(float(e.left @ e.right) - 1.0) < 1e-12
 
 
+def reference_residual(M, lam, phi, psi):
+    """Both eigen-equation residuals, computed whatever the symmetry of M."""
+    p = psi / np.max(np.abs(psi))
+    q = phi / np.max(np.abs(phi))
+    r1 = float(np.max(np.abs(M @ p - lam * p)))
+    r2 = float(np.max(np.abs(q @ M - lam * q)))
+    return max(r1, r2)
+
+
 def reference_dominant_eigs(graph, tol=1e-12, max_iter=10 ** 6):
-    """The power iteration with separate right and left iterates, kept as
-    the oracle of `dominant_eigs`; also says whether it averaged."""
+    """The power iteration with separate right and left iterates, two
+    products a step on any matrix, kept as the oracle of `dominant_eigs`;
+    also says whether it averaged."""
     M = graph.weights
     MT = M.T.copy()
     n = graph.size
@@ -372,7 +382,7 @@ def reference_dominant_eigs(graph, tol=1e-12, max_iter=10 ** 6):
         v, u, mv = v2, u2, mv2
         if delta < tol:
             psi = v / np.max(v)
-            res = sp._residual(M, lam, u, psi)
+            res = reference_residual(M, lam, u, psi)
             if res < 10 * tol:
                 phi = u / float(u @ psi)
                 return sp.EigenSystem(lam, phi, psi, res, it), averaged
@@ -405,7 +415,7 @@ def solver_cases():
 
 
 def test_dominant_eigs_bit_identical_to_reference():
-    averaged = set()
+    averaged, symmetric = set(), set()
     for name, g in solver_cases():
         want, avg = reference_dominant_eigs(g)
         got = sp.dominant_eigs(g)
@@ -416,4 +426,20 @@ def test_dominant_eigs_bit_identical_to_reference():
         assert np.array_equal(got.right, want.right), name
         if avg:
             averaged.add(name)
+        if np.array_equal(g.weights, g.weights.T):
+            symmetric.add(name)
     assert {"periodic %r" % (w,) for w in PERIODIC} <= averaged
+    # every strip takes the one-product step; k-model 5 the general one
+    assert {"hard square %d %s" % (n, b) for n in range(1, 17)
+            for b in ("zero", "cyclic")} <= symmetric
+    assert "k-model 5" not in symmetric
+
+
+def test_stalled_solve_stops_at_the_rounding_floor():
+    # lambda = 1e6 * golden ratio: the residual at the rounding floor is
+    # about 1e-10, so it never drops below 10 * tol
+    g = sp.WeightedGraph([[1e6, 1e6], [1e6, 0.0]])
+    e = sp.dominant_eigs(g)
+    assert e.iterations < 100
+    assert abs(e.value / (1e6 * GOLDEN) - 1.0) < 1e-12
+    assert 10 * 1e-12 <= e.residual < 1e-9

@@ -197,6 +197,18 @@ def test_law_table_is_refused_before_it_is_built(monkeypatch):
     assert st._law_table(s, 16)[0].size == entries
 
 
+def test_strip_build_holds_one_float_matrix():
+    tracemalloc.start()
+    s = st.strip_model(HS, 14, "zero")
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    S = len(s.columns)
+    assert S == 987
+    # the float weights take S^2 * 8 bytes; a second float copy of the
+    # pair matrix, or a transposed one, would push the peak past 2x
+    assert peak < 1.7 * S * S * 8, peak / (S * S * 8)
+
+
 def test_law_table_is_sized_before_the_strip(monkeypatch):
     # a 19-row hard-square strip has 10946 states; its dense pair matrix
     # took seconds and gigabytes before the table it feeds was refused
