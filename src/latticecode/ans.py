@@ -14,13 +14,13 @@ Two layers:
   rational (q given as a Fraction or numerator/denominator pair).
 
 * Tabled multi-symbol coder over the state interval I = {l, ..., b l - 1}.
-  The decode table is filled either by a keyed shuffle (a pool holding
+  The decode table is filled by a keyed shuffle (a pool holding
   (b-1) l_s copies of each symbol is consumed by the pinned splitmix64
-  stream: i = rng.randbelow(m); s = pool[i]; pool[i] = pool[m-1]; m -= 1)
-  or by the deterministic rule that places symbol s at the states where
-  ceil(x R_s) - ceil(x R_{s+1}) increments, R_s being the suffix sum
-  q_s + ... + q_{n-1}.  For two symbols the deterministic rule reproduces
-  the ceiling-variant closed form exactly.
+  stream: i = rng.randbelow(m); s = pool[i]; pool[i] = pool[m-1]; m -= 1).
+  The tests keep two references: the deterministic rule that places
+  symbol s where ceil(x R_s) - ceil(x R_{s+1}) increments, R_s being the
+  suffix sum q_s + ... + q_{n-1}, which for two symbols is exactly the
+  ceiling-variant closed form, and `StreamState`, one symbol at a time.
 
 Stream coding renormalizes the state into I with base-b digit moves.  The
 encoder walks its input back to front so the decoder emits symbols in
@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from collections import deque
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -231,72 +230,6 @@ def _keyed_table(l_s: Sequence[int], l: int, b: int, key: int) -> AnsTable:
             pool[i] = pool[m]
     return AnsTable(l, b, l_s, dec_sym, key)
 
-
-def ans_build_table_precise(qs: Sequence[float], l: int, b: int = 2) -> AnsTable:
-    """Deterministic table built from chained two-way ceiling splits.
-
-    With suffix slot counts R_s = l_s + ... + l_{n-1}, state x is classified
-    by asking "symbol >= s+1?" at the conditional ratio R_{s+1}/R_s: the
-    answer is yes when ceil((v+1) R_{s+1} / R_s) > ceil(v R_{s+1} / R_s),
-    in which case v moves to that ceiling and the chain continues.  Each
-    split is the exact two-symbol ceiling-variant bijection, so every
-    symbol receives exactly (b-1) l_s states and the single-split case
-    reproduces abs_decode_step."""
-    l_s = largest_remainder(l, qs)
-    n = len(l_s)
-    suffix = [0] * (n + 1)
-    for s in range(n - 1, -1, -1):
-        suffix[s] = suffix[s + 1] + l_s[s]
-
-    def symbol_at(x):
-        v, den = x, l
-        for s in range(n - 1):
-            num = suffix[s + 1]
-            if num == 0:
-                return s
-            v1 = _ceil_div(v * num, den)
-            if _ceil_div((v + 1) * num, den) == v1:
-                return s
-            v, den = v1, num
-        return n - 1
-
-    dec_sym = [symbol_at(x) for x in range(l, b * l)]
-    return AnsTable(l, b, l_s, dec_sym, key=0)
-
-
-class StreamState:
-    """Incremental coder state: x in I plus the digit buffer.
-
-    Encoding pushes symbols in reverse message order, stacking fresh digits
-    at the front (LIFO); decoding pops symbols in message order, consuming
-    the buffer front (FIFO).  ans_stream_encode / ans_stream_decode at one
-    lane are the batch equivalents."""
-
-    def __init__(self, table: AnsTable, x: Optional[int] = None, digits: Iterable[int] = ()):
-        self.table = table
-        self.x = table.l if x is None else x
-        if not table.l <= self.x < table.b * table.l:
-            raise ValueError("state outside the coding interval")
-        self.digits = deque(digits)
-
-    def push(self, s: int) -> None:
-        t = self.table
-        x = self.x
-        top = t.b * t.l_s[s] - 1
-        while x > top:
-            self.digits.appendleft(x % t.b)
-            x //= t.b
-        self.x = t.encode_step(s, x)
-
-    def pop(self) -> int:
-        t = self.table
-        s, x = t.decode_step(self.x)
-        while x < t.l:
-            if not self.digits:
-                raise CorruptStream("digit stream exhausted during renormalization")
-            x = x * t.b + self.digits.popleft()
-        self.x = x
-        return s
 
 # Lanes: symbol i of an N-symbol stream goes to lane i mod K.  Below
 # LANE_MIN_SYMBOLS a single lane runs the plain loops; from there K lanes

@@ -23,17 +23,14 @@ from . import experiments as exp
 from . import lattice as lat
 from . import spectral as spec
 from . import strip as st
+from .spectral import _fmt
 
 class UsageError(Exception):
     """Bad flag combination or malformed flag value; exits 2."""
 
 
 _DATA_ERRORS = (ValueError, KeyError, OSError, ans.CapacityExceeded,
-                st.TooWide, spec.NoConvergence, lat.TooLarge)
-
-
-def _fmt(x: float) -> str:
-    return "%.15g" % x
+                st.TooWide, spec.NoConvergence, lat.TooLarge, MemoryError)
 
 
 def _bits_from_bytes(data: bytes) -> list:
@@ -431,6 +428,12 @@ def _add_format(p):
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
 
+def _add_io(p, required=False):
+    p.add_argument("--in", dest="infile", required=required, default="")
+    p.add_argument("--out", required=required, default="")
+    p.add_argument("--verify", action="store_true")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="latticecode", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
@@ -451,9 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="0.5", help="probability of bit 1")
     p.add_argument("--precision", type=int, default=12)
     p.add_argument("--key", type=int, default=0)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--verify", action="store_true")
+    _add_io(p, required=True)
     p.set_defaults(func=cmd_abs)
 
     p = sub.add_parser("ans", help="n-symbol entropy coder over a file")
@@ -463,9 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digit-bits", type=int, default=1)
     p.add_argument("--key", type=int, default=0)
     p.add_argument("--forbidden-eps", default="")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--verify", action="store_true")
+    _add_io(p, required=True)
     p.set_defaults(func=cmd_ans)
 
     p = sub.add_parser("sample", help="uniform valid valuations: exact column "
@@ -506,9 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", type=int, default=256)
     p.add_argument("--precision", type=int, default=16)
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--in", dest="infile", default="")
-    p.add_argument("--out", default="")
-    p.add_argument("--verify", action="store_true")
+    _add_io(p)
     _add_seed(p)
     _add_jobs(p)
     _add_format(p)
@@ -524,9 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=64)
     p.add_argument("--trials", type=int, default=4)
     p.add_argument("--precision", type=int, default=16)
-    p.add_argument("--in", dest="infile", default="")
-    p.add_argument("--out", default="")
-    p.add_argument("--verify", action="store_true")
+    _add_io(p)
     _add_seed(p)
     _add_jobs(p)
     p.set_defaults(func=cmd_algo1)
@@ -563,7 +558,7 @@ def main(argv=None) -> int:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
     except _DATA_ERRORS as e:
-        print("error: %s" % e, file=sys.stderr)
+        print("error: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return 1
 
 

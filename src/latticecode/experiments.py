@@ -51,8 +51,7 @@ def algorithm1_entropy(q: float) -> float:
     only when its four first-pass neighbours are all 0, which happens
     with probability (1-q)^4, and then carries one full bit.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
+    _check_q(q)
     return 0.5 * binary_entropy(q) + 0.5 * (1.0 - q) ** 4
 
 

@@ -776,9 +776,10 @@ def _bounds_one_region(region, model, pattern, boundary):
 
 def _bounds_batch(region, model, pattern, boundary, inner, ring):
     """`_bounds_one_region` as dense float transfers over the rectangle,
-    one per group of ring valuations; None off its path: a free
-    rectangle, a model `_check_window_model` takes and at most 52 interior
-    cells, so every count (at most 2^52) and partial sum is an exact float.
+    one per group of ring valuations; None off its path: a free rectangle
+    of at most 52 interior cells, so every count (at most 2^52) and partial
+    sum is an exact float, a model `_check_window_model` takes, and at most
+    isqrt(EXACT_MAX_WEIGHTS) column states, so the transfer fits that budget.
 
     Only the contact cells, ring cells within the neighbourhood of the
     interior, reach the conditional.  So valid ring valuations are grouped
@@ -788,11 +789,12 @@ def _bounds_batch(region, model, pattern, boundary, inner, ring):
     shape = _is_rect(region)
     if boundary != "free" or shape is None or len(inner) > 52:
         return None
+    row0, col0, rows, cols = shape
     try:
         _check_window_model(model)
-    except Unsupported:
+        states = valid_columns(model, rows, False, math.isqrt(EXACT_MAX_WEIGHTS))
+    except (Unsupported, TooLarge):
         return None
-    row0, col0, rows, cols = shape
     contact = sorted(thicken(inner, model) & ring)
     keys = np.array(list({tuple(map(v.__getitem__, contact)) for v in
                           _iter_valuations(ring, model, None, "free", None, False)}))
@@ -803,7 +805,6 @@ def _bounds_batch(region, model, pattern, boundary, inner, ring):
     kc = np.zeros((cols, len(keys)), dtype=np.int64)
     for (r, c), sym in zip(contact, keys.T):
         kc[c - col0] |= sym << (r - row0)
-    states = valid_columns(model, rows, False)
     sc = (states[None] * in_ring.T[:, None]) @ (1 << np.arange(rows))
     hits = [_hits(states, {r - row0: s for (r, c), s in pattern.items()
                            if c == col0 + j}) for j in range(cols)]

@@ -212,13 +212,6 @@ def chain_entropy_bits(coder: MarkovCoder) -> float:
     return float(-(p @ t.sum(axis=1)))
 
 
-def pair_probs(graph: WeightedGraph, eigs: EigenSystem) -> np.ndarray:
-    """Stationary edge probabilities p_ab = phi_a M_ab psi_b / (lambda phi.psi)."""
-    phi, psi = eigs.left, eigs.right
-    P = phi[:, None] * graph.weights * psi[None, :]
-    return P / (eigs.value * float(phi @ psi))
-
-
 def path_prob(coder: MarkovCoder, path: Sequence[int]) -> float:
     """Probability of following `path` (node indices) from its first node."""
     S = coder.transition

@@ -17,6 +17,7 @@ gathers every law at once and runs the coder backwards over the free nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -135,42 +136,6 @@ def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero") -> Stri
 
 def strip_capacity(model: lat.LatticeModel, n: int, boundary: str = "zero") -> float:
     return strip_model(model, n, boundary).capacity
-
-
-def conditional_tables(strip: StripModel, u: int) -> dict:
-    """Per-node conditional laws q_j(b | prefix) for columns following
-    state u; chaining them over a full column reproduces the transition
-    row S[u, .] of the entropy-maximizing coder.  The bit-exact reference
-    for `_law_table`: summed in state order over a dict suffix trie of the
-    columns, each law divides by the sum of its children, as the table's do."""
-    psi, W = strip.eigs.right, strip.graph.weights
-    # levels[j][prefix]: psi summed over u's successors with that prefix
-    levels = [dict() for _ in range(strip.n + 1)]
-    for v, col in enumerate(strip.columns):
-        if W[u, v] == 0:
-            continue
-        w = float(psi[v])
-        for j in range(strip.n + 1):
-            key = col[:j]
-            levels[j][key] = levels[j].get(key, 0.0) + w
-    out = {}
-    for j in range(strip.n):
-        for prefix, wp in levels[j].items():
-            if wp <= 0:
-                continue
-            child = {b: levels[j + 1].get(prefix + (b,), 0.0)
-                     for b in strip.model.alphabet}
-            total = sum(child.values())
-            out[(j, prefix)] = {b: w / total for b, w in child.items()}
-    return out
-
-
-def first_column_rule(strip: StripModel) -> np.ndarray:
-    """Column distribution with a virtual all-zero previous column: row a
-    of the entropy-maximizing chain, M_ab psi_b / (M psi)_a as in
-    `spectral.merw_coder`."""
-    M, psi, a = strip.graph.weights, strip.eigs.right, strip.zero_state
-    return M[a] * psi / (M @ psi)[a]
 
 
 @dataclass
@@ -483,14 +448,10 @@ class RateReport:
     nodes: int
 
 
-_strip_cache: dict = {}
-
-
+# the last strip only: a width-16 one holds about 96 MB once evaluated
+@functools.lru_cache(maxsize=1)
 def _cached_strip(name: str, n: int, boundary: str) -> StripModel:
-    key = (name, n, boundary)
-    if key not in _strip_cache:
-        _strip_cache[key] = strip_model(lat.model_preset(name), n, boundary)
-    return _strip_cache[key]
+    return strip_model(lat.model_preset(name), n, boundary)
 
 
 def _strip_trial_codec(precision, name, n, boundary, cols):

@@ -2,13 +2,87 @@ import math
 import struct
 import tracemalloc
 import zlib
+from collections import deque
 from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
 
 from latticecode import ans
+from latticecode.ans import AnsTable, CorruptStream, _ceil_div, largest_remainder
 from latticecode.rng import SplitMix64, derive
+
+
+# Test references: a deterministic table rule and a one-symbol-at-a-time
+# coder state, which the package's keyed tables and lane loops must match.
+
+
+def ans_build_table_precise(qs: Sequence[float], l: int, b: int = 2) -> AnsTable:
+    """Deterministic table built from chained two-way ceiling splits.
+
+    With suffix slot counts R_s = l_s + ... + l_{n-1}, state x is classified
+    by asking "symbol >= s+1?" at the conditional ratio R_{s+1}/R_s: the
+    answer is yes when ceil((v+1) R_{s+1} / R_s) > ceil(v R_{s+1} / R_s),
+    in which case v moves to that ceiling and the chain continues.  Each
+    split is the exact two-symbol ceiling-variant bijection, so every
+    symbol receives exactly (b-1) l_s states and the single-split case
+    reproduces abs_decode_step."""
+    l_s = largest_remainder(l, qs)
+    n = len(l_s)
+    suffix = [0] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        suffix[s] = suffix[s + 1] + l_s[s]
+
+    def symbol_at(x):
+        v, den = x, l
+        for s in range(n - 1):
+            num = suffix[s + 1]
+            if num == 0:
+                return s
+            v1 = _ceil_div(v * num, den)
+            if _ceil_div((v + 1) * num, den) == v1:
+                return s
+            v, den = v1, num
+        return n - 1
+
+    dec_sym = [symbol_at(x) for x in range(l, b * l)]
+    return AnsTable(l, b, l_s, dec_sym, key=0)
+
+
+class StreamState:
+    """Incremental coder state: x in I plus the digit buffer.
+
+    Encoding pushes symbols in reverse message order, stacking fresh digits
+    at the front (LIFO); decoding pops symbols in message order, consuming
+    the buffer front (FIFO).  ans_stream_encode / ans_stream_decode at one
+    lane are the batch equivalents."""
+
+    def __init__(self, table: AnsTable, x: Optional[int] = None, digits: Iterable[int] = ()):
+        self.table = table
+        self.x = table.l if x is None else x
+        if not table.l <= self.x < table.b * table.l:
+            raise ValueError("state outside the coding interval")
+        self.digits = deque(digits)
+
+    def push(self, s: int) -> None:
+        t = self.table
+        x = self.x
+        top = t.b * t.l_s[s] - 1
+        while x > top:
+            self.digits.appendleft(x % t.b)
+            x //= t.b
+        self.x = t.encode_step(s, x)
+
+    def pop(self) -> int:
+        t = self.table
+        s, x = t.decode_step(self.x)
+        while x < t.l:
+            if not self.digits:
+                raise CorruptStream("digit stream exhausted during renormalization")
+            x = x * t.b + self.digits.popleft()
+        self.x = x
+        return s
 
 
 def sample_symbols(qs, n, seed):
@@ -138,7 +212,7 @@ def test_distinct_keys_diverge():
 def test_table_bijectivity_exhaustive():
     tables = [
         ans.ans_build_table([0.2, 0.3, 0.5], 256, 4, key=5),
-        ans.ans_build_table_precise([0.6, 0.4], 1024, 2),
+        ans_build_table_precise([0.6, 0.4], 1024, 2),
     ]
     for t in tables:
         for x in range(t.l, t.b * t.l):
@@ -154,7 +228,7 @@ def test_precise_builder_equals_abs_for_dyadic_pairs():
     for num, r in ((1, 2), (3, 4), (77, 8), (1, 8)):
         l = 1 << (r + 2)
         q = Fraction(num, 1 << r)
-        t = ans.ans_build_table_precise([1 - q, q], l, 2)
+        t = ans_build_table_precise([1 - q, q], l, 2)
         for x in range(l, 2 * l):
             assert t.decode_step(x) == ans.abs_decode_step(x, q)
 
@@ -171,7 +245,7 @@ def test_stream_empty_and_single():
 
 def test_stream_roundtrip_rate_quarter():
     # 1e6 symbols at q=(1/4,3/4), l=2^12: identity and rate near h(1/4)
-    t = ans.ans_build_table_precise([Fraction(1, 4), Fraction(3, 4)], 1 << 12, 2)
+    t = ans_build_table_precise([Fraction(1, 4), Fraction(3, 4)], 1 << 12, 2)
     msg = sample_symbols([0.25, 0.75], 10 ** 6, seed=100)
     d, xs = ans.ans_stream_encode(msg, t)
     assert len(xs) == ans.lanes_for(len(msg)) == 488
@@ -184,7 +258,7 @@ def test_stream_roundtrip_rate_quarter():
 def test_stream_rate_bound_various_distributions():
     # measured bits/symbol <= H + 0.01 at l = 2^12 whenever min q >= 2^-6
     for qs in ([0.25, 0.75], [0.2, 0.3, 0.5], [1 / 64] + [21 / 64] * 3, [0.1, 0.9]):
-        t = ans.ans_build_table_precise(qs, 1 << 12, 2)
+        t = ans_build_table_precise(qs, 1 << 12, 2)
         qhat = [ls / t.l for ls in t.l_s]
         msg = sample_symbols(qhat, 200000, seed=len(qs) * 7)
         d, xs = ans.ans_stream_encode(msg, t)
@@ -214,13 +288,13 @@ def test_stream_corrupt_errors():
 def test_stream_state_incremental_matches_batch():
     t = ans.ans_build_table([0.2, 0.3, 0.5], 1 << 7, 2, key=11)
     msg = sample_symbols([0.2, 0.3, 0.5], 2000, seed=12)
-    st = ans.StreamState(t)
+    st = StreamState(t)
     for s in reversed(msg):
         st.push(s)
         assert t.l <= st.x < t.b * t.l
     d, xs = ans.ans_stream_encode(msg, t)
     assert list(st.digits) == d.tolist() and [st.x] == xs
-    rd = ans.StreamState(t, xs[0], d.tolist())
+    rd = StreamState(t, xs[0], d.tolist())
     out = []
     for _ in msg:
         out.append(rd.pop())
@@ -286,7 +360,7 @@ def _reference_fields(symbols, table):
     """Per symbol, the digits of its renormalisation field in decoder
     order, and the final state, from the reference coder."""
     digits, x = _reference_stream_encode(symbols, table)
-    st = ans.StreamState(table, x, digits)
+    st = StreamState(table, x, digits)
     fields = []
     for _ in symbols:
         before = list(st.digits)
@@ -475,7 +549,7 @@ def test_state_visit_law():
     msg = sample_symbols(qhat, 200000, seed=2)
     # the single-lane stream: lanes interleave several states' visits
     digits, x = _reference_stream_encode(msg, t)
-    st = ans.StreamState(t, x, digits)
+    st = StreamState(t, x, digits)
     visits = np.zeros(t.l)
     for _ in msg:
         visits[st.x - t.l] += 1
@@ -515,7 +589,7 @@ def test_forbidden_detection_gap():
     assert ans.ans_stream_decode(d, t, xs, len(msg), forbidden=2).tolist() == msg
     d = d.tolist()
     # per symbol, the digits the reference decoder consumed before it
-    ref = ans.StreamState(t, xs[0], d)
+    ref = StreamState(t, xs[0], d)
     consumed = []
     for _ in msg:
         consumed.append(len(d) - len(ref.digits))
@@ -541,7 +615,7 @@ def test_forbidden_detection_gap():
 def test_forbidden_rate_overhead():
     eps = Fraction(1, 16)
     base = [Fraction(1, 4), Fraction(3, 4)]
-    t0 = ans.ans_build_table_precise(base, 1 << 12, 2)
+    t0 = ans_build_table_precise(base, 1 << 12, 2)
     t1 = ans.ans_build_table(ans.forbidden_symbol_wrap(base, eps), 1 << 12, 2, key=9)
     msg = sample_symbols([0.25, 0.75], 10 ** 6, seed=23)
     d0, _ = ans.ans_stream_encode(msg, t0)

@@ -566,6 +566,36 @@ def test_negative_bit_count_is_one_error_line(tmp_path, argv):
     assert not back.exists()
 
 
+# each asks for petabytes, so numpy refuses at once; a size that allocates
+# step by step (describe --exact on a huge region) would not be safe here
+@pytest.mark.parametrize("argv", [
+    ["strip", "encode", "--columns", "1000000000000000"],
+    ["strip", "evaluate", "--columns", "1000000000000000"],
+    ["algo1", "encode", "--rows", "100000000", "--cols", "100000000"],
+    ["algo1", "rate", "--side", "100000000"],
+    ["sample", "--samples", "1000000000000000"],
+    ["algo2", "--side", "100000000"]])
+def test_oversized_size_is_one_error_line(tmp_path, argv):
+    if argv[1] == "encode":
+        src = tmp_path / "pay"
+        src.write_bytes(rand_bytes(8, 6))
+        argv = argv + ["--in", str(src), "--out", str(tmp_path / "x")]
+    rc, _, err = run(argv)
+    assert rc == 1
+    lines = err.splitlines()[1:]
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+
+
+def test_bare_memory_error_is_one_error_line(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(exp, "algorithm2_simulate", no_memory)
+    rc, _, err = run(["algo2"])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: out of memory"]
+
+
 @pytest.mark.parametrize("cmd, flags", [
     ("abs", ["--q", "3/10", "--precision", "14"]),
     ("ans", ["--probs", "1/2,1/4,1/4", "--forbidden-eps", "1/64",
@@ -916,6 +946,36 @@ def test_codec_outputs_are_byte_identical(tmp_path):
         assert rc == 0, name
         got[name] = hashlib.sha256(out.encode()).hexdigest()
     assert got == CODEC_DIGESTS
+
+
+# Recorded before the --in/--out/--verify declarations were merged into one
+# helper: `latticecode --help` ("") and each subcommand's --help at 80
+# columns, as sha256 digests.
+HELP_DIGESTS = {
+    "": "76e7eddbdb14a3b9b849a37627b12652419fcb1cec45c8be8743620826f7343b",
+    "capacity": "2615c95bb2468bbade5021b1949a03fdd1fa4b6ad3e586d4a52d165db7eb6b49",
+    "merw": "904b294bf461e5bd630f40a33d38e06bbaf2506cbabbc2bd0f48da9111a023d7",
+    "abs": "02eeec12cf5d81ac38ee359c8ae3e1155665e272d6cc7f983795c7dabc548f66",
+    "ans": "0d3ec9f8b7e54faeb1241bc7bcf48479987e584dec550aee036398fb6cf38be9",
+    "sample": "8ba02149a369a1308c95ff00eed4dbb02354ef8d984ecd9a28a1c4d2a588c5b7",
+    "describe": "df0eec40ba3b9b645167c326dd890c931deddab5bbc0c8c873b32550dc94af70",
+    "strip": "ba07d9e5d1675a818640b6b0953bebc57a7dbb459dbb79d46a8abb9ca8ffdb50",
+    "algo1": "78581bb39c12a7942347e6d9c8625b876c873a60f0f60b8b3cb0a33f788a530c",
+    "algo2": "37a64cb675aa6784f7c2780ddc1ef82b2c90a9127d7a2b2201aab9ec56c71c0f",
+    "report": "4d4abf484fd00627e0fd4aa5ae1f27bd16ca229702430be51b1354e82de1fc38",
+}
+
+
+def test_help_is_byte_identical(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for cmd in HELP_DIGESTS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as e:
+            main(([cmd] if cmd else []) + ["--help"])
+        assert e.value.code == 0, cmd
+        got[cmd] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert got == HELP_DIGESTS
 
 
 

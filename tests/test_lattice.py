@@ -388,6 +388,22 @@ def test_description_bounds_unconstrained_is_tight():
     assert rows[0] == (0.5, 0.5, 0.0)
 
 
+def test_description_bounds_sizes_the_batch_first():
+    # an unconstrained 1-column region has an empty ring, so the batch once
+    # built a dense 2^rows-state transfer; past isqrt(EXACT_MAX_WEIGHTS)
+    # states it now leaves the region to the generic loop
+    U = L.unconstrained()
+    tracemalloc.start()
+    rows = L.description_bounds([L.rect(12, 1)], U, {(0, 0): 1})
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert rows == [(0.5, 0.5, 0.0)]
+    assert peak < 4 << 20
+    assert L.description_bounds([L.rect(16, 1)], U, {(0, 0): 1}) == [(0.5, 0.5, 0.0)]
+    with pytest.raises(L.TooLarge):
+        L.description_bounds([L.rect(40, 1)], U, {(0, 0): 1})
+
+
 def test_thermalize_single_cell():
     samples = L.thermalize((1, 1), HS, seed=1, samples=20000)
     m = float(np.mean([s[0, 0] for s in samples]))

@@ -7,8 +7,17 @@ import pytest
 from latticecode import lattice as L
 from latticecode import spectral as sp
 from latticecode.rng import SplitMix64
+from latticecode.spectral import EigenSystem, WeightedGraph
 
 GOLDEN = (1 + 5 ** 0.5) / 2
+
+
+# Test reference: the chain's stationary pair law, from the eigenpair alone.
+def pair_probs(graph: WeightedGraph, eigs: EigenSystem) -> np.ndarray:
+    """Stationary edge probabilities p_ab = phi_a M_ab psi_b / (lambda phi.psi)."""
+    phi, psi = eigs.left, eigs.right
+    P = phi[:, None] * graph.weights * psi[None, :]
+    return P / (eigs.value * float(phi @ psi))
 
 
 def brute_growth(allowed_pair, length, alphabet=(0, 1)):
@@ -252,7 +261,7 @@ def test_merw_identities_random_graphs():
         assert np.max(np.abs(p @ S - p)) < 1e-10
         assert abs(c.entropy_bits - sp.chain_entropy_bits(c)) < 1e-9
         # pair probabilities consistent both ways
-        P = sp.pair_probs(g, e)
+        P = pair_probs(g, e)
         assert abs(P.sum() - 1.0) < 1e-10
         assert np.max(np.abs(P - p[:, None] * S)) < 1e-12
         checked += 1
@@ -264,7 +273,7 @@ def test_fibonacci_digram_frequencies():
     g = fib_graph()
     e = sp.dominant_eigs(g)
     c = sp.merw_coder(g, e)
-    P = sp.pair_probs(g, e)
+    P = pair_probs(g, e)
     rng = SplitMix64(5150)
     n = 1_000_000
     state = 0

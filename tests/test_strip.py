@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -12,10 +14,51 @@ from latticecode import spectral as sp
 from latticecode import strip as st
 from latticecode.ans import CapacityExceeded, CorruptStream, DecodeError
 from latticecode.rng import SplitMix64
+from latticecode.strip import StripModel
 
 
 HS = lat.hard_square()
 H = lat.HARD_SQUARE_ENTROPY
+
+
+# Test references: the coder's laws summed in state order, and its first
+# column's distribution, which the law table and the codec must match.
+
+
+def conditional_tables(strip: StripModel, u: int) -> dict:
+    """Per-node conditional laws q_j(b | prefix) for columns following
+    state u; chaining them over a full column reproduces the transition
+    row S[u, .] of the entropy-maximizing coder.  The bit-exact reference
+    for `_law_table`: summed in state order over a dict suffix trie of the
+    columns, each law divides by the sum of its children, as the table's do."""
+    psi, W = strip.eigs.right, strip.graph.weights
+    # levels[j][prefix]: psi summed over u's successors with that prefix
+    levels = [dict() for _ in range(strip.n + 1)]
+    for v, col in enumerate(strip.columns):
+        if W[u, v] == 0:
+            continue
+        w = float(psi[v])
+        for j in range(strip.n + 1):
+            key = col[:j]
+            levels[j][key] = levels[j].get(key, 0.0) + w
+    out = {}
+    for j in range(strip.n):
+        for prefix, wp in levels[j].items():
+            if wp <= 0:
+                continue
+            child = {b: levels[j + 1].get(prefix + (b,), 0.0)
+                     for b in strip.model.alphabet}
+            total = sum(child.values())
+            out[(j, prefix)] = {b: w / total for b, w in child.items()}
+    return out
+
+
+def first_column_rule(strip: StripModel) -> np.ndarray:
+    """Column distribution with a virtual all-zero previous column: row a
+    of the entropy-maximizing chain, M_ab psi_b / (M psi)_a as in
+    `spectral.merw_coder`."""
+    M, psi, a = strip.graph.weights, strip.eigs.right, strip.zero_state
+    return M[a] * psi / (M @ psi)[a]
 
 
 def test_width1_is_fibonacci():
@@ -28,7 +71,7 @@ def test_width1_is_fibonacci():
     assert abs(S[0, 0] - 1 / phi) < 1e-12
     assert abs(S[0, 1] - 1 / phi ** 2) < 1e-12
     assert S[1, 0] == 1.0 and S[1, 1] == 0.0
-    fc = st.first_column_rule(s)
+    fc = first_column_rule(s)
     assert abs(fc[1] - 1 / phi ** 2) < 1e-12
 
 
@@ -123,7 +166,7 @@ def test_conditional_chaining():
     s = st.strip_model(HS, 4, "zero")
     S = sp.merw_coder(s.graph, s.eigs).transition
     for u in range(len(s.columns)):
-        tab = st.conditional_tables(s, u)
+        tab = conditional_tables(s, u)
         for v, col in enumerate(s.columns):
             prod = 1.0
             for j in range(4):
@@ -160,7 +203,7 @@ def test_compiled_walk_tables_match_conditional_tables(boundary):
             levels = lat._column_levels(model, n, boundary == "cyclic")
             prefixes = [(j, tuple((c >> (j - 1 - i)) & 1 for i in range(j)))
                         for j in range(n) for c in levels[j].tolist()]
-            tabs = [st.conditional_tables(s, u) for u in range(len(s.columns))]
+            tabs = [conditional_tables(s, u) for u in range(len(s.columns))]
             for R in (1, 4, 12, 16, 64):
                 laws, child, rank = st._law_table(s, R)
                 assert laws.shape == (len(s.columns), len(prefixes))
@@ -247,7 +290,7 @@ def test_law_table_blocks_do_not_change_it(block, monkeypatch):
 def test_first_column_frequencies():
     s = st.strip_model(HS, 3, "zero")
     codec = st.LatticeCodec(s)
-    fc = st.first_column_rule(s)
+    fc = first_column_rule(s)
     rng = SplitMix64(21)
     trials = 10 ** 5
     counts = np.zeros(len(s.columns))
@@ -584,3 +627,11 @@ def test_gathered_laws_equal_the_walk(boundary, R, walk_oracle):
             walk_oracle(
                 lambda dec: codec._walk(cols, dec), codec._laws(grid),
                 grid.flat[codec._order(cols)].tolist(), R)
+
+
+def test_strip_cache_lets_go_of_the_previous_strip():
+    # rate trials reuse one strip; a session that moves on keeps only the last
+    ref = weakref.ref(st._cached_strip("hard-square", 4, "zero"))
+    st._cached_strip("hard-square", 5, "zero")
+    gc.collect()
+    assert ref() is None

@@ -10,9 +10,6 @@ KEEP = {
     # reproduce a claim of the paper in the acceptance tests
     "abs_encode_step", "chain_entropy_bits", "description_bounds",
     "entropy_estimate", "thermalize_chain_matrix", "centered_square",
-    # references and fixtures for tests of code the package does call
-    "StreamState", "ans_build_table_precise", "pair_probs",
-    "first_column_rule", "conditional_tables",
     # console entry point
     "main",
 }
