@@ -17,10 +17,10 @@ Two layers:
   The decode table is filled by a keyed shuffle (a pool holding
   (b-1) l_s copies of each symbol is consumed by the pinned splitmix64
   stream: i = rng.randbelow(m); s = pool[i]; pool[i] = pool[m-1]; m -= 1).
-  The tests keep two references: the deterministic rule that places
-  symbol s where ceil(x R_s) - ceil(x R_{s+1}) increments, R_s being the
-  suffix sum q_s + ... + q_{n-1}, which for two symbols is exactly the
-  ceiling-variant closed form, and `StreamState`, one symbol at a time.
+  The tests keep as a reference the deterministic rule that places symbol
+  s where ceil(x R_s) - ceil(x R_{s+1}) increments, R_s being the suffix
+  sum q_s + ... + q_{n-1}, which for two symbols is exactly the
+  ceiling-variant closed form.
 
 Stream coding renormalizes the state into I with base-b digit moves.  The
 encoder walks its input back to front so the decoder emits symbols in
@@ -37,7 +37,8 @@ single-lane digit order, and min(1024, N >> 11) from there, where each
 step is a handful of numpy calls over the K lanes.  The K final lane
 states are part of the stored size: `stream_bits` counts D·w + K·(R + w).
 
-The ANS2 container (`pack_container`), little-endian: magic "ANS2",
+The ANS2 container (`pack_container`) holds l and b as R = lg l and
+w = lg b, so both must be powers of two.  Little-endian: magic "ANS2",
 version 2, w, R, n (1, 1, 1, 2 bytes), l_s[n] (4 bytes each), key (8),
 symbol count N (8), lane count K (2), digit count D (8), the K final lane
 states (4 bytes each), the D digits at w bits each packed most
@@ -51,7 +52,6 @@ refused.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from fractions import Fraction
@@ -151,7 +151,10 @@ def largest_remainder(l: int, qs: Sequence[float]) -> list[int]:
 
 
 class AnsTable:
-    """Decode/encode tables over I = {l, ..., b l - 1}."""
+    """Decode/encode columns over I = {l, ..., b l - 1}, as arrays: slot
+    x - l holds the symbol sym_array[x - l] and its reduced state
+    xs_array[x - l], and s's reduced state xs encodes to
+    enc_array[enc_base[s] + xs]."""
 
     def __init__(self, l: int, b: int, l_s: Sequence[int], dec_sym: Sequence[int], key: int = 0):
         self.l = l
@@ -165,8 +168,7 @@ class AnsTable:
             raise DegenerateSymbol("every symbol needs at least one slot")
         if len(dec_sym) != (b - 1) * l:
             raise ValueError("decode column has wrong length")
-        self.dec_sym = list(dec_sym)
-        sym = np.asarray(self.dec_sym, dtype=np.int64)
+        sym = np.asarray(dec_sym, dtype=np.int64)
         if len(sym) and not 0 <= sym.min() <= sym.max() < self.n:
             raise ValueError("decode column holds a symbol outside 0..%d" % (self.n - 1))
         span = (b - 1) * np.asarray(self.l_s, dtype=np.int64)
@@ -181,23 +183,10 @@ class AnsTable:
         start = np.cumsum(span) - span
         xs = np.empty_like(slots)
         xs[slots] = np.arange(len(slots)) - np.repeat(start - self.l_s, span)
-        self.dec_xs = xs.tolist()
-        self.enc = [(l + slots[a:a + k]).tolist()
-                    for a, k in zip(start.tolist(), span.tolist())]
-        # the same columns as arrays for the lane steps: slot x - l holds
-        # sym_array and xs_array, and s's reduced state xs encodes to
-        # enc_array[enc_base[s] + xs]
         self.sym_array = sym
         self.xs_array = xs
         self.enc_array = l + slots
         self.enc_base = start - self.l_s
-
-    def decode_step(self, x: int) -> tuple[int, int]:
-        i = x - self.l
-        return self.dec_sym[i], self.dec_xs[i]
-
-    def encode_step(self, s: int, xs: int) -> int:
-        return self.enc[s][xs - self.l_s[s]]
 
 
 # keyed-shuffle draws taken from the generator per block
@@ -213,9 +202,7 @@ def ans_build_table(qs: Sequence[float], l: int, b: int = 2, key: int = 0) -> An
 def _keyed_table(l_s: Sequence[int], l: int, b: int, key: int) -> AnsTable:
     """Keyed pseudo-random table: pool of (b-1) l_s copies per symbol,
     consumed by the pinned splitmix64 stream in state order x = l .. bl-1."""
-    pool: list[int] = []
-    for s, ls in enumerate(l_s):
-        pool.extend([s] * ((b - 1) * ls))
+    pool = np.repeat(np.arange(len(l_s)), (b - 1) * np.asarray(l_s)).tolist()
     rng = SplitMix64(key)
     m = len(pool)
     dec_sym = []
@@ -254,13 +241,15 @@ def lanes_for(count: int) -> int:
     return min(MAX_LANES, count >> _SYMBOLS_PER_LANE_LOG)
 
 
-def _lane_width(table: AnsTable) -> int:
-    """Digit width w; the lane steps read bit fields, so l and b must be
+def _lane_width(table: AnsTable) -> tuple[int, int]:
+    """Digit width w = lg b and state width R = lg l; the lane steps read
+    bit fields and a container stores both exponents, so l and b must be
     powers of two."""
     w = table.b.bit_length() - 1
-    if table.b != 1 << w or table.l & (table.l - 1):
-        raise ValueError("lanes need a power-of-two l and b")
-    return w
+    r = table.l.bit_length() - 1
+    if table.b != 1 << w or table.l != 1 << r:
+        raise ValueError("lanes and containers need a power-of-two l and b")
+    return w, r
 
 
 def ans_stream_encode(symbols: Sequence[int], table: AnsTable
@@ -274,29 +263,27 @@ def ans_stream_encode(symbols: Sequence[int], table: AnsTable
     lane within a step, each field's digits most significant first.  With
     K = 1 that is the single-lane coder's order.  Returns the digits and
     the K final lane states."""
-    k = lanes_for(len(symbols))
+    sym = _symbol_array(symbols, table)
+    k = lanes_for(len(sym))
     if k > 1:
-        return _encode_lanes(_symbol_array(symbols, table), table, k)
-    if isinstance(symbols, np.ndarray):
-        symbols = symbols.tolist()
-    digits, x = _encode_one_lane(symbols, table)
+        return _encode_lanes(sym, table, k)
+    digits, x = _encode_one_lane(sym.tolist(), table)
     return np.frombuffer(bytes(digits), dtype=np.uint8), [x]
 
 
 def _encode_one_lane(symbols: Sequence[int], table: AnsTable) -> tuple[list[int], int]:
     l, b = table.l, table.b
     x = l
-    enc = table.enc
-    l_s = table.l_s
+    enc, base = table.enc_array.tolist(), table.enc_base.tolist()
     # no comprehension over b: it would make b a closure cell in the loop
-    hi = (b * np.asarray(l_s, dtype=np.int64) - 1).tolist()
+    hi = (b * np.asarray(table.l_s, dtype=np.int64) - 1).tolist()
     emitted: list[int] = []
     for s in reversed(symbols):
         top = hi[s]
         while x > top:
             emitted.append(x % b)
             x //= b
-        x = enc[s][x - l_s[s]]
+        x = enc[base[s] + x]
     emitted.reverse()
     return emitted, x
 
@@ -313,7 +300,7 @@ def _symbol_array(symbols, table: AnsTable) -> np.ndarray:
 
 def _encode_lanes(sym: np.ndarray, table: AnsTable, k: int):
     l, b = table.l, table.b
-    w = _lane_width(table)
+    w, _ = _lane_width(table)
     # Symbol s emits a digit per threshold (b l_s) << (j w) at or below the
     # state.  States lie in [l, b l), which holds exactly one threshold, so
     # an encode step emits lo[s] / w digits, one more from state cut[s] on.
@@ -405,7 +392,7 @@ def ans_stream_decode(digits: Sequence[int], table: AnsTable, states: Sequence[i
 def _decode_one_lane(digits: list, table: AnsTable, x: int, count: int,
                      forbidden: Optional[int]) -> list:
     l, b = table.l, table.b
-    dec_sym, dec_xs = table.dec_sym, table.dec_xs
+    dec_sym, dec_xs = table.sym_array.tolist(), table.xs_array.tolist()
     nd = len(digits)
     pos = 0
     out: list[int] = []
@@ -435,7 +422,7 @@ def _first_forbidden(syms: np.ndarray, forbidden: Optional[int]) -> None:
 
 def _decode_lanes(digits, table, states, count, forbidden):
     l = table.l
-    w = _lane_width(table)
+    w, _ = _lane_width(table)
     k = len(states)
     # per slot: its symbol, the bits its renormalisation reads, and its
     # reduced state shifted up by them
@@ -486,8 +473,7 @@ def _decode_lanes(digits, table, states, count, forbidden):
 
 def stream_bits(digits_count: int, table: AnsTable, lanes: int = 1) -> int:
     """Total stored bits: digits plus the lanes' final-state fields."""
-    w = int(round(math.log2(table.b)))
-    r = int(round(math.log2(table.l)))
+    w, r = _lane_width(table)
     return digits_count * w + lanes * (r + w)
 
 
@@ -530,16 +516,9 @@ def pack_container(table: AnsTable, states: Sequence[int], digits: Sequence[int]
     """Frame a coded stream as ANS2: magic, version, w, R, n, l_s[], key,
     symbol count N, lane count K, digit count D, the K final lane states,
     the digits packed MSB-first, and a crc32 of all that."""
-    w = int(round(math.log2(table.b)))
-    r = int(round(math.log2(table.l)))
+    w, r = _lane_width(table)
     k = len(states)
-    if k != lanes_for(count):
-        raise ValueError("%d symbols code in %d lanes, not %d"
-                         % (count, lanes_for(count), k))
-    # only a one-symbol law, whose steps are all digit-free, gets here
-    if count > (len(digits) + k) * (table.b - 1) * table.l:
-        raise ValueError("%d symbols exceed what %d digits can carry"
-                         % (count, len(digits)))
+    _check_counts(count, k, len(digits), (table.b - 1) * table.l)
     digits = np.asarray(digits, dtype=np.uint8)
     body = b"".join((_HEAD.pack(_MAGIC, _VERSION, w, r, table.n),
                      struct.pack("<%dI" % table.n, *table.l_s),
@@ -547,6 +526,17 @@ def pack_container(table: AnsTable, states: Sequence[int], digits: Sequence[int]
                      struct.pack("<%dI" % k, *states),
                      _pack_digits(digits, w).tobytes()))
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _check_counts(count: int, k: int, ndigits: int, slots: int) -> None:
+    """K must be lanes_for(N), and N at most what D digits carry: a lane
+    takes fewer than `slots` = (b - 1) l digit-free steps in a row."""
+    if k != lanes_for(count):
+        raise CorruptStream("%d symbols code in %d lanes, not %d"
+                            % (count, lanes_for(count), k))
+    if count > (ndigits + k) * slots:
+        raise CorruptStream("%d symbols exceed what %d digits can carry"
+                            % (count, ndigits))
 
 
 class Container(NamedTuple):
@@ -562,7 +552,8 @@ def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container
     """Inverse of pack_container; the table is rebuilt from l_s and key,
     or is `table`, whose w, R, l_s and key the header must repeat.  Every
     count is checked against the others and the length before anything is
-    allocated; the checksum is only reported."""
+    allocated; the lane states are checked where they are decoded
+    (`ans_stream_decode`), and the checksum is only reported."""
     if blob[:4] == b"ANS1":
         raise CorruptStream("ANS1 containers are no longer read; "
                             "re-encode the source file")
@@ -585,20 +576,12 @@ def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container
                             % (w, r, MAX_TABLE_SLOTS))
     l = 1 << r
     b = 1 << w
-    if k != lanes_for(count):
-        raise CorruptStream("%d symbols code in %d lanes, not %d"
-                            % (count, lanes_for(count), k))
-    # a lane takes fewer than (b - 1) l digit-free steps in a row
-    if count > (ndigits + k) * (b - 1) * l:
-        raise CorruptStream("%d symbols exceed what %d digits can carry"
-                            % (count, ndigits))
+    _check_counts(count, k, ndigits, (b - 1) * l)
     end = off + 4 * k + _ceil_div(ndigits * w, 8)
     if len(blob) != end + 4:
         raise CorruptStream("container of %d bytes, its header implies %d"
                             % (len(blob), end + 4))
     states = list(struct.unpack_from("<%dI" % k, blob, off))
-    if any(not l <= x < b * l for x in states):
-        raise CorruptStream("lane state outside the coding interval")
     if table is None:
         if sum(l_s) != l:
             raise CorruptStream("slot counts do not sum to the interval size")

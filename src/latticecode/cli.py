@@ -153,13 +153,13 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise UsageError("bad %s %r" % (what, text))
 
 
-def _code_file(args, qs, digit_bits: int, read, write,
+def _code_file(args, qs, digit_bits: int, read, write, alphabet: int,
                forbidden: bool = False) -> int:
     """Shared body of `abs` and `ans`.  Encode turns the input file into
     symbols with `read` and stores them as an ANS2 container; decode reads
     the container's own table, so the law flags are only validated there,
-    and `write` turns the symbols back into bytes (for decode and for the
-    --verify reread)."""
+    and `write` turns the symbols, each below `alphabet`, back into bytes
+    (for decode and for the --verify reread)."""
     l = 1 << args.precision
     ans.largest_remainder(l, qs)  # refuses a law that starves a symbol
     if args.mode == "encode":
@@ -175,7 +175,10 @@ def _code_file(args, qs, digit_bits: int, read, write,
         print("stored_bits %d" % ans.stream_bits(len(digits), table, len(states)))
         return 0
     syms = ans.decode_container(Path(args.infile).read_bytes(), forbidden=forbidden)
-    Path(args.out).write_bytes(write(syms))
+    if len(syms) and syms.max() >= alphabet:
+        raise ValueError("decoded symbol %d outside the output's 0..%d"
+                         % (syms.max(), alphabet - 1))
+    Path(args.out).write_bytes(write(syms.astype(np.uint8)))
     print("symbols %d" % len(syms))
     return 0
 
@@ -185,7 +188,7 @@ def cmd_abs(args) -> int:
     if not 0 < q < 1:
         raise UsageError("q must lie strictly inside (0, 1)")
     _check_table(args.precision, 1)
-    return _code_file(args, [1 - q, q], 1, _bits_from_bytes, _bytes_from_bits)
+    return _code_file(args, [1 - q, q], 1, _bits_from_bytes, _bytes_from_bits, 2)
 
 
 def cmd_ans(args) -> int:
@@ -209,7 +212,7 @@ def cmd_ans(args) -> int:
     def write(syms) -> bytes:
         return np.asarray(syms, dtype=np.uint8).tobytes()
 
-    return _code_file(args, qs, args.digit_bits, read, write,
+    return _code_file(args, qs, args.digit_bits, read, write, 256,
                       forbidden=bool(args.forbidden_eps))
 
 

@@ -178,10 +178,6 @@ def interior(region: frozenset, model: LatticeModel) -> frozenset:
                      if all(tuple(c + d for c, d in zip(x, off)) in region for off in n0))
 
 
-def boundary(region: frozenset, model: LatticeModel) -> frozenset:
-    return frozenset(region) - interior(region, model)
-
-
 def thicken(region: Iterable, model: LatticeModel) -> frozenset:
     n0 = model.neighborhood
     return frozenset(tuple(c + d for c, d in zip(x, off)) for x in region for off in n0)

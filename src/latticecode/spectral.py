@@ -215,6 +215,9 @@ def chain_entropy_bits(coder: MarkovCoder) -> float:
 def path_prob(coder: MarkovCoder, path: Sequence[int]) -> float:
     """Probability of following `path` (node indices) from its first node."""
     S = coder.transition
+    for v in path:
+        if not 0 <= v < len(S):
+            raise ValueError("path node %d outside 0..%d" % (v, len(S) - 1))
     p = 1.0
     for a, b in zip(path[:-1], path[1:]):
         s = S[a, b]

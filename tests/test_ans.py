@@ -16,6 +16,8 @@ from latticecode.rng import SplitMix64, derive
 
 # Test references: a deterministic table rule and a one-symbol-at-a-time
 # coder state, which the package's keyed tables and lane loops must match.
+# Both read the table's columns as arrays: slot x - l holds sym_array and
+# xs_array, and s's reduced state xs encodes to enc_array[enc_base[s] + xs].
 
 
 def ans_build_table_precise(qs: Sequence[float], l: int, b: int = 2) -> AnsTable:
@@ -72,11 +74,12 @@ class StreamState:
         while x > top:
             self.digits.appendleft(x % t.b)
             x //= t.b
-        self.x = t.encode_step(s, x)
+        self.x = int(t.enc_array[t.enc_base[s] + x])
 
     def pop(self) -> int:
         t = self.table
-        s, x = t.decode_step(self.x)
+        i = self.x - t.l
+        s, x = int(t.sym_array[i]), int(t.xs_array[i])
         while x < t.l:
             if not self.digits:
                 raise CorruptStream("digit stream exhausted during renormalization")
@@ -93,17 +96,32 @@ def sample_symbols(qs, n, seed):
 
 
 def _slot_loop_tables(table):
-    """dec_xs and enc filled one slot at a time, the way AnsTable once did."""
+    """The reduced-state column and each symbol's encode row, filled one
+    slot at a time, the way AnsTable once did."""
     l, l_s = table.l, table.l_s
     counters = list(l_s)
-    dec_xs = [0] * len(table.dec_sym)
+    dec_xs = [0] * len(table.sym_array)
     enc = [[0] * ((table.b - 1) * ls) for ls in l_s]
-    for i, s in enumerate(table.dec_sym):
+    for i, s in enumerate(table.sym_array.tolist()):
         xs = counters[s]
         counters[s] += 1
         dec_xs[i] = xs
         enc[s][xs - l_s[s]] = l + i
     return dec_xs, enc
+
+
+def _assert_bijective(t):
+    """Every state decodes to an (s, xs) with l_s <= xs < b l_s that
+    encodes back to it, and every such (s, xs) encodes to a state that
+    decodes to it."""
+    s, xs = t.sym_array, t.xs_array
+    ls = np.asarray(t.l_s)[s]
+    assert ((ls <= xs) & (xs < t.b * ls)).all()
+    assert (t.enc_array[t.enc_base[s] + xs] == np.arange(t.l, t.b * t.l)).all()
+    for sym, ls in enumerate(t.l_s):
+        held = np.arange(ls, t.b * ls)
+        i = t.enc_array[t.enc_base[sym] + held] - t.l
+        assert (t.sym_array[i] == sym).all() and (t.xs_array[i] == held).all()
 
 
 @pytest.mark.parametrize("w", [1, 3, 8])
@@ -112,9 +130,11 @@ def test_table_columns_equal_the_slot_loop(w):
                     ([0.9, 0.1], 2 ** 64 - 1)):
         t = ans.ans_build_table(qs, 1 << 10, 1 << w, key=key)
         dec_xs, enc = _slot_loop_tables(t)
-        assert t.dec_xs == dec_xs and t.enc == enc
-        assert type(t.dec_xs) is list and type(t.dec_xs[0]) is int
-        assert all(type(row) is list and type(row[0]) is int for row in t.enc)
+        assert t.xs_array.tolist() == dec_xs
+        # the rows back to back, row s from enc_base[s] + l_s[s]
+        assert t.enc_array.tolist() == sum(enc, [])
+        starts = np.cumsum([0] + [len(row) for row in enc[:-1]])
+        assert (t.enc_base + t.l_s == starts).all()
 
 
 def test_table_rejects_a_bad_decode_column():
@@ -172,10 +192,8 @@ def test_build_table_l2_both_permutations():
     for key in range(30):
         t = ans.ans_build_table([0.5, 0.5], 2, 2, key=key)
         assert t.l_s == [1, 1]
-        for x in (2, 3):
-            s, xs = t.decode_step(x)
-            assert t.encode_step(s, xs) == x
-        seen[tuple(t.dec_sym)] = key
+        _assert_bijective(t)
+        seen[tuple(t.sym_array.tolist())] = key
         if len(seen) == 2:
             break
     assert set(seen) == {(0, 1), (1, 0)}
@@ -194,15 +212,15 @@ def test_build_table_multiset_counts():
             t = ans.ans_build_table(qs, l, b, key=rng.next_u64())
         except ans.DegenerateSymbol:
             continue
-        for s in range(n):
-            assert t.dec_sym.count(s) == (b - 1) * t.l_s[s]
+        held = np.bincount(t.sym_array, minlength=n)
+        assert held.tolist() == [(b - 1) * ls for ls in t.l_s]
 
 
 def test_distinct_keys_diverge():
     qs = [0.1, 0.2, 0.3, 0.4]
     t1 = ans.ans_build_table(qs, 64, 2, key=1)
     t2 = ans.ans_build_table(qs, 64, 2, key=2)
-    assert t1.dec_sym != t2.dec_sym
+    assert not np.array_equal(t1.sym_array, t2.sym_array)
     msg = sample_symbols(qs, 3000, seed=4)
     for t in (t1, t2):
         d, xs = ans.ans_stream_encode(msg, t)
@@ -215,13 +233,7 @@ def test_table_bijectivity_exhaustive():
         ans_build_table_precise([0.6, 0.4], 1024, 2),
     ]
     for t in tables:
-        for x in range(t.l, t.b * t.l):
-            s, xs = t.decode_step(x)
-            assert t.l_s[s] <= xs < t.b * t.l_s[s]
-            assert t.encode_step(s, xs) == x
-        for s in range(t.n):
-            for xs in range(t.l_s[s], t.b * t.l_s[s]):
-                assert t.decode_step(t.encode_step(s, xs)) == (s, xs)
+        _assert_bijective(t)
 
 
 def test_precise_builder_equals_abs_for_dyadic_pairs():
@@ -230,7 +242,7 @@ def test_precise_builder_equals_abs_for_dyadic_pairs():
         q = Fraction(num, 1 << r)
         t = ans_build_table_precise([1 - q, q], l, 2)
         for x in range(l, 2 * l):
-            assert t.decode_step(x) == ans.abs_decode_step(x, q)
+            assert (t.sym_array[x - l], t.xs_array[x - l]) == ans.abs_decode_step(x, q)
 
 
 def test_stream_empty_and_single():
@@ -241,6 +253,33 @@ def test_stream_empty_and_single():
     for s in (0, 1):
         d, xs = ans.ans_stream_encode([s], t)
         assert ans.ans_stream_decode(d, t, xs, 1).tolist() == [s]
+
+
+@pytest.mark.parametrize("count", [3, ans.LANE_MIN_SYMBOLS + 3])
+def test_stream_encode_refuses_symbols_outside_the_table(count):
+    # one check on both sides of LANE_MIN_SYMBOLS: the single lane would
+    # code -1 as symbol n - 1 and index past its rows on n
+    t = ans.ans_build_table([0.5, 0.25, 0.25], 1 << 8, 2, key=1)
+    for bad in (-1, 3):
+        msg = [0] * (count - 1) + [bad]
+        with pytest.raises(ValueError, match=r"symbol outside 0\.\.2"):
+            ans.ans_stream_encode(msg, t)
+        with pytest.raises(ValueError, match=r"symbol outside 0\.\.2"):
+            ans.ans_stream_encode(np.array(msg), t)
+
+
+@pytest.mark.parametrize("l, b", [(3000, 2), (1 << 10, 3)])
+def test_containers_and_sizes_need_power_of_two_widths(l, b):
+    # the header stores lg l and lg b, so a rounded exponent would write a
+    # container that no reader accepts, and a rounded size
+    t = ans.ans_build_table([0.5, 0.25, 0.25], l, b, key=1)
+    msg = sample_symbols([0.5, 0.25, 0.25], 500, seed=3)
+    d, xs = ans.ans_stream_encode(msg, t)
+    assert ans.ans_stream_decode(d, t, xs, len(msg)).tolist() == msg
+    with pytest.raises(ValueError, match="power-of-two l and b"):
+        ans.pack_container(t, xs, d, len(msg))
+    with pytest.raises(ValueError, match="power-of-two l and b"):
+        ans.stream_bits(len(d), t, len(xs))
 
 
 def test_stream_roundtrip_rate_quarter():
@@ -310,9 +349,8 @@ def _reference_stream_encode(symbols, table, initial_x=None):
     x = l if initial_x is None else initial_x
     if not l <= x < b * l:
         raise ValueError("initial state outside the coding interval")
-    enc = table.enc
-    l_s = table.l_s
-    hi = [b * ls - 1 for ls in l_s]
+    enc, base = table.enc_array.tolist(), table.enc_base.tolist()
+    hi = [b * ls - 1 for ls in table.l_s]
     emitted = []
     append = emitted.append
     for s in reversed(symbols):
@@ -320,7 +358,7 @@ def _reference_stream_encode(symbols, table, initial_x=None):
         while x > top:
             append(x % b)
             x //= b
-        x = enc[s][x - l_s[s]]
+        x = enc[base[s] + x]
     emitted.reverse()
     return emitted, x
 
@@ -334,7 +372,7 @@ def _reference_stream_decode_checked(digits, table, final_x, forbidden):
     l, b = table.l, table.b
     if not l <= final_x < b * l:
         return [], 0
-    dec_sym, dec_xs = table.dec_sym, table.dec_xs
+    dec_sym, dec_xs = table.sym_array.tolist(), table.xs_array.tolist()
     x = final_x
     pos = 0
     nd = len(digits)
@@ -372,10 +410,11 @@ def _reference_fields(symbols, table):
 def _sequential_lanes_decode(digits, table, states, count, forbidden):
     """Lane decode one symbol at a time: the symbols, and the index of a
     detection (None if none) with whether it is the forbidden symbol."""
+    dec_sym, dec_xs = table.sym_array.tolist(), table.xs_array.tolist()
     x, pos, out = list(states), 0, []
     for i in range(count):
         k = i % len(x)
-        s, xs = table.decode_step(x[k])
+        s, xs = dec_sym[x[k] - table.l], dec_xs[x[k] - table.l]
         if s == forbidden:
             return out, i, True
         out.append(s)
@@ -634,7 +673,7 @@ def test_container_roundtrip():
     assert blob[:4] == b"ANS2"
     t2, xs2, n2, d2, crc_ok = ans.unpack_container(blob)
     assert (t2.l_s, t2.key, xs2, n2, d2.tolist()) == (t.l_s, t.key, xs, len(msg), d.tolist())
-    assert crc_ok and t2.dec_sym == t.dec_sym
+    assert crc_ok and np.array_equal(t2.sym_array, t.sym_array)
     assert ans.ans_stream_decode(d2, t2, xs2, n2).tolist() == msg
     assert ans.decode_container(blob).tolist() == msg
     with pytest.raises(ans.CorruptStream):

@@ -149,6 +149,37 @@ def test_ans_refuses_a_byte_equal_to_the_alphabet_size(tmp_path, extra):
     assert err.splitlines()[-1] == "error: input byte outside the 2-symbol alphabet"
 
 
+def test_abs_decode_refuses_symbols_past_a_bit(tmp_path):
+    # a 3-symbol `ans` container is no bit stream: 2 is not written as a 1
+    src, enc, dec = tmp_path / "in", tmp_path / "enc", tmp_path / "dec"
+    src.write_bytes(bytes([0, 1, 2, 1, 0, 2, 2, 1]))
+    rc, _, _ = run(["ans", "encode", "--probs", "1/2,1/4,1/4", "--in", str(src),
+                    "--out", str(enc)])
+    assert rc == 0
+    rc, _, err = run(["abs", "decode", "--in", str(enc), "--out", str(dec)])
+    assert rc == 1 and not dec.exists()
+    assert err.splitlines()[1:] == ["error: decoded symbol 2 outside the output's 0..1"]
+
+
+def test_ans_decode_refuses_symbols_past_a_byte(tmp_path):
+    # a table of more than 256 symbols: 299 and 257 are not wrapped into a byte
+    t = ans.ans_build_table([1 / 300] * 300, 1 << 9, 2, key=3)
+    d, xs = ans.ans_stream_encode([299, 257, 0], t)
+    enc, dec = tmp_path / "enc", tmp_path / "dec"
+    enc.write_bytes(ans.pack_container(t, xs, d, 3))
+    rc, _, err = run(["ans", "decode", "--in", str(enc), "--out", str(dec)])
+    assert rc == 1 and not dec.exists()
+    assert err.splitlines()[1:] == ["error: decoded symbol 299 outside the output's 0..255"]
+    # symbols that fit are written one byte each, though the table's
+    # decode hands them back as uint16
+    bits = [0, 1, 1, 0, 1, 0, 0, 1] * 4
+    d, xs = ans.ans_stream_encode(bits, t)
+    enc.write_bytes(ans.pack_container(t, xs, d, len(bits)))
+    for cmd, want in (("abs", b"\x69" * 4), ("ans", bytes(bits))):
+        rc, _, _ = run([cmd, "decode", "--in", str(enc), "--out", str(dec)])
+        assert rc == 0 and dec.read_bytes() == want
+
+
 def test_ans_usage_and_data_errors(tmp_path):
     src = tmp_path / "in"
     src.write_bytes(b"\x00\x05")
@@ -370,6 +401,16 @@ def test_merw_output(tmp_path):
     assert "lambda = 2" in out
     assert "entropy_bits = 1" in out
     assert "path_prob = 0.25" in out
+
+
+@pytest.mark.parametrize("path, node", [("0,5", 5), ("-1,0", -1)])
+def test_merw_path_outside_the_graph_is_one_error_line(tmp_path, path, node):
+    # a negative index is not a node counted from the end
+    g = tmp_path / "graph.txt"
+    g.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+    rc, out, err = run(["merw", "--graph", str(g), "--path=" + path])
+    assert rc == 1 and "path_prob" not in out
+    assert err.splitlines()[1:] == ["error: path node %d outside 0..2" % node]
 
 
 def test_merw_large_weights_stop_at_the_rounding_floor(tmp_path):
