@@ -618,6 +618,23 @@ def decode_container(blob: bytes, table: Optional[AnsTable] = None,
 
 # zeros appended at a time once a bit-fed coder has read its whole payload
 _PAD = 1 << 10
+# bytes.translate table that turns each 0/1 byte into the other
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _bit_bytes(bits) -> bytearray:
+    """The 0/1 sequence `bits` (a list, bytes or an integer array of any
+    dtype) one byte a bit.  An array is cast to uint8 first: bytearray of
+    an int64 array would copy its raw 8 bytes a bit."""
+    if isinstance(bits, np.ndarray):
+        small = bits.astype(np.uint8)
+        if (small != bits).any():
+            raise ValueError("payload bits must be 0 or 1")
+        bits = small
+    out = bytearray(bits)
+    if out.translate(None, b"\0\1"):
+        raise ValueError("payload bits must be 0 or 1")
+    return out
 
 
 class AbsStreamDecoder:
@@ -625,10 +642,11 @@ class AbsStreamDecoder:
 
     Used in the direction that turns payload bits into constrained symbols:
     each draw(m) performs a ceiling-variant decode split at q = m / 2^R and
-    refills the state one payload bit at a time.  The payload reads as
-    followed by zeros: `consumed` counts the payload bits read and `padded`
-    the zeros past its end, so callers can account for real payload
-    separately.
+    refills the state one payload bit at a time.  The payload (any 0/1
+    sequence, `_bit_bytes`) is kept as a bytearray, one byte a bit, and
+    reads as followed by zeros, appended `_PAD` at a time as bytes:
+    `consumed` counts the payload bits read and `padded` the zeros past its
+    end, so callers can account for real payload separately.
 
     The state is seeded with the first R payload bits, so it starts
     uniform over [l, 2l) for random input and even the first draw is
@@ -640,15 +658,16 @@ class AbsStreamDecoder:
     shifts rather than `_ceil_div`: for l = 2^R, ceil(x*m / l) =
     (x*m + l - 1) >> R, and the symbol ceil((x+1)*m / l) - ceil(x*m / l)
     is 1 exactly when the low R bits of x*m + l - 1 are at least l - m.
-    A run at one law is one coder call (`run`), and the fair law is its
-    shift: each pass of the checkerboard writer is such a run."""
+    A run at one law is one coder call (`run`), which returns its symbols
+    as bytes, and the fair law is its shift, one `bytes.translate`: each
+    pass of the checkerboard writer is such a run."""
 
     def __init__(self, bits: Iterable[int], precision: int):
         if precision < 1:
             raise ValueError("precision must be positive")
         self.r = precision
         self.l = 1 << precision
-        self._bits = list(bits)
+        self._bits = _bit_bytes(bits)
         self._n = len(self._bits)
         x = 1
         for b in self._bits[:precision]:
@@ -680,34 +699,35 @@ class AbsStreamDecoder:
                 try:
                     x = 2 * x + bits[pos]
                 except IndexError:  # the payload is spent: read zeros
-                    bits += [0] * (pos - len(bits) + _PAD)
+                    bits += bytes(pos - len(bits) + _PAD)
                     continue
                 pos += 1
             self._pos = pos
         self.x = x
         return s
 
-    def run(self, m: int, k: int) -> list:
-        """The k symbols that k draw(m) calls return, as one call.
+    def run(self, m: int, k: int) -> bytes:
+        """The k symbols that k draw(m) calls return, as one call, one byte
+        each.
 
         At the fair law m = 2^(R-1) a draw returns 1 - (x & 1) and replaces
         the low bit of x by the next bit read; the top R bits stay.  So a
-        fair run is one shift: the inverted low bit of x, then the next
-        k - 1 bits inverted, and the k-th becomes the new low bit."""
+        fair run is one shift: the low bit of x, then the next k - 1 bits,
+        each inverted, and the k-th becomes the new low bit."""
         l = self.l
         if not 0 < m < l:
             raise ValueError("probability numerator out of range")
         if k <= 0:
-            return []
+            return b""
         r, x, bits, pos = self.r, self.x, self._bits, self._pos
         if m == l >> 1:
-            got = bits[pos:pos + k]
-            got += [0] * (k - len(got))
+            got = bytearray((x & 1,)) + bits[pos:pos + k]
+            got += bytes(k + 1 - len(got))
             self._pos = pos + k
-            self.x = x - (x & 1) + got[-1]
-            return [1 - (x & 1)] + [1 - b for b in got[:-1]]
+            self.x = x - (x & 1) + got.pop()
+            return bytes(got).translate(_FLIP)
         c, lm = l - 1, l - m
-        out = []
+        out = bytearray()
         put = out.append
         for _ in repeat(None, k):
             xm = x * m + c
@@ -721,19 +741,20 @@ class AbsStreamDecoder:
                 try:
                     x = 2 * x + bits[pos]
                 except IndexError:  # the payload is spent: read zeros
-                    bits += [0] * (pos - len(bits) + _PAD)
+                    bits += bytes(pos - len(bits) + _PAD)
                     continue
                 pos += 1
         self.x, self._pos = x, pos
-        return out
+        return bytes(out)
 
 
 class AbsStreamEncoder:
     """Inverse of AbsStreamDecoder: absorbs symbols walked in reverse order
-    starting from the decoder's final state, emitting the bits it consumed.
-    `strip._read` runs absorb on every free node that the walk drew with
-    `draw`, back to front, and absorb_run on each run a walk drew with
-    `run`."""
+    starting from the decoder's final state, emitting the bits it consumed
+    into a bytearray, one byte a bit.  `strip._absorb` runs absorb on every
+    free node that the walk drew with `draw`, back to front, and absorb_run
+    on each run a walk drew with `run`; `finish` returns the payload as
+    bytes of 0s and 1s."""
 
     def __init__(self, final_state: int, precision: int):
         if precision < 1:
@@ -771,8 +792,9 @@ class AbsStreamEncoder:
     def absorb_run(self, symbols: Sequence[int], m: int) -> None:
         """absorb(s, m) for each s of a run given in visiting order (a list,
         or bytes of 0s and 1s), back to front, as one call.  At the fair
-        law 2^(R-1) it is one shift: each absorb emits the low bit of x
-        and replaces it by 1 - s (x stays in [l, 2l))."""
+        law 2^(R-1) it is one shift, one `bytes.translate`: each absorb
+        emits the low bit of x and replaces it by 1 - s (x stays in
+        [l, 2l))."""
         l = self.l
         if not 0 < m < l:
             raise ValueError("probability numerator out of range")
@@ -781,7 +803,7 @@ class AbsStreamEncoder:
         r, x, emitted = self.r, self.x, self._emitted
         if m == l >> 1:
             emitted.append(x & 1)
-            emitted.extend([1 - s for s in symbols[:0:-1]])
+            emitted += bytes(symbols[:0:-1]).translate(_FLIP)
             self.x = x - (x & 1) + 1 - symbols[0]
             return
         emit = emitted.append
@@ -800,8 +822,9 @@ class AbsStreamEncoder:
                 x = (((x + 1) << r) - 1) // ls
         self.x = x
 
-    def finish(self) -> list[int]:
-        """Bits in original payload order, including the R state-seed bits."""
+    def finish(self) -> bytes:
+        """Bits in original payload order, including the R state-seed bits,
+        one byte each."""
         x = self.x
         if not self.l <= x < 2 * self.l:
             raise CorruptStream("state did not drain into the seed interval")
@@ -810,4 +833,4 @@ class AbsStreamEncoder:
             emitted.append(x & 1)
             x >>= 1
         emitted.reverse()
-        return list(emitted)
+        return bytes(emitted)

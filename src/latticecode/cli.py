@@ -33,12 +33,14 @@ _DATA_ERRORS = (ValueError, KeyError, OSError, ans.CapacityExceeded,
                 st.TooWide, spec.NoConvergence, lat.TooLarge, MemoryError)
 
 
-def _bits_from_bytes(data: bytes) -> list:
-    """Bits of each byte, most significant first."""
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
+def _bits_from_bytes(data: bytes) -> bytes:
+    """Bits of each byte, most significant first, one byte each."""
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tobytes()
 
 
 def _bytes_from_bits(bits) -> bytes:
+    """Inverse of `_bits_from_bytes`: bits as bytes of 0s and 1s, a list or
+    a uint8 array."""
     if len(bits) % 8:
         raise ValueError("bit count %d is not a whole number of bytes" % len(bits))
     return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes()
@@ -48,11 +50,11 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, data: bytes) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        Path(args.out).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("latin-1"))
 
 
 def _parse_shape(token: str):
@@ -230,7 +232,7 @@ def cmd_sample(args) -> int:
                                spacing_moves=args.spacing, boundary=args.boundary)
         sampler = "chain"
     print("# sampler %s" % sampler, file=sys.stderr)
-    _emit(args, "".join(lat.save_grid(g) for g in grids))
+    _emit(args, b"".join(lat.save_grid(g) for g in grids))
     return 0
 
 
@@ -303,7 +305,7 @@ def cmd_strip(args) -> int:
     if args.mode == "decode":
         if not args.infile or not args.out:
             raise UsageError("decode needs --in and --out")
-        bits = st.decode_text(_read_text(args.infile))
+        bits = st.decode_text(Path(args.infile).read_bytes())
         Path(args.out).write_bytes(_bytes_from_bits(bits))
         return 0
     rep = st.evaluate_rate(args.model, args.width, args.columns,
@@ -352,22 +354,22 @@ def cmd_algo1(args) -> int:
         bits = _bits_from_bytes(Path(args.infile).read_bytes())
         res = exp.algorithm1_encode((args.rows, args.cols), args.q, bits,
                                     args.precision)
-        head = ("algo1 q=%r R=%d x=%d bits=%d"
+        head = ("algo1 q=%r R=%d x=%d bits=%d\n"
                 % (args.q, args.precision, res.final_state, len(bits)))
-        text = head + "\n" + lat.save_grid(res.grid)
+        text = head.encode() + lat.save_grid(res.grid)
         if args.verify and _algo1_decode_text(text) != bits:
             raise ans.CorruptStream("verification reread mismatch")
         _emit(args, text)
         return 0
     if not args.infile or not args.out:
         raise UsageError("decode needs --in and --out")
-    bits = _algo1_decode_text(_read_text(args.infile))
+    bits = _algo1_decode_text(Path(args.infile).read_bytes())
     Path(args.out).write_bytes(_bytes_from_bits(bits))
     return 0
 
 
-def _algo1_decode_text(text: str) -> list:
-    """Payload bits of an algo1 encoded-lattice file."""
+def _algo1_decode_text(text: bytes) -> bytes:
+    """Payload bits, one byte each, of an algo1 encoded-lattice file."""
     meta, grid = st.parse_encoded(text, "algo1", ("q", "R", "x", "bits"))
     return exp.algorithm1_decode(grid, float(meta["q"]), int(meta["x"]),
                                  int(meta["bits"]), int(meta["R"]))

@@ -135,12 +135,13 @@ def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
     l = 1 << precision
     m = _quantize(q, l)
     if 0 < m < l:
-        even = np.array(dec.run(m, neven), dtype=np.int8)
+        even = np.frombuffer(dec.run(m, neven), dtype=np.int8)
     else:
         even = np.full(neven, m >> precision, dtype=np.int8)
     free = _algorithm1_odd_free(rows, cols, order, even)
     odd = np.zeros(len(free), dtype=np.int8)
-    odd[free] = dec.run(l >> 1, int(np.count_nonzero(free)))
+    odd[free] = np.frombuffer(dec.run(l >> 1, int(np.count_nonzero(free))),
+                              dtype=np.int8)
     return np.concatenate((even, odd))
 
 
@@ -170,16 +171,20 @@ def algorithm1_encode(dims, q: float, bits, precision: int = 16,
     cannot absorb every payload bit unless `partial` is set.
     """
     rows, cols = _dims(dims)
-    grid = np.zeros((rows, cols), dtype=np.int8)
     order = _algorithm1_order(rows, cols)
-    return _write(bits, precision, grid, order,
-                  lambda dec: _algorithm1_walk(rows, cols, order, q,
-                                               precision, dec), partial)
+
+    def walk(dec):
+        grid = np.zeros((rows, cols), dtype=np.int8)
+        grid.flat[order] = _algorithm1_walk(rows, cols, order, q, precision, dec)
+        return grid
+
+    return _write(bits, precision, walk, partial)
 
 
 def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
-                      precision: int = 16) -> list:
-    """Invert the two-pass writer; exact inverse of `algorithm1_encode`."""
+                      precision: int = 16) -> bytes:
+    """Invert the two-pass writer; exact inverse of `algorithm1_encode`.
+    Returns the payload bits, one byte each."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ConfigMismatch("expected a 2-d grid")

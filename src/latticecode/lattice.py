@@ -1141,7 +1141,10 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     return list(out)
 
 
-def save_grid(arr: np.ndarray, alphabet: str = "01") -> str:
+def save_grid(arr: np.ndarray, alphabet: str = "01") -> bytes:
+    """A grid block as bytes: the header `kind rows cols alphabet` (kind 1
+    for a 1-d array, 2 for a grid), then one line per row, one byte per
+    cell.  `load_grid` reads it back."""
     arr = np.asarray(arr)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -1149,36 +1152,67 @@ def save_grid(arr: np.ndarray, alphabet: str = "01") -> str:
     else:
         m = 2
     rows, cols = arr.shape
-    # one code point per cell and a newline closing each row, as UTF-32
-    chars = np.full((rows, cols + 1), ord("\n"), dtype="<u4")
-    chars[:, :cols] = np.take(np.array([ord(c) for c in alphabet], dtype="<u4"),
-                              arr)
-    return ("%d %d %d %s\n" % (m, rows, cols, alphabet)
-            + chars.tobytes().decode("utf-32-le"))
+    head = ("%d %d %d %s\n" % (m, rows, cols, alphabet)).encode("latin-1")
+    out = np.empty(len(head) + rows * (cols + 1), dtype=np.uint8)
+    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    body = out[len(head):].reshape(rows, cols + 1)
+    body[:, cols] = ord("\n")
+    # a fancy index, not np.take, which would copy arr as intp first
+    body[:, :cols] = np.frombuffer(alphabet.encode("latin-1"), dtype=np.uint8)[arr]
+    return out.tobytes()
 
 
-def load_grid(text: str):
-    lines = text.strip().split("\n")
-    head = lines[0].split()
+def load_grid(text):
+    """(grid, alphabet) of a grid block (`save_grid`), as bytes or as text
+    of one byte per character, with surrounding whitespace.  A kind other
+    than 1 or 2, a kind-1 grid of more than one row and an alphabet that
+    repeats a symbol are refused."""
+    data = text.encode("latin-1") if isinstance(text, str) else text
+    # the block's bounds without whitespace, found in place: strip() would
+    # copy a grid's bytes
+    start, end = 0, len(data)
+    while start < end and data[start] in b" \t\n\r\x0b\x0c":
+        start += 1
+    while end > start and data[end - 1] in b" \t\n\r\x0b\x0c":
+        end -= 1
+    nl = data.find(b"\n", start, end)
+    if nl < 0:
+        nl = end
+    head = data[start:nl].decode("latin-1").split()
     if len(head) != 4:
         raise ValueError("bad grid header")
     m, rows, cols = int(head[0]), int(head[1]), int(head[2])
     alphabet = head[3]
-    if len(lines) != rows + 1:
+    if m not in (1, 2):
+        raise ValueError("grid kind %d is neither 1 (a line) nor 2 (a grid)" % m)
+    if m == 1 and rows != 1:
+        raise ValueError("a kind-1 grid has one row, not %d" % rows)
+    if len(set(alphabet)) < len(alphabet):
+        raise ValueError("alphabet %r repeats a symbol" % alphabet)
+    symbol = np.full(256, -1, dtype=np.int8)  # byte -> symbol index
+    symbol[list(alphabet.encode("latin-1"))] = np.arange(len(alphabet))
+    # rows of cols cells, each row closed by a newline (the last by any
+    # whitespace, or by none): read in place when the size fits
+    size = rows * (cols + 1)
+    if rows > 0 and cols > 0 and end - nl == size:
+        body = np.frombuffer(data, dtype=np.uint8, count=min(size, len(data) - nl - 1),
+                             offset=nl + 1)
+        body = np.append(body, 0) if len(body) < size else body
+        body = body.reshape(rows, cols + 1)
+        if (body[:-1, cols] == ord("\n")).all():
+            arr = symbol[body[:, :cols]]
+            if arr.min() >= 0:
+                return (arr[0] if m == 1 else arr), alphabet
+    # line by line, to name the first fault
+    lines = data[nl + 1:end].split(b"\n") if nl < end else []
+    if len(lines) != rows:
         raise ValueError("row count mismatch")
-    body = lines[1:]
-    for i, row in enumerate(body):
+    for i, row in enumerate(lines):
         if len(row) != cols:
             raise ValueError("column count mismatch on row %d" % i)
-    chars = np.frombuffer("".join(body).encode("utf-32-le"), dtype=np.uint32)
-    arr = np.full(chars.shape, -1, dtype=np.int8)
-    for k in range(len(alphabet) - 1, -1, -1):  # the first match wins
-        arr[chars == ord(alphabet[k])] = k
-    arr = arr.reshape(rows, cols)
+    arr = symbol[np.frombuffer(b"".join(lines), dtype=np.uint8)].reshape(rows, cols)
     if (arr < 0).any():
         i, j = np.argwhere(arr < 0)[0]
         raise ValueError("grid row %d column %d holds %r, not in alphabet %r"
-                         % (i, j, body[i][j], alphabet))
-    if m == 1:
-        return arr[0], alphabet
-    return arr, alphabet
+                         % (i, j, chr(lines[i][j]), alphabet))
+    return (arr[0] if m == 1 else arr), alphabet

@@ -12,7 +12,8 @@ conditional law with a binary stream coder (one coder state threaded
 through the whole lattice, so the rate loss stays bounded by the per-node
 quantization, not per-node rounding to whole bits).  Each law depends only
 on nodes visited before it, so the decoder, which sees the whole grid,
-gathers every law at once and runs the coder backwards over the free nodes.
+gathers the laws of a block of columns at a time, last block first, and
+runs the coder backwards over their free nodes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -52,9 +54,10 @@ MAX_PRECISION = 64
 # prefixes of one level whose float weights `_law_table` holds at a time:
 # a whole level's would take 16 bytes per state and prefix
 _LAW_BLOCK = 256
-# nodes whose free laws and symbols `_read` turns into Python lists at a
-# time: a list of them all would hold a distinct int object per free node
-ABSORB_BLOCK = 1 << 12
+# columns whose states the strip walk lists, and whose laws and symbols the
+# decoder gathers and turns into Python lists, at a time: a list of them
+# all would hold a distinct int object per free node
+COLUMN_BLOCK = 1 << 12
 
 
 @dataclass
@@ -146,26 +149,31 @@ class EncodeResult:
     padded: int
 
 
-# A codec is a visiting order plus a law rule, run by this one pair of
-# coders.  The order lists the grid's nodes as flat indices.  The law of a
-# node is the numerator m of its dyadic one-probability m/2^R; m = 0 and
-# m = 2^R force a 0 or a 1 and cost no payload.  The encoder walks: a walk
-# is a function of the coder that returns the symbols in visiting order.
-# It draws each free node with `AbsStreamDecoder.draw` at the law the
-# symbols before it give, or, for a run of nodes whose one law is known
-# before the run starts, draws the run with one `AbsStreamDecoder.run`
-# call: a run at one law is one coder call, and the fair law 2^(R-1) is
-# its shift.  `_write` places the symbols in the grid.  The strip walk
-# steps prefix to prefix and returns each column's state; the grid's
-# symbols are the states' code bits, gathered once at the end.  Its law
-# table is built a block of prefixes at a time, so the float weights held
-# at once do not grow with a level's prefixes.  The decoder
-# gathers: a law depends only on nodes visited before it, so the codec
-# reads every law off the written grid at once, and `_read` checks the
-# forced nodes and absorbs the free ones in exact reverse visiting order:
-# each run that the caller names with one `AbsStreamEncoder.absorb_run`,
-# every other free node with `AbsStreamEncoder.absorb`.  So the nodes that
-# go through `draw` are exactly those that go through `absorb`.
+# A codec is a walk plus a law rule, run by this one pair of coders.  The
+# law of a node is the numerator m of its dyadic one-probability m/2^R;
+# m = 0 and m = 2^R force a 0 or a 1 and cost no payload.  Payload bits
+# travel as bytes, one byte of 0 or 1 a bit, from the file to the coder
+# and back.  The encoder walks: a walk is a function of the coder that
+# returns the grid.  It draws each free node with `AbsStreamDecoder.draw`
+# at the law the nodes before it give, or, for a run of nodes whose one
+# law is known before the run starts, draws the run with one
+# `AbsStreamDecoder.run` call: a run at one law is one coder call, and the
+# fair law 2^(R-1) is its shift.  The strip walk visits the grid column by
+# column and steps prefix to prefix; it lists the states of a block of
+# columns and writes the block's rows from the states' code bits, so no
+# visiting order is ever built.  Its law table is built a block of
+# prefixes at a time, so the float weights held at once do not grow with
+# a level's prefixes.  The decoder gathers: a law depends only on nodes
+# visited before it, so the codec reads the laws off the written grid and
+# `_absorb` checks the forced nodes and absorbs the free ones in exact
+# reverse visiting order, a span at a time: each run that the walk drew
+# with one `run` call with one `AbsStreamEncoder.absorb_run`, every other
+# free node with `AbsStreamEncoder.absorb`.  So the nodes that go through
+# `draw` are exactly those that go through `absorb`.  The strip decoder
+# checks every column first, then gathers and absorbs one block of
+# columns at a time, last block first: a block's laws need only its own
+# states and the state of the column before it.  The checkerboard writer
+# keeps its visiting order as flat grid indices (`_read`).
 
 
 def _quantize(p: float, l: int) -> int:
@@ -237,68 +245,78 @@ def _law_table(strip: StripModel, precision: int) -> tuple:
     return strip._law_tables[precision]
 
 
-def _write(bits: Sequence[int], precision: int, grid: np.ndarray, order,
-           walk, partial: bool) -> EncodeResult:
-    """Draw every free node of the walk from the payload into the grid."""
+def _write(bits: Sequence[int], precision: int, walk,
+           partial: bool) -> EncodeResult:
+    """Draw every free node of the walk from the payload, any 0/1 sequence
+    (`ans._bit_bytes`), into the grid that the walk returns."""
     _check_precision(precision)
     dec = AbsStreamDecoder(bits, precision)
-    grid.flat[order] = walk(dec)
+    grid = walk(dec)
     if not partial and dec.consumed < len(bits):
         raise CapacityExceeded(dec.consumed, len(bits))
     return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
 
 
-def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
-          precision: int, runs=()) -> list:
-    """Check a written grid against its laws, one per node in visiting
-    order, and run the coder backwards over the free nodes.  Each of
-    `runs`, a (start, end) span of the visiting order, was drawn as one
-    run: its free nodes share one law, were drawn with one `run` call
-    (none if it has no free node) and are absorbed with one `absorb_run`;
-    every other free node is absorbed by itself."""
+def _absorb(spans, final_state: int, nbits: int, precision: int) -> bytes:
+    """Check a written grid against its laws and run the coder backwards
+    over the free nodes; the payload bits, one byte each.  `spans` covers
+    the visiting order back to front, each span as (symbols, laws, run,
+    at): its nodes' symbols and laws in visiting order, whether it was
+    drawn as one run (its free nodes share one law, were drawn with one
+    `run` call, none if it has no free node, and are absorbed with one
+    `absorb_run`; otherwise each free node is absorbed by itself), and
+    at(i), the (row, column) of its i-th node.  A forced node that
+    disagrees ahead of the first non-binary one is reported first; the
+    fault earliest in visiting order is raised once every span is read."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
     l = 1 << precision
     if not l <= final_state < 2 * l:
         raise ConfigMismatch("final coder state out of range")
-    cols = grid.shape[1]
-    vals = grid.flat[order]
-    laws = np.asarray(laws, dtype=_law_dtype(precision))
-    ones = vals == 1
-    binary = ones | (vals == 0)
-    # a forced node that disagrees ahead of the first non-binary one is
-    # reported first
-    n = len(vals) if binary.all() else int(np.argmin(binary))
-    forced = (laws == 0) | (laws == l)
-    wrong = forced[:n] & (ones[:n] != (laws[:n] == l))
-    if wrong.any():
-        raise InvalidLattice("forced node disagrees at (%d, %d)"
-                             % divmod(int(order[np.argmax(wrong)]), cols))
-    if n < len(vals):
-        raise InvalidLattice("non-binary value at (%d, %d)"
-                             % divmod(int(order[n]), cols))
     enc = AbsStreamEncoder(final_state, precision)
-    end = len(vals)
-    # back to front: the nodes after each run one by one, then the run;
-    # the empty run (0, 0) closes the nodes before the first
-    for start, stop in (*runs[::-1], (0, 0)):
-        # deque(map(...), 0) runs the absorb calls without a Python loop
-        for hi in range(end, stop, -ABSORB_BLOCK):
-            block = slice(max(hi - ABSORB_BLOCK, stop), hi)
-            f = ~forced[block]
-            deque(map(enc.absorb, ones[block][f][::-1].tolist(),
-                      laws[block][f][::-1].tolist()), 0)
-        f = ~forced[start:stop]
-        if f.any():
-            enc.absorb_run(ones[start:stop][f].tobytes(),
-                           int(laws[start + np.argmax(f)]))
-        end = start
+    fault = None
+    for vals, laws, run, at in spans:
+        ones = vals == 1
+        binary = ones | (vals == 0)
+        n = len(vals) if binary.all() else int(np.argmin(binary))
+        forced = (laws == 0) | (laws == l)
+        wrong = forced[:n] & (ones[:n] != (laws[:n] == l))
+        if wrong.any():
+            fault = "forced node disagrees at (%d, %d)" % at(int(np.argmax(wrong)))
+        elif n < len(vals):
+            fault = "non-binary value at (%d, %d)" % at(n)
+        f = ~forced
+        if run:
+            if f.any():
+                enc.absorb_run(ones[f].tobytes(), int(laws[np.argmax(f)]))
+        else:
+            # deque(map(...), 0) runs the absorb calls without a Python loop
+            deque(map(enc.absorb, ones[f][::-1].tolist(),
+                      laws[f][::-1].tolist()), 0)
+    if fault is not None:
+        raise InvalidLattice(fault)
     out = enc.finish()
     if len(out) < nbits:
         raise CorruptStream("stream holds fewer bits than declared")
-    del out[nbits:]
-    return out
+    return out[:nbits]
+
+
+def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
+          precision: int, runs=()) -> bytes:
+    """`_absorb` over a grid whose visiting order is `order`, flat grid
+    indices, with `laws`, one per node in visiting order.  Each of `runs`,
+    a (start, end) span of the visiting order, was drawn as one run; the
+    nodes between runs were drawn one by one."""
+    cols = grid.shape[1]
+    vals = grid.flat[order]
+    laws = np.asarray(laws, dtype=_law_dtype(precision))
+    # the spans between cuts alternate: nodes drawn one by one, then a run
+    cuts = [0, *(i for run in runs for i in run), len(vals)]
+    spans = [(vals[lo:hi], laws[lo:hi], k % 2 == 1,
+              lambda i, lo=lo: divmod(int(order[lo + i]), cols))
+             for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+    return _absorb(spans[::-1], final_state, nbits, precision)
 
 
 def _check_height(grid: np.ndarray, n: int) -> None:
@@ -313,8 +331,10 @@ class LatticeCodec:
     entropy-maximizing conditional one-probability, quantized to m/2^R and
     read from the strip's law table (`_law_table`) by the previous column's
     state and the new column's prefix.  Encoding draws the free nodes from
-    the payload; decoding gathers every node's law from that table at once
-    and runs the coder backwards from the stored final state.
+    the payload and writes the grid a block of columns at a time; decoding
+    checks every column, then gathers a block of columns' laws from that
+    table at a time, last block first, and runs the coder backwards over
+    it from the stored final state.
     """
 
     def __init__(self, strip: StripModel, precision: int = 16):
@@ -324,84 +344,114 @@ class LatticeCodec:
         self.precision = precision
 
     def _walk(self, cols: int, dec) -> np.ndarray:
-        """The symbols of `cols` columns in visiting order, each free node
-        drawn by the coder `dec` at its law.  The walk steps prefix to
-        prefix and keeps each column's state; the symbols are the states'
-        code bits, row 0 the highest."""
+        """The grid of `cols` columns, each free node drawn by the coder
+        `dec` at its law.  The walk steps prefix to prefix and keeps each
+        column's state; it lists COLUMN_BLOCK states at a time and writes
+        their columns from the states' code bits, row 0 the highest."""
         strip, R = self.strip, self.precision
         laws, child, _ = _law_table(strip, R)
         P = laws.shape[1]  # state v is flat prefix P + v
         draw, l = dec.draw, 1 << R
         kids = list(zip(child[0::2], child[1::2]))
         rows = [None] * len(strip.codes)  # a visited state's laws as a list
-        states = []
-        put = states.append
+        n = strip.n
+        # code_bits[j, v]: row j of state v
+        code_bits = ((strip.codes >> np.arange(n - 1, -1, -1)[:, None]) & 1
+                     ).astype(np.int8)
+        grid = np.empty((n, cols), dtype=np.int8)
         u = strip.zero_state
-        for _ in range(cols):
-            row = rows[u]
-            if row is None:
-                row = rows[u] = laws[u].tolist()
-            q = 0
-            while q < P:
-                m = row[q]
-                q = kids[q][draw(m) if 0 < m < l else m >> R]
-            u = q - P
-            put(u)
-        codes = strip.codes[np.asarray(states, dtype=np.intp)]
-        shifts = np.arange(strip.n - 1, -1, -1)
-        return ((codes[:, None] >> shifts) & 1).astype(np.int8).ravel()
-
-    def _order(self, cols: int) -> np.ndarray:
-        """Column-major visiting order as flat indices of the grid."""
-        return np.arange(self.strip.n * cols).reshape(self.strip.n, cols).T.ravel()
+        for a in range(0, cols, COLUMN_BLOCK):
+            states = []
+            put = states.append
+            for _ in repeat(None, min(COLUMN_BLOCK, cols - a)):
+                row = rows[u]
+                if row is None:
+                    row = rows[u] = laws[u].tolist()
+                q = 0
+                while q < P:
+                    m = row[q]
+                    q = kids[q][draw(m) if 0 < m < l else m >> R]
+                u = q - P
+                put(u)
+            grid[:, a:a + len(states)] = code_bits[:, states]
+        return grid
 
     def encode(self, bits: Sequence[int], cols: int, partial: bool = False) -> EncodeResult:
-        grid = np.zeros((self.strip.n, cols), dtype=np.int8)
-        return _write(bits, self.precision, grid, self._order(cols),
-                      lambda dec: self._walk(cols, dec), partial)
+        return _write(bits, self.precision, lambda dec: self._walk(cols, dec),
+                      partial)
 
-    def _laws(self, grid: np.ndarray) -> np.ndarray:
-        """Every node's law in visiting order, gathered from the law table
-        by each column's previous state and prefixes, once checked."""
-        strip, precision = self.strip, self.precision
+    def _states(self, grid: np.ndarray) -> np.ndarray:
+        """Each column's state, once every column is checked: binary, a
+        valid column, and a successor of the column before it.  The states
+        are found row by row, COLUMN_BLOCK columns at a time."""
+        strip = self.strip
         n, codes = strip.n, strip.codes
         _check_height(grid, n)
-        # each column's state by its code, then every column pair
-        got = (1 << np.arange(n - 1, -1, -1, dtype=np.int64)) @ (grid == 1)
-        v = np.searchsorted(codes, got).clip(max=len(codes) - 1)
-        u = np.append(strip.zero_state, v)[:-1]
-        ok = ((grid == 0) | (grid == 1)).all(axis=0) & (codes[v] == got)
-        ok &= strip.graph.weights[u, v] != 0
-        if not ok.all():
-            raise InvalidLattice("column %d breaks the constraints" % np.argmin(ok))
-        _check_precision(precision)
-        laws, _, rank = _law_table(strip, precision)
-        return laws[u[:, None], rank[v]].ravel()
+        states = np.empty(grid.shape[1], dtype=np.uint16)  # < MAX_STATES
+        u = strip.zero_state
+        for a in range(0, grid.shape[1], COLUMN_BLOCK):
+            block = grid[:, a:a + COLUMN_BLOCK]
+            got = np.zeros(block.shape[1], dtype=codes.dtype)
+            ok = np.ones(block.shape[1], dtype=bool)
+            for row in block:
+                got <<= 1
+                got |= row == 1
+                ok &= (row == 0) | (row == 1)
+            v = np.searchsorted(codes, got).clip(max=len(codes) - 1)
+            ok &= codes[v] == got
+            ok &= strip.graph.weights[np.append(u, v[:-1]), v] != 0
+            if not ok.all():
+                raise InvalidLattice("column %d breaks the constraints"
+                                     % (a + np.argmin(ok)))
+            states[a:a + len(v)] = v
+            u = v[-1]
+        return states
 
-    def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> list:
+    def _laws(self, grid: np.ndarray):
+        """The laws of each block of COLUMN_BLOCK columns in visiting
+        order, last block first, as (first column, laws): each gathered
+        from the law table by the block's states and the state of the
+        column before it, once every column is checked (`_states`)."""
+        states = self._states(grid)
+        _check_precision(self.precision)
+        laws, _, rank = _law_table(self.strip, self.precision)
+        zero = np.array([self.strip.zero_state], dtype=np.intp)
+
+        def blocks():
+            for a in range(0, len(states), COLUMN_BLOCK)[::-1]:
+                v = states[a:a + COLUMN_BLOCK].astype(np.intp)
+                u = np.append(states[a - 1] if a else zero, v[:-1])
+                yield a, laws[u[:, None], rank[v]].ravel()
+
+        return blocks()
+
+    def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> bytes:
         grid = np.asarray(grid)
-        laws = self._laws(grid)
-        return _read(grid, self._order(grid.shape[1]), laws, final_state,
-                     nbits, self.precision)
+        n = self.strip.n
+        spans = ((grid[:, a:a + len(m) // n].T.ravel(), m, False,
+                  lambda i, a=a: (i % n, a + i // n))
+                 for a, m in self._laws(grid))
+        return _absorb(spans, final_state, nbits, self.precision)
 
 
 def encode_to_text(strip: StripModel, res: EncodeResult, nbits: int,
-                   precision: int = 16) -> str:
+                   precision: int = 16) -> bytes:
     """Self-describing encoded-lattice file: config header, then the grid."""
     name = strip.model.name or "custom"
-    head = ("strip model=%s n=%d boundary=%s R=%d key=0 x=%d bits=%d"
+    head = ("strip model=%s n=%d boundary=%s R=%d key=0 x=%d bits=%d\n"
             % (name, strip.n, strip.boundary, precision, res.final_state, nbits))
-    return head + "\n" + lat.save_grid(res.grid)
+    return head.encode() + lat.save_grid(res.grid)
 
 
-def parse_encoded(text: str, kind: str = "strip",
+def parse_encoded(data: bytes, kind: str = "strip",
                   fields: Sequence[str] = ("model", "n", "boundary", "R", "x",
                                            "bits")):
-    """(header fields, grid) of an encoded-lattice file whose first line is
-    `kind` followed by key=value tokens that hold every name in `fields`."""
-    lines = text.split("\n", 1)
-    head = lines[0].split()
-    if not head or head[0] != kind or len(lines) < 2:
+    """(header fields, grid) of the bytes of an encoded-lattice file whose
+    first line is `kind` followed by key=value tokens that hold every name
+    in `fields`."""
+    nl = data.find(b"\n")
+    head = data[:max(nl, 0)].decode("latin-1").split()
+    if nl < 0 or not head or head[0] != kind:
         raise ConfigMismatch("missing %s header" % kind)
     meta = {}
     for tok in head[1:]:
@@ -412,14 +462,15 @@ def parse_encoded(text: str, kind: str = "strip",
     for want in fields:
         if want not in meta:
             raise ConfigMismatch("header misses %r" % want)
-    grid, _ = lat.load_grid(lines[1])
+    grid, _ = lat.load_grid(data[nl + 1:])
     return meta, np.atleast_2d(grid)
 
 
-def decode_text(text: str, codec: Optional[LatticeCodec] = None) -> list:
-    """Payload bits of an encoded-lattice file, decoded with the strip its
-    header names, or with `codec`, whose settings the header must repeat."""
-    meta, grid = parse_encoded(text)
+def decode_text(data: bytes, codec: Optional[LatticeCodec] = None) -> bytes:
+    """Payload bits, one byte each, of the bytes of an encoded-lattice file,
+    decoded with the strip its header names, or with `codec`, whose
+    settings the header must repeat."""
+    meta, grid = parse_encoded(data)
     if codec is None:
         try:
             model = lat.model_preset(meta["model"])
@@ -474,7 +525,7 @@ def _rate_trial(args):
     make, precision, params, seed, t, verify = args
     encode, decode, model, nodes = make(precision, *params)
     rng = SplitMix64(seed).spawn(t)
-    bits = (rng.block(nodes + 64) & np.uint64(1)).tolist()  # randbelow(2)
+    bits = (rng.block(nodes + 64) & np.uint64(1)).astype(np.uint8).tobytes()  # randbelow(2)
     res = encode(bits)
     if verify:
         if decode(res) != bits[:res.consumed]:

@@ -6,7 +6,8 @@ import pytest
 class RecordingCoder:
     """A coder for a walk over a written grid: `draw` records each law and
     replays the grid's next free symbol in visiting order, and `run(m, k)`
-    records k laws of m and replays the next k."""
+    records k laws of m and replays the next k, as bytes as the coder's
+    `run` returns them."""
 
     def __init__(self, free_symbols):
         self.symbols = iter(free_symbols)
@@ -18,7 +19,7 @@ class RecordingCoder:
 
     def run(self, m, k):
         self.laws += [m] * k
-        return [next(self.symbols) for _ in range(k)]
+        return bytes(next(self.symbols) for _ in range(k))
 
 
 def assert_walk_matches_gather(walk, laws, symbols, R):

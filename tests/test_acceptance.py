@@ -211,7 +211,7 @@ def test_criterion_08_strip_codec_end_to_end():
     res = codec.encode(bits, 2400)
     assert res.consumed == len(bits)
     assert not lat.scan(res.grid, hs)
-    assert codec.decode(res.grid, res.final_state, len(bits)) == bits
+    assert codec.decode(res.grid, res.final_state, len(bits)) == bytes(bits)
     rate8 = st.evaluate_rate("hard-square", 8, 4096, trials=2, seed=1)
     assert rate8.mean >= rate8.capacity - 0.005
     gaps = []

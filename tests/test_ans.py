@@ -721,7 +721,7 @@ def test_abs_stream_pair_roundtrip():
     enc = ans.AbsStreamEncoder(dec.x, R)
     for s, m in zip(reversed(drawn), reversed(ms)):
         enc.absorb(s, m)
-    assert enc.finish() == bits[: dec.consumed] + [0] * dec.padded
+    assert enc.finish() == bytes(bits[: dec.consumed] + [0] * dec.padded)
 
 
 def test_abs_stream_first_draw_unbiased():
@@ -754,7 +754,8 @@ def test_fair_shift_equals_per_node_steps(R):
     # run(m, k) and absorb_run equal k per-node steps at one law m, the fair
     # 2^(R-1) (one shift) or a random one, for runs of 0-40 nodes after 0-4
     # random-law draws; payloads end anywhere from before the seed to past
-    # the walk, and every third one inside the run
+    # the walk, and every third one inside the run.  run returns bytes, and
+    # absorb_run reads them back
     rng = SplitMix64(2100 + R)
     l, half = 1 << R, 1 << (R - 1)
     crossed = set()  # fair or not, for runs that read past the payload's end
@@ -778,7 +779,8 @@ def test_fair_shift_equals_per_node_steps(R):
         assert [whole.draw(a) for a in pre] == head
         inside, padded = whole.consumed < len(bits), whole.padded
         run = [step.draw(m) for _ in range(k)]
-        assert whole.run(m, k) == run
+        got = whole.run(m, k)
+        assert got == bytes(run)
         assert (whole.x, whole.consumed, whole.padded) == (
             step.x, step.consumed, step.padded)
         if inside and whole.padded > padded:
@@ -787,12 +789,12 @@ def test_fair_shift_equals_per_node_steps(R):
                      ans.AbsStreamEncoder(step.x, R))
         for s in reversed(run):
             back.absorb(s, m)
-        one.absorb_run(run, m)
+        one.absorb_run(got, m)
         assert (one.x, one._emitted) == (back.x, back._emitted)
         for s, a in zip(reversed(head), reversed(pre)):
             back.absorb(s, a)
             one.absorb(s, a)
-        assert one.finish() == back.finish() == (
+        assert one.finish() == back.finish() == bytes(
             bits[:step.consumed] + [0] * step.padded)
     # R = 1 has no law but the fair one
     assert crossed == ({True} if R == 1 else {True, False})

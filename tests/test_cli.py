@@ -15,6 +15,7 @@ import pytest
 
 import latticecode
 from latticecode import ans
+from latticecode import cli
 from latticecode import experiments as exp
 from latticecode import strip as st
 from latticecode.cli import main
@@ -368,9 +369,9 @@ def test_huge_strip_width_is_refused_before_enumeration(tmp_path, argv):
     # their count met the state limit
     if argv[1] == "decode":
         latf = tmp_path / "s.lat"
-        latf.write_text("strip model=unconstrained n=24 boundary=zero R=16 "
-                        "key=0 x=65536 bits=0\n"
-                        + st.lat.save_grid(np.zeros((24, 2), dtype=np.int8)))
+        latf.write_bytes(b"strip model=unconstrained n=24 boundary=zero R=16 "
+                         b"key=0 x=65536 bits=0\n"
+                         + st.lat.save_grid(np.zeros((24, 2), dtype=np.int8)))
         argv = argv + ["--in", str(latf), "--out", str(tmp_path / "o")]
     got = subprocess.run([sys.executable, "-c", _BOUNDED_MAIN] + argv,
                          capture_output=True, text=True, timeout=60)
@@ -516,6 +517,38 @@ def test_bad_grid_symbol_names_row_and_column(tmp_path):
                                     "not in alphabet '01'")
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("7 2 3 01\n010\n001\n", "grid kind 7 is neither 1 (a line) nor 2 (a grid)"),
+    ("1 2 3 01\n010\n001\n", "a kind-1 grid has one row, not 2"),
+    ("2 2 3 011\n010\n001\n", "alphabet '011' repeats a symbol")],
+    ids=["kind", "kind-1-rows", "alphabet"])
+def test_bad_grid_header_is_one_error_line(tmp_path, grid, message):
+    back = tmp_path / "back"
+    heads = {"describe": "",
+             "strip": "strip model=hard-square n=2 boundary=zero R=16 key=0 "
+                      "x=65536 bits=0\n",
+             "algo1": "algo1 q=0.3 R=16 x=65536 bits=0\n"}
+    for cmd, head in heads.items():
+        f = tmp_path / (cmd + ".txt")
+        f.write_text(head + grid)
+        argv = (["describe", "--in", str(f)] if cmd == "describe"
+                else [cmd, "decode", "--in", str(f), "--out", str(back)])
+        rc, _, err = run(argv)
+        assert rc == 1, cmd
+        assert err.splitlines()[1:] == ["error: " + message], cmd
+        assert not back.exists()
+
+
+def test_bits_and_bytes_round_trip_every_byte():
+    data = bytes(range(256))
+    bits = cli._bits_from_bytes(data)
+    assert isinstance(bits, bytes)
+    assert bits == bytes(b >> (7 - i) & 1 for b in data for i in range(8))
+    assert cli._bytes_from_bits(bits) == data
+    assert cli._bytes_from_bits(list(bits)) == data
+    assert cli._bits_from_bytes(b"") == b"" and cli._bytes_from_bits(b"") == b""
+
+
 def test_describe_exact_ploc():
     rc, out, _ = run(["describe", "--exact", "--rows", "5", "--cols", "5",
                       "--shapes", "1x1", "--ploc"])
@@ -580,7 +613,7 @@ def test_algo1_bad_header(tmp_path, edit, message):
     assert err.splitlines()[1:] == ["error: " + message]
 
 
-@pytest.mark.parametrize("grid", ["2 0 4 01\n", "3 3 3 012\n222\n222\n222\n"],
+@pytest.mark.parametrize("grid", ["2 0 4 01\n", "2 3 3 012\n222\n222\n222\n"],
                          ids=["empty", "non-binary"])
 def test_algo1_bad_q_is_one_error_line(tmp_path, grid):
     latf = tmp_path / "a1.lat"
@@ -721,8 +754,8 @@ def test_strip_encode_verify_builds_one_strip(tmp_path, monkeypatch):
                     "--in", str(src), "--out", str(latf), "--verify"])
     assert rc == 0
     assert len(built) == 1   # the reread decodes with the encoder's codec
-    assert st.decode_text(latf.read_text()) == list(np.unpackbits(
-        np.frombuffer(src.read_bytes(), dtype=np.uint8)))
+    assert st.decode_text(latf.read_bytes()) == np.unpackbits(
+        np.frombuffer(src.read_bytes(), dtype=np.uint8)).tobytes()
 
 
 def test_algo1_encode_verify_rereads(tmp_path, monkeypatch):
@@ -787,9 +820,9 @@ def test_strip_too_tall_for_a_law_table_is_refused_first(tmp_path, monkeypatch,
     # (about 10 s and 2 GB) before its law table was refused
     src, latf = tmp_path / "pay", tmp_path / "tall.lat"
     src.write_bytes(b"")
-    latf.write_text("strip model=hard-square n=19 boundary=zero R=16 key=0 "
-                    "x=65536 bits=0\n"
-                    + st.lat.save_grid(np.zeros((19, 3), dtype=np.int8)))
+    latf.write_bytes(b"strip model=hard-square n=19 boundary=zero R=16 key=0 "
+                     b"x=65536 bits=0\n"
+                     + st.lat.save_grid(np.zeros((19, 3), dtype=np.int8)))
     out = tmp_path / "out"
     argv = (["strip", "encode", "--width", "19", "--in", str(src)] if cmd == "encode"
             else ["strip", "decode", "--in", str(latf)])

@@ -48,7 +48,7 @@ def test_algorithm1_roundtrip():
     assert res.consumed == 60
     assert not lat.scan(res.grid, lat.hard_square())
     back = ex.algorithm1_decode(res.grid, 0.17, res.final_state, 60)
-    assert back == bits
+    assert back == bytes(bits)
     # square side as a bare int
     res2 = ex.algorithm1_encode(12, 0.17, bits)
     assert np.array_equal(res2.grid, res.grid)
@@ -62,7 +62,7 @@ def test_algorithm1_capacity_exceeded():
     res = ex.algorithm1_encode((6, 6), 0.17, bits, partial=True)
     assert res.consumed == info.value.achieved_bits
     back = ex.algorithm1_decode(res.grid, 0.17, res.final_state, res.consumed)
-    assert back == bits[:res.consumed]
+    assert back == bytes(bits[:res.consumed])
 
 
 def test_algorithm1_zero_q_half_rate():
@@ -74,7 +74,7 @@ def test_algorithm1_zero_q_half_rate():
     res = ex.algorithm1_encode((64, 64), 0.0, bits, partial=True)
     assert res.consumed == 64 * 64 // 2 + 16
     back = ex.algorithm1_decode(res.grid, 0.0, res.final_state, res.consumed)
-    assert back == bits[:res.consumed]
+    assert back == bytes(bits[:res.consumed])
     rate = (res.consumed - 17) / (64 * 64)
     assert abs(rate - 0.5) < 0.005
 
@@ -164,7 +164,8 @@ def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):
     bits = [rng.randbelow(2) for _ in range(1200)]
     codec = st.LatticeCodec(st.strip_model(lat.hard_square(), 6), 16)
     res = codec.encode(bits, 300, partial=True)
-    assert codec.decode(res.grid, res.final_state, res.consumed) == bits[:res.consumed]
+    assert codec.decode(res.grid, res.final_state, res.consumed) == bytes(
+        bits[:res.consumed])
     assert len(calls["draw"]) > 0 and calls["absorb"] == calls["draw"][::-1]
     assert calls["run"] == calls["absorb_run"] == []
     rows, cols = 29, 30
@@ -175,7 +176,7 @@ def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):
             calls[key] = []
         res = ex.algorithm1_encode((rows, cols), q, bits, partial=True)
         assert ex.algorithm1_decode(res.grid, q, res.final_state,
-                                    res.consumed) == bits[:res.consumed]
+                                    res.consumed) == bytes(bits[:res.consumed])
         assert calls["draw"] == calls["absorb"] == []
         k = int(ex._algorithm1_laws(res.grid, ex._algorithm1_order(rows, cols),
                                     q, 16)[neven:].astype(bool).sum())
@@ -189,7 +190,7 @@ def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):
 def test_decoders_read_any_binary_dtype():
     # a float grid once made the strip decode index a list with a float
     assert st.LatticeCodec(st.strip_model(lat.hard_square(), 3)).decode(
-        np.zeros((3, 3)), 1 << 16, 0) == []
+        np.zeros((3, 3)), 1 << 16, 0) == b""
     rng = SplitMix64(8)
     bits = [rng.randbelow(2) for _ in range(200)]
     codec = st.LatticeCodec(st.strip_model(lat.hard_square(), 3))
@@ -197,9 +198,33 @@ def test_decoders_read_any_binary_dtype():
     ares = ex.algorithm1_encode((12, 12), 0.17, bits, partial=True)
     for dtype in (np.int8, np.int64, bool, float):
         assert codec.decode(sres.grid.astype(dtype), sres.final_state,
-                            sres.consumed) == bits[:sres.consumed]
+                            sres.consumed) == bytes(bits[:sres.consumed])
         assert ex.algorithm1_decode(ares.grid.astype(dtype), 0.17, ares.final_state,
-                                    ares.consumed) == bits[:ares.consumed]
+                                    ares.consumed) == bytes(bits[:ares.consumed])
+
+
+def test_encoders_read_any_binary_sequence():
+    # the payload may be a list, bytes, a bytearray or an integer array of
+    # any dtype (an int64 array is cast, not copied as its raw 8 bytes a
+    # bit); any value but 0 and 1 is refused
+    rng = SplitMix64(28)
+    bits = [rng.randbelow(2) for _ in range(300)]
+    codec = st.LatticeCodec(st.strip_model(lat.hard_square(), 4))
+    for encode in (lambda b: codec.encode(b, 60, partial=True),
+                   lambda b: ex.algorithm1_encode((16, 16), 0.17, b, partial=True)):
+        want = encode(bits)
+        for form in (bytes(bits), bytearray(bits), np.array(bits, dtype=np.int8),
+                     np.array(bits, dtype=np.int64), np.array(bits, dtype=bool)):
+            got = encode(form)
+            assert np.array_equal(got.grid, want.grid)
+            assert (got.final_state, got.consumed, got.padded) == (
+                want.final_state, want.consumed, want.padded)
+        for bad in (bits + [2], bytes(bits) + b"\x02",
+                    np.array(bits + [2], dtype=np.int8),
+                    np.array(bits + [256], dtype=np.int64),
+                    np.array(bits + [-1], dtype=np.int64)):
+            with pytest.raises(ValueError, match="^payload bits must be 0 or 1$"):
+                encode(bad)
 
 
 def test_algorithm1_decode_memory_is_bounded():
@@ -215,7 +240,7 @@ def test_algorithm1_decode_memory_is_bounded():
     got = ex.algorithm1_decode(res.grid, q, res.final_state, len(bits))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert got == bits and peak <= 7.5 * 10 ** 6, peak
+    assert got == bytes(bits) and peak <= 7.5 * 10 ** 6, peak
 
 
 def test_algorithm1_rate_verify_failure_is_a_data_error(monkeypatch):

@@ -735,6 +735,45 @@ def test_grid_io():
         L.load_grid("2 2 3 01\n010\n012\n")
 
 
+def test_grid_bytes_read_in_place_or_line_by_line():
+    # save_grid writes bytes; load_grid reads them and text alike, with or
+    # without the closing newline and around surrounding whitespace
+    for rows, cols in ((1, 1), (1, 9), (3, 7), (8, 50)):
+        arr = (np.arange(rows * cols).reshape(rows, cols) * 7 % 3 == 1).astype(np.int8)
+        data = L.save_grid(arr)
+        assert isinstance(data, bytes)
+        assert data == ("2 %d %d 01\n" % (rows, cols)
+                        + "".join("".join(map(str, r)) + "\n" for r in arr.tolist())).encode()
+        for form in (data, data.decode(), data.rstrip(b"\n"), b" \n" + data + b"\n\t"):
+            back, alpha = L.load_grid(form)
+            assert alpha == "01" and back.dtype == np.int8
+            assert np.array_equal(back, arr)
+    # an empty grid and a symbol outside the alphabet in the last cell
+    assert L.load_grid(b"2 0 3 01\n")[0].shape == (0, 3)
+    with pytest.raises(ValueError, match="^grid row 1 column 2 holds 'x', not in"):
+        L.load_grid(b"2 2 3 01\n010\n01x")
+    # a row one cell short and one long keep the size; a newline inside a
+    # row makes one row too many
+    with pytest.raises(ValueError, match="^column count mismatch on row 0$"):
+        L.load_grid(b"2 2 3 01\n01\n0100\n")
+    with pytest.raises(ValueError, match="^row count mismatch$"):
+        L.load_grid(b"2 2 3 01\n0\n1\n010\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("7 2 3 01\n010\n001\n", "grid kind 7 is neither 1 (a line) nor 2 (a grid)"),
+    ("1 2 3 01\n010\n001\n", "a kind-1 grid has one row, not 2"),
+    ("2 2 3 011\n010\n001\n", "alphabet '011' repeats a symbol")],
+    ids=["kind", "kind-1-rows", "alphabet"])
+def test_load_grid_refuses_bad_headers(text, message):
+    # a kind 7 read as 2-d, a second row of a kind-1 grid was dropped, and
+    # a repeated symbol read as its first index
+    for data in (text, text.encode()):
+        with pytest.raises(ValueError) as e:
+            L.load_grid(data)
+        assert str(e.value) == message
+
+
 def brute_description_tables(samples, shapes, alphabet):
     """Per-window count over the common placement window of all shapes."""
     shapes = [tuple(sorted(map(tuple, s))) for s in shapes]

@@ -48,7 +48,7 @@ def test_strip_roundtrip(width, boundary, precision, cols, bits):
     res = codec.encode(bits, cols, partial=True)
     assert res.consumed <= len(bits)
     back = codec.decode(res.grid, res.final_state, res.consumed)
-    assert back == bits[:res.consumed]
+    assert back == bytes(bits[:res.consumed])
     if boundary == "zero":
         assert lat.scan(res.grid, HS) == []
 
@@ -61,7 +61,7 @@ def test_algorithm1_roundtrip(rows, cols, q, precision, bits):
     assert res.consumed <= len(bits)
     back = ex.algorithm1_decode(res.grid, q, res.final_state, res.consumed,
                                 precision)
-    assert back == bits[:res.consumed]
+    assert back == bytes(bits[:res.consumed])
     assert lat.scan(res.grid, HS) == []
 
 

@@ -262,8 +262,8 @@ def test_law_table_is_sized_before_the_strip(monkeypatch):
     msg = "a law table of 10946 states by 17709 prefixes exceeds 33554432 entries"
     with pytest.raises(st.TooWide, match="^%s$" % msg):
         st.check_law_size(HS, 19, "zero")
-    text = ("strip model=hard-square n=19 boundary=zero R=16 key=0 x=65536 "
-            "bits=0\n" + lat.save_grid(np.zeros((19, 3), dtype=np.int8)))
+    text = (b"strip model=hard-square n=19 boundary=zero R=16 key=0 x=65536 "
+            b"bits=0\n" + lat.save_grid(np.zeros((19, 3), dtype=np.int8)))
     with pytest.raises(st.TooWide, match="^%s$" % msg):
         st.decode_text(text)
     assert len(st.check_law_size(HS, 17, "zero")[17]) == 4181
@@ -311,7 +311,7 @@ def test_roundtrip_width8_10k_bits():
     cols = math.ceil((10 ** 4 + 17) / (8 * s.capacity) * 1.02)
     res = codec.encode(payload, cols)
     assert lat.scan(res.grid, HS) == []
-    assert codec.decode(res.grid, res.final_state, 10 ** 4) == payload
+    assert codec.decode(res.grid, res.final_state, 10 ** 4) == bytes(payload)
 
 
 def test_randomized_roundtrips():
@@ -328,7 +328,7 @@ def test_randomized_roundtrips():
         supply = rng.randbelow(n * cols + 32) + 1
         bits = [rng.randbelow(2) for _ in range(supply)]
         res = codec.encode(bits, cols, partial=True)
-        want = bits[:res.consumed]
+        want = bytes(bits[:res.consumed])
         assert codec.decode(res.grid, res.final_state, res.consumed) == want
         if boundary == "zero":
             assert lat.scan(res.grid, HS) == []
@@ -452,15 +452,15 @@ def test_encoded_text_container():
     bits = [rng.randbelow(2) for _ in range(120)]
     res = codec.encode(bits, 50, partial=True)
     text = st.encode_to_text(s, res, res.consumed)
-    head = text.split("\n")[0]
-    assert head.startswith("strip model=hard-square n=5 boundary=zero R=16")
-    assert st.decode_text(text) == bits[:res.consumed]
+    head = text.split(b"\n")[0]
+    assert head.startswith(b"strip model=hard-square n=5 boundary=zero R=16")
+    assert st.decode_text(text) == bytes(bits[:res.consumed])
     with pytest.raises(st.ConfigMismatch):
-        st.decode_text("nope\n" + text.split("\n", 1)[1])
+        st.decode_text(b"nope\n" + text.split(b"\n", 1)[1])
     with pytest.raises(st.ConfigMismatch):
-        st.decode_text(text.replace("model=hard-square", "model=unknown"))
+        st.decode_text(text.replace(b"model=hard-square", b"model=unknown"))
     # a given codec decodes only a file whose header names it
-    assert st.decode_text(text, codec) == bits[:res.consumed]
+    assert st.decode_text(text, codec) == bytes(bits[:res.consumed])
     for other in (st.LatticeCodec(s, 12),
                   st.LatticeCodec(st.strip_model(HS, 5, "cyclic")),
                   st.LatticeCodec(st.strip_model(HS, 6, "zero"))):
@@ -540,17 +540,19 @@ def test_write_read_match_reference_coder(R):
                     for m in laws[:N - tail]]
             free = np.array([m != 0 for m in laws[N - tail:]], dtype=bool)
             block = np.zeros(tail, dtype=np.int8)
-            block[free] = dec.run(run_m, int(free.sum()))
-            return head + block.tolist()
+            block[free] = np.frombuffer(dec.run(run_m, int(free.sum())),
+                                        dtype=np.int8)
+            grid = np.zeros((rows, cols), dtype=np.int8)
+            grid.flat[order] = head + block.tolist()
+            return grid
 
-        res = st._write(bits, R, np.zeros((rows, cols), dtype=np.int8),
-                        order, walk, partial=True)
+        res = st._write(bits, R, walk, partial=True)
         syms, x, consumed, padded, back = _reference_coding(bits, R, laws)
         assert res.grid.flat[order].tolist() == syms
         assert (res.final_state, res.consumed, res.padded) == (x, consumed, padded)
         assert back == bits[:consumed] + [0] * padded
         assert st._read(res.grid, order, laws, x, consumed, R,
-                        ((N - tail, N),)) == back[:consumed]
+                        ((N - tail, N),)) == bytes(back[:consumed])
 
 
 def test_read_reports_the_first_bad_node():
@@ -604,6 +606,13 @@ def test_read_reports_a_disagreement_only_ahead_of_a_non_binary_node():
             st._read(grid, order, laws, l, 0, R)
 
 
+def _gathered(codec, grid):
+    """Every node's law in visiting order: the decoder's column blocks,
+    which come last block first, put back in order."""
+    blocks = [laws for _, laws in codec._laws(grid)][::-1]
+    return np.concatenate(blocks + [np.zeros(0, dtype=np.int64)])
+
+
 # a 1 may not have a 0 below it, so a column's 1s run to its foot and a
 # 1 forces the rest of its column: laws of 2^R, which hard-square lacks
 ONES_SINK = lat.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 0), 0)),))
@@ -625,8 +634,56 @@ def test_gathered_laws_equal_the_walk(boundary, R, walk_oracle):
             bits = [rng.randbelow(2) for _ in range(n * cols + R)]
             grid = codec.encode(bits, cols, partial=True).grid
             walk_oracle(
-                lambda dec: codec._walk(cols, dec), codec._laws(grid),
-                grid.flat[codec._order(cols)].tolist(), R)
+                lambda dec: codec._walk(cols, dec).T.ravel(), _gathered(codec, grid),
+                grid.T.ravel().tolist(), R)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_column_blocks_code_as_one_block(monkeypatch, block):
+    # the walk lists, and the decoder gathers and absorbs, COLUMN_BLOCK
+    # columns at a time, last block first; any block size gives the same
+    # grid, bits and first bad column
+    rng = SplitMix64(2800 + block)
+    cases = []
+    for n, boundary in ((3, "zero"), (5, "cyclic")):
+        codec = st.LatticeCodec(st.strip_model(HS, n, boundary))
+        bits = [rng.randbelow(2) for _ in range(40 * n)]
+        cases.append((codec, bits, codec.encode(bits, 40, partial=True)))
+    monkeypatch.setattr(st, "COLUMN_BLOCK", block)
+    for codec, bits, res in cases:
+        small = codec.encode(bits, 40, partial=True)
+        assert np.array_equal(small.grid, res.grid)
+        assert (small.final_state, small.consumed) == (res.final_state, res.consumed)
+        assert codec.decode(res.grid, res.final_state, res.consumed) == bytes(
+            bits[:res.consumed])
+        bad = res.grid.copy()
+        bad[:, 17], bad[:, 30] = 1, 2
+        with pytest.raises(st.InvalidLattice, match="^column 17 breaks the constraints$"):
+            codec.decode(bad, res.final_state, res.consumed)
+
+
+def test_strip_codec_memory_is_bounded():
+    # a width-8 strip of 2^16 columns (524,288 nodes) from bytes of bits: the
+    # walk writes the grid from 4096 columns' states at a time and the
+    # decoder gathers laws a column block at a time, so the traced peaks are
+    # 2.35 B/node to encode and 3.69 to decode, where Python bit lists, a
+    # visiting order and whole-grid law gathers took 28.2 and 22.5; the
+    # bounds are about twice the figures now
+    codec = st.LatticeCodec(st._cached_strip("hard-square", 8, "zero"))
+    cols, nodes = 1 << 16, 8 << 16
+    bits = (SplitMix64(28).block(nodes) & np.uint64(1)).astype(np.uint8).tobytes()
+    codec.encode(bits[:100], 10, partial=True)  # the law table, built once
+    tracemalloc.start()
+    res = codec.encode(bits, cols, partial=True)
+    encode_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    tracemalloc.start()
+    got = codec.decode(res.grid, res.final_state, res.consumed)
+    decode_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got == bits[:res.consumed]
+    assert encode_peak <= 5.0 * nodes, encode_peak / nodes
+    assert decode_peak <= 7.5 * nodes, decode_peak / nodes
 
 
 def test_strip_cache_lets_go_of_the_previous_strip():
