@@ -354,9 +354,8 @@ def cmd_algo1(args) -> int:
         bits = _bits_from_bytes(Path(args.infile).read_bytes())
         res = exp.algorithm1_encode((args.rows, args.cols), args.q, bits,
                                     args.precision)
-        head = ("algo1 q=%r R=%d x=%d bits=%d\n"
-                % (args.q, args.precision, res.final_state, len(bits)))
-        text = head.encode() + lat.save_grid(res.grid)
+        text = st.format_encoded("algo1", res.grid, q=args.q, R=args.precision,
+                                 x=res.final_state, bits=len(bits))
         if args.verify and _algo1_decode_text(text) != bits:
             raise ans.CorruptStream("verification reread mismatch")
         _emit(args, text)

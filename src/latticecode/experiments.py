@@ -3,15 +3,15 @@
 Two Monte-Carlo lattice writers live here.  The first is a two-pass
 checkerboard scheme with a closed-form rate: the even sublattice is
 written as independent Bernoulli(q) draws, then every odd node whose four
-neighbours are 0 carries one fair payload bit.  It is a visiting order
-(the even sublattice, then the odd one) plus a law rule, run by the same
-coders as the strip codec (`strip._write` / `strip._read`).  The encoder
-walks, coding each pass as one run at one law, one coder call each
-(`AbsStreamDecoder.run`): it draws the even sublattice at the law q
-gives, then finds the free odd nodes from those symbols and draws them at
-the fair law, which is one shift.  The decoder gathers every law off the
-written grid in one pass with the same odd-pass rule and absorbs the two
-runs back to front (`AbsStreamEncoder.absorb_run`), the odd one first.
+neighbours are 0 carries one fair payload bit.  It is two runs over two
+fixed masks of the checkerboard, run by the same coders as the strip codec
+(`strip._write` / `strip._absorb`), one coder call each
+(`AbsStreamDecoder.run`): the encoder draws the even nodes, row by row, at
+the law q gives, then finds the free odd nodes from those symbols and
+draws them, row by row, at the fair law, which is one shift.  The decoder
+reads the laws off the written grid with the same odd-pass rule and
+absorbs the two runs back to front (`AbsStreamEncoder.absorb_run`), the
+odd one first.
 The second visits nodes in a random time order and writes a 1 with a
 time-dependent probability (a "charging profile"); it is a measurement
 device, not a codec.
@@ -33,9 +33,9 @@ from .ans import abs_decode_step
 from .rng import SplitMix64
 from .spectral import (WeightedGraph, _benefit, binary_entropy, dominant_eigs,
                        kmodel_capacity, kmodel_graph)
-from .strip import (ConfigMismatch, EncodeResult, _check_precision, _law_dtype,
-                    _map_trials, _mean_stderr, _quantize, _rate_trial, _read,
-                    _write, strip_capacity)
+from .strip import (ConfigMismatch, EncodeResult, _absorb, _check_precision,
+                    _law_dtype, _map_trials, _mean_stderr, _quantize,
+                    _rate_trial, _write, strip_capacity)
 
 HARD_SQUARE_ENTROPY = lat.HARD_SQUARE_ENTROPY
 
@@ -92,11 +92,10 @@ def _dims(dims) -> tuple[int, int]:
     return rows, cols
 
 
-def _algorithm1_order(rows: int, cols: int) -> np.ndarray:
-    """Visiting order of the two-pass writer as flat grid indices: the even
-    checkerboard sublattice row by row, then the odd one."""
-    odd = (np.arange(rows) % 2 == 1)[:, None] ^ (np.arange(cols) % 2 == 1)
-    return np.concatenate((np.flatnonzero(~odd), np.flatnonzero(odd)))
+def _checkerboard(rows: int, cols: int) -> np.ndarray:
+    """The odd checkerboard sublattice as a bool grid; node (0, 0) is even.
+    The writer visits the even nodes row by row, then the odd ones."""
+    return (np.arange(rows) % 2 == 1)[:, None] ^ (np.arange(cols) % 2 == 1)
 
 
 def _around(op, pad):
@@ -111,52 +110,34 @@ def _check_q(q: float) -> None:
         raise ValueError("q must lie in [0, 1]")
 
 
-def _algorithm1_odd_free(rows: int, cols: int, order: np.ndarray,
-                         even) -> np.ndarray:
-    """The odd-pass rule: which odd nodes, in visiting order, carry one
-    fair bit given the even symbols in visiting order.  Those whose four
-    neighbours are 0 (zero boundary: nodes outside the grid never block);
+def _algorithm1_odd_free(grid: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The odd-pass rule: the odd nodes that carry one fair bit given the
+    even symbols in `grid`, as a bool grid.  Those whose four neighbours,
+    all even, are 0 (zero boundary: nodes outside the grid never block);
     every other odd node is forced to 0."""
-    neven = len(even)
-    grid = np.zeros(rows * cols, dtype=bool)
-    grid[order[:neven]] = even
-    blocked = _around(np.logical_or, np.pad(grid.reshape(rows, cols), 1))
-    return ~blocked.ravel()[order[neven:]]
+    return odd & ~_around(np.logical_or, np.pad(grid == 1, 1))
 
 
-def _algorithm1_walk(rows: int, cols: int, order: np.ndarray, q: float,
-                     precision: int, dec) -> np.ndarray:
-    """Symbols of the two-pass writer in visiting order, drawn by the coder
-    `dec` as two runs: the even sublattice at the law of Bernoulli(q) (none
-    when q forces the symbol), then the free nodes of the odd-pass rule
-    over those symbols at the fair law."""
+def _algorithm1_walk(rows: int, cols: int, q: float, precision: int,
+                     dec) -> np.ndarray:
+    """The grid of the two-pass writer, drawn by the coder `dec` as two
+    runs: the even sublattice at the law of Bernoulli(q) (none when q
+    forces the symbol), then the free nodes of the odd-pass rule over
+    those symbols at the fair law."""
     _check_q(q)
-    neven = (rows * cols + 1) // 2
+    odd = _checkerboard(rows, cols)
     l = 1 << precision
     m = _quantize(q, l)
+    grid = np.zeros((rows, cols), dtype=np.int8)
     if 0 < m < l:
-        even = np.frombuffer(dec.run(m, neven), dtype=np.int8)
+        grid[~odd] = np.frombuffer(dec.run(m, (rows * cols + 1) // 2),
+                                   dtype=np.int8)
     else:
-        even = np.full(neven, m >> precision, dtype=np.int8)
-    free = _algorithm1_odd_free(rows, cols, order, even)
-    odd = np.zeros(len(free), dtype=np.int8)
-    odd[free] = np.frombuffer(dec.run(l >> 1, int(np.count_nonzero(free))),
-                              dtype=np.int8)
-    return np.concatenate((even, odd))
-
-
-def _algorithm1_laws(grid: np.ndarray, order: np.ndarray, q: float,
-                     precision: int) -> np.ndarray:
-    """Every node's law in visiting order, read off a written grid: the
-    walk's laws with the even symbols taken from the grid."""
-    _check_q(q)
-    rows, cols = grid.shape
-    neven = (rows * cols + 1) // 2
-    laws = np.zeros(rows * cols, _law_dtype(precision))
-    laws[:neven] = _quantize(q, 1 << precision)
-    free = _algorithm1_odd_free(rows, cols, order, grid.flat[order[:neven]] == 1)
-    laws[neven:][free] = 1 << (precision - 1)
-    return laws
+        grid[~odd] = m >> precision
+    free = _algorithm1_odd_free(grid, odd)
+    grid[free] = np.frombuffer(dec.run(l >> 1, int(np.count_nonzero(free))),
+                               dtype=np.int8)
+    return grid
 
 
 def algorithm1_encode(dims, q: float, bits, precision: int = 16,
@@ -171,29 +152,35 @@ def algorithm1_encode(dims, q: float, bits, precision: int = 16,
     cannot absorb every payload bit unless `partial` is set.
     """
     rows, cols = _dims(dims)
-    order = _algorithm1_order(rows, cols)
-
-    def walk(dec):
-        grid = np.zeros((rows, cols), dtype=np.int8)
-        grid.flat[order] = _algorithm1_walk(rows, cols, order, q, precision, dec)
-        return grid
-
-    return _write(bits, precision, walk, partial)
+    return _write(bits, precision,
+                  lambda dec: _algorithm1_walk(rows, cols, q, precision, dec),
+                  partial)
 
 
 def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
                       precision: int = 16) -> bytes:
     """Invert the two-pass writer; exact inverse of `algorithm1_encode`.
-    Returns the payload bits, one byte each."""
+    Returns the payload bits, one byte each.  The laws are read off the
+    grid: q's for every even node, the fair law for each free odd node
+    and 0 for the rest; the two runs are absorbed odd pass first."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ConfigMismatch("expected a 2-d grid")
     _check_precision(precision)
-    order = _algorithm1_order(*grid.shape)
-    neven = (grid.size + 1) // 2
-    return _read(grid, order, _algorithm1_laws(grid, order, q, precision),
-                 final_state, nbits, precision,
-                 runs=((0, neven), (neven, grid.size)))
+    _check_q(q)
+    odd = _checkerboard(*grid.shape)
+    dtype = _law_dtype(precision)
+    odd_laws = np.zeros(grid.size // 2, dtype)
+    odd_laws[_algorithm1_odd_free(grid, odd)[odd]] = 1 << (precision - 1)
+    even_laws = np.broadcast_to(np.array(_quantize(q, 1 << precision), dtype),
+                                ((grid.size + 1) // 2,))
+
+    def span(mask, laws):
+        return (grid[mask], laws, True,
+                lambda i: divmod(int(np.flatnonzero(mask)[i]), grid.shape[1]))
+
+    return _absorb((span(odd, odd_laws), span(~odd, even_laws)), final_state,
+                   nbits, precision)
 
 
 @dataclass(frozen=True)

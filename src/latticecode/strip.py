@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from collections import deque
 from itertools import repeat
 from dataclasses import dataclass, field
@@ -173,7 +174,8 @@ class EncodeResult:
 # checks every column first, then gathers and absorbs one block of
 # columns at a time, last block first: a block's laws need only its own
 # states and the state of the column before it.  The checkerboard writer
-# keeps its visiting order as flat grid indices (`_read`).
+# is two runs over two fixed masks of the grid, and its decoder hands
+# `_absorb` one span for each.
 
 
 def _quantize(p: float, l: int) -> int:
@@ -302,23 +304,6 @@ def _absorb(spans, final_state: int, nbits: int, precision: int) -> bytes:
     return out[:nbits]
 
 
-def _read(grid: np.ndarray, order, laws, final_state: int, nbits: int,
-          precision: int, runs=()) -> bytes:
-    """`_absorb` over a grid whose visiting order is `order`, flat grid
-    indices, with `laws`, one per node in visiting order.  Each of `runs`,
-    a (start, end) span of the visiting order, was drawn as one run; the
-    nodes between runs were drawn one by one."""
-    cols = grid.shape[1]
-    vals = grid.flat[order]
-    laws = np.asarray(laws, dtype=_law_dtype(precision))
-    # the spans between cuts alternate: nodes drawn one by one, then a run
-    cuts = [0, *(i for run in runs for i in run), len(vals)]
-    spans = [(vals[lo:hi], laws[lo:hi], k % 2 == 1,
-              lambda i, lo=lo: divmod(int(order[lo + i]), cols))
-             for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
-    return _absorb(spans[::-1], final_state, nbits, precision)
-
-
 def _check_height(grid: np.ndarray, n: int) -> None:
     if grid.ndim != 2 or grid.shape[0] != n:
         raise ConfigMismatch("grid height does not match the strip width")
@@ -434,13 +419,20 @@ class LatticeCodec:
         return _absorb(spans, final_state, nbits, self.precision)
 
 
+def format_encoded(kind: str, grid, **fields) -> bytes:
+    """The bytes of an encoded-lattice file: a header line of `kind` and
+    each of `fields`, in order, as name=value, then the grid;
+    `parse_encoded` reads it back."""
+    head = " ".join([kind] + ["%s=%s" % f for f in fields.items()])
+    return head.encode() + b"\n" + lat.save_grid(grid)
+
+
 def encode_to_text(strip: StripModel, res: EncodeResult, nbits: int,
                    precision: int = 16) -> bytes:
     """Self-describing encoded-lattice file: config header, then the grid."""
-    name = strip.model.name or "custom"
-    head = ("strip model=%s n=%d boundary=%s R=%d key=0 x=%d bits=%d\n"
-            % (name, strip.n, strip.boundary, precision, res.final_state, nbits))
-    return head.encode() + lat.save_grid(res.grid)
+    return format_encoded("strip", res.grid, model=strip.model.name or "custom",
+                          n=strip.n, boundary=strip.boundary, R=precision,
+                          key=0, x=res.final_state, bits=nbits)
 
 
 def parse_encoded(data: bytes, kind: str = "strip",
@@ -537,8 +529,10 @@ def _rate_trial(args):
 
 
 def _map_trials(fn, args, jobs: int) -> list:
-    """fn over args, in min(jobs, len(args)) worker processes if > 1, sorted."""
-    jobs = min(jobs, len(args))
+    """fn over args, sorted; with jobs > 1, in a process pool of at most one
+    worker per arg and per CPU this process may run on, since the pool
+    starts every worker at once."""
+    jobs = min(jobs, len(args), len(os.sched_getaffinity(0)))
     if jobs > 1:
         # imported here: it pulls in multiprocessing, which only jobs > 1 needs
         from concurrent.futures import ProcessPoolExecutor

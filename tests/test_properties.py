@@ -1,7 +1,7 @@
 """Properties of the shared coder pair and the files it writes.
 
 Both codecs write through `strip._write` and read back through
-`strip._read`; every example must decode to exactly the payload bits the
+`strip._absorb`; every example must decode to exactly the payload bits the
 encoder consumed and leave a valid lattice.  Mutated strip and algo1 files
 and mutated ANS2 containers must decode or fail with one `error:` line, in
 bounded time.  The profiles are derandomized and the container mutations

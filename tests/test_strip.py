@@ -1,5 +1,6 @@
 import gc
 import math
+import os
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -355,14 +356,15 @@ def test_parallel_rate_matches_serial():
     assert a.rates == b.rates
 
 
-def test_map_trials_starts_at_most_one_worker_per_arg(monkeypatch):
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The worker counts `_map_trials` asks process pools for, on a
+    machine of 64 CPUs; the pools run in-process and start no process."""
     import concurrent.futures
 
     started = []
 
     class RecordingPool:
-        """Runs in-process; records the worker count it was asked for."""
-
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -377,11 +379,28 @@ def test_map_trials_starts_at_most_one_worker_per_arg(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    return started
+
+
+def test_map_trials_starts_at_most_one_worker_per_arg(started_pools):
     assert st._map_trials(abs, [-3, 1, -2], 64) == [1, 2, 3]
     assert st._map_trials(abs, [-3, 1, -2], 2) == [1, 2, 3]
     assert st._map_trials(abs, [-5], 8) == [5]
     assert st._map_trials(abs, [-3, 1], 1) == [1, 3]
-    assert started == [3, 2]
+    assert started_pools == [3, 2]
+
+
+def test_map_trials_starts_at_most_one_worker_per_cpu(monkeypatch, started_pools):
+    # a pool forks every worker at once, so --jobs 5000 would fork 5000
+    # processes; the workers are capped at the CPUs this process may use
+    args = list(range(-5000, 0))
+    want = sorted(abs(a) for a in args)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert st._map_trials(abs, args, 5000) == want
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7})
+    assert st._map_trials(abs, args, 5000) == want
+    assert started_pools == [3]
 
 
 def test_bulk_density_matches_stationary():
@@ -477,8 +496,16 @@ def _random_laws(rng, R, count):
             for k in (rng.randbelow(8) for _ in range(count))]
 
 
+def _span(grid, order, laws, R, lo, hi, run):
+    """`_absorb`'s span over nodes lo..hi-1 of a grid's visiting order
+    `order`, flat grid indices, with `laws` one per node in visiting order."""
+    cols = grid.shape[1]
+    return (grid.flat[order[lo:hi]], np.array(laws[lo:hi], st._law_dtype(R)),
+            run, lambda i: divmod(int(order[lo + i]), cols))
+
+
 def _reference_coding(bits, R, laws):
-    """The coder pair `_write` / `_read` run, rebuilt step by step from the
+    """The coder pair `_write` / `_absorb` run, rebuilt step by step from the
     exact-fraction `abs_decode_step` / `abs_encode_step`: symbols, final
     state, consumed, padded, and every bit read back (padding included)."""
     l = 1 << R
@@ -551,34 +578,39 @@ def test_write_read_match_reference_coder(R):
         assert res.grid.flat[order].tolist() == syms
         assert (res.final_state, res.consumed, res.padded) == (x, consumed, padded)
         assert back == bits[:consumed] + [0] * padded
-        assert st._read(res.grid, order, laws, x, consumed, R,
-                        ((N - tail, N),)) == bytes(back[:consumed])
+        spans = [_span(res.grid, order, laws, R, N - tail, N, True),
+                 _span(res.grid, order, laws, R, 0, N - tail, False)]
+        assert st._absorb(spans, x, consumed, R) == bytes(back[:consumed])
 
 
 def test_read_reports_the_first_bad_node():
     # laws: free, forced 0, free, forced 1 over a 2x2 grid visited
-    # column-major; _read names the first bad node in visiting order
+    # column-major; _absorb names the first bad node in visiting order
     R, l = 4, 16
     laws = [5, 0, 7, l]
     order = np.array([0, 2, 1, 3])
     grid = np.array([[0, 1], [1, 0]])
+
+    def absorb():
+        st._absorb([_span(grid, order, laws, R, 0, 4, False)], l, 0, R)
+
     with pytest.raises(st.InvalidLattice,
                        match=r"forced node disagrees at \(1, 0\)") as e:
-        st._read(grid, order, laws, l, 0, R)
+        absorb()
     assert isinstance(e.value, DecodeError)
     grid[1, 0] = 2
     with pytest.raises(st.InvalidLattice, match=r"non-binary value at \(1, 0\)") as e:
-        st._read(grid, order, laws, l, 0, R)
+        absorb()
     assert isinstance(e.value, DecodeError)
     grid[1, 0], grid[0, 1] = 1, 3
     with pytest.raises(st.InvalidLattice, match=r"forced node disagrees at \(1, 0\)"):
-        st._read(grid, order, laws, l, 0, R)
+        absorb()
     grid[1, 0] = 0
     with pytest.raises(st.InvalidLattice, match=r"non-binary value at \(0, 1\)"):
-        st._read(grid, order, laws, l, 0, R)
+        absorb()
     grid[0, 1] = 0
     with pytest.raises(st.InvalidLattice, match=r"forced node disagrees at \(1, 1\)"):
-        st._read(grid, order, laws, l, 0, R)
+        absorb()
 
 
 def test_read_reports_a_disagreement_only_ahead_of_a_non_binary_node():
@@ -603,7 +635,8 @@ def test_read_reports_a_disagreement_only_ahead_of_a_non_binary_node():
         kind, t = ("forced node disagrees", f) if f < p else ("non-binary value", p)
         where = divmod(int(order[t]), cols)
         with pytest.raises(st.InvalidLattice, match=r"^%s at \(%d, %d\)$" % ((kind,) + where)):
-            st._read(grid, order, laws, l, 0, R)
+            st._absorb([_span(grid, order, laws, R, 0, rows * cols, False)],
+                       l, 0, R)
 
 
 def _gathered(codec, grid):

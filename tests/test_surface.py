@@ -5,8 +5,9 @@ import latticecode
 
 SRC = Path(latticecode.__file__).parent
 
-# Public names that nothing in the package calls, kept on purpose; a
-# method is named as Class.method.
+# Names that nothing in the package calls, kept on purpose; a method is
+# named as Class.method.  A private name with no caller is a helper that
+# only tests call: it belongs in the tests.
 KEEP = {
     # reproduce a claim of the paper in the acceptance tests
     "abs_encode_step", "chain_entropy_bits", "description_bounds",
@@ -78,22 +79,26 @@ def _package_modules(tree) -> set:
             for a in node.names}
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _defs_and_references():
-    """(module, name) of every public top-level function and class and of
-    every public method, as Class.method, and the names and attributes the
-    package reads (`_references`)."""
+    """(module, name) of every top-level function and class and of every
+    method, as Class.method, public or private but not a dunder, and the
+    names and attributes the package reads (`_references`)."""
     defs, used = [], {"names": set(), "attrs": set()}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defs.append((path.stem, node.name))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not _dunder(node.name)):
+                defs.append((path.stem, node.name))
             if isinstance(node, ast.ClassDef):
                 defs += [(path.stem, "%s.%s" % (node.name, sub.name))
                          for sub in node.body
                          if isinstance(sub, ast.FunctionDef)
-                         and not sub.name.startswith("_")]
+                         and not _dunder(sub.name)]
         _references(tree, (), frozenset(), _package_modules(tree), used)
     return defs, used
 
@@ -110,7 +115,7 @@ def test_no_public_name_without_a_caller():
     defs, used = _defs_and_references()
     orphans = [d for d in defs if not _called(d[1], used) and d[1] not in KEEP]
     assert orphans == [], (
-        "public names with no caller in the package; give each a caller, "
+        "names with no caller in the package; give each a caller, "
         "delete it, or justify it in KEEP: %r" % orphans)
     # a kept name that no longer exists is a stale entry
     assert KEEP <= {name for _, name in defs}
