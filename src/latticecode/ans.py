@@ -52,6 +52,7 @@ refused.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from fractions import Fraction
@@ -196,10 +197,12 @@ _SHUFFLE_CHUNK = 1 << 16
 def ans_build_table(qs: Sequence[float], l: int, b: int = 2, key: int = 0) -> AnsTable:
     """Keyed pseudo-random table over the largest-remainder slot counts of
     the probabilities qs (`_keyed_table`)."""
-    return _keyed_table(largest_remainder(l, qs), l, b, key)
+    return _keyed_table(tuple(largest_remainder(l, qs)), l, b, key)
 
 
-def _keyed_table(l_s: Sequence[int], l: int, b: int, key: int) -> AnsTable:
+# the last table only, so an encoder's --verify reread reuses it
+@functools.lru_cache(maxsize=1)
+def _keyed_table(l_s: tuple, l: int, b: int, key: int) -> AnsTable:
     """Keyed pseudo-random table: pool of (b-1) l_s copies per symbol,
     consumed by the pinned splitmix64 stream in state order x = l .. bl-1."""
     pool = np.repeat(np.arange(len(l_s)), (b - 1) * np.asarray(l_s)).tolist()
@@ -548,10 +551,10 @@ class Container(NamedTuple):
     crc_ok: bool
 
 
-def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container:
-    """Inverse of pack_container; the table is rebuilt from l_s and key,
-    or is `table`, whose w, R, l_s and key the header must repeat.  Every
-    count is checked against the others and the length before anything is
+def unpack_container(blob: bytes) -> Container:
+    """Inverse of pack_container; the table is rebuilt from l_s and key
+    (`_keyed_table`, which keeps the last one built).  Every count is
+    checked against the others and the length before anything is
     allocated; the lane states are checked where they are decoded
     (`ans_stream_decode`), and the checksum is only reported."""
     if blob[:4] == b"ANS1":
@@ -563,7 +566,7 @@ def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container
         _, version, w, r, n = _HEAD.unpack_from(blob)
         if version != _VERSION:
             raise CorruptStream("unsupported version %d" % version)
-        l_s = list(struct.unpack_from("<%dI" % n, blob, _HEAD.size))
+        l_s = struct.unpack_from("<%dI" % n, blob, _HEAD.size)
         off = _HEAD.size + 4 * n
         key, count, k, ndigits = _COUNTS.unpack_from(blob, off)
     except struct.error:
@@ -582,28 +585,24 @@ def unpack_container(blob: bytes, table: Optional[AnsTable] = None) -> Container
         raise CorruptStream("container of %d bytes, its header implies %d"
                             % (len(blob), end + 4))
     states = list(struct.unpack_from("<%dI" % k, blob, off))
-    if table is None:
-        if sum(l_s) != l:
-            raise CorruptStream("slot counts do not sum to the interval size")
-        if 0 in l_s:
-            # refused before the keyed shuffle, which a large table makes slow
-            raise CorruptStream("every symbol needs at least one slot")
-        table = _keyed_table(l_s, l, b, key)
-    elif (l, b, l_s, key) != (table.l, table.b, table.l_s, table.key):
-        raise CorruptStream("container header does not match the table")
+    if sum(l_s) != l:
+        raise CorruptStream("slot counts do not sum to the interval size")
+    if 0 in l_s:
+        # refused before the keyed shuffle, which a large table makes slow
+        raise CorruptStream("every symbol needs at least one slot")
+    table = _keyed_table(l_s, l, b, key)
     payload = np.frombuffer(blob, dtype=np.uint8, count=end - off - 4 * k,
                             offset=off + 4 * k)
     crc_ok = zlib.crc32(memoryview(blob)[:end]) == struct.unpack_from("<I", blob, end)[0]
     return Container(table, states, count, _unpack_digits(payload, ndigits, w), crc_ok)
 
 
-def decode_container(blob: bytes, table: Optional[AnsTable] = None,
-                     forbidden: bool = False) -> np.ndarray:
+def decode_container(blob: bytes, forbidden: bool = False) -> np.ndarray:
     """Symbols of an ANS2 container; with `forbidden`, the table's last
     symbol is the never-encoded one.  A forbidden symbol is reported first,
     at its smallest message index; any other failure of a container whose
     checksum does not hold is reported as the checksum mismatch."""
-    c = unpack_container(blob, table)
+    c = unpack_container(blob)
     try:
         syms = ans_stream_decode(c.digits, c.table, c.states, c.count,
                                  c.table.n - 1 if forbidden else None)

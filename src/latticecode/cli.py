@@ -30,7 +30,7 @@ class UsageError(Exception):
 
 
 _DATA_ERRORS = (ValueError, KeyError, OSError, ans.CapacityExceeded,
-                st.TooWide, spec.NoConvergence, lat.TooLarge, MemoryError)
+                spec.NoConvergence, lat.TooLarge, MemoryError)
 
 
 def _bits_from_bytes(data: bytes) -> bytes:
@@ -161,7 +161,7 @@ def _code_file(args, qs, digit_bits: int, read, write, alphabet: int,
     symbols with `read` and stores them as an ANS2 container; decode reads
     the container's own table, so the law flags are only validated there,
     and `write` turns the symbols, each below `alphabet`, back into bytes
-    (for decode and for the --verify reread)."""
+    (for decode and for --verify, which rereads as decode does)."""
     l = 1 << args.precision
     ans.largest_remainder(l, qs)  # refuses a law that starves a symbol
     if args.mode == "encode":
@@ -171,7 +171,7 @@ def _code_file(args, qs, digit_bits: int, read, write, alphabet: int,
         digits, states = ans.ans_stream_encode(syms, table)
         blob = ans.pack_container(table, states, digits, len(syms))
         Path(args.out).write_bytes(blob)
-        if args.verify and write(ans.decode_container(blob, table, forbidden)) != data:
+        if args.verify and write(ans.decode_container(blob, forbidden)) != data:
             raise ans.CorruptStream("verification reread mismatch")
         print("symbols %d" % len(syms))
         print("stored_bits %d" % ans.stream_bits(len(digits), table, len(states)))
@@ -291,13 +291,13 @@ def cmd_strip(args) -> int:
     if args.mode == "encode":
         if not args.infile:
             raise UsageError("encode needs --in")
-        st.check_law_size(model, args.width, args.boundary)
-        strip = st.strip_model(model, args.width, args.boundary)
+        # --verify rereads the file as decode does, on this cached strip
+        strip = st.codec_strip(model, args.width, args.boundary)
         codec = st.LatticeCodec(strip, args.precision)
         bits = _bits_from_bytes(Path(args.infile).read_bytes())
         res = codec.encode(bits, args.columns)
         text = st.encode_to_text(strip, res, len(bits), args.precision)
-        if args.verify and st.decode_text(text, codec) != bits:
+        if args.verify and st.decode_text(text) != bits:
             raise ans.CorruptStream("verification reread mismatch")
         _emit(args, text)
         print("consumed %d" % res.consumed, file=sys.stderr)

@@ -52,6 +52,8 @@ from .spectral import EmptyModel
 HARD_SQUARE_ENTROPY = 0.5878911617753406
 
 WORK_GUARD = 1 << 28
+# largest K of a k-model, refused before its K patterns are listed
+MAX_KMODEL = 1 << 12
 
 
 class TooLarge(RuntimeError):
@@ -131,6 +133,8 @@ def hard_square() -> LatticeModel:
 def kmodel(k: int) -> LatticeModel:
     if k < 1:
         raise ValueError("k must be >= 1 for a constrained chain")
+    if k > MAX_KMODEL:
+        raise ValueError("k-model:%d exceeds the largest preset K, %d" % (k, MAX_KMODEL))
     pats = tuple(((((0,), 1), ((j,), 1))) for j in range(1, k + 1))
     return LatticeModel(1, (0, 1), pats, name="k-model:%d" % k)
 
@@ -582,6 +586,17 @@ class Description:
             shape = tuple(sorted(map(tuple, shape)))
             self.tables[shape] = dict(probs)
         self.shapes = sorted(self.tables, key=len)
+        self._marginals = {}
+
+    def _marginal(self, shape: tuple, idx: tuple) -> dict:
+        """Mass of each assignment of cells idx of a stored shape, summed
+        over its table in stored order, once per (shape, idx)."""
+        if (shape, idx) not in self._marginals:
+            margin = self._marginals[shape, idx] = {}
+            for assign, p in self.tables[shape].items():
+                sub = tuple(assign[i] for i in idx)
+                margin[sub] = margin.get(sub, 0.0) + p
+        return self._marginals[shape, idx]
 
     def prob(self, pattern) -> float:
         items = dict(pattern)
@@ -590,13 +605,9 @@ class Description:
         support = set(map(tuple, items))
         for shape in self.shapes:
             if support <= set(shape):
-                idx = [shape.index(x) for x in sorted(support)]
-                want = [items[x] for x in sorted(support)]
-                total = 0.0
-                for assign, p in self.tables[shape].items():
-                    if all(assign[i] == w for i, w in zip(idx, want)):
-                        total += p
-                return total
+                idx = tuple(shape.index(x) for x in sorted(support))
+                want = tuple(items[x] for x in sorted(support))
+                return self._marginal(shape, idx).get(want, 0.0)
         raise KeyError("no stored shape covers the pattern support")
 
     def normalization_error(self) -> float:
@@ -608,14 +619,10 @@ class Description:
             if len(shape) < 2:
                 continue
             for drop in range(len(shape)):
-                margin = {}
-                for assign, p in probs.items():
-                    key = assign[:drop] + assign[drop + 1:]
-                    margin[key] = margin.get(key, 0.0) + p
-                sub = {x for i, x in enumerate(shape) if i != drop}
-                for assign, p in margin.items():
-                    pat = dict(zip(sorted(sub), assign))
-                    worst = max(worst, abs(self.prob(pat) - p))
+                idx = tuple(i for i in range(len(shape)) if i != drop)
+                sub = [shape[i] for i in idx]
+                for assign, p in self._marginal(shape, idx).items():
+                    worst = max(worst, abs(self.prob(zip(sub, assign)) - p))
         return worst
 
 

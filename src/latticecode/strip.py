@@ -24,7 +24,7 @@ import os
 from collections import deque
 from itertools import repeat
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,10 +33,6 @@ from . import spectral as spec
 from .ans import (AbsStreamDecoder, AbsStreamEncoder, CapacityExceeded,
                   CorruptStream, DecodeError)
 from .rng import SplitMix64
-
-
-class TooWide(RuntimeError):
-    pass
 
 
 class InvalidLattice(DecodeError):
@@ -103,26 +99,23 @@ def _strip_levels(model: lat.LatticeModel, n: int, boundary: str) -> list:
     if n < 1:
         raise ValueError("strip width must be positive")
     if len(model.alphabet) ** n > (1 << 24):
-        raise TooWide("column alphabet enumeration too large")
+        raise lat.TooLarge("column alphabet enumeration too large")
     if lat._column_window(model) > 1:
-        raise TooWide("patterns spanning more than two columns "
-                      "need a blocked alphabet")
-    try:
-        return lat._column_levels(model, n, boundary == "cyclic", MAX_STATES)
-    except lat.TooLarge as e:
-        raise TooWide(str(e)) from None
+        raise lat.TooLarge("patterns spanning more than two columns "
+                           "need a blocked alphabet")
+    return lat._column_levels(model, n, boundary == "cyclic", MAX_STATES)
 
 
 def check_law_size(model: lat.LatticeModel, n: int, boundary: str) -> list:
     """The strip's levels (`_strip_levels`), once the codec's law table,
     states by the prefixes of rows 0..n-1, is known to fit MAX_LAW_ENTRIES.
     Counting takes milliseconds; the dense strip that the table would be
-    built on can take seconds and gigabytes, so callers check first."""
+    built on can take seconds and gigabytes, so `codec_strip` checks first."""
     levels = _strip_levels(model, n, boundary)
     S, P = len(levels[n]), sum(len(c) for c in levels[:n])
     if S * P > MAX_LAW_ENTRIES:
-        raise TooWide("a law table of %d states by %d prefixes exceeds %d entries"
-                      % (S, P, MAX_LAW_ENTRIES))
+        raise lat.TooLarge("a law table of %d states by %d prefixes exceeds "
+                           "%d entries" % (S, P, MAX_LAW_ENTRIES))
     return levels
 
 
@@ -140,6 +133,16 @@ def strip_model(model: lat.LatticeModel, n: int, boundary: str = "zero") -> Stri
 
 def strip_capacity(model: lat.LatticeModel, n: int, boundary: str = "zero") -> float:
     return strip_model(model, n, boundary).capacity
+
+
+# the last strip only: a width-16 one holds about 96 MB once evaluated
+@functools.lru_cache(maxsize=1)
+def codec_strip(model: lat.LatticeModel, n: int, boundary: str) -> StripModel:
+    """The strip a codec runs on, built once its law table is known to fit
+    (`check_law_size`).  The last one is kept with its law tables, so a
+    reread, a decode or rate trials after it in one process reuse them."""
+    check_law_size(model, n, boundary)
+    return strip_model(model, n, boundary)
 
 
 @dataclass
@@ -458,26 +461,19 @@ def parse_encoded(data: bytes, kind: str = "strip",
     return meta, np.atleast_2d(grid)
 
 
-def decode_text(data: bytes, codec: Optional[LatticeCodec] = None) -> bytes:
+def decode_text(data: bytes) -> bytes:
     """Payload bits, one byte each, of the bytes of an encoded-lattice file,
-    decoded with the strip its header names, or with `codec`, whose
-    settings the header must repeat."""
+    decoded with the strip its header names (`codec_strip`)."""
     meta, grid = parse_encoded(data)
-    if codec is None:
-        try:
-            model = lat.model_preset(meta["model"])
-        except ValueError as e:
-            raise ConfigMismatch(str(e))
-        n = int(meta["n"])
-        # the grid in the file, not the header, decides how large a strip to
-        # build, and its law table is sized before the strip is
-        _check_height(grid, n)
-        check_law_size(model, n, meta["boundary"])
-        codec = LatticeCodec(strip_model(model, n, meta["boundary"]), int(meta["R"]))
-    elif [meta[k] for k in ("model", "n", "boundary", "R")] != [
-            codec.strip.model.name or "custom", str(codec.strip.n),
-            codec.strip.boundary, str(codec.precision)]:
-        raise ConfigMismatch("header does not match the codec")
+    try:
+        model = lat.model_preset(meta["model"])
+    except ValueError as e:
+        raise ConfigMismatch(str(e))
+    n = int(meta["n"])
+    # the grid in the file, not the header, decides how large a strip to
+    # build, and its law table is sized before the strip is
+    _check_height(grid, n)
+    codec = LatticeCodec(codec_strip(model, n, meta["boundary"]), int(meta["R"]))
     return codec.decode(grid, int(meta["x"]), int(meta["bits"]))
 
 
@@ -491,14 +487,9 @@ class RateReport:
     nodes: int
 
 
-# the last strip only: a width-16 one holds about 96 MB once evaluated
-@functools.lru_cache(maxsize=1)
-def _cached_strip(name: str, n: int, boundary: str) -> StripModel:
-    return strip_model(lat.model_preset(name), n, boundary)
-
-
 def _strip_trial_codec(precision, name, n, boundary, cols):
-    codec = LatticeCodec(_cached_strip(name, n, boundary), precision)
+    codec = LatticeCodec(codec_strip(lat.model_preset(name), n, boundary),
+                         precision)
     # decode already enforces column validity and pair compatibility (which
     # is the vertical-cyclic check); the flat scan double-checks the
     # non-wrapping modes against the base model directly
@@ -552,7 +543,7 @@ def evaluate_rate(model_name: str, n: int, cols: int, trials: int = 3,
                   boundary: str = "zero", precision: int = 16, seed: int = 0,
                   jobs: int = 1, verify: bool = False) -> RateReport:
     """Realized payload bits per lattice node over randomized trials."""
-    strip = _cached_strip(model_name, n, boundary)
+    strip = codec_strip(lat.model_preset(model_name), n, boundary)
     args = [(_strip_trial_codec, precision, (model_name, n, boundary, cols),
              seed, t, verify) for t in range(trials)]
     rates = [r for _, r in _map_trials(_rate_trial, args, jobs)]

@@ -2,6 +2,18 @@
 
 import pytest
 
+from latticecode import ans
+from latticecode import strip as st
+
+
+@pytest.fixture(autouse=True)
+def empty_module_caches():
+    """Each test starts as a new process does: with no codec strip
+    (`strip.codec_strip`) and no keyed ANS table (`ans._keyed_table`) left
+    from an earlier test."""
+    st.codec_strip.cache_clear()
+    ans._keyed_table.cache_clear()
+
 
 class RecordingCoder:
     """A coder for a walk over a written grid: `draw` records each law and

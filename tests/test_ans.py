@@ -682,21 +682,6 @@ def test_container_roundtrip():
         ans.unpack_container(blob[:-1])
 
 
-def test_container_reread_with_its_table():
-    t = ans.ans_build_table([0.25, 0.75], 1 << 8, 4, key=5)
-    msg = sample_symbols([0.25, 0.75], 500, seed=31)
-    d, xs = ans.ans_stream_encode(msg, t)
-    blob = ans.pack_container(t, xs, d, len(msg))
-    t2, xs2, _, d2, _ = ans.unpack_container(blob, t)
-    assert t2 is t and (xs2, d2.tolist()) == (xs, d.tolist())
-    for other in (ans.ans_build_table([0.25, 0.75], 1 << 8, 4, key=6),
-                  ans.ans_build_table([0.25, 0.75], 1 << 8, 2, key=5),
-                  ans.ans_build_table([0.25, 0.75], 1 << 9, 4, key=5),
-                  ans.ans_build_table([0.5, 0.5], 1 << 8, 4, key=5)):
-        with pytest.raises(ans.CorruptStream, match="does not match the table"):
-            ans.unpack_container(blob, other)
-
-
 def test_container_header_layout():
     t = ans.ans_build_table([0.5, 0.5], 1 << 4, 2, key=0xDEADBEEF)
     blob = ans.pack_container(t, [17], [1, 0, 1], 2)

@@ -382,6 +382,30 @@ def test_huge_strip_width_is_refused_before_enumeration(tmp_path, argv):
     assert float(got.stdout.split()[-1]) < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["strip", "decode"],
+    ["sample", "--model", "k-model:1000000", "--cols", "4"],
+    ["describe", "--model", "k-model:1000000", "--exact", "--cols", "3",
+     "--shapes", "1x1"]],
+    ids=["decode-header", "sample", "describe"])
+def test_huge_kmodel_preset_is_refused_before_its_patterns(tmp_path, argv):
+    # listing 10^6 patterns took 12.8 s before a strip decode refused the
+    # 1-d model, and sample and describe ran past 20 s
+    if argv[1] == "decode":
+        latf = tmp_path / "s.lat"
+        latf.write_bytes(b"strip model=k-model:1000000 n=2 boundary=zero R=16 "
+                         b"key=0 x=65536 bits=0\n"
+                         + st.lat.save_grid(np.zeros((2, 2), dtype=np.int8)))
+        argv = argv + ["--in", str(latf), "--out", str(tmp_path / "o")]
+    got = subprocess.run([sys.executable, "-c", _BOUNDED_MAIN] + argv,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 1
+    assert [ln for ln in got.stderr.splitlines() if ln.startswith("error:")] == [
+        "error: k-model:1000000 exceeds the largest preset K, 4096"]
+    assert "Traceback" not in got.stderr
+    assert float(got.stdout.split()[-1]) < 1.0
+
+
 @pytest.mark.parametrize("flags", [["--precision", "-1"], ["--precision", "0"],
                                    ["--precision", "21"],
                                    ["--precision", "13", "--digit-bits", "8"]])
@@ -689,6 +713,7 @@ def test_decode_builds_only_the_container_table(tmp_path, monkeypatch, cmd,
         real(self, *a, **k)
 
     monkeypatch.setattr(ans.AnsTable, "__init__", counting)
+    ans._keyed_table.cache_clear()   # decode as its own process starts
     rc, _, _ = run([cmd, "decode"] + flags + ["--in", str(enc), "--out",
                                               str(dec)])
     assert rc == 0 and dec.read_bytes() == src.read_bytes()
@@ -710,7 +735,7 @@ def test_ans_encode_verify_builds_one_table(tmp_path, monkeypatch):
     rc, out, _ = run(["ans", "encode"] + flags + ["--in", str(src), "--out",
                                                   str(enc), "--verify"])
     assert rc == 0 and out.startswith("symbols 500\n")
-    assert len(built) == 1   # the reread decodes with the encoder's table
+    assert len(built) == 1   # the reread reuses the encoder's cached table
     rc, _, _ = run(["ans", "decode"] + flags + ["--in", str(enc), "--out",
                                                 str(dec)])
     assert rc == 0 and dec.read_bytes() == src.read_bytes()
@@ -753,7 +778,7 @@ def test_strip_encode_verify_builds_one_strip(tmp_path, monkeypatch):
     rc, _, _ = run(["strip", "encode", "--width", "6", "--columns", "64",
                     "--in", str(src), "--out", str(latf), "--verify"])
     assert rc == 0
-    assert len(built) == 1   # the reread decodes with the encoder's codec
+    assert len(built) == 1   # the reread reuses the encoder's cached strip
     assert st.decode_text(latf.read_bytes()) == np.unpackbits(
         np.frombuffer(src.read_bytes(), dtype=np.uint8)).tobytes()
 
@@ -803,6 +828,7 @@ def test_strip_past_the_law_table_bound_is_one_error_line(tmp_path, monkeypatch,
     if cmd == "decode":
         assert run(argv)[0] == 0
         argv = ["strip", "decode", "--in", str(latf), "--out", str(tmp_path / "back")]
+        st.codec_strip.cache_clear()   # decode as its own process starts
     # 8 width-4 states by 1 + 2 + 3 + 5 column prefixes
     monkeypatch.setattr(st, "MAX_LAW_ENTRIES", 87)
     rc, out, err = run(argv)
@@ -813,19 +839,22 @@ def test_strip_past_the_law_table_bound_is_one_error_line(tmp_path, monkeypatch,
     assert not (tmp_path / ("x.lat" if cmd == "encode" else "back")).exists()
 
 
-@pytest.mark.parametrize("cmd", ["encode", "decode"])
+@pytest.mark.parametrize("cmd", ["encode", "decode", "evaluate"])
 def test_strip_too_tall_for_a_law_table_is_refused_first(tmp_path, monkeypatch,
                                                          cmd):
     # a 130-byte file of a 19-row grid once built a 10946-state dense strip
-    # (about 10 s and 2 GB) before its law table was refused
+    # (about 10 s and 2 GB) before its law table was refused, and so did
+    # rate trials on that strip
     src, latf = tmp_path / "pay", tmp_path / "tall.lat"
     src.write_bytes(b"")
     latf.write_bytes(b"strip model=hard-square n=19 boundary=zero R=16 key=0 "
                      b"x=65536 bits=0\n"
                      + st.lat.save_grid(np.zeros((19, 3), dtype=np.int8)))
     out = tmp_path / "out"
-    argv = (["strip", "encode", "--width", "19", "--in", str(src)] if cmd == "encode"
-            else ["strip", "decode", "--in", str(latf)])
+    argv = {"encode": ["strip", "encode", "--width", "19", "--in", str(src)],
+            "decode": ["strip", "decode", "--in", str(latf)],
+            "evaluate": ["strip", "evaluate", "--width", "19", "--columns", "4",
+                         "--trials", "1"]}[cmd]
 
     def no_pairs(*args):
         raise AssertionError("the dense strip was built")

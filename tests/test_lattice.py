@@ -305,6 +305,79 @@ def test_exact_description_normalization_and_symmetry():
     assert max(ps) - min(ps) < 1e-12
 
 
+def _scan_prob(desc, pattern):
+    """Reference for `Description.prob`: rescan the smallest covering
+    table and add the matching entries in stored order."""
+    items = dict(pattern)
+    if not items:
+        return 1.0
+    support = set(map(tuple, items))
+    for shape in desc.shapes:
+        if support <= set(shape):
+            idx = [shape.index(x) for x in sorted(support)]
+            want = [items[x] for x in sorted(support)]
+            total = 0.0
+            for assign, p in desc.tables[shape].items():
+                if all(assign[i] == w for i, w in zip(idx, want)):
+                    total += p
+            return total
+    raise KeyError("no stored shape covers the pattern support")
+
+
+def _scan_normalization_error(desc):
+    """Reference for `Description.normalization_error` over `_scan_prob`."""
+    worst = 0.0
+    for shape, probs in desc.tables.items():
+        worst = max(worst, abs(sum(probs.values()) - 1.0))
+        if len(shape) < 2:
+            continue
+        for drop in range(len(shape)):
+            margin = {}
+            for assign, p in probs.items():
+                key = assign[:drop] + assign[drop + 1:]
+                margin[key] = margin.get(key, 0.0) + p
+            sub = {x for i, x in enumerate(shape) if i != drop}
+            for assign, p in margin.items():
+                pat = dict(zip(sorted(sub), assign))
+                worst = max(worst, abs(_scan_prob(desc, pat) - p))
+    return worst
+
+
+def test_description_marginals_equal_the_table_scan():
+    # each marginal is summed once, in stored order, so every probability
+    # keeps its last bits; random float tables in shuffled order make the
+    # order show
+    rng = np.random.default_rng(29)
+    shapes = [[(0, 0), (0, 1)], [(0, 0), (1, 0)], [(0, 0), (0, 1), (1, 0), (1, 1)],
+              [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]]
+    descs = [L.exact_description(L.centered_square(5), HS,
+                                 [[(0, 0)], [(0, 0), (0, 1)], shapes[2]]),
+             L.empirical_description(L.thermalize((9, 9), HS, seed=3, samples=20),
+                                     shapes)]
+    for alphabet in ((0, 1), (0, 1, 2)):
+        tables = {}
+        for shape in shapes:
+            words = list(itertools.product(alphabet, repeat=len(shape)))
+            w = rng.random(len(words))
+            tables[tuple(shape)] = {words[i]: w[i] / w.sum()
+                                    for i in rng.permutation(len(words))}
+        descs.append(L.Description(tables, alphabet))
+    for desc in descs:
+        cells = sorted({x for shape in desc.shapes for x in shape})
+        for k in range(4):  # larger supports: normalization_error reads them
+            for support in itertools.combinations(cells, k):
+                for word in itertools.product(desc.alphabet + (5,), repeat=k):
+                    pat = dict(zip(support, word))
+                    try:
+                        want = _scan_prob(desc, pat)
+                    except KeyError:
+                        with pytest.raises(KeyError):
+                            desc.prob(pat)
+                        continue
+                    assert desc.prob(pat) == want
+        assert desc.normalization_error() == _scan_normalization_error(desc)
+
+
 def test_local_optimality_of_exact_description():
     r5 = L.centered_square(5)
     cross = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
