@@ -161,26 +161,25 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
                       precision: int = 16) -> bytes:
     """Invert the two-pass writer; exact inverse of `algorithm1_encode`.
     Returns the payload bits, one byte each.  The laws are read off the
-    grid: q's for every even node, the fair law for each free odd node
-    and 0 for the rest; the two runs are absorbed odd pass first."""
+    grid: q's for every even node, as one scalar, the fair law for each
+    free odd node and 0 for the rest.  The two runs are absorbed odd pass
+    first, each built only once the one before is absorbed."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ConfigMismatch("expected a 2-d grid")
     _check_precision(precision)
     _check_q(q)
-    odd = _checkerboard(*grid.shape)
-    dtype = _law_dtype(precision)
-    odd_laws = np.zeros(grid.size // 2, dtype)
-    odd_laws[_algorithm1_odd_free(grid, odd)[odd]] = 1 << (precision - 1)
-    even_laws = np.broadcast_to(np.array(_quantize(q, 1 << precision), dtype),
-                                ((grid.size + 1) // 2,))
 
-    def span(mask, laws):
-        return (grid[mask], laws, True,
-                lambda i: divmod(int(np.flatnonzero(mask)[i]), grid.shape[1]))
+    def span(odd):
+        mask = _checkerboard(*grid.shape) == odd
+        laws = _quantize(q, 1 << precision)
+        if odd:
+            laws = np.zeros(grid.size // 2, _law_dtype(precision))
+            laws[_algorithm1_odd_free(grid, mask)[mask]] = 1 << (precision - 1)
+        return grid[mask], laws, True, lambda i: divmod(
+            int(np.flatnonzero(_checkerboard(*grid.shape) == odd)[i]), grid.shape[1])
 
-    return _absorb((span(odd, odd_laws), span(~odd, even_laws)), final_state,
-                   nbits, precision)
+    return _absorb(map(span, (True, False)), final_state, nbits, precision)
 
 
 @dataclass(frozen=True)

@@ -7,24 +7,25 @@ pattern, fully contained in the known cells, matches.
 
 The module provides the brute-force machinery everything else is checked
 against: valuation enumeration and counting (with a transfer fast path for
-rectangles), entropy estimates, exact/empirical
-statistical descriptions, local-optimality and bound diagnostics, and two
-uniform samplers: exact column-by-column draws (`sample_uniform`) for
-binary models whose patterns are all 1s inside a 2x2 window, and the
-single-site-flip chain (`thermalize`), uniform in the limit when every
-forbidden pattern asks only 1s, as in every preset.  One resolver,
-`_placement_cells`, gives the cells a forbidden-pattern placement needs,
-boundary applied, to the backtracking counter, the pLOC check and the
-chain, which compiles each node's placements once before its first move.
-The module also owns the column transfer engine (`_column_levels`, one
-integer code per valid column; `valid_columns`, `column_compat`) that the
-strip decomposition, the bounds batch and the exact sampler's pair rule
-share; read on single columns it gives a 1-d model's window graph
-(`window_graph`).  Its cell-by-cell broken-line form (`_cell_steps`,
-`_column_step`) runs exact rectangle counts and the exact sampler, behind
-one gate (`_broken_line`): binary models whose patterns are all 1s inside
-a 2x2 window, at most EXACT_MAX_ROWS rows and a bounded profile.  The
-bounds batch takes the same models, on free rectangles.
+rectangles), entropy estimates, exact/empirical statistical descriptions,
+local-optimality and bound diagnostics, and two uniform samplers: exact
+column-by-column draws (`sample_uniform`) for binary models whose patterns
+are all 1s inside a 2x2 window, and the single-site-flip chain
+(`thermalize`), uniform in the limit when every forbidden pattern asks
+only 1s, as in every preset, and refused (TooLarge) past WORK_GUARD moves.
+One resolver, `_placement_cells`, gives the cells a forbidden-pattern
+placement needs, boundary applied, to the backtracking counter, the pLOC
+check and the chain, which compiles each node's placements once before its
+first move.  The module also owns the column transfer engine
+(`_column_levels`, one integer code per valid column; `column_compat`)
+that the strip decomposition, the bounds batch and the exact sampler's
+pair rule share; read on single columns it gives a 1-d model's window
+graph (`window_graph`).  Its cell-by-cell broken-line form (`_cell_steps`,
+`_column_step`) sits behind one cached gate (`_broken_line`): binary
+models whose patterns are all 1s inside a 2x2 window, at most
+EXACT_MAX_ROWS rows and a bounded profile.  Rectangle counts, the exact
+sampler and the bounds batch (on free rectangles) all read the one result
+it keeps per model and height.
 
 Boundary modes for finite regions:
 
@@ -407,12 +408,6 @@ def _column_symbols(model, n, codes) -> np.ndarray:
     return np.array(model.alphabet)[codes[:, None] // a ** np.arange(n - 1, -1, -1) % a]
 
 
-def valid_columns(model, n, cyclic, limit: Optional[int] = None) -> np.ndarray:
-    """Width-n columns free of single-column forbidden translates, as an
-    (S, n) symbol array in itertools.product order (`_column_levels`)."""
-    return _column_symbols(model, n, _column_levels(model, n, cyclic, limit)[n])
-
-
 def column_compat(model, n, cyclic, left, right) -> np.ndarray:
     """ok[a, b]: column right[b] may follow column left[a] (no two-column
     forbidden translate matches across them)."""
@@ -453,10 +448,10 @@ def window_graph(model) -> np.ndarray:
 
 def _rect_dp_count(row0, col0, rows, cols, model, ctx) -> Optional[int]:
     """Exact count of a rectangle on the broken-line column transfer, run
-    from the last column to the first over Python ints.  ctx holds clamped
-    symbols (inside or near the rectangle); returns None when a clamp is
-    outside this fast path or the gate (`_broken_line`) refuses the model
-    or the height."""
+    from the last column to the first over Python ints, with the states and
+    steps of the cached gate (`_broken_line`).  ctx holds clamped symbols
+    (inside or near the rectangle); returns None when a clamp is outside
+    this fast path or the gate refuses the model or the height."""
     vr = model.constraint_range
     # clamps inside pin column entries; the columns directly left and right
     # act through the pair constraint; any other 1 within reach of the
@@ -472,10 +467,9 @@ def _rect_dp_count(row0, col0, rows, cols, model, ctx) -> Optional[int]:
         elif s == 1 and -vr <= i < rows + vr and -vr <= j < cols + vr:
             return None
     try:
-        codes, steps = _counting_gate(model, rows)
+        _, steps, states = _broken_line(model, rows)
     except Unsupported:
         return None
-    states = _column_symbols(model, rows, codes[rows])
     # w[c]: completions of the columns from j on, given column j = c
     w = (column_compat(model, rows, False, states, side[cols])[:, 0]
          & _hits(states, force[-1])).astype(int).astype(object)
@@ -488,10 +482,10 @@ def count(region, model, clamp=None, boundary="free", dims=None, method="auto") 
     """N(A, u): valid valuations of the region extending the clamp.
 
     A free or zero rectangle is counted on the broken-line column transfer
-    when its gate (`_broken_line`, shared with the exact sampler) takes the
-    model and height, and every clamped 1 within reach lies in a column of
-    the rectangle or beside it; the rest backtracks, or with method "dp"
-    raises TooLarge."""
+    when its cached gate (`_broken_line`, shared with the exact sampler and
+    the bounds batch) takes the model and height, and every clamped 1
+    within reach lies in a column of the rectangle or beside it; the rest
+    backtracks, or with method "dp" raises TooLarge."""
     if method not in ("auto", "backtracking", "dp"):
         raise ValueError("unknown method %r" % method)
     if method != "backtracking" and model.dimension == 2 and boundary in ("free", "zero"):
@@ -781,8 +775,9 @@ def _bounds_batch(region, model, pattern, boundary, inner, ring):
     """`_bounds_one_region` as dense float transfers over the rectangle,
     one per group of ring valuations; None off its path: a free rectangle
     of at most 52 interior cells, so every count (at most 2^52) and partial
-    sum is an exact float, a model `_check_window_model` takes, and at most
-    isqrt(EXACT_MAX_WEIGHTS) column states, so the transfer fits that budget.
+    sum is an exact float, a model and height that the gate (`_broken_line`)
+    takes, and at most isqrt(EXACT_MAX_WEIGHTS) of its column states, so
+    the transfer fits that budget.
 
     Only the contact cells, ring cells within the neighbourhood of the
     interior, reach the conditional.  So valid ring valuations are grouped
@@ -794,9 +789,10 @@ def _bounds_batch(region, model, pattern, boundary, inner, ring):
         return None
     row0, col0, rows, cols = shape
     try:
-        _check_window_model(model)
-        states = valid_columns(model, rows, False, math.isqrt(EXACT_MAX_WEIGHTS))
-    except (Unsupported, TooLarge):
+        states = _broken_line(model, rows)[2]
+    except Unsupported:
+        return None
+    if len(states) > math.isqrt(EXACT_MAX_WEIGHTS):
         return None
     contact = sorted(thicken(inner, model) & ring)
     keys = np.array(list({tuple(map(v.__getitem__, contact)) for v in
@@ -842,7 +838,8 @@ def thermalize(shape, model=None, seed=0, samples=1, warmup_sweeps=5,
     a time joins every valid valuation to the zero grid.  A pattern that
     asks a 0 can leave the chain stuck at the zero grid.  Emits
     `samples` grids, the first after warmup_sweeps*|A|^2 moves
-    (|A| = rows*cols), then every spacing_moves (default |A|) moves.
+    (|A| = rows*cols), then every spacing_moves (default |A|) moves; more
+    than WORK_GUARD moves in all is TooLarge, before any node is compiled.
 
     Each node's placements go through `_placement_cells` once, before the
     first move: per toggle value, the other cells (flat offset, symbol) of
@@ -857,6 +854,9 @@ def thermalize(shape, model=None, seed=0, samples=1, warmup_sweeps=5,
         rows, cols = 1, shape if isinstance(shape, int) else shape[0]
     area = rows * cols
     spacing = area if spacing_moves is None else spacing_moves
+    total = warmup_sweeps * area * area + max(samples - 1, 0) * spacing
+    if total > WORK_GUARD:
+        raise TooLarge("%d flip moves exceed the work guard %d" % (total, WORK_GUARD))
     dims = (rows, cols)[2 - model.dimension:]
     coords = list(product(*map(range, dims)))
     index = {x: k for k, x in enumerate(coords)}
@@ -955,12 +955,16 @@ def _check_window_model(model):
                           "patterns are all 1s inside a 2x2 window")
 
 
+@functools.lru_cache(maxsize=8)
 def _broken_line(model, rows):
-    """The gate of the broken-line transfer for the exact sampler and
-    rectangle counts: `_column_levels` codes and `_cell_steps` steps of
-    rows-high columns.  Unsupported unless `_check_window_model` takes the
-    model, rows <= EXACT_MAX_ROWS and, sized before any is built, the
-    largest profile fits EXACT_MAX_PROFILE floats."""
+    """The one gate of the broken-line transfer, for rectangle counts, the
+    exact sampler and the bounds batch: (codes, steps, symbols), the
+    `_column_levels` codes, `_cell_steps` steps and int8 `_column_symbols`
+    states of rows-high columns.  Unsupported unless `_check_window_model`
+    takes the model, rows <= EXACT_MAX_ROWS and, sized before any is built,
+    the largest profile fits EXACT_MAX_PROFILE floats.  Kept per (model,
+    rows) and shared, so its arrays are read-only; Unsupported is raised
+    again on every call."""
     _check_window_model(model)
     if rows > EXACT_MAX_ROWS:
         raise Unsupported("the exact sampler takes at most %d rows"
@@ -972,25 +976,14 @@ def _broken_line(model, rows):
     if profile > EXACT_MAX_PROFILE:
         raise Unsupported("%d-row profiles of %d entries exceed the exact "
                           "sampler's profile budget" % (rows, profile))
-    return codes, _cell_steps(model, rows, codes)
-
-
-@functools.lru_cache(maxsize=8)
-def _counting_gate(model, rows):
-    """`_broken_line`, kept per (model, rows) for counts, which call it
-    once per clamp at one height; the exact sampler needs it once per call
-    and builds its own.  Callers share the result, so its arrays are
-    read-only.  Unsupported is raised again on every call."""
-    codes, steps = _broken_line(model, rows)
-    for a in codes:
-        a.flags.writeable = False
+    steps = _cell_steps(model, rows, codes)
+    symbols = _column_symbols(model, rows, codes[rows]).astype(np.int8)
+    arrays = [*codes, symbols]
     for par, terms in steps:
-        par.flags.writeable = False
-        for at, mask in terms:
-            at.flags.writeable = False
-            if mask is not None:
-                mask.flags.writeable = False
-    return codes, steps
+        arrays += [par] + [a for term in terms for a in term if a is not None]
+    for a in arrays:
+        a.flags.writeable = False
+    return codes, steps, symbols
 
 
 def _cell_steps(model, n, codes) -> tuple:
@@ -1044,7 +1037,7 @@ def _cell_steps(model, n, codes) -> tuple:
 
 def _column_step(w, steps) -> np.ndarray:
     """y[c] = sum of w[d] over the columns d that may follow column c, both
-    indexed like `valid_columns`, without forming the column-pair matrix.
+    indexed like the gate's states, without forming the column-pair matrix.
     Each cell step gathers the profile's rows with one `take` over par and
     each term's columns with one `take` over at; the sums run in the same
     order for any dtype, so a Python-int (object) w gives exact counts."""
@@ -1081,7 +1074,7 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     free or zero boundary (the same thing for such patterns) and at most
     EXACT_MAX_ROWS rows; anything else, or weights past EXACT_MAX_WEIGHTS
     floats, or a broken-line profile past EXACT_MAX_PROFILE floats, raises
-    Unsupported.
+    Unsupported; the transfer and its states come from `_broken_line`.
     """
     if model is None:
         model = hard_square()
@@ -1091,10 +1084,8 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     rows, cols = shape
     if rows < 1 or cols < 1 or samples < 0:
         raise ValueError("grid sides must be positive and samples >= 0")
-    codes, steps = _broken_line(model, rows)
-    states = codes[rows]
-    del codes  # only the full-height columns are needed from here on
-    S = len(states)
+    _, steps, symbols = _broken_line(model, rows)
+    S = len(symbols)
     if S * cols > EXACT_MAX_WEIGHTS:
         raise Unsupported("%d columns of %d states exceed the exact sampler's "
                           "weight budget" % (cols, S))
@@ -1108,11 +1099,9 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     for j in range(cols - 2, -1, -1):
         w = _column_step(weights[j + 1, :S], steps)
         weights[j, :S] = w / w.max()
-    del steps  # the draw does not use the transfer
     # after a column k with holds[i, k], two-column translate i forbids the
     # columns c with blocked[i, c]; as 0/1 floats blocked.T @ holds counts
     # the forbidding translates exactly
-    symbols = _column_symbols(model, rows, states).astype(np.int8)
     holds, blocked = np.array(
         [[_hits(symbols, side) for side in sides]
          for sides in _column_translates(model, rows, False) if sides[1]],

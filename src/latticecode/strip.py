@@ -22,7 +22,7 @@ import functools
 import math
 import os
 from collections import deque
-from itertools import repeat
+from itertools import repeat, starmap
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -262,6 +262,31 @@ def _write(bits: Sequence[int], precision: int, walk,
     return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
 
 
+def _absorb_span(enc: AbsStreamEncoder, vals, laws, run: bool, at):
+    """One span of `_absorb`, checked and absorbed: its fault, or None."""
+    l = enc.l
+    ones = vals == 1
+    binary = ones | (vals == 0)
+    n = len(vals) if binary.all() else int(np.argmin(binary))
+    if np.ndim(laws):
+        f = (laws != 0) & (laws != l)
+        wrong = ~f[:n] & (ones[:n] != (laws[:n] == l))
+    elif 0 < laws < l:  # a run's one law: no node is forced
+        f, wrong = slice(None), ones[:0]
+    else:  # or every node is
+        f, wrong = slice(0), ones[:n] != (laws == l)
+    free = ones[f]
+    if not run:
+        # deque(map(...), 0) runs the absorb calls without a Python loop
+        deque(map(enc.absorb, free[::-1].tolist(), laws[f][::-1].tolist()), 0)
+    elif len(free):  # the run's free nodes share one law
+        law = laws[np.argmax(f)] if np.ndim(laws) else laws
+        enc.absorb_run(free.tobytes(), int(law))
+    if wrong.any():
+        return "forced node disagrees at (%d, %d)" % at(int(np.argmax(wrong)))
+    return "non-binary value at (%d, %d)" % at(n) if n < len(vals) else None
+
+
 def _absorb(spans, final_state: int, nbits: int, precision: int) -> bytes:
     """Check a written grid against its laws and run the coder backwards
     over the free nodes; the payload bits, one byte each.  `spans` covers
@@ -270,9 +295,11 @@ def _absorb(spans, final_state: int, nbits: int, precision: int) -> bytes:
     drawn as one run (its free nodes share one law, were drawn with one
     `run` call, none if it has no free node, and are absorbed with one
     `absorb_run`; otherwise each free node is absorbed by itself), and
-    at(i), the (row, column) of its i-th node.  A forced node that
-    disagrees ahead of the first non-binary one is reported first; the
-    fault earliest in visiting order is raised once every span is read."""
+    at(i), the (row, column) of its i-th node.  A run may give its laws as
+    one scalar.  Each span is let go before the next is taken.  A forced
+    node that disagrees ahead of the first non-binary one is reported
+    first; the fault earliest in visiting order is raised once every span
+    is read."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
@@ -280,27 +307,10 @@ def _absorb(spans, final_state: int, nbits: int, precision: int) -> bytes:
     if not l <= final_state < 2 * l:
         raise ConfigMismatch("final coder state out of range")
     enc = AbsStreamEncoder(final_state, precision)
-    fault = None
-    for vals, laws, run, at in spans:
-        ones = vals == 1
-        binary = ones | (vals == 0)
-        n = len(vals) if binary.all() else int(np.argmin(binary))
-        forced = (laws == 0) | (laws == l)
-        wrong = forced[:n] & (ones[:n] != (laws[:n] == l))
-        if wrong.any():
-            fault = "forced node disagrees at (%d, %d)" % at(int(np.argmax(wrong)))
-        elif n < len(vals):
-            fault = "non-binary value at (%d, %d)" % at(n)
-        f = ~forced
-        if run:
-            if f.any():
-                enc.absorb_run(ones[f].tobytes(), int(laws[np.argmax(f)]))
-        else:
-            # deque(map(...), 0) runs the absorb calls without a Python loop
-            deque(map(enc.absorb, ones[f][::-1].tolist(),
-                      laws[f][::-1].tolist()), 0)
-    if fault is not None:
-        raise InvalidLattice(fault)
+    # starmap drops each span once its call returns
+    faults = [f for f in starmap(functools.partial(_absorb_span, enc), spans) if f]
+    if faults:
+        raise InvalidLattice(faults[-1])
     out = enc.finish()
     if len(out) < nbits:
         raise CorruptStream("stream holds fewer bits than declared")

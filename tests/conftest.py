@@ -3,16 +3,18 @@
 import pytest
 
 from latticecode import ans
+from latticecode import lattice as lat
 from latticecode import strip as st
 
 
 @pytest.fixture(autouse=True)
 def empty_module_caches():
     """Each test starts as a new process does: with no codec strip
-    (`strip.codec_strip`) and no keyed ANS table (`ans._keyed_table`) left
-    from an earlier test."""
+    (`strip.codec_strip`), no keyed ANS table (`ans._keyed_table`) and no
+    broken-line gate (`lattice._broken_line`) left from an earlier test."""
     st.codec_strip.cache_clear()
     ans._keyed_table.cache_clear()
+    lat._broken_line.cache_clear()
 
 
 class RecordingCoder:

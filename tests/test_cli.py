@@ -518,6 +518,21 @@ def test_sample_exact_or_chain():
         assert out.count("\n") == 2 * (1 + (4 if "cyclic" in argv else 1))
 
 
+@pytest.mark.parametrize("argv", [
+    ["--rows", "200", "--cols", "200"],
+    ["--model", "no-111", "--cols", "20000"]], ids=["grid", "chain"])
+def test_flip_chain_past_the_work_guard_is_refused(argv):
+    # 8e9 and 2e9 flip moves: each ran past 20 s before the chain was
+    # bounded by the work guard
+    got = subprocess.run([sys.executable, "-c", _BOUNDED_MAIN, "sample"] + argv,
+                         capture_output=True, text=True, timeout=60)
+    assert got.returncode == 1
+    errors = [ln for ln in got.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "exceed the work guard" in errors[0], errors
+    assert "Traceback" not in got.stderr
+    assert float(got.stdout.split()[-1]) < 1.0
+
+
 def test_bad_grid_symbol_names_row_and_column(tmp_path):
     grids = tmp_path / "grids.txt"
     grids.write_text("2 2 3 01\n010\n0x0\n")

@@ -15,6 +15,12 @@ DIAG = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 1), 1)),
 HORIZ = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((0, 1), 1)),), name="horizontal")
 
 
+def _valid_columns(model, n):
+    """The valid height-n columns as an (S, n) symbol array, in the order
+    of their `_column_levels` codes."""
+    return L._column_symbols(model, n, L._column_levels(model, n, False)[n])
+
+
 def test_presets_and_neighborhood():
     assert sorted(HS.neighborhood) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
     assert HS.constraint_range == 1
@@ -137,9 +143,9 @@ def test_dp_count_matches_backtracking_on_random_clamps():
 
 def test_broken_line_gate_is_built_once_per_height(monkeypatch):
     # counts call the gate once per clamp: a second count at the same
-    # height builds no steps, the shared arrays are read-only, every count
-    # equals the one on a freshly built gate, and a refused model is
-    # refused on every call
+    # height builds no steps, nor does an exact sample at that height, the
+    # shared arrays are read-only, every count equals the one on a freshly
+    # built gate, and a refused model is refused on every call
     built = []
     cell_steps = L._cell_steps
 
@@ -148,33 +154,37 @@ def test_broken_line_gate_is_built_once_per_height(monkeypatch):
         return cell_steps(model, n, codes)
 
     monkeypatch.setattr(L, "_cell_steps", counted)
-    L._counting_gate.cache_clear()
+    L._broken_line.cache_clear()
     rng = np.random.default_rng(22)
     clamps = [{(int(r), int(c)): int(s) for r, c, s in
                rng.integers([0, 0, 0], [5, 5, 2], (int(k), 3))}
               for k in rng.integers(0, 4, 12)]
     cached = [L.count(L.rect(5, 5), HS, v, "zero") for v in clamps]
     assert built == [5]
-    codes, steps = L._counting_gate(HS, 5)
+    L.sample_uniform((5, 7), HS, seed=1, samples=3)
+    assert built == [5]
+    codes, steps, symbols = L._broken_line(HS, 5)
     with pytest.raises(ValueError, match="read-only"):
         steps[0][0][0] = 1
-    shared = list(codes)
+    assert symbols.dtype == np.int8
+    assert np.array_equal(symbols, _valid_columns(HS, 5))
+    shared = list(codes) + [symbols]
     for par, terms in steps:
         shared += [par] + [a for term in terms for a in term if a is not None]
     assert any(mask is not None for _, terms in steps for _, mask in terms)
     assert not any(a.flags.writeable for a in shared)
     fresh = []
     for v in clamps:
-        L._counting_gate.cache_clear()
+        L._broken_line.cache_clear()
         fresh.append(L.count(L.rect(5, 5), HS, v, "zero"))
     assert cached == fresh
     assert built == [5] * (1 + len(clamps))
     vert3 = L.LatticeModel(2, (0, 1), ((((0, 0), 1), ((1, 0), 1), ((2, 0), 1)),))
     for _ in range(2):
         with pytest.raises(L.Unsupported):
-            L._counting_gate(vert3, 5)
+            L._broken_line(vert3, 5)
         with pytest.raises(L.Unsupported):
-            L._counting_gate(HS, L.EXACT_MAX_ROWS + 1)
+            L._broken_line(HS, L.EXACT_MAX_ROWS + 1)
 
 
 def test_entropy_estimate():
@@ -607,7 +617,7 @@ def test_broken_line_step_equals_dense_transfer(model):
     rng = np.random.default_rng(4)
     for n in range(1, 9):
         codes = L._column_levels(model, n, False)
-        cols = L.valid_columns(model, n, False)
+        cols = _valid_columns(model, n)
         assert (codes[n] == cols @ (1 << np.arange(n - 1, -1, -1))).all()
         w = rng.random(len(cols))
         dense = L.column_compat(model, n, False, cols, cols).astype(float) @ w
@@ -620,7 +630,7 @@ def test_broken_line_step_is_exact_over_python_ints(model):
     rng = np.random.default_rng(6)
     for n in range(1, 11):
         codes = L._column_levels(model, n, False)
-        cols = L.valid_columns(model, n, False)
+        cols = _valid_columns(model, n)
         # past 2^53, so a float anywhere on the way would round
         w = np.array([int(x) << 40 | int(y) for x, y in
                       rng.integers(0, 1 << 40, (len(cols), 2))], dtype=object)
@@ -634,7 +644,7 @@ def _reference_sample_uniform(shape, model, seed, samples):
     """The draw loop that `sample_uniform` batches: per grid and column one
     `uniform()`, a cumsum of that grid's weights and a searchsorted."""
     rows, cols = shape
-    codes, steps = L._broken_line(model, rows)
+    codes, steps, _ = L._broken_line(model, rows)
     states = codes[rows]
     weights = [np.ones(len(states))]
     for _ in range(cols - 1):
@@ -671,7 +681,7 @@ def test_sample_uniform_matches_per_grid_loop(model, monkeypatch):
     for shape in ((1, 1), (1, 7), (5, 1), (9, 11), (16, 16)):
         budget = L.SAMPLE_BATCH if shape == (16, 16) else 1 << 10
         monkeypatch.setattr(L, "SAMPLE_BATCH", budget)
-        states = len(L.valid_columns(model, shape[0], False))
+        states = len(_valid_columns(model, shape[0]))
         batch = max(1, budget // max(states, shape[1]))
         # grid i takes uniforms i * cols.. of the stream, so every count
         # draws a prefix of the same grids
@@ -702,7 +712,7 @@ def test_sample_uniform_memory_does_not_grow_with_samples():
     # the working memory, the peak less what the returned grids hold, is
     # one batch's whatever the sample count
     shape = (10, 10)
-    batch = L.SAMPLE_BATCH // len(L.valid_columns(HS, 10, False))
+    batch = L.SAMPLE_BATCH // len(_valid_columns(HS, 10))
     working = []
     for samples in (batch, 8 * batch):
         tracemalloc.start()
