@@ -34,8 +34,8 @@ from .rng import SplitMix64
 from .spectral import (WeightedGraph, _benefit, binary_entropy, dominant_eigs,
                        kmodel_capacity, kmodel_graph)
 from .strip import (ConfigMismatch, EncodeResult, _absorb, _check_precision,
-                    _law_dtype, _map_trials, _mean_stderr, _quantize,
-                    _rate_trial, _write, strip_capacity)
+                    _map_trials, _mean_stderr, _quantize, _rate_trial, _write,
+                    strip_capacity)
 
 HARD_SQUARE_ENTROPY = lat.HARD_SQUARE_ENTROPY
 
@@ -161,9 +161,10 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
                       precision: int = 16) -> bytes:
     """Invert the two-pass writer; exact inverse of `algorithm1_encode`.
     Returns the payload bits, one byte each.  The laws are read off the
-    grid: q's for every even node, as one scalar, the fair law for each
-    free odd node and 0 for the rest.  The two runs are absorbed odd pass
-    first, each built only once the one before is absorbed."""
+    grid: q's for every even node, as one scalar, and the fair law for
+    the odd nodes that the odd-pass rule frees, as their mask, the rest
+    forced to 0.  The two runs are absorbed odd pass first, each built
+    only once the one before is absorbed."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ConfigMismatch("expected a 2-d grid")
@@ -174,8 +175,7 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
         mask = _checkerboard(*grid.shape) == odd
         laws = _quantize(q, 1 << precision)
         if odd:
-            laws = np.zeros(grid.size // 2, _law_dtype(precision))
-            laws[_algorithm1_odd_free(grid, mask)[mask]] = 1 << (precision - 1)
+            laws = _algorithm1_odd_free(grid, mask)[mask], 1 << (precision - 1)
         return grid[mask], laws, True, lambda i: divmod(
             int(np.flatnonzero(_checkerboard(*grid.shape) == odd)[i]), grid.shape[1])
 

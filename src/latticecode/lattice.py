@@ -1137,25 +1137,21 @@ def sample_uniform(shape, model=None, seed=0, samples=1, boundary="free"):
     return list(out)
 
 
-def save_grid(arr: np.ndarray, alphabet: str = "01") -> bytes:
-    """A grid block as bytes: the header `kind rows cols alphabet` (kind 1
-    for a 1-d array, 2 for a grid), then one line per row, one byte per
-    cell.  `load_grid` reads it back."""
-    arr = np.asarray(arr)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-        m = 1
-    else:
-        m = 2
+def save_grid(arr: np.ndarray, head: bytes = b"") -> bytearray:
+    """`head`, then a binary grid block, in one buffer: the header `kind
+    rows cols 01` (kind 1 for a 1-d array, 2 for a grid), then one line per
+    row, one byte '0' or '1' per cell.  `load_grid` reads it back."""
+    kind = np.ndim(arr)
+    arr = np.atleast_2d(arr)
     rows, cols = arr.shape
-    head = ("%d %d %d %s\n" % (m, rows, cols, alphabet)).encode("latin-1")
-    out = np.empty(len(head) + rows * (cols + 1), dtype=np.uint8)
-    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
-    body = out[len(head):].reshape(rows, cols + 1)
+    head += b"%d %d %d 01\n" % (kind, rows, cols)
+    out = bytearray(len(head) + rows * (cols + 1))
+    out[:len(head)] = head
+    body = np.frombuffer(out, dtype=np.uint8, offset=len(head)).reshape(rows, cols + 1)
     body[:, cols] = ord("\n")
-    # a fancy index, not np.take, which would copy arr as intp first
-    body[:, :cols] = np.frombuffer(alphabet.encode("latin-1"), dtype=np.uint8)[arr]
-    return out.tobytes()
+    # the cells go straight into the buffer: no gathered copy of them
+    np.add(arr, ord("0"), out=body[:, :cols], casting="unsafe")
+    return out
 
 
 def load_grid(text):

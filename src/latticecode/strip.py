@@ -10,10 +10,11 @@ The codec turns payload bits into a valid lattice valuation by walking the
 grid column-major and drawing each free node from the entropy-maximizing
 conditional law with a binary stream coder (one coder state threaded
 through the whole lattice, so the rate loss stays bounded by the per-node
-quantization, not per-node rounding to whole bits).  Each law depends only
-on nodes visited before it, so the decoder, which sees the whole grid,
-gathers the laws of a block of columns at a time, last block first, and
-runs the coder backwards over their free nodes.
+quantization, not per-node rounding to whole bits).  The law table holds
+each law once, by the rows of the previous column it reads.  Each law
+depends only on nodes visited before it, so the decoder, which sees the
+whole grid, gathers the laws of a block of columns at a time, last block
+first, and runs the coder backwards over their free nodes.
 """
 
 from __future__ import annotations
@@ -44,13 +45,10 @@ class ConfigMismatch(DecodeError):
 
 
 MAX_STATES = 1 << 14
-# law-table entries (states x prefixes): hard-square to 17 rows, unconstrained to 12
+# states x prefixes (`check_law_size`): hard-square to 17 rows, unconstrained to 12
 MAX_LAW_ENTRIES = 1 << 25
 # Coder precision R: a float law holds 53 bits, and p * 2^R must stay finite.
 MAX_PRECISION = 64
-# prefixes of one level whose float weights `_law_table` holds at a time:
-# a whole level's would take 16 bytes per state and prefix
-_LAW_BLOCK = 256
 # columns whose states the strip walk lists, and whose laws and symbols the
 # decoder gathers and turns into Python lists, at a time: a list of them
 # all would hold a distinct int object per free node
@@ -67,7 +65,7 @@ class StripModel:
     eigs: spec.EigenSystem
     # the columns' sorted integer codes (`lat._column_levels`)
     codes: np.ndarray = field(repr=False)
-    # precision -> the codec's (laws, child, rank) tables (`_law_table`)
+    # precision -> the codec's (laws, base, key, child, rank) (`_law_table`)
     _law_tables: dict = field(repr=False, default=None)
 
     @property
@@ -107,10 +105,11 @@ def _strip_levels(model: lat.LatticeModel, n: int, boundary: str) -> list:
 
 
 def check_law_size(model: lat.LatticeModel, n: int, boundary: str) -> list:
-    """The strip's levels (`_strip_levels`), once the codec's law table,
-    states by the prefixes of rows 0..n-1, is known to fit MAX_LAW_ENTRIES.
-    Counting takes milliseconds; the dense strip that the table would be
-    built on can take seconds and gigabytes, so `codec_strip` checks first."""
+    """The strip's levels (`_strip_levels`), once S states by the P
+    prefixes of rows 0..n-1 fit MAX_LAW_ENTRIES: the law table holds far
+    fewer (`_law_table`), but S * P, at least S^2 / 2 on two symbols, bounds
+    the S x S weights of the strip and of the table's row-0 sums.  Counting
+    takes milliseconds, the strip seconds and gigabytes."""
     levels = _strip_levels(model, n, boundary)
     S, P = len(levels[n]), sum(len(c) for c in levels[:n])
     if S * P > MAX_LAW_ENTRIES:
@@ -163,18 +162,17 @@ class EncodeResult:
 # law is known before the run starts, draws the run with one
 # `AbsStreamDecoder.run` call: a run at one law is one coder call, and the
 # fair law 2^(R-1) is its shift.  The strip walk visits the grid column by
-# column and steps prefix to prefix; it lists the states of a block of
-# columns and writes the block's rows from the states' code bits, so no
-# visiting order is ever built.  Its law table is built a block of
-# prefixes at a time, so the float weights held at once do not grow with
-# a level's prefixes.  The decoder gathers: a law depends only on nodes
-# visited before it, so the codec reads the laws off the written grid and
-# `_absorb` checks the forced nodes and absorbs the free ones in exact
-# reverse visiting order, a span at a time: each run that the walk drew
-# with one `run` call with one `AbsStreamEncoder.absorb_run`, every other
-# free node with `AbsStreamEncoder.absorb`.  So the nodes that go through
-# `draw` are exactly those that go through `absorb`.  The strip decoder
-# checks every column first, then gathers and absorbs one block of
+# column and steps prefix to prefix, reading each law by the prefix and
+# the previous column's key (`_law_table`); it lists the states of a block
+# of columns and writes the block's rows from the states' code bits, so no
+# visiting order is ever built.  The decoder gathers: a law depends only
+# on nodes visited before it, so the codec reads the laws off the written
+# grid and `_absorb` checks the forced nodes and absorbs the free ones in
+# exact reverse visiting order, a span at a time: each run that the walk
+# drew with one `run` call with one `AbsStreamEncoder.absorb_run`, every
+# other free node with `AbsStreamEncoder.absorb`.  So the nodes that go
+# through `draw` are exactly those that go through `absorb`.  The strip
+# decoder checks every column first, then gathers and absorbs one block of
 # columns at a time, last block first: a block's laws need only its own
 # states and the state of the column before it.  The checkerboard writer
 # is two runs over two fixed masks of the grid, and its decoder hands
@@ -198,55 +196,62 @@ def _check_precision(precision: int) -> None:
         raise ValueError("precision must be at most %d" % MAX_PRECISION)
 
 
-def _law_dtype(precision: int):
-    """Law arrays hold int32 while 2^R fits (R <= 30), int64 while it fits
-    with room, Python ints beyond."""
-    if precision <= 30:
-        return np.int32
-    return np.int64 if precision < 62 else object
-
-
 def _law_table(strip: StripModel, precision: int) -> tuple:
-    """(laws, child, rank) of the codec at precision R, cached on the strip.
-    Flat prefix q = off[j] + r is the r-th valid j-row column prefix (level
-    j of `lat._column_levels`), and flat prefix off[n] + v is state v.
-    laws[u, q]: the law of row j after state u under prefix q (0 if no
-    successor of u has it); child[2q + b]: q extended by bit b, where valid;
-    rank[v, j]: state v's j-row prefix."""
+    """(laws, base, key, child, rank) of the codec at precision R, cached
+    on the strip.  Flat prefix q = off[j] + r is the r-th valid j-row
+    column prefix (level j of `lat._column_levels`), and flat prefix
+    off[n] + v is state v.  The law of row j after state u under prefix q
+    reads u only on the rows that the translates with a right cell at row
+    j or below read; key[u, j] numbers u's values there.  laws[base[q] +
+    key[u, j]]: that law, int64 while 2^R fits with room, else a Python
+    int (0 if no successor of u has q); child[2q + b]: q extended by bit
+    b, where valid; rank[v, j]: state v's j-row prefix."""
     if precision in strip._law_tables:
         return strip._law_tables[precision]
     n, codes, l = strip.n, strip.codes, 1 << precision
     levels = check_law_size(strip.model, n, strip.boundary)
     off = np.cumsum([0] + [len(c) for c in levels]).tolist()
-    S, P = len(codes), off[n]
-    # WT[v, u]: psi of state v if v may follow u.  np.add.reduce down axis 0
-    # of a C-order run of states adds its rows in state order, vectorised
-    # over u, as np.bincount did, so the laws keep their last bits
-    WT = (strip.graph.weights * strip.eigs.right).T.copy()
-    dtype = _law_dtype(precision)
-    laws = np.empty((S, P), dtype)
-    child = np.empty(2 * P, dtype=np.intp)
-    rank = np.empty((S, n), dtype=np.intp)
+    cols = lat._column_symbols(strip.model, n, codes)
+    # per translate: its left rows' code bits, last right row and hit states
+    sides = [(sum(1 << (n - 1 - r) for r in left), max(right),
+              lat._hits(cols, left), lat._hits(cols, right))
+             for left, right in lat._column_translates(
+                 strip.model, n, strip.boundary == "cyclic") if right]
+    laws, base = [], []
+    child = np.empty(2 * off[n], dtype=np.intp)
+    rank, key = np.empty((2, len(codes), n), dtype=np.intp)
     for j in range(n):
         ext = 2 * levels[j][:, None] + np.arange(3)
         child[2 * off[j]:2 * off[j + 1]] = off[j + 1] + np.searchsorted(
             levels[j + 1], ext[:, :2]).ravel()
         rank[:, j] = off[j] + np.searchsorted(levels[j], codes >> (n - j))
+        live = [t for t in sides if t[1] >= j]
+        reads = np.bitwise_or.reduce([t[0] for t in live] + [0])
+        _, first, key[:, j] = np.unique(codes & reads, return_index=True,
+                                        return_inverse=True)
+        # W[v, k]: psi of v if v may follow key k's states; C order with two
+        # lanes at least, so np.add.reduce down axis 0 adds in state order
+        K = len(first)
+        ok = np.ones((len(codes), max(K, 2)), dtype=bool)
+        for _, _, hit_left, hit_right in live:
+            ok[hit_right, :K] &= ~hit_left[first]
+        W = strip.eigs.right[:, None] * ok
         cuts = np.searchsorted(codes >> (n - j - 1), ext).tolist()
-        for lo in range(0, len(cuts), _LAW_BLOCK):
-            block = cuts[lo:lo + _LAW_BLOCK]
-            w = np.empty((2, len(block), S))  # each prefix's bit-0, bit-1 weights
-            for i, (a, b, c) in enumerate(block):
-                np.add.reduce(WT[a:b], axis=0, out=w[0, i])
-                np.add.reduce(WT[b:c], axis=0, out=w[1, i])
-            # _quantize: rint rounds half to even as round() does; exact int clip
-            tot = w[0] + w[1]
-            p = np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0)
-            f = np.rint(p * l)
-            m = f.astype(dtype) if dtype is not object else np.frompyfunc(int, 1, 1)(f)
-            m[f < 1], m[f >= l], m[p == 0], m[p == 1] = 1, l - 1, 0, l
-            laws[:, off[j] + lo:off[j] + lo + len(block)] = m.T
-    strip._law_tables[precision] = laws, child.tolist(), rank
+        w = np.empty((2, len(cuts), W.shape[1]))  # each prefix's bit-0, bit-1 weights
+        for i, (a, b, c) in enumerate(cuts):
+            np.add.reduce(W[a:b], axis=0, out=w[0, i])
+            np.add.reduce(W[b:c], axis=0, out=w[1, i])
+        del W  # so that the next level's weights are not built beside it
+        # _quantize: rint rounds half to even as round() does; exact int clip
+        tot = w[0] + w[1]
+        p = np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0)
+        f = np.rint(p * l)
+        m = f.astype(np.int64) if precision < 62 else np.frompyfunc(int, 1, 1)(f)
+        m[f < 1], m[f >= l], m[p == 0], m[p == 1] = 1, l - 1, 0, l
+        base.append(sum(map(len, laws)) + K * np.arange(len(cuts)))
+        laws.append(m[:, :K].ravel())
+    strip._law_tables[precision] = (np.concatenate(laws), np.concatenate(base),
+                                    key, child.tolist(), rank)
     return strip._law_tables[precision]
 
 
@@ -268,9 +273,12 @@ def _absorb_span(enc: AbsStreamEncoder, vals, laws, run: bool, at):
     ones = vals == 1
     binary = ones | (vals == 0)
     n = len(vals) if binary.all() else int(np.argmin(binary))
-    if np.ndim(laws):
+    if not run:
         f = (laws != 0) & (laws != l)
         wrong = ~f[:n] & (ones[:n] != (laws[:n] == l))
+    elif isinstance(laws, tuple):  # a run's free mask and law: the rest are 0
+        f, laws = laws
+        wrong = ones[:n] & ~f[:n]
     elif 0 < laws < l:  # a run's one law: no node is forced
         f, wrong = slice(None), ones[:0]
     else:  # or every node is
@@ -280,8 +288,7 @@ def _absorb_span(enc: AbsStreamEncoder, vals, laws, run: bool, at):
         # deque(map(...), 0) runs the absorb calls without a Python loop
         deque(map(enc.absorb, free[::-1].tolist(), laws[f][::-1].tolist()), 0)
     elif len(free):  # the run's free nodes share one law
-        law = laws[np.argmax(f)] if np.ndim(laws) else laws
-        enc.absorb_run(free.tobytes(), int(law))
+        enc.absorb_run(free.tobytes(), int(laws))
     if wrong.any():
         return "forced node disagrees at (%d, %d)" % at(int(np.argmax(wrong)))
     return "non-binary value at (%d, %d)" % at(n) if n < len(vals) else None
@@ -295,11 +302,12 @@ def _absorb(spans, final_state: int, nbits: int, precision: int) -> bytes:
     drawn as one run (its free nodes share one law, were drawn with one
     `run` call, none if it has no free node, and are absorbed with one
     `absorb_run`; otherwise each free node is absorbed by itself), and
-    at(i), the (row, column) of its i-th node.  A run may give its laws as
-    one scalar.  Each span is let go before the next is taken.  A forced
-    node that disagrees ahead of the first non-binary one is reported
-    first; the fault earliest in visiting order is raised once every span
-    is read."""
+    at(i), the (row, column) of its i-th node.  A run gives its laws as
+    its one law, or as (free, law): the mask of its free nodes, the rest
+    forced to 0, and their law.  Each span is let go before the next is
+    taken.  A forced node that disagrees ahead of the first non-binary one
+    is reported first; the fault earliest in visiting order is raised once
+    every span is read."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
@@ -327,8 +335,8 @@ class LatticeCodec:
 
     The walk visits the grid column-major and gives each node the
     entropy-maximizing conditional one-probability, quantized to m/2^R and
-    read from the strip's law table (`_law_table`) by the previous column's
-    state and the new column's prefix.  Encoding draws the free nodes from
+    read from the strip's law table (`_law_table`) by the new column's
+    prefix and the previous column's key.  Encoding draws the free nodes from
     the payload and writes the grid a block of columns at a time; decoding
     checks every column, then gathers a block of columns' laws from that
     table at a time, last block first, and runs the coder backwards over
@@ -343,15 +351,16 @@ class LatticeCodec:
 
     def _walk(self, cols: int, dec) -> np.ndarray:
         """The grid of `cols` columns, each free node drawn by the coder
-        `dec` at its law.  The walk steps prefix to prefix and keeps each
-        column's state; it lists COLUMN_BLOCK states at a time and writes
-        their columns from the states' code bits, row 0 the highest."""
+        `dec` at its law.  The walk steps prefix to prefix by the previous
+        state's keys and keeps each column's state; it lists COLUMN_BLOCK
+        states at a time and writes their columns from their code bits."""
         strip, R = self.strip, self.precision
-        laws, child, _ = _law_table(strip, R)
-        P = laws.shape[1]  # state v is flat prefix P + v
+        laws, base, key, child, _ = _law_table(strip, R)
+        P = len(base)  # state v is flat prefix P + v
         draw, l = dec.draw, 1 << R
         kids = list(zip(child[0::2], child[1::2]))
-        rows = [None] * len(strip.codes)  # a visited state's laws as a list
+        row = [r.tolist() for r in np.split(laws, base[1:])]  # row[q][k]
+        keys = key.tolist()  # keys[u][j]: state u's key at row j
         n = strip.n
         # code_bits[j, v]: row j of state v
         code_bits = ((strip.codes >> np.arange(n - 1, -1, -1)[:, None]) & 1
@@ -362,12 +371,9 @@ class LatticeCodec:
             states = []
             put = states.append
             for _ in repeat(None, min(COLUMN_BLOCK, cols - a)):
-                row = rows[u]
-                if row is None:
-                    row = rows[u] = laws[u].tolist()
                 q = 0
-                while q < P:
-                    m = row[q]
+                for k in keys[u]:
+                    m = row[q][k]
                     q = kids[q][draw(m) if 0 < m < l else m >> R]
                 u = q - P
                 put(u)
@@ -408,18 +414,18 @@ class LatticeCodec:
     def _laws(self, grid: np.ndarray):
         """The laws of each block of COLUMN_BLOCK columns in visiting
         order, last block first, as (first column, laws): each gathered
-        from the law table by the block's states and the state of the
-        column before it, once every column is checked (`_states`)."""
+        by its states' prefixes and the keys of the state before each,
+        once every column is checked (`_states`)."""
         states = self._states(grid)
         _check_precision(self.precision)
-        laws, _, rank = _law_table(self.strip, self.precision)
+        laws, base, key, _, rank = _law_table(self.strip, self.precision)
         zero = np.array([self.strip.zero_state], dtype=np.intp)
 
         def blocks():
             for a in range(0, len(states), COLUMN_BLOCK)[::-1]:
                 v = states[a:a + COLUMN_BLOCK].astype(np.intp)
                 u = np.append(states[a - 1] if a else zero, v[:-1])
-                yield a, laws[u[:, None], rank[v]].ravel()
+                yield a, laws[base[rank[v]] + key[u]].ravel()
 
         return blocks()
 
@@ -432,16 +438,16 @@ class LatticeCodec:
         return _absorb(spans, final_state, nbits, self.precision)
 
 
-def format_encoded(kind: str, grid, **fields) -> bytes:
-    """The bytes of an encoded-lattice file: a header line of `kind` and
-    each of `fields`, in order, as name=value, then the grid;
+def format_encoded(kind: str, grid, **fields) -> bytearray:
+    """The bytes of an encoded-lattice file, in one buffer: a header line
+    of `kind` and each of `fields`, in order, as name=value, then the grid;
     `parse_encoded` reads it back."""
     head = " ".join([kind] + ["%s=%s" % f for f in fields.items()])
-    return head.encode() + b"\n" + lat.save_grid(grid)
+    return lat.save_grid(grid, head=head.encode() + b"\n")
 
 
 def encode_to_text(strip: StripModel, res: EncodeResult, nbits: int,
-                   precision: int = 16) -> bytes:
+                   precision: int = 16) -> bytearray:
     """Self-describing encoded-lattice file: config header, then the grid."""
     return format_encoded("strip", res.grid, model=strip.model.name or "custom",
                           n=strip.n, boundary=strip.boundary, R=precision,

@@ -187,10 +187,13 @@ def test_algorithm1_gathered_laws_equal_the_walk(R, walk_oracle, monkeypatch):
             assert np.ndim(spans[1][1]) == 0
             symbols = _visit(grid).tolist()
             assert np.concatenate([v for v, *_ in spans[::-1]]).tolist() == symbols
+            # the odd pass gives its free mask and the fair law
+            free, fair = spans[0][1]
+            even = np.broadcast_to(spans[1][1], len(spans[1][0]))
+            odd = np.array([fair * f for f in free.tolist()], dtype=object)
             walk_oracle(
                 lambda dec: _visit(ex._algorithm1_walk(rows, cols, q, R, dec)),
-                np.concatenate([np.broadcast_to(m, len(v)) for v, m, *_ in spans[::-1]]),
-                symbols, R)
+                np.concatenate([even, odd]), symbols, R)
 
 
 def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):

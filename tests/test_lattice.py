@@ -824,7 +824,7 @@ def test_grid_bytes_read_in_place_or_line_by_line():
     for rows, cols in ((1, 1), (1, 9), (3, 7), (8, 50)):
         arr = (np.arange(rows * cols).reshape(rows, cols) * 7 % 3 == 1).astype(np.int8)
         data = L.save_grid(arr)
-        assert isinstance(data, bytes)
+        assert isinstance(data, bytearray)
         assert data == ("2 %d %d 01\n" % (rows, cols)
                         + "".join("".join(map(str, r)) + "\n" for r in arr.tolist())).encode()
         for form in (data, data.decode(), data.rstrip(b"\n"), b" \n" + data + b"\n\t"):

@@ -194,9 +194,9 @@ SWAPPED = lat.LatticeModel(2, (0, 1), ((((0, 0), 0), ((1, 0), 0)),
 
 @pytest.mark.parametrize("boundary", ["zero", "cyclic"])
 def test_compiled_walk_tables_match_conditional_tables(boundary):
-    # laws[u] holds one law per valid column prefix, level by level in code
-    # order; conditional_tables sums in state order, so the laws match it
-    # bit for bit, and prefixes no successor of u reaches hold 0
+    # the law of state u's successor at row j under prefix q is
+    # laws[base[q] + key[u, j]]; conditional_tables sums in state order, so
+    # every law a successor of u reaches matches it bit for bit
     for model, widths in ((HS, range(1, 9)), (DIAG, range(1, 7)),
                           (MIXED01, range(1, 7)), (SWAPPED, range(1, 7))):
         for n in widths:
@@ -206,12 +206,14 @@ def test_compiled_walk_tables_match_conditional_tables(boundary):
                         for j in range(n) for c in levels[j].tolist()]
             tabs = [conditional_tables(s, u) for u in range(len(s.columns))]
             for R in (1, 4, 12, 16, 64):
-                laws, child, rank = st._law_table(s, R)
-                assert laws.shape == (len(s.columns), len(prefixes))
+                laws, base, key, child, rank = st._law_table(s, R)
+                assert len(base) == len(prefixes)
                 for u, tab in enumerate(tabs):
-                    want = [st._quantize(tab[key][1], 1 << R) if key in tab else 0
-                            for key in prefixes]
-                    got = laws[u].tolist()
+                    seen = [(q, j) for q, (j, p) in enumerate(prefixes)
+                            if (j, p) in tab]
+                    want = [st._quantize(tab[prefixes[q]][1], 1 << R)
+                            for q, _ in seen]
+                    got = laws[[base[q] + key[u, j] for q, j in seen]].tolist()
                     assert got == want, (model.name, n, u, R)
                     assert all(type(m) is int for m in got)
             # every full column steps through its prefixes to state v
@@ -221,6 +223,73 @@ def test_compiled_walk_tables_match_conditional_tables(boundary):
                     assert rank[v, j] == q
                     q = child[2 * q + b]
                 assert q == len(prefixes) + v, (model.name, n, v)
+
+
+def dense_law_table(strip: StripModel, precision: int) -> np.ndarray:
+    """The codec's laws as one (state, prefix) table: laws[u, q] is the law
+    of row j after state u under flat prefix q (`_law_table`'s numbering),
+    summed from the strip's dense pair weights.  The wide bit-exact
+    reference for `_law_table`, which keeps one law per (prefix, key):
+    each sum runs down axis 0 of a C-order (states, states) array, in
+    state order, and is quantised as the table's are."""
+    n, codes, l = strip.n, strip.codes, 1 << precision
+    levels = lat._column_levels(strip.model, n, strip.boundary == "cyclic")
+    off = np.cumsum([0] + [len(c) for c in levels]).tolist()
+    WT = (strip.graph.weights * strip.eigs.right).T.copy()
+    dtype = np.int64 if precision < 62 else object
+    laws = np.empty((len(codes), off[n]), dtype)
+    for j in range(n):
+        ext = 2 * levels[j][:, None] + np.arange(3)
+        cuts = np.searchsorted(codes >> (n - j - 1), ext).tolist()
+        w = np.empty((2, len(cuts), len(codes)))
+        for i, (a, b, c) in enumerate(cuts):
+            np.add.reduce(WT[a:b], axis=0, out=w[0, i])
+            np.add.reduce(WT[b:c], axis=0, out=w[1, i])
+        tot = w[0] + w[1]
+        p = np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0)
+        f = np.rint(p * l)
+        m = f.astype(dtype) if dtype is not object else np.frompyfunc(int, 1, 1)(f)
+        m[f < 1], m[f >= l], m[p == 0], m[p == 1] = 1, l - 1, 0, l
+        laws[:, off[j]:off[j + 1]] = m.T
+    return laws
+
+
+def test_law_table_matches_the_dense_table():
+    # every law the walk or the decoder reads: the prefixes of every
+    # successor v of every state u
+    for model, widths in ((HS, range(1, 13)), (DIAG, range(1, 7)),
+                          (MIXED01, range(1, 7)), (SWAPPED, range(1, 7)),
+                          (lat.unconstrained(2), range(1, 7))):
+        for n in widths:
+            for boundary in ("zero", "cyclic"):
+                s = st.strip_model(model, n, boundary)
+                u, v = np.nonzero(s.graph.weights)
+                for R in (1, 16, 30, 64):
+                    laws, base, key, _, rank = st._law_table(s, R)
+                    want = dense_law_table(s, R)[u[:, None], rank[v]]
+                    got = laws[base[rank[v]] + key[u]]
+                    assert got.dtype == want.dtype, (model.name, n, boundary, R)
+                    assert np.array_equal(got, want), (model.name, n, boundary, R)
+
+
+def test_law_table_holds_one_law_per_prefix_and_key():
+    # hard-square's key at row j is the previous column's rows j..n-1, so
+    # level j holds its prefixes times the valid columns of n - j rows
+    for n, entries in ((8, 511), (12, 5268), (14, 16103)):
+        assert st._law_table(st.strip_model(HS, n, "zero"), 16)[0].size == entries
+
+
+def test_warm_wide_reencode_holds_no_dense_rows():
+    # a warm width-14 walk of 2048 columns lists its table's 16,103 laws
+    # and each state's 14 keys; a (state, prefix) table's rows took 16.6 MB
+    codec = st.LatticeCodec(st.codec_strip(HS, 14, "zero"))
+    bits = (SplitMix64(32).block(14 * 2048) & np.uint64(1)).astype(np.uint8).tobytes()
+    codec.encode(bits, 2048, partial=True)
+    tracemalloc.start()
+    codec.encode(bits, 2048, partial=True)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_law_table_is_refused_before_it_is_built(monkeypatch):
@@ -238,7 +307,7 @@ def test_law_table_is_refused_before_it_is_built(monkeypatch):
     with pytest.raises(lat.TooLarge):
         st.LatticeCodec(s).encode([0, 1], 3)
     monkeypatch.setattr(st, "MAX_LAW_ENTRIES", entries)
-    assert st._law_table(s, 16)[0].size == entries
+    assert st._law_table(s, 16)[0].size == 5268
 
 
 def test_strip_build_holds_one_float_matrix():
@@ -268,24 +337,6 @@ def test_law_table_is_sized_before_the_strip(monkeypatch):
     with pytest.raises(lat.TooLarge, match="^%s$" % msg):
         st.decode_text(text)
     assert len(st.check_law_size(HS, 17, "zero")[17]) == 4181
-
-
-@pytest.mark.parametrize("block", [1, 3])
-def test_law_table_blocks_do_not_change_it(block, monkeypatch):
-    # the weights are summed and quantised a block of prefixes at a time;
-    # every block size gives the default build's tables
-    for boundary in ("zero", "cyclic"):
-        for n in range(1, 11):
-            s = st.strip_model(HS, n, boundary)
-            want = {R: st._law_table(s, R) for R in (1, 16, 64)}
-            with monkeypatch.context() as m:
-                m.setattr(st, "_LAW_BLOCK", block)
-                s._law_tables = {}
-                for R, (laws, child, rank) in want.items():
-                    got = st._law_table(s, R)
-                    assert got[0].dtype == laws.dtype, (boundary, n, R)
-                    assert got[0].tolist() == laws.tolist(), (boundary, n, R)
-                    assert got[1] == child and (got[2] == rank).all()
 
 
 def test_first_column_frequencies():
@@ -491,10 +542,14 @@ def _random_laws(rng, R, count):
 
 def _span(grid, order, laws, R, lo, hi, run):
     """`_absorb`'s span over nodes lo..hi-1 of a grid's visiting order
-    `order`, flat grid indices, with `laws` one per node in visiting order."""
+    `order`, flat grid indices, with `laws` one per node in visiting order;
+    a run's laws are 0 or its one law, given as (free mask, law)."""
     cols = grid.shape[1]
-    return (grid.flat[order[lo:hi]], np.array(laws[lo:hi], st._law_dtype(R)),
-            run, lambda i: divmod(int(order[lo + i]), cols))
+    m = np.array(laws[lo:hi], np.int64 if R < 62 else object)
+    if run:
+        m = m != 0, max(laws[lo:hi], default=1)
+    return (grid.flat[order[lo:hi]], m, run,
+            lambda i: divmod(int(order[lo + i]), cols))
 
 
 def _reference_coding(bits, R, laws):
