@@ -46,10 +46,6 @@ def _bytes_from_bits(bits) -> bytes:
     return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes()
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
-
-
 def _emit(args, data: bytes) -> None:
     if getattr(args, "out", None):
         Path(args.out).write_bytes(data)
@@ -75,25 +71,6 @@ def _check_sizes(args, **least) -> None:
         value = getattr(args, name)
         if value is not None and value < low:
             raise UsageError("--%s must be at least %d" % (name, low))
-
-
-def _load_grids(text: str) -> list:
-    """Parse a file of concatenated grid blocks."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    grids = []
-    pos = 0
-    while pos < len(lines):
-        head = lines[pos].split()
-        if len(head) != 4:
-            raise ValueError("bad grid header on line %d" % (pos + 1))
-        rows = int(head[1])
-        block = "\n".join(lines[pos:pos + rows + 1])
-        arr, _ = lat.load_grid(block)
-        grids.append(np.atleast_2d(arr))
-        pos += rows + 1
-    if not grids:
-        raise ValueError("no grids in input")
-    return grids
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +105,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_merw(args) -> int:
-    graph = spec.load_graph(_read_text(args.graph))
+    graph = spec.load_graph(Path(args.graph).read_text())
     eigs = spec.dominant_eigs(graph)
     coder = spec.merw_coder(graph, eigs)
     sys.stdout.write(spec.report_text(graph, eigs, coder))
@@ -170,9 +147,9 @@ def _code_file(args, qs, digit_bits: int, read, write, alphabet: int,
         table = ans.ans_build_table(qs, l, 1 << digit_bits, args.key)
         digits, states = ans.ans_stream_encode(syms, table)
         blob = ans.pack_container(table, states, digits, len(syms))
-        Path(args.out).write_bytes(blob)
         if args.verify and write(ans.decode_container(blob, forbidden)) != data:
             raise ans.CorruptStream("verification reread mismatch")
+        Path(args.out).write_bytes(blob)
         print("symbols %d" % len(syms))
         print("stored_bits %d" % ans.stream_bits(len(digits), table, len(states)))
         return 0
@@ -264,8 +241,9 @@ def cmd_describe(args) -> int:
             raise UsageError("empirical description works on 2-d samples")
         if not args.infile:
             raise UsageError("empirical description needs --in sample grids")
-        desc = lat.empirical_description(_load_grids(_read_text(args.infile)),
-                                         shapes, model.alphabet)
+        desc = lat.empirical_description(
+            lat.load_grids(Path(args.infile).read_bytes()), shapes,
+            model.alphabet)
     print("normalization_error %s" % _fmt(desc.normalization_error()))
     for shape in sorted(desc.tables):
         cells = ";".join("%d,%d" % x if len(x) == 2 else "%d" % x
@@ -308,43 +286,36 @@ def cmd_strip(args) -> int:
         bits = st.decode_text(Path(args.infile).read_bytes())
         Path(args.out).write_bytes(_bytes_from_bits(bits))
         return 0
+    # the trials' strip, built here so that forked workers inherit it
+    capacity = st.codec_strip(model, args.width, args.boundary).capacity
     rep = st.evaluate_rate(args.model, args.width, args.columns,
                            trials=args.trials, boundary=args.boundary,
                            precision=args.precision, seed=args.seed,
                            jobs=args.jobs, verify=args.verify)
-    if args.format == "csv":
+    csv = args.format == "csv"
+    if csv:
         print("trial,rate")
-        for i, r in enumerate(rep.rates):
-            print("%d,%s" % (i, _fmt(r)))
-        print("mean,%s" % _fmt(rep.mean))
-        print("stderr,%s" % _fmt(rep.stderr))
-        print("capacity,%s" % _fmt(rep.capacity))
-    else:
-        for i, r in enumerate(rep.rates):
-            print("rate[%d] = %s" % (i, _fmt(r)))
-        print("mean = %s" % _fmt(rep.mean))
-        print("stderr = %s" % _fmt(rep.stderr))
-        print("capacity = %s" % _fmt(rep.capacity))
-        print("gap = %s" % _fmt(rep.capacity - rep.mean))
+    rows = [(("%d" if csv else "rate[%d]") % i, r) for i, r in enumerate(rep.rates)]
+    rows += [("mean", rep.mean), ("stderr", rep.stderr), ("capacity", capacity)]
+    for name, v in rows + ([] if csv else [("gap", capacity - rep.mean)]):
+        print(("%s,%s" if csv else "%s = %s") % (name, _fmt(v)))
     return 0
 
 
 def cmd_algo1(args) -> int:
     _check_sizes(args, side=1, rows=1, cols=1, trials=1, jobs=1)
     if args.mode == "rate":
-        if args.q is None:
-            q, closed = exp.algorithm1_optimum()
+        q = args.q
+        if q is None:
+            q, _ = exp.algorithm1_optimum()
             print("optimal_q = %s" % _fmt(q))
-        else:
-            q = args.q
-            closed = exp.algorithm1_entropy(q)
+        closed = exp.algorithm1_entropy(q)
         rep = exp.algorithm1_rate(q, side=args.side, trials=args.trials,
                                   seed=args.seed, precision=args.precision,
                                   jobs=args.jobs, verify=args.verify)
-        print("closed_form = %s" % _fmt(closed))
-        print("mean = %s" % _fmt(rep.mean))
-        print("stderr = %s" % _fmt(rep.stderr))
-        print("gap = %s" % _fmt(closed - rep.mean))
+        for name, v in (("closed_form", closed), ("mean", rep.mean),
+                        ("stderr", rep.stderr), ("gap", closed - rep.mean)):
+            print("%s = %s" % (name, _fmt(v)))
         return 0
     if args.mode == "encode":
         if not args.infile:

@@ -11,7 +11,8 @@ the law q gives, then finds the free odd nodes from those symbols and
 draws them, row by row, at the fair law, which is one shift.  The decoder
 reads the laws off the written grid with the same odd-pass rule and
 absorbs the two runs back to front (`AbsStreamEncoder.absorb_run`), the
-odd one first.
+odd one first.  Both codecs quantize with `strip._quantize` and measure
+their rates with `strip._measure_rate`.
 The second visits nodes in a random time order and writes a 1 with a
 time-dependent probability (a "charging profile"); it is a measurement
 device, not a codec.
@@ -33,9 +34,9 @@ from .ans import abs_decode_step
 from .rng import SplitMix64
 from .spectral import (WeightedGraph, _benefit, binary_entropy, dominant_eigs,
                        kmodel_capacity, kmodel_graph)
-from .strip import (ConfigMismatch, EncodeResult, _absorb, _check_precision,
-                    _map_trials, _mean_stderr, _quantize, _rate_trial, _write,
-                    strip_capacity)
+from .strip import (ConfigMismatch, EncodeResult, RateReport, _absorb,
+                    _check_precision, _map_trials, _mean_stderr, _measure_rate,
+                    _quantize, _write, strip_capacity)
 
 HARD_SQUARE_ENTROPY = lat.HARD_SQUARE_ENTROPY
 
@@ -127,7 +128,7 @@ def _algorithm1_walk(rows: int, cols: int, q: float, precision: int,
     _check_q(q)
     odd = _checkerboard(rows, cols)
     l = 1 << precision
-    m = _quantize(q, l)
+    m = _quantize(q, precision)
     grid = np.zeros((rows, cols), dtype=np.int8)
     if 0 < m < l:
         grid[~odd] = np.frombuffer(dec.run(m, (rows * cols + 1) // 2),
@@ -173,24 +174,13 @@ def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
 
     def span(odd):
         mask = _checkerboard(*grid.shape) == odd
-        laws = _quantize(q, 1 << precision)
+        laws = _quantize(q, precision)
         if odd:
             laws = _algorithm1_odd_free(grid, mask)[mask], 1 << (precision - 1)
         return grid[mask], laws, True, lambda i: divmod(
             int(np.flatnonzero(_checkerboard(*grid.shape) == odd)[i]), grid.shape[1])
 
     return _absorb(map(span, (True, False)), final_state, nbits, precision)
-
-
-@dataclass(frozen=True)
-class Algorithm1Rate:
-    q: float
-    side: int
-    trials: int
-    rates: tuple
-    mean: float
-    stderr: float
-    closed_form: float
 
 
 def _algorithm1_trial_codec(precision, q, side):
@@ -203,19 +193,15 @@ def _algorithm1_trial_codec(precision, q, side):
 
 def algorithm1_rate(q: float, side: int = 256, trials: int = 4, seed: int = 0,
                     precision: int = 16, jobs: int = 1,
-                    verify: bool = False) -> Algorithm1Rate:
+                    verify: bool = False) -> RateReport:
     """Measured payload rate of the checkerboard writer on random bits.
 
     The final coder state is charged as precision+1 bits, so the rate is
     net payload per node.  Trials run on independent seed streams; the
     reduction is deterministic for a fixed seed.
     """
-    args = [(_algorithm1_trial_codec, precision, (q, side), seed, t, verify)
-            for t in range(trials)]
-    rates = tuple(r for _, r in _map_trials(_rate_trial, args, jobs))
-    mean, stderr = _mean_stderr(rates)
-    return Algorithm1Rate(q, side, trials, rates, mean, stderr,
-                          algorithm1_entropy(q))
+    return _measure_rate(_algorithm1_trial_codec, (q, side), precision, trials,
+                         seed, jobs, verify)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ placement needs, boundary applied, to the backtracking counter, the pLOC
 check and the chain, which compiles each node's placements once before its
 first move.  The module also owns the column transfer engine
 (`_column_levels`, one integer code per valid column; `column_compat`)
-that the strip decomposition, the bounds batch and the exact sampler's
-pair rule share; read on single columns it gives a 1-d model's window
-graph (`window_graph`).  Its cell-by-cell broken-line form (`_cell_steps`,
-`_column_step`) sits behind one cached gate (`_broken_line`): binary
-models whose patterns are all 1s inside a 2x2 window, at most
-EXACT_MAX_ROWS rows and a bounded profile.  Rectangle counts, the exact
+that the strip decomposition, the bounds batch and the rectangle
+counter's ends share; the exact sampler derives its pair rule from the
+same translates (`_column_translates`).  Read on single columns it
+gives a 1-d model's window graph (`window_graph`).  Its cell-by-cell
+broken-line form (`_cell_steps`, `_column_step`) sits behind one cached
+gate (`_broken_line`): binary models whose patterns are all 1s inside a
+2x2 window, at most EXACT_MAX_ROWS rows and a bounded profile.  Rectangle counts, the exact
 sampler and the bounds batch (on free rectangles) all read the one result
 it keeps per model and height.
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
@@ -478,25 +480,21 @@ def _rect_dp_count(row0, col0, rows, cols, model, ctx) -> Optional[int]:
     return int(w @ column_compat(model, rows, False, side[-1], states)[0])
 
 
-def count(region, model, clamp=None, boundary="free", dims=None, method="auto") -> int:
+def count(region, model, clamp=None, boundary="free", dims=None) -> int:
     """N(A, u): valid valuations of the region extending the clamp.
 
     A free or zero rectangle is counted on the broken-line column transfer
     when its cached gate (`_broken_line`, shared with the exact sampler and
     the bounds batch) takes the model and height, and every clamped 1
     within reach lies in a column of the rectangle or beside it; the rest
-    backtracks, or with method "dp" raises TooLarge."""
-    if method not in ("auto", "backtracking", "dp"):
-        raise ValueError("unknown method %r" % method)
-    if method != "backtracking" and model.dimension == 2 and boundary in ("free", "zero"):
+    backtracks."""
+    if model.dimension == 2 and boundary in ("free", "zero"):
         shape = _is_rect(region)
         if shape is not None:
             ctx = _resolve_context(region, model, clamp, boundary, dims)
             n = _rect_dp_count(shape[0], shape[1], shape[2], shape[3], model, ctx)
             if n is not None:
                 return n
-    if method == "dp":
-        raise TooLarge("no DP fast path for this configuration")
     return sum(_iter_valuations(region, model, clamp, boundary, dims, True))
 
 
@@ -1154,6 +1152,39 @@ def save_grid(arr: np.ndarray, head: bytes = b"") -> bytearray:
     return out
 
 
+def _grid_header(data: bytes, start: int, end: int) -> tuple:
+    """(line end, kind, rows, cols, alphabet) of data[start:end]'s header."""
+    nl = data.find(b"\n", start, end)
+    nl = end if nl < 0 else nl
+    head = data[start:nl].decode("latin-1").split()
+    if len(head) != 4:
+        raise ValueError("bad grid header")
+    m, rows, cols = int(head[0]), int(head[1]), int(head[2])
+    alphabet = head[3]
+    if m not in (1, 2):
+        raise ValueError("grid kind %d is neither 1 (a line) nor 2 (a grid)" % m)
+    if m == 1 and rows != 1:
+        raise ValueError("a kind-1 grid has one row, not %d" % rows)
+    if len(set(alphabet)) < len(alphabet):
+        raise ValueError("alphabet %r repeats a symbol" % alphabet)
+    return nl, m, rows, cols, alphabet
+
+
+def load_grids(data: bytes) -> list:
+    """The 2-d grids of consecutive grid blocks (`load_grid`) in `data`, with
+    whitespace around each: a block is its header and its count of rows."""
+    grids, stop = [], 0
+    while (head := re.compile(rb"\S").search(data, stop)) is not None:
+        stop, _, rows, _, _ = _grid_header(data, head.start(), len(data))
+        while rows > 0 and stop < len(data):
+            nl = data.find(b"\n", stop + 1)
+            stop, rows = len(data) if nl < 0 else nl, rows - 1
+        grids.append(np.atleast_2d(load_grid(data[head.start():stop])[0]))
+    if not grids:
+        raise ValueError("no grids in input")
+    return grids
+
+
 def load_grid(text):
     """(grid, alphabet) of a grid block (`save_grid`), as bytes or as text
     of one byte per character, with surrounding whitespace.  A kind other
@@ -1167,20 +1198,7 @@ def load_grid(text):
         start += 1
     while end > start and data[end - 1] in b" \t\n\r\x0b\x0c":
         end -= 1
-    nl = data.find(b"\n", start, end)
-    if nl < 0:
-        nl = end
-    head = data[start:nl].decode("latin-1").split()
-    if len(head) != 4:
-        raise ValueError("bad grid header")
-    m, rows, cols = int(head[0]), int(head[1]), int(head[2])
-    alphabet = head[3]
-    if m not in (1, 2):
-        raise ValueError("grid kind %d is neither 1 (a line) nor 2 (a grid)" % m)
-    if m == 1 and rows != 1:
-        raise ValueError("a kind-1 grid has one row, not %d" % rows)
-    if len(set(alphabet)) < len(alphabet):
-        raise ValueError("alphabet %r repeats a symbol" % alphabet)
+    nl, m, rows, cols, alphabet = _grid_header(data, start, end)
     symbol = np.full(256, -1, dtype=np.int8)  # byte -> symbol index
     symbol[list(alphabet.encode("latin-1"))] = np.arange(len(alphabet))
     # rows of cols cells, each row closed by a newline (the last by any

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class EigenSystem:
 _STALL_CHECKS = 16
 
 
-def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 ** 6) -> EigenSystem:
+def dominant_eigs(graph: WeightedGraph) -> EigenSystem:
     """Power iteration on M and its transpose, run simultaneously.
 
     Periodic graphs make plain iteration oscillate; that is detected from
@@ -123,6 +123,7 @@ def dominant_eigs(graph: WeightedGraph, tol: float = 1e-12, max_iter: int = 10 *
     also stops after _STALL_CHECKS checks in a row set no new minimum,
     and returns the iterate with the smallest residual it saw.
     """
+    tol, max_iter = 1e-12, 10 ** 6
     M = graph.weights
     MT = None if np.array_equal(M, M.T) else M.T.copy()
     n = graph.size
@@ -233,19 +234,6 @@ def binary_entropy(q: float) -> float:
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
-def ternary_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Maximize a unimodal function; returns (argmax, max)."""
-    while hi - lo > tol:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            lo = m1
-        else:
-            hi = m2
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
 def kmodel_graph(k: int) -> WeightedGraph:
     """State machine for the run-length constraint: a 1 is followed by >= k zeros.
 
@@ -264,12 +252,24 @@ def kmodel_graph(k: int) -> WeightedGraph:
     return WeightedGraph(w)
 
 
-def kmodel_capacity(k: int, tol: float = 1e-12) -> float:
-    """max over q of h(q) / (1 + k q), bits per node."""
+def kmodel_capacity(k: int) -> float:
+    """max over q of h(q) / (1 + k q), bits per node, by ternary search:
+    the ratio is unimodal in q."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    _, best = ternary_max(lambda q: binary_entropy(q) / (1.0 + k * q), 0.0, 1.0, tol)
-    return best
+
+    def rate(q):
+        return binary_entropy(q) / (1.0 + k * q)
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if rate(m1) < rate(m2):
+            lo = m1
+        else:
+            hi = m2
+    return rate(0.5 * (lo + hi))
 
 
 def kmodel_benefit(k: int) -> int:

@@ -96,6 +96,14 @@ def _strip_levels(model: lat.LatticeModel, n: int, boundary: str) -> list:
         raise ValueError("unknown boundary mode %r" % boundary)
     if n < 1:
         raise ValueError("strip width must be positive")
+    # the column engine knows cyclic or free: zero is free only while each
+    # translate that sticks out of the strip asks a non-0 symbol outside it
+    if boundary == "zero" and any(
+            {s for (r, _), s in pat if not 0 <= b + r < n} == {model.alphabet[0]}
+            for pat in model.forbidden
+            for b in range(-1 - max(r for (r, _), _ in pat), n + 1)):
+        raise ValueError("no zero boundary where a pattern asks only %r "
+                         "outside the strip" % (model.alphabet[0],))
     if len(model.alphabet) ** n > (1 << 24):
         raise lat.TooLarge("column alphabet enumeration too large")
     if lat._column_window(model) > 1:
@@ -152,8 +160,9 @@ class EncodeResult:
     padded: int
 
 
-# A codec is a walk plus a law rule, run by this one pair of coders.  The
-# law of a node is the numerator m of its dyadic one-probability m/2^R;
+# A codec is a walk plus a law rule, run by this one pair of coders, and
+# its rate is measured by `_measure_rate`.  The law of a node is the
+# numerator m of its dyadic one-probability m/2^R, quantized by `_quantize`;
 # m = 0 and m = 2^R force a 0 or a 1 and cost no payload.  Payload bits
 # travel as bytes, one byte of 0 or 1 a bit, from the file to the coder
 # and back.  The encoder walks: a walk is a function of the coder that
@@ -179,14 +188,16 @@ class EncodeResult:
 # `_absorb` one span for each.
 
 
-def _quantize(p: float, l: int) -> int:
-    """Law of a node whose one-probability is p: 0 or l when p forces a
-    symbol, else the nearest m/l clamped so both symbols stay codable."""
-    if p == 0.0:
-        return 0
-    if p == 1.0:
-        return l
-    return min(max(round(p * l), 1), l - 1)
+def _quantize(p, precision: int):
+    """Laws of a float or an array of one-probabilities p: 0 or 2^R where p
+    forces a symbol, else the nearest m/2^R (half to even) clamped so both
+    symbols stay codable; int64 below R = 62, else (and for a float) ints."""
+    l = 1 << precision
+    a = np.atleast_1d(p)  # a 0-d object array is a bare int: no masks
+    f = np.rint(a * l)
+    m = f.astype(np.int64) if precision < 62 else np.frompyfunc(int, 1, 1)(f)
+    m[f < 1], m[f >= l], m[a == 0], m[a == 1] = 1, l - 1, 0, l
+    return m if np.ndim(p) else m.item()
 
 
 def _check_precision(precision: int) -> None:
@@ -208,7 +219,7 @@ def _law_table(strip: StripModel, precision: int) -> tuple:
     b, where valid; rank[v, j]: state v's j-row prefix."""
     if precision in strip._law_tables:
         return strip._law_tables[precision]
-    n, codes, l = strip.n, strip.codes, 1 << precision
+    n, codes = strip.n, strip.codes
     levels = check_law_size(strip.model, n, strip.boundary)
     off = np.cumsum([0] + [len(c) for c in levels]).tolist()
     cols = lat._column_symbols(strip.model, n, codes)
@@ -242,12 +253,9 @@ def _law_table(strip: StripModel, precision: int) -> tuple:
             np.add.reduce(W[a:b], axis=0, out=w[0, i])
             np.add.reduce(W[b:c], axis=0, out=w[1, i])
         del W  # so that the next level's weights are not built beside it
-        # _quantize: rint rounds half to even as round() does; exact int clip
         tot = w[0] + w[1]
-        p = np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0)
-        f = np.rint(p * l)
-        m = f.astype(np.int64) if precision < 62 else np.frompyfunc(int, 1, 1)(f)
-        m[f < 1], m[f >= l], m[p == 0], m[p == 1] = 1, l - 1, 0, l
+        m = _quantize(np.divide(w[1], tot, out=np.zeros_like(tot), where=tot > 0),
+                      precision)
         base.append(sum(map(len, laws)) + K * np.arange(len(cuts)))
         laws.append(m[:, :K].ravel())
     strip._law_tables[precision] = (np.concatenate(laws), np.concatenate(base),
@@ -498,9 +506,6 @@ class RateReport:
     rates: list
     mean: float
     stderr: float
-    capacity: float
-    trials: int
-    nodes: int
 
 
 def _strip_trial_codec(precision, name, n, boundary, cols):
@@ -555,13 +560,18 @@ def _mean_stderr(x) -> tuple[float, float]:
     return float(np.mean(x)), err
 
 
+def _measure_rate(make, params, precision: int, trials: int, seed: int,
+                  jobs: int, verify: bool) -> RateReport:
+    """The net rates of `trials` trials of the codec that `make` builds
+    (`_rate_trial`), in trial order, with their mean and standard error."""
+    args = [(make, precision, params, seed, t, verify) for t in range(trials)]
+    rates = [r for _, r in _map_trials(_rate_trial, args, jobs)]
+    return RateReport(rates, *_mean_stderr(rates))
+
+
 def evaluate_rate(model_name: str, n: int, cols: int, trials: int = 3,
                   boundary: str = "zero", precision: int = 16, seed: int = 0,
                   jobs: int = 1, verify: bool = False) -> RateReport:
     """Realized payload bits per lattice node over randomized trials."""
-    strip = codec_strip(lat.model_preset(model_name), n, boundary)
-    args = [(_strip_trial_codec, precision, (model_name, n, boundary, cols),
-             seed, t, verify) for t in range(trials)]
-    rates = [r for _, r in _map_trials(_rate_trial, args, jobs)]
-    mean, err = _mean_stderr(rates)
-    return RateReport(rates, mean, err, strip.capacity, trials, n * cols)
+    return _measure_rate(_strip_trial_codec, (model_name, n, boundary, cols),
+                         precision, trials, seed, jobs, verify)

@@ -53,3 +53,20 @@ def assert_walk_matches_gather(walk, laws, symbols, R):
 @pytest.fixture
 def walk_oracle():
     return assert_walk_matches_gather
+
+
+def scalar_quantize(p: float, l: int) -> int:
+    """The law of one node whose one-probability is p, as a scalar rule:
+    0 or l when p forces a symbol, else the nearest m/l (`round`, half to
+    even) clamped so both symbols stay codable.  The reference for
+    `strip._quantize`."""
+    if p == 0.0:
+        return 0
+    if p == 1.0:
+        return l
+    return min(max(round(p * l), 1), l - 1)
+
+
+@pytest.fixture
+def quantize():
+    return scalar_quantize

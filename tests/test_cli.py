@@ -821,6 +821,25 @@ def test_algo1_encode_verify_rereads(tmp_path, monkeypatch):
     assert not (tmp_path / "b.lat").exists()
 
 
+@pytest.mark.parametrize("cmd", ["strip", "ans"])
+def test_failed_verify_reread_writes_no_file(tmp_path, monkeypatch, cmd):
+    # the reread runs before the output is written: a mismatch is one
+    # error line and leaves nothing at --out
+    src, out = tmp_path / "pay", tmp_path / "out"
+    src.write_bytes(bytes(b & 1 for b in rand_bytes(16, 6)))  # two symbols
+    if cmd == "strip":
+        argv = ["strip", "encode", "--width", "6", "--columns", "64"]
+        monkeypatch.setattr(st, "decode_text", lambda data: b"")
+    else:
+        argv = ["ans", "encode"]
+        monkeypatch.setattr(ans, "decode_container",
+                            lambda blob, forbidden=False: np.zeros(0, np.uint8))
+    rc, stdout, err = run(argv + ["--in", str(src), "--out", str(out), "--verify"])
+    assert rc == 1 and stdout == ""
+    assert err.splitlines()[1:] == ["error: verification reread mismatch"]
+    assert not out.exists()
+
+
 def test_cli_import_leaves_multiprocessing_out():
     # the process pool is imported only when --jobs asks for workers
     code = ("import sys, latticecode.cli; "

@@ -196,7 +196,7 @@ def test_algorithm1_gathered_laws_equal_the_walk(R, walk_oracle, monkeypatch):
                 np.concatenate([even, odd]), symbols, R)
 
 
-def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):
+def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch, quantize):
     # a benchmark counts `draw` and `absorb` calls and expects equal counts:
     # every node drawn one at a time is absorbed one at a time, in reverse;
     # algo1 draws its two passes as runs, absorbed as runs in reverse, and
@@ -236,7 +236,7 @@ def test_coder_calls_pair_up_across_encode_and_decode(monkeypatch):
     rows, cols = 29, 30
     neven = (rows * cols + 1) // 2
     for q in (0.17, 0.5, 0.0):
-        m = st._quantize(q, 1 << 16)
+        m = quantize(q, 1 << 16)
         for key in calls:
             calls[key] = []
         res = ex.algorithm1_encode((rows, cols), q, bits, partial=True)
@@ -337,7 +337,7 @@ def test_algorithm1_rate_verify_failure_is_a_data_error(monkeypatch):
 def test_algorithm1_rate_matches_closed_form():
     qstar, _ = ex.algorithm1_optimum()
     rep = ex.algorithm1_rate(qstar, side=256, trials=4, seed=0, verify=True)
-    assert abs(rep.mean - rep.closed_form) < 0.003
+    assert abs(rep.mean - ex.algorithm1_entropy(qstar)) < 0.003
     assert rep.stderr < 0.002
     assert len(rep.rates) == 4
 

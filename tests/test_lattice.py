@@ -46,16 +46,28 @@ def test_region_ops():
     assert A <= L.interior(L.thicken(A, HS), HS)
 
 
+def backtrack(region, model, clamp=None, boundary="free", dims=None):
+    """The count by backtracking alone, the reference for `count`."""
+    return sum(L._iter_valuations(region, model, clamp, boundary, dims, True))
+
+
+def dp(region, model):
+    """The free count of a rectangle on the broken-line column transfer,
+    or None where its gate refuses: `count`'s fast path alone."""
+    ctx = L._resolve_context(region, model, None, "free", None)
+    return L._rect_dp_count(*L._is_rect(region), model, ctx)
+
+
 def test_hard_square_counts():
     expected = {1: 2, 2: 7, 3: 63, 4: 1234, 5: 55447}
     for k, n in expected.items():
         r = L.rect(k, k)
-        assert L.count(r, HS, method="backtracking") == n
-        assert L.count(r, HS, method="dp") == n
+        assert backtrack(r, HS) == n
+        assert dp(r, HS) == n
     # past the backtracking guard (OEIS A006506)
     for k, n in {6: 5598861, 7: 1280128950, 8: 660647962955,
                  10: 2030049051145980050}.items():
-        assert L.count(L.rect(k, k), HS, method="dp") == n
+        assert dp(L.rect(k, k), HS) == n
 
 
 def test_count_against_transfer_product():
@@ -74,16 +86,13 @@ def test_count_against_transfer_product():
     T = np.array([[1 if (a & b) == 0 else 0 for b in cm] for a in cm], dtype=object)
     tr = int(np.trace(np.linalg.matrix_power(T, 4)))
     assert tr == 743
-    assert L.count(L.rect(4, 4), HS, boundary="cyclic", dims=(4, 4),
-                   method="backtracking") == 743
+    assert backtrack(L.rect(4, 4), HS, boundary="cyclic", dims=(4, 4)) == 743
 
 
 def test_cyclic_small_degeneracies():
     # wrap-around self-overlaps resolve to consistent single-cell demands
-    assert L.count(L.rect(1, 1), HS, boundary="cyclic", dims=(1, 1),
-                   method="backtracking") == 1
-    assert L.count(L.rect(2, 2), HS, boundary="cyclic", dims=(2, 2),
-                   method="backtracking") == 7
+    assert backtrack(L.rect(1, 1), HS, boundary="cyclic", dims=(1, 1)) == 1
+    assert backtrack(L.rect(2, 2), HS, boundary="cyclic", dims=(2, 2)) == 7
 
 
 def test_one_dimensional_counts():
@@ -113,8 +122,7 @@ def test_dp_count_with_clamps_outside_the_rectangle():
                          (diag, {(-1, -1): 1}),
                          (HS, {(0, -1): 1, (1, 2): 1}),
                          (HS, {(5, 5): 1})):
-        assert L.count(r, model, clamp) == L.count(r, model, clamp,
-                                                   method="backtracking")
+        assert L.count(r, model, clamp) == backtrack(r, model, clamp)
 
 
 def test_dp_count_matches_backtracking_on_random_clamps():
@@ -137,8 +145,8 @@ def test_dp_count_matches_backtracking_on_random_clamps():
                         c0 + int(rng.integers(-2, cols + 2)))
             clamp[cell] = int(rng.integers(0, 2))
         region = L.rect(rows, cols, (r0, c0))
-        assert L.count(region, model, clamp, boundary) == L.count(
-            region, model, clamp, boundary, method="backtracking"), (model, clamp)
+        assert L.count(region, model, clamp, boundary) == backtrack(
+            region, model, clamp, boundary), (model, clamp)
 
 
 def test_broken_line_gate_is_built_once_per_height(monkeypatch):
@@ -198,15 +206,14 @@ def test_entropy_estimate():
 
 def test_empty_region_has_one_valuation():
     for model in (HS, L.kmodel(2)):
-        for method in ("auto", "backtracking"):
-            assert L.count(frozenset(), model, method=method) == 1
+        assert L.count(frozenset(), model) == backtrack(frozenset(), model) == 1
     with pytest.raises(ValueError, match="side must be positive"):
         L.entropy_estimate(0, HS)
 
 
 def test_work_guard():
     with pytest.raises(L.TooLarge):
-        L.count(L.rect(6, 6), L.unconstrained(), method="backtracking")
+        backtrack(L.rect(6, 6), L.unconstrained())
 
 
 def test_scan():
@@ -795,9 +802,11 @@ def test_sample_uniform_profile_budget(monkeypatch):
     assert 1 << (rows + 1) > L.EXACT_MAX_PROFILE
     with pytest.raises(L.Unsupported, match="profile budget"):
         L.sample_uniform((rows, 4), L.unconstrained())
-    # the counter's fast path shares the gate: no fast path, no profile
+    # the counter's fast path shares the gate: no fast path, no profile,
+    # and the count falls back to backtracking, past its guard
+    assert dp(L.rect(rows, 4), L.unconstrained()) is None
     with pytest.raises(L.TooLarge):
-        L.count(L.rect(rows, 4), L.unconstrained(), method="dp")
+        L.count(L.rect(rows, 4), L.unconstrained())
 
 
 def test_grid_io():

@@ -339,7 +339,7 @@ def test_report_text_format():
 def test_eigen_residual_invariant():
     for mat in ([[1, 1], [1, 0]], [[0, 2], [8, 0]], [[1, 2, 0], [0, 1, 3], [4, 0, 1]]):
         g = sp.WeightedGraph(mat)
-        e = sp.dominant_eigs(g, tol=1e-12)
+        e = sp.dominant_eigs(g)
         assert e.residual < 1e-11
         assert np.all(e.right > 0) and np.all(e.left > 0)
         assert abs(float(e.left @ e.right) - 1.0) < 1e-12
