@@ -36,6 +36,11 @@ where the single-lane Python loops are as fast, and K = 1 is exactly the
 single-lane digit order, and min(1024, N >> 11) from there, where each
 step is a handful of numpy calls over the K lanes.  The K final lane
 states are part of the stored size: `stream_bits` counts D·w + K·(R + w).
+The bit-fed binary coder draws a long run at one law in lanes the same
+way (`abs_run_lanes`), each lane a contiguous block of the run.  The lane
+decoders of both coders read their fields through one bit reader
+(`_bit_reader`), and their lane encoders emit theirs through one
+`_field_digits`.
 
 The ANS2 container (`pack_container`) holds l and b as R = lg l and
 w = lg b, so both must be powers of two.  Little-endian: magic "ANS2",
@@ -232,6 +237,8 @@ _SYMBOLS_PER_LANE_LOG = 11
 # in blocks of at most this many fields and turns each block into digits
 # before it starts the next, so its working arrays do not grow with N
 _EMIT_BLOCK = 1 << 16
+# and the ABS lane absorb, whose blocks hold four more arrays
+_ABS_EMIT_BLOCK = 1 << 13
 # decoded symbols allocated per block, so a claimed count is not
 # allocated before digits back it
 _OUT_BLOCK = 1 << 20
@@ -302,21 +309,9 @@ def _symbol_array(symbols, table: AnsTable) -> np.ndarray:
 
 
 def _encode_lanes(sym: np.ndarray, table: AnsTable, k: int):
-    l, b = table.l, table.b
+    l = table.l
     w, _ = _lane_width(table)
-    # Symbol s emits a digit per threshold (b l_s) << (j w) at or below the
-    # state.  States lie in [l, b l), which holds exactly one threshold, so
-    # an encode step emits lo[s] / w digits, one more from state cut[s] on.
-    lo, cut = [], []
-    for ls in table.l_s:
-        t, bits = b * ls, 0
-        while t < l:
-            t <<= w
-            bits += w
-        lo.append(bits)
-        cut.append(t)
-    lo = np.array(lo, dtype=np.int64)
-    cut = np.array(cut, dtype=np.int64)
+    lo, cut = _emit_bounds(table.l_s, l, w)
     enc, base = table.enc_array, table.enc_base
 
     steps = -(-len(sym) // k)
@@ -341,15 +336,33 @@ def _encode_lanes(sym: np.ndarray, table: AnsTable, k: int):
     return np.concatenate(parts[::-1]), x.tolist()
 
 
+def _emit_bounds(slots: Sequence[int], l: int, w: int) -> tuple:
+    """(lo, cut) of the lane encoders, int64 arrays over the symbols, a
+    symbol's slot count in `slots`: it emits a w-bit digit per threshold
+    (l_s << w) << (j w) at or below the state.  States lie in [l, l << w),
+    which holds exactly one threshold, so an encode step emits lo[s] bits,
+    w more from state cut[s] on."""
+    lo, cut = [], []
+    for ls in slots:
+        t, bits = ls << w, 0
+        while t < l:
+            t <<= w
+            bits += w
+        lo.append(bits)
+        cut.append(t)
+    return np.array(lo, dtype=np.int64), np.array(cut, dtype=np.int64)
+
+
 def _field_digits(fields: np.ndarray, counts: np.ndarray, w: int) -> np.ndarray:
     """The w-bit digits of each field in turn, `counts` of them per field,
-    most significant first; a block of at most _EMIT_BLOCK fields, so its
-    digit offsets fit int32."""
-    ends = np.add.accumulate(counts, dtype=np.int32)
-    shift = np.repeat(ends, counts)
-    shift -= np.arange(1, len(shift) + 1, dtype=np.int32)
+    most significant first.  Each field, below 2^32, is repeated once per
+    digit with its end offset in the high half: one repeat, not two."""
+    ends = np.add.accumulate(counts, dtype=np.int64)
+    f = np.repeat(fields | (ends << 32), counts)
+    shift = f >> 32
+    shift -= np.arange(1, len(f) + 1)
     shift *= w
-    f = np.repeat(fields, counts)
+    f &= 0xFFFFFFFF
     f >>= shift
     f &= (1 << w) - 1
     return f.astype(np.uint8)
@@ -416,6 +429,30 @@ def _decode_one_lane(digits: list, table: AnsTable, x: int, count: int,
     return out
 
 
+def _bit_reader(packed: np.ndarray):
+    """read(p, cut): the field of 63 - cut bits (cut an integer array in
+    31..63) at each bit offset p, ascending, of the bit stream `packed`
+    holds most significant bit first, as int64; the stream reads as
+    followed by zeros.  Each field comes from one 64-bit window per 4-byte
+    offset, which holds it whole: a big-endian view of the bytes at a
+    4-byte stride, read once into native order, the last window all
+    zeros."""
+    last = len(packed) // 4 + 1
+    buf = np.zeros(4 * last + 8, dtype=np.uint8)
+    buf[:len(packed)] = packed
+    win = np.ndarray(last + 1, ">u8", buf, strides=(4,)).astype(np.uint64)
+
+    def read(p: np.ndarray, cut: np.ndarray) -> np.ndarray:
+        at = p >> 5
+        if at[-1] > last:  # past the stream: the all-zero window
+            np.minimum(at, last, out=at)
+        v = win[at] << (p & 31).view(np.uint64)
+        # the top bit cleared first: a shift by 64 is undefined
+        return (v >> 1).view(np.int64) >> cut
+
+    return read
+
+
 def _first_forbidden(syms: np.ndarray, forbidden: Optional[int]) -> None:
     if forbidden is not None:
         hit = np.flatnonzero(syms == forbidden)
@@ -435,15 +472,9 @@ def _decode_lanes(digits, table, states, count, forbidden):
         bits_at[low] += w
         top[low] <<= w
     sym_at = table.sym_array.astype(np.uint8 if table.n <= 256 else np.uint16)
-    cut_at = (63 - bits_at).astype(np.uint64)
-    # the bit stream, most significant bit first, as one 64-bit window per
-    # byte offset: a big-endian view at a one-byte stride, read once into
-    # native order
-    packed = _pack_digits(digits, w)
+    cut_at = 63 - bits_at
+    read = _bit_reader(_pack_digits(digits, w))
     total = len(digits) * w
-    buf = np.zeros(len(packed) + 8, dtype=np.uint8)
-    buf[:len(packed)] = packed
-    win = np.ndarray(len(packed) + 1, ">u8", buf, strides=(1,)).astype(np.uint64)
 
     x = np.array(states, dtype=np.int64)
     out = np.empty(min(count, _OUT_BLOCK), dtype=sym_at.dtype)
@@ -463,9 +494,7 @@ def _decode_lanes(digits, table, states, count, forbidden):
             over = a + int(np.argmax(ends > total))
             _first_forbidden(out[:over + 1], forbidden)
             raise ErrorDetected(over + 1, "digit stream exhausted")
-        p = ends - nb
-        v = win[p >> 3] << (p & 7).view(np.uint64)
-        xv[:] = top[i] | ((v >> 1) >> cut_at[i]).view(np.int64)
+        xv[:] = top[i] | read(ends - nb, cut_at[i])
         pos = int(ends[-1])
     out = out[:count]
     _first_forbidden(out, forbidden)
@@ -617,6 +646,25 @@ def decode_container(blob: bytes, forbidden: bool = False) -> np.ndarray:
 
 # zeros appended at a time once a bit-fed coder has read its whole payload
 _PAD = 1 << 10
+# A run of one law (`AbsStreamDecoder.run`) of ABS_LANE_MIN_NODES nodes or
+# more, at R <= 31 so that x * m fits int64, is drawn in K <= count / 2^9
+# lanes, so the K - 1 extra final states cost about 1/512 bit per node.
+ABS_LANE_MIN_NODES = 1 << 16
+_NODES_PER_ABS_LANE_LOG = 9
+_ABS_LANE_MAX_PRECISION = 31
+
+
+def abs_run_lanes(count: int, m: int, precision: int) -> int:
+    """Lane count K of a run of `count` nodes at the one law m / 2^R: 1 for
+    a forced or fair law (the fair one is a shift at any length), a short
+    run or R > 31, else min(MAX_LANES, count >> 9)."""
+    l = 1 << precision
+    if (count < ABS_LANE_MIN_NODES or precision > _ABS_LANE_MAX_PRECISION
+            or not 0 < m < l or m == l >> 1):
+        return 1
+    return min(MAX_LANES, count >> _NODES_PER_ABS_LANE_LOG)
+
+
 # bytes.translate table that turns each 0/1 byte into the other
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
@@ -659,13 +707,16 @@ class AbsStreamDecoder:
     is 1 exactly when the low R bits of x*m + l - 1 are at least l - m.
     A run at one law is one coder call (`run`), which returns its symbols
     as bytes, and the fair law is its shift, one `bytes.translate`: each
-    pass of the checkerboard writer is such a run."""
+    pass of the checkerboard writer is such a run.  A long run is drawn in
+    K interleaved lanes (`abs_run_lanes`); `lanes` collects the final
+    states of lanes 1..K-1 of each, lane 0 going on as the coder's state."""
 
     def __init__(self, bits: Iterable[int], precision: int):
         if precision < 1:
             raise ValueError("precision must be positive")
         self.r = precision
         self.l = 1 << precision
+        self.lanes: list[int] = []
         self._bits = _bit_bytes(bits)
         self._n = len(self._bits)
         x = 1
@@ -712,12 +763,16 @@ class AbsStreamDecoder:
         At the fair law m = 2^(R-1) a draw returns 1 - (x & 1) and replaces
         the low bit of x by the next bit read; the top R bits stay.  So a
         fair run is one shift: the low bit of x, then the next k - 1 bits,
-        each inverted, and the k-th becomes the new low bit."""
+        each inverted, and the k-th becomes the new low bit.  A run that
+        `abs_run_lanes` gives K > 1 lanes is drawn by `_run_lanes`."""
         l = self.l
         if not 0 < m < l:
             raise ValueError("probability numerator out of range")
         if k <= 0:
             return b""
+        lanes = abs_run_lanes(k, m, self.r)
+        if lanes > 1:
+            return self._run_lanes(m, k, lanes)
         r, x, bits, pos = self.r, self.x, self._bits, self._pos
         if m == l >> 1:
             got = bytearray((x & 1,)) + bits[pos:pos + k]
@@ -746,6 +801,53 @@ class AbsStreamDecoder:
         self.x, self._pos = x, pos
         return bytes(out)
 
+    def _run_lanes(self, m: int, k: int, lanes: int) -> bytes:
+        """run(m, k) in K = `lanes` interleaved lanes (Giesen, arXiv:
+        1402.3392).  Lane j draws the j-th contiguous block of the run, the
+        blocks one node shorter last.  Lane 0 starts at the coder's state,
+        and lanes 1..K-1 at the next (K - 1) R payload bits, R a lane in
+        lane order.  Each step draws one node in every live lane with
+        draw's ceiling split; the lanes then take their refill bits from
+        the one payload stream in lane order."""
+        r, l = self.r, self.l
+        steps = -(-k // lanes)
+        live = k - (steps - 1) * lanes  # lanes that draw at the last step
+        read = _bit_reader(np.packbits(np.frombuffer(self._bits, np.uint8)[self._pos:]))
+        x = np.empty(lanes, dtype=np.int64)
+        x[0] = self.x
+        x[1:] = l | read(r * np.arange(lanes - 1), np.full(lanes - 1, 63 - r))
+        out = np.empty((steps, lanes), dtype=bool)  # step t's symbols, row t
+        # at[0] the bits read so far, at[1:] each lane's refill count; its
+        # running sum puts each lane's field offset at ends[j], and the
+        # bits read after the step at ends[live lanes]
+        at = np.empty(lanes + 1, dtype=np.int64)
+        ends = np.empty_like(at)
+        ends[-1] = r * (lanes - 1)
+        c, lm, shift = l - 1, l - m, 62 - r
+        for t in range(steps):
+            n = lanes if t < steps - 1 else live
+            xv, s = x[:n], out[t, :n]
+            at[0] = ends[lanes]
+            xm = xv * m
+            xm += c
+            np.greater_equal(xm & c, lm, out=s)
+            xm >>= r
+            xs = np.where(s, xm, xv - xm)
+            # xs < 2^e, so it takes R + 1 - e refill bits
+            e = np.frexp(xs)[1]
+            nb = np.subtract(r + 1, e, out=at[1:n + 1])
+            np.add.accumulate(at[:n + 1], out=ends[:n + 1])
+            xs <<= nb
+            np.bitwise_or(xs, read(ends[:n], e + shift), out=xv)
+        self._pos += int(ends[live])
+        self.x = int(x[0])
+        self.lanes += x[1:].tolist()
+        flat = out.T.ravel()  # lane after lane
+        del out
+        if live < lanes:  # close the gaps the short lanes leave
+            flat[live * steps:k] = flat[live * steps:].reshape(-1, steps)[:, :-1].ravel()
+        return flat[:k].tobytes()
+
 
 class AbsStreamEncoder:
     """Inverse of AbsStreamDecoder: absorbs symbols walked in reverse order
@@ -753,14 +855,17 @@ class AbsStreamEncoder:
     into a bytearray, one byte a bit.  `strip._absorb` runs absorb on every
     free node that the walk drew with `draw`, back to front, and absorb_run
     on each run a walk drew with `run`; `finish` returns the payload as
-    bytes of 0s and 1s."""
+    bytes of 0s and 1s.  `lanes` are the decoder's `lanes`: a laned run
+    takes its K - 1 final states from their end.  With none, every run is
+    absorbed as one lane, as runs were drawn before lanes."""
 
-    def __init__(self, final_state: int, precision: int):
+    def __init__(self, final_state: int, precision: int, lanes: Sequence[int] = ()):
         if precision < 1:
             raise ValueError("precision must be positive")
         self.r = precision
         self.l = 1 << precision
         self.x = final_state
+        self.lanes = list(lanes)
         # emitted bits, one byte each, last payload bit first
         self._emitted = bytearray()
 
@@ -799,6 +904,9 @@ class AbsStreamEncoder:
             raise ValueError("probability numerator out of range")
         if not symbols:
             return
+        lanes = abs_run_lanes(len(symbols), m, self.r) if self.lanes else 1
+        if lanes > 1:
+            return self._absorb_lanes(symbols, m, lanes)
         r, x, emitted = self.r, self.x, self._emitted
         if m == l >> 1:
             emitted.append(x & 1)
@@ -821,12 +929,62 @@ class AbsStreamEncoder:
                 x = (((x + 1) << r) - 1) // ls
         self.x = x
 
+    def _absorb_lanes(self, symbols, m: int, lanes: int) -> None:
+        """absorb_run of a run drawn by `AbsStreamDecoder._run_lanes` in K
+        = `lanes` lanes: the steps back to front, each lane's refill field
+        turned into bits (`_field_digits`) a block of _ABS_EMIT_BLOCK
+        fields at a time, then lanes 1..K-1's seed bits."""
+        r, l = self.r, self.l
+        if len(self.lanes) < lanes - 1:
+            raise CorruptStream("a run of %d lanes finds %d lane states"
+                                % (lanes, len(self.lanes) + 1))
+        rest = len(self.lanes) - (lanes - 1)
+        x = np.array([self.x] + self.lanes[rest:], dtype=np.int64)
+        del self.lanes[rest:]
+        k = len(symbols)
+        steps = -(-k // lanes)
+        live = k - (steps - 1) * lanes
+        sym = np.frombuffer(bytes(symbols), dtype=bool)
+        # lane j's block, row j: the live lanes', then the short ones'
+        full = sym[:live * steps].reshape(live, steps)
+        short = sym[live * steps:].reshape(lanes - live, steps - 1)
+        (lo0, lo1), (cut0, cut1) = _emit_bounds((l - m, m), l, 1)
+        per = max(1, _ABS_EMIT_BLOCK // lanes)  # steps per block
+        for end in range(steps, 0, -per):
+            start = max(end - per, 0)
+            s = np.zeros((end - start, lanes), dtype=bool)
+            s[:, :live] = full[:, start:end].T
+            s[:min(end, steps - 1) - start, live:] = short[:, start:end].T
+            # per node: its refill count is lo, one more from state cut
+            # on, and it merges as ((xs << R) + up) // div: floor(xs*l / m)
+            # for a one, ceil((xs+1)*l / ls) - 1 for a zero
+            cut, lo = np.where(s, cut1, cut0), np.where(s, lo1, lo0)
+            up, div = np.where(s, 0, l - 1), np.where(s, m, l - m)
+            fields = np.zeros(s.shape, dtype=np.int64)
+            nbits = np.zeros(s.shape, dtype=np.int64)
+            for t in range(end - start - 1, -1, -1):
+                n = lanes if start + t < steps - 1 else live
+                xv, nb = x[:n], nbits[t, :n]
+                np.add(lo[t, :n], xv >= cut[t, :n], out=nb)
+                xs = xv >> nb
+                np.subtract(xv, xs << nb, out=fields[t, :n])
+                xs <<= r
+                xs += up[t, :n]
+                np.floor_divide(xs, div[t, :n], out=xv)
+            bits = _field_digits(fields.ravel(), nbits.ravel(), 1)
+            self._emitted += bits[::-1].tobytes()
+        seeds = _field_digits(x[1:] - l, np.full(lanes - 1, r), 1)
+        self._emitted += seeds[::-1].tobytes()
+        self.x = int(x[0])
+
     def finish(self) -> bytes:
         """Bits in original payload order, including the R state-seed bits,
         one byte each."""
         x = self.x
         if not self.l <= x < 2 * self.l:
             raise CorruptStream("state did not drain into the seed interval")
+        if self.lanes:
+            raise CorruptStream("%d lane states left unread" % len(self.lanes))
         emitted = self._emitted
         while x > 1:
             emitted.append(x & 1)

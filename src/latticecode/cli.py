@@ -325,8 +325,9 @@ def cmd_algo1(args) -> int:
         bits = _bits_from_bytes(Path(args.infile).read_bytes())
         res = exp.algorithm1_encode((args.rows, args.cols), args.q, bits,
                                     args.precision)
+        states = (res.final_state,) + res.lane_states
         text = st.format_encoded("algo1", res.grid, q=args.q, R=args.precision,
-                                 x=res.final_state, bits=len(bits))
+                                 x=",".join(map(str, states)), bits=len(bits))
         if args.verify and _algo1_decode_text(text) != bits:
             raise ans.CorruptStream("verification reread mismatch")
         _emit(args, text)
@@ -339,10 +340,15 @@ def cmd_algo1(args) -> int:
 
 
 def _algo1_decode_text(text: bytes) -> bytes:
-    """Payload bits, one byte each, of an algo1 encoded-lattice file."""
+    """Payload bits, one byte each, of an algo1 encoded-lattice file.  Its
+    x= lists the even pass's K lane states, lane 0 first, K from the grid,
+    q and R (`algorithm1_lanes`), or one state, as files were written
+    before lanes; a list of another length is refused unread."""
     meta, grid = st.parse_encoded(text, "algo1", ("q", "R", "x", "bits"))
-    return exp.algorithm1_decode(grid, float(meta["q"]), int(meta["x"]),
-                                 int(meta["bits"]), int(meta["R"]))
+    q = float(meta["q"])
+    (R,), (nbits,) = st.header_ints(meta, "R"), st.header_ints(meta, "bits")
+    x = st.header_ints(meta, "x", 1, exp.algorithm1_lanes(grid.shape, q, R))
+    return exp.algorithm1_decode(grid, q, x[0], nbits, R, x[1:])
 
 
 def cmd_algo2(args) -> int:

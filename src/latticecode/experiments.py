@@ -3,16 +3,20 @@
 Two Monte-Carlo lattice writers live here.  The first is a two-pass
 checkerboard scheme with a closed-form rate: the even sublattice is
 written as independent Bernoulli(q) draws, then every odd node whose four
-neighbours are 0 carries one fair payload bit.  It is two runs over two
-fixed masks of the checkerboard, run by the same coders as the strip codec
-(`strip._write` / `strip._absorb`), one coder call each
-(`AbsStreamDecoder.run`): the encoder draws the even nodes, row by row, at
-the law q gives, then finds the free odd nodes from those symbols and
-draws them, row by row, at the fair law, which is one shift.  The decoder
-reads the laws off the written grid with the same odd-pass rule and
-absorbs the two runs back to front (`AbsStreamEncoder.absorb_run`), the
-odd one first.  Both codecs quantize with `strip._quantize` and measure
-their rates with `strip._measure_rate`.
+neighbours are 0 carries one fair payload bit.  It is two runs over the
+two checkerboard sublattices (`_sublattice`, strided slices), run by the
+same coders as the strip codec (`strip._write` / `strip._absorb`), one
+coder call each (`AbsStreamDecoder.run`): the encoder draws the even
+nodes, row by row, at the law q gives, then finds the free odd nodes from
+those symbols and draws them, row by row, at the fair law, which is one
+shift.  An even pass of 2^16 nodes or more at R <= 31 is drawn in K
+interleaved lanes (`algorithm1_lanes`); the odd pass goes on from lane 0,
+and the file stores all K final states, lane 0 first.  The decoder reads
+the laws off the written grid with the same odd-pass rule and absorbs the
+two runs back to front (`AbsStreamEncoder.absorb_run`), the odd one
+first.  Both codecs quantize with `strip._quantize` and measure their
+rates with `strip._measure_rate`, which charges R + 1 bits for each
+stored coder state.
 The second visits nodes in a random time order and writes a 1 with a
 time-dependent probability (a "charging profile"); it is a measurement
 device, not a codec.
@@ -30,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import lattice as lat
-from .ans import abs_decode_step
+from .ans import abs_decode_step, abs_run_lanes
 from .rng import SplitMix64
 from .spectral import (WeightedGraph, _benefit, binary_entropy, dominant_eigs,
                        kmodel_capacity, kmodel_graph)
@@ -93,10 +97,35 @@ def _dims(dims) -> tuple[int, int]:
     return rows, cols
 
 
-def _checkerboard(rows: int, cols: int) -> np.ndarray:
-    """The odd checkerboard sublattice as a bool grid; node (0, 0) is even.
-    The writer visits the even nodes row by row, then the odd ones."""
-    return (np.arange(rows) % 2 == 1)[:, None] ^ (np.arange(cols) % 2 == 1)
+def _sublattice(grid: np.ndarray, odd: bool, values=None) -> np.ndarray:
+    """The nodes of the odd (or even) checkerboard sublattice of `grid`,
+    node (0, 0) even, row by row as one array; with `values`, that array,
+    written into the grid instead.  Each pair of rows 2i, 2i+1 is row i of
+    a (rows // 2, cols) array, the first row's nodes first, then comes a
+    last odd row: strided slices, where a mask gather is about 25 times
+    slower."""
+    rows, cols = grid.shape
+    p, pairs = int(odd), rows // 2
+    first = (cols + 1 - p) // 2  # nodes in row 0
+    out = np.empty((rows * cols + 1 - p) // 2, grid.dtype) if values is None else values
+    both = out[:pairs * cols].reshape(pairs, cols)
+    for g, o in ((grid[0:2 * pairs:2, p::2], both[:, :first]),
+                 (grid[1:2 * pairs:2, 1 - p::2], both[:, first:]),
+                 (grid[2 * pairs:, p::2], out[pairs * cols:].reshape(rows % 2, first))):
+        if values is None:
+            o[...] = g
+        else:
+            g[...] = o
+    return out
+
+
+def _sublattice_node(shape, odd: bool, i: int) -> tuple:
+    """(row, column) of node i of `_sublattice`."""
+    first = (shape[1] + 1 - odd) // 2
+    pair, r = divmod(i, shape[1])
+    if r < first:
+        return 2 * pair, int(odd) + 2 * r
+    return 2 * pair + 1, 1 - odd + 2 * (r - first)
 
 
 def _around(op, pad):
@@ -111,12 +140,13 @@ def _check_q(q: float) -> None:
         raise ValueError("q must lie in [0, 1]")
 
 
-def _algorithm1_odd_free(grid: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The odd-pass rule: the odd nodes that carry one fair bit given the
-    even symbols in `grid`, as a bool grid.  Those whose four neighbours,
-    all even, are 0 (zero boundary: nodes outside the grid never block);
-    every other odd node is forced to 0."""
-    return odd & ~_around(np.logical_or, np.pad(grid == 1, 1))
+def _algorithm1_odd_free(grid: np.ndarray) -> np.ndarray:
+    """The odd-pass rule: which odd nodes carry one fair bit given the
+    even symbols in `grid`, over `_sublattice(grid, True)`.  Those whose
+    four neighbours, all even, are 0 (zero boundary: nodes outside the
+    grid never block); every other odd node is forced to 0."""
+    free = _sublattice(_around(np.logical_or, np.pad(grid == 1, 1)), True)
+    return np.logical_not(free, out=free)
 
 
 def _algorithm1_walk(rows: int, cols: int, q: float, precision: int,
@@ -126,18 +156,19 @@ def _algorithm1_walk(rows: int, cols: int, q: float, precision: int,
     forces the symbol), then the free nodes of the odd-pass rule over
     those symbols at the fair law."""
     _check_q(q)
-    odd = _checkerboard(rows, cols)
     l = 1 << precision
     m = _quantize(q, precision)
     grid = np.zeros((rows, cols), dtype=np.int8)
+    count = (rows * cols + 1) // 2
     if 0 < m < l:
-        grid[~odd] = np.frombuffer(dec.run(m, (rows * cols + 1) // 2),
-                                   dtype=np.int8)
+        _sublattice(grid, False, np.frombuffer(dec.run(m, count), dtype=np.int8))
     else:
-        grid[~odd] = m >> precision
-    free = _algorithm1_odd_free(grid, odd)
-    grid[free] = np.frombuffer(dec.run(l >> 1, int(np.count_nonzero(free))),
-                               dtype=np.int8)
+        _sublattice(grid, False, np.full(count, m >> precision, dtype=np.int8))
+    free = _algorithm1_odd_free(grid)
+    odd = np.zeros(len(free), dtype=np.int8)
+    odd[free] = np.frombuffer(dec.run(l >> 1, int(np.count_nonzero(free))),
+                              dtype=np.int8)
+    _sublattice(grid, True, odd)
     return grid
 
 
@@ -158,36 +189,51 @@ def algorithm1_encode(dims, q: float, bits, precision: int = 16,
                   partial)
 
 
+def algorithm1_lanes(shape, q: float, precision: int) -> int:
+    """K, the lanes of the even pass of a grid of `shape` (`ans.
+    abs_run_lanes`): a run of its (rows * cols + 1) // 2 even nodes at q's
+    law.  Its file stores K coder states."""
+    _check_precision(precision)
+    _check_q(q)
+    return abs_run_lanes((shape[0] * shape[1] + 1) // 2, _quantize(q, precision),
+                         precision)
+
+
 def algorithm1_decode(grid, q: float, final_state: int, nbits: int,
-                      precision: int = 16) -> bytes:
+                      precision: int = 16, lane_states=()) -> bytes:
     """Invert the two-pass writer; exact inverse of `algorithm1_encode`.
     Returns the payload bits, one byte each.  The laws are read off the
     grid: q's for every even node, as one scalar, and the fair law for
     the odd nodes that the odd-pass rule frees, as their mask, the rest
     forced to 0.  The two runs are absorbed odd pass first, each built
-    only once the one before is absorbed."""
+    only once the one before is absorbed.  `lane_states` are the final
+    states of the even pass's lanes 1..K-1 (`EncodeResult.lane_states`),
+    K from the grid (`algorithm1_lanes`); none reads a grid written before
+    lanes as one lane, and any other count is refused first."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ConfigMismatch("expected a 2-d grid")
-    _check_precision(precision)
-    _check_q(q)
+    lanes = algorithm1_lanes(grid.shape, q, precision)
+    if len(lane_states) not in (0, lanes - 1):
+        raise ConfigMismatch("%d coder states for a grid whose even pass "
+                             "codes in %d lanes" % (1 + len(lane_states), lanes))
 
     def span(odd):
-        mask = _checkerboard(*grid.shape) == odd
         laws = _quantize(q, precision)
         if odd:
-            laws = _algorithm1_odd_free(grid, mask)[mask], 1 << (precision - 1)
-        return grid[mask], laws, True, lambda i: divmod(
-            int(np.flatnonzero(_checkerboard(*grid.shape) == odd)[i]), grid.shape[1])
+            laws = _algorithm1_odd_free(grid), 1 << (precision - 1)
+        return (_sublattice(grid, odd), laws, True,
+                lambda i: _sublattice_node(grid.shape, odd, i))
 
-    return _absorb(map(span, (True, False)), final_state, nbits, precision)
+    return _absorb(map(span, (True, False)), final_state, nbits, precision,
+                   lane_states)
 
 
 def _algorithm1_trial_codec(precision, q, side):
     return (lambda bits: algorithm1_encode((side, side), q, bits, precision,
                                            partial=True),
             lambda res: algorithm1_decode(res.grid, q, res.final_state,
-                                          res.consumed, precision),
+                                          res.consumed, precision, res.lane_states),
             lat.hard_square(), side * side)
 
 
@@ -196,7 +242,8 @@ def algorithm1_rate(q: float, side: int = 256, trials: int = 4, seed: int = 0,
                     verify: bool = False) -> RateReport:
     """Measured payload rate of the checkerboard writer on random bits.
 
-    The final coder state is charged as precision+1 bits, so the rate is
+    Each stored coder state, one per lane of the even pass
+    (`algorithm1_lanes`), is charged as precision+1 bits, so the rate is
     net payload per node.  Trials run on independent seed streams; the
     reduction is deterministic for a fixed seed.
     """

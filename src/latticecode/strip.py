@@ -158,6 +158,9 @@ class EncodeResult:
     final_state: int
     consumed: int
     padded: int
+    # the final states of lanes 1..K-1 of a run drawn in lanes
+    # (`AbsStreamDecoder.lanes`); the file stores them after final_state
+    lane_states: tuple = ()
 
 
 # A codec is a walk plus a law rule, run by this one pair of coders, and
@@ -170,21 +173,25 @@ class EncodeResult:
 # at the law the nodes before it give, or, for a run of nodes whose one
 # law is known before the run starts, draws the run with one
 # `AbsStreamDecoder.run` call: a run at one law is one coder call, and the
-# fair law 2^(R-1) is its shift.  The strip walk visits the grid column by
-# column and steps prefix to prefix, reading each law by the prefix and
-# the previous column's key (`_law_table`); it lists the states of a block
-# of columns and writes the block's rows from the states' code bits, so no
-# visiting order is ever built.  The decoder gathers: a law depends only
-# on nodes visited before it, so the codec reads the laws off the written
-# grid and `_absorb` checks the forced nodes and absorbs the free ones in
-# exact reverse visiting order, a span at a time: each run that the walk
-# drew with one `run` call with one `AbsStreamEncoder.absorb_run`, every
-# other free node with `AbsStreamEncoder.absorb`.  So the nodes that go
-# through `draw` are exactly those that go through `absorb`.  The strip
-# decoder checks every column first, then gathers and absorbs one block of
-# columns at a time, last block first: a block's laws need only its own
-# states and the state of the column before it.  The checkerboard writer
-# is two runs over two fixed masks of the grid, and its decoder hands
+# fair law 2^(R-1) is its shift.  A long run at another law is drawn in
+# K interleaved lanes (`ans.abs_run_lanes`), whose K - 1 extra final
+# states travel in `EncodeResult.lane_states` to the file and back to
+# `_absorb`; each stored state is charged R + 1 bits.  The strip walk
+# visits the grid column by column and steps prefix to prefix, reading
+# each law by the prefix and the previous column's key (`_law_table`); it
+# lists the states of a block of columns and writes the block's rows from
+# the states' code bits, so no visiting order is ever built.  The decoder
+# gathers: a law depends only on nodes visited before it, so the codec
+# reads the laws off the written grid and `_absorb` checks the forced
+# nodes and absorbs the free ones in exact reverse visiting order, a span
+# at a time: each run that the walk drew with one `run` call with one
+# `AbsStreamEncoder.absorb_run`, every other free node with
+# `AbsStreamEncoder.absorb`.  So the nodes that go through `draw` are
+# exactly those that go through `absorb`.  The strip decoder checks every
+# column first, then gathers and absorbs one block of columns at a time,
+# last block first: a block's laws need only its own states and the state
+# of the column before it.  The checkerboard writer is two runs over the
+# grid's two checkerboard sublattices, and its decoder hands
 # `_absorb` one span for each.
 
 
@@ -272,21 +279,23 @@ def _write(bits: Sequence[int], precision: int, walk,
     grid = walk(dec)
     if not partial and dec.consumed < len(bits):
         raise CapacityExceeded(dec.consumed, len(bits))
-    return EncodeResult(grid, dec.x, dec.consumed, dec.padded)
+    return EncodeResult(grid, dec.x, dec.consumed, dec.padded, tuple(dec.lanes))
 
 
 def _absorb_span(enc: AbsStreamEncoder, vals, laws, run: bool, at):
     """One span of `_absorb`, checked and absorbed: its fault, or None."""
     l = enc.l
     ones = vals == 1
-    binary = ones | (vals == 0)
+    binary = vals == 0
+    binary |= ones
     n = len(vals) if binary.all() else int(np.argmin(binary))
+    del binary
     if not run:
         f = (laws != 0) & (laws != l)
         wrong = ~f[:n] & (ones[:n] != (laws[:n] == l))
     elif isinstance(laws, tuple):  # a run's free mask and law: the rest are 0
         f, laws = laws
-        wrong = ones[:n] & ~f[:n]
+        wrong = ones[:n] > f[:n]  # a 1 where the rule forces a 0
     elif 0 < laws < l:  # a run's one law: no node is forced
         f, wrong = slice(None), ones[:0]
     else:  # or every node is
@@ -302,7 +311,8 @@ def _absorb_span(enc: AbsStreamEncoder, vals, laws, run: bool, at):
     return "non-binary value at (%d, %d)" % at(n) if n < len(vals) else None
 
 
-def _absorb(spans, final_state: int, nbits: int, precision: int) -> bytes:
+def _absorb(spans, final_state: int, nbits: int, precision: int,
+            lane_states: Sequence[int] = ()) -> bytes:
     """Check a written grid against its laws and run the coder backwards
     over the free nodes; the payload bits, one byte each.  `spans` covers
     the visiting order back to front, each span as (symbols, laws, run,
@@ -315,14 +325,14 @@ def _absorb(spans, final_state: int, nbits: int, precision: int) -> bytes:
     forced to 0, and their law.  Each span is let go before the next is
     taken.  A forced node that disagrees ahead of the first non-binary one
     is reported first; the fault earliest in visiting order is raised once
-    every span is read."""
+    every span is read.  `lane_states` are `EncodeResult.lane_states`."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
     l = 1 << precision
-    if not l <= final_state < 2 * l:
+    if not all(l <= x < 2 * l for x in (final_state, *lane_states)):
         raise ConfigMismatch("final coder state out of range")
-    enc = AbsStreamEncoder(final_state, precision)
+    enc = AbsStreamEncoder(final_state, precision, lane_states)
     # starmap drops each span once its call returns
     faults = [f for f in starmap(functools.partial(_absorb_span, enc), spans) if f]
     if faults:
@@ -485,6 +495,27 @@ def parse_encoded(data: bytes, kind: str = "strip",
     return meta, np.atleast_2d(grid)
 
 
+def header_ints(meta: dict, name: str, *counts: int) -> list:
+    """The comma-separated integers of header field `name`, one of
+    `counts` (default 1) of them, each ASCII digits after an optional '-',
+    as '%d' writes them.  Another count is refused before any item is
+    read, and so is any other item (a '+', an '_' or a non-ASCII digit,
+    all of which int() takes)."""
+    text, counts = meta[name], counts or (1,)
+    if text.count(",") + 1 not in counts:
+        raise ConfigMismatch("header field %s holds %d values, not %s"
+                             % (name, text.count(",") + 1,
+                                " or ".join(map(str, sorted(set(counts))))))
+    out = []
+    for item in text.split(","):
+        digits = item[1:] if item[:1] == "-" else item
+        if not (digits.isascii() and digits.isdigit()):
+            raise ConfigMismatch("header field %s holds %r, not a decimal "
+                                 "integer" % (name, item))
+        out.append(int(item))
+    return out
+
+
 def decode_text(data: bytes) -> bytes:
     """Payload bits, one byte each, of the bytes of an encoded-lattice file,
     decoded with the strip its header names (`codec_strip`)."""
@@ -493,12 +524,13 @@ def decode_text(data: bytes) -> bytes:
         model = lat.model_preset(meta["model"])
     except ValueError as e:
         raise ConfigMismatch(str(e))
-    n = int(meta["n"])
+    (n,), (R,), (x,), (nbits,) = map(functools.partial(header_ints, meta),
+                                     ("n", "R", "x", "bits"))
     # the grid in the file, not the header, decides how large a strip to
     # build, and its law table is sized before the strip is
     _check_height(grid, n)
-    codec = LatticeCodec(codec_strip(model, n, meta["boundary"]), int(meta["R"]))
-    return codec.decode(grid, int(meta["x"]), int(meta["bits"]))
+    codec = LatticeCodec(codec_strip(model, n, meta["boundary"]), R)
+    return codec.decode(grid, x, nbits)
 
 
 @dataclass
@@ -536,8 +568,10 @@ def _rate_trial(args):
             raise CorruptStream("roundtrip mismatch in rate trial %d" % t)
         if model is not None and lat.scan(res.grid, model):
             raise InvalidLattice("rate trial emitted an invalid grid")
-    # the final state is ancillary information: charge precision+1 bits
-    return t, (res.consumed - (precision + 1)) / nodes
+    # each stored coder state is ancillary information: charge precision+1
+    # bits for it
+    stored = 1 + len(res.lane_states)
+    return t, (res.consumed - stored * (precision + 1)) / nodes
 
 
 def _map_trials(fn, args, jobs: int) -> list:

@@ -785,6 +785,160 @@ def test_fair_shift_equals_per_node_steps(R):
     assert crossed == ({True} if R == 1 else {True, False})
 
 
+def _lane_reference(bits, R, pre, m, k, lanes):
+    """A run of k nodes at law m after draws at the laws `pre`, drawn by
+    `lanes` scalar coders on the exact-fraction abs_decode_step /
+    abs_encode_step that share one payload stream: lane 0 goes on from the
+    draws, lanes 1.. are seeded next, R bits each in lane order, lane j
+    takes the j-th contiguous block of the run (the short ones last), and
+    each step refills the lanes in lane order.  Returns the draws'
+    symbols, the run's symbols in visiting order, the lanes' final states,
+    consumed and padded counts, and the bits that absorbing everything
+    back to front emits, in payload order."""
+    l = 1 << R
+    stream, count = iter(bits), [0, 0]  # consumed, padded
+
+    def refill(x):
+        while x < l:
+            b = next(stream, None)
+            count[b is None] += 1
+            x = 2 * x + (b or 0)
+        return x
+
+    x, head = refill(1), []
+    for a in pre:
+        s, x = ans.abs_decode_step(x, Fraction(a, l))
+        head.append(s)
+        x = refill(x)
+    xs = [x] + [refill(1) for _ in range(lanes - 1)]
+    steps = -(-k // lanes)
+    size = [steps if j < k - (steps - 1) * lanes else steps - 1 for j in range(lanes)]
+    run = [[] for _ in range(lanes)]
+    for t in range(steps):
+        for j in range(lanes):
+            if t < size[j]:
+                s, xs[j] = ans.abs_decode_step(xs[j], Fraction(m, l))
+                run[j].append(s)
+                xs[j] = refill(xs[j])
+    final, back = list(xs), []
+
+    def merge(x, s, a):
+        while x >= 2 * (a if s else l - a):
+            back.append(x & 1)
+            x >>= 1
+        return ans.abs_encode_step(s, x, Fraction(a, l))
+
+    for t in reversed(range(steps)):
+        for j in reversed(range(lanes)):
+            if t < size[j]:
+                xs[j] = merge(xs[j], run[j][t], m)
+    for j in reversed(range(1, lanes)):  # the lanes' seeds
+        assert l <= xs[j] < 2 * l
+        while xs[j] > 1:
+            back.append(xs[j] & 1)
+            xs[j] >>= 1
+    x = xs[0]
+    for s, a in zip(reversed(head), reversed(pre)):
+        x = merge(x, s, a)
+    while x > 1:
+        back.append(x & 1)
+        x >>= 1
+    return head, [s for r in run for s in r], final, count[0], count[1], back[::-1]
+
+
+@pytest.mark.parametrize("R", [1, 16, 31, 32, 64])
+def test_lane_runs_equal_scalar_reference_coders(R, monkeypatch, quantize):
+    # A run of at least ABS_LANE_MIN_NODES nodes at R <= 31 is drawn and
+    # absorbed in K interleaved lanes; it must equal K scalar coders on one
+    # stream, bit for bit.  Small thresholds put many lane counts in reach:
+    # runs whose length K does not divide, payloads shorter than the K R
+    # seed bits, a run after draws at other laws.  R = 1 has only the
+    # fair law, a shift at any length, and R = 32 and 64 stay one lane.
+    monkeypatch.setattr(ans, "ABS_LANE_MIN_NODES", 64)
+    monkeypatch.setattr(ans, "_NODES_PER_ABS_LANE_LOG", 3)
+    rng = SplitMix64(3400 + R)
+    l = 1 << R
+    qstar = quantize(0.17021925307065777, l)  # algo1's optimal q
+    for m in sorted({1, qstar, l - 1}):
+        for k, nbits, npre in ((64, 900, 0), (203, 40, 0), (203, 0, 2),
+                               (1000, 5000, 3), (8 * 1024 + 5, 9000, 1)):
+            lanes = ans.abs_run_lanes(k, m, R)
+            assert lanes == (1 if R > 31 or m == l >> 1 else min(1024, k >> 3))
+            bits = (rng.block(nbits) & 1).tolist()
+            pre = [rng.randbelow(l - 1) + 1 for _ in range(npre)]
+            head, run, final, consumed, padded, back = _lane_reference(
+                bits, R, pre, m, k, lanes)
+            dec = ans.AbsStreamDecoder(bits, R)
+            assert [dec.draw(a) for a in pre] == head
+            got = dec.run(m, k)
+            assert got == bytes(run)
+            assert [dec.x] + dec.lanes == final
+            assert (dec.consumed, dec.padded) == (consumed, padded)
+            assert back == bits[:consumed] + [0] * padded
+            enc = ans.AbsStreamEncoder(dec.x, R, dec.lanes)
+            enc.absorb_run(got, m)
+            assert enc.lanes == []
+            for s, a in zip(reversed(head), reversed(pre)):
+                enc.absorb(s, a)
+            assert enc.finish() == bytes(back)
+
+
+def test_lane_runs_at_the_real_threshold(quantize):
+    # 2^16 nodes draw in 128 lanes, one fewer stays one lane; the fair law
+    # stays one shift at any length
+    R, l = 16, 1 << 16
+    m = quantize(0.17021925307065777, l)
+    assert [ans.abs_run_lanes(k, m, R) for k in ((1 << 16) - 1, 1 << 16, 10 ** 6, 10 ** 7)
+            ] == [1, 128, 1024, 1024]
+    assert ans.abs_run_lanes(10 ** 6, l >> 1, R) == ans.abs_run_lanes(10 ** 6, m, 32) == 1
+    k = (1 << 16) + 777
+    bits = (SplitMix64(3499).block(60000) & 1).tolist()
+    _, run, final, consumed, padded, back = _lane_reference(bits, R, [], m, k, 129)
+    dec = ans.AbsStreamDecoder(bits, R)
+    got = dec.run(m, k)
+    assert got == bytes(run) and [dec.x] + dec.lanes == final
+    assert (dec.consumed, dec.padded) == (consumed, padded)
+    enc = ans.AbsStreamEncoder(dec.x, R, dec.lanes)
+    enc.absorb_run(got, m)
+    assert enc.finish() == bytes(back) == bytes(bits[:consumed] + [0] * padded)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_lane_absorb_across_block_boundaries(block, monkeypatch):
+    # the lane absorb turns its fields into bits a block of steps at a
+    # time, last block first
+    monkeypatch.setattr(ans, "_ABS_EMIT_BLOCK", block)
+    monkeypatch.setattr(ans, "ABS_LANE_MIN_NODES", 64)
+    monkeypatch.setattr(ans, "_NODES_PER_ABS_LANE_LOG", 3)
+    bits = (SplitMix64(3500 + block).block(3000) & 1).tolist()
+    dec = ans.AbsStreamDecoder(bits, 12)
+    got = dec.run(1001, 999)
+    assert len(dec.lanes) == (999 >> 3) - 1
+    enc = ans.AbsStreamEncoder(dec.x, 12, dec.lanes)
+    enc.absorb_run(got, 1001)
+    assert enc.finish() == bytes(bits[:dec.consumed] + [0] * dec.padded)
+
+
+def test_lane_absorb_needs_its_lane_states(monkeypatch):
+    # a laned run finds its K - 1 states at the end of `lanes`; too few is
+    # a corrupt stream, and so is any left over at the end.  With none,
+    # the run is absorbed as one lane, as runs were drawn before lanes
+    monkeypatch.setattr(ans, "ABS_LANE_MIN_NODES", 64)
+    monkeypatch.setattr(ans, "_NODES_PER_ABS_LANE_LOG", 3)
+    bits = (SplitMix64(3600).block(800) & 1).tolist()
+    dec = ans.AbsStreamDecoder(bits, 10)
+    got = dec.run(300, 200)
+    with pytest.raises(CorruptStream, match="^a run of 25 lanes finds 24 lane states$"):
+        ans.AbsStreamEncoder(dec.x, 10, dec.lanes[1:]).absorb_run(got, 300)
+    extra = ans.AbsStreamEncoder(dec.x, 10, [1 << 10] + dec.lanes)
+    extra.absorb_run(got, 300)
+    with pytest.raises(CorruptStream, match="^1 lane states left unread$"):
+        extra.finish()
+    one = ans.AbsStreamEncoder(dec.x, 10)
+    one.absorb_run(got, 300)  # not this run's coding: no lanes, one lane
+    assert one.lanes == []
+
+
 def test_lane_encoder_memory_follows_its_output():
     # 10^6 symbols at the benchmark's law code to about 1.45 MB of one-byte
     # digits in 488 lanes; the lane steps hold one block of fields at a

@@ -652,6 +652,113 @@ def test_algo1_bad_header(tmp_path, edit, message):
     assert err.splitlines()[1:] == ["error: " + message]
 
 
+def _laned_algo1_file(tmp_path):
+    """A 512 x 512 algo1 file at q*, whose even pass codes in 256 lanes:
+    its path, payload and header tokens, with x= as a list."""
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(2000, 34))
+    latf = tmp_path / "a1.lat"
+    rc, _, _ = run(["algo1", "encode", "--rows", "512", "--cols", "512",
+                    "--in", str(src), "--out", str(latf)])
+    assert rc == 0
+    head = latf.read_text().split("\n", 1)[0].split()
+    assert head[3].startswith("x=")
+    return latf, src.read_bytes(), head
+
+
+def _with_states(latf, head, states):
+    text = latf.read_text()
+    head = head[:3] + ["x=" + ",".join(states)] + head[4:]
+    latf.write_text(" ".join(head) + text[text.index("\n"):])
+
+
+def test_algo1_file_stores_every_lane_state(tmp_path):
+    latf, payload, head = _laned_algo1_file(tmp_path)
+    states = head[3][2:].split(",")
+    assert len(states) == exp.algorithm1_lanes((512, 512), exp.algorithm1_optimum()[0],
+                                               16) == 256
+    assert all(1 << 16 <= int(x) < 1 << 17 for x in states)
+    back = tmp_path / "back"
+    rc, _, _ = run(["algo1", "decode", "--in", str(latf), "--out", str(back)])
+    assert rc == 0 and back.read_bytes() == payload
+
+
+def test_algo1_single_state_file_still_decodes(tmp_path, monkeypatch):
+    # a file written before lanes stores one state for a grid whose even
+    # pass now codes in 256 lanes; it decodes as one lane
+    monkeypatch.setattr(ans, "ABS_LANE_MIN_NODES", 1 << 40)
+    latf, payload, head = _laned_algo1_file(tmp_path)
+    assert "," not in head[3]
+    monkeypatch.undo()
+    back = tmp_path / "back"
+    rc, _, _ = run(["algo1", "decode", "--in", str(latf), "--out", str(back)])
+    assert rc == 0 and back.read_bytes() == payload
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda xs: xs[:2], "header field x holds 2 values, not 1 or 256"),
+    (lambda xs: xs + xs[:1], "header field x holds 257 values, not 1 or 256"),
+    (lambda xs: xs[:1] * 10 ** 6, "header field x holds 1000000 values, not 1 or 256"),
+    (lambda xs: xs[:5] + [""] + xs[6:], "header field x holds '', not a decimal integer"),
+    (lambda xs: xs[:7] + [str((1 << 16) - 1)] + xs[8:], "final coder state out of range"),
+    (lambda xs: xs[:255] + [str(1 << 17)], "final coder state out of range"),
+    (lambda xs: ["0"] + xs[1:], "final coder state out of range")],
+    ids=["two", "one-more", "million", "empty-item", "below", "above", "lane-0"])
+def test_algo1_lane_states_are_refused_before_any_lane_array(tmp_path, monkeypatch,
+                                                             edit, message):
+    # K comes from the grid, never from the header: a list of another
+    # length, an item that is not an integer or a state outside [l, 2l) is
+    # one error line, before any sublattice or coder is built
+    latf, _, head = _laned_algo1_file(tmp_path)
+    _with_states(latf, head, edit(head[3][2:].split(",")))
+
+    def unreached(*args):
+        raise AssertionError("built before the lane states were checked")
+
+    monkeypatch.setattr(exp, "_sublattice", unreached)
+    monkeypatch.setattr(ans.AbsStreamEncoder, "__init__", unreached)
+    back = tmp_path / "back"
+    rc, _, err = run(["algo1", "decode", "--in", str(latf), "--out", str(back)])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: " + message]
+    assert not back.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x", "1_0"), ("x", "+65536"), ("R", "1_6"), ("R", "+16"),
+    ("bits", "+8"), ("bits", "0x8"), ("n", "+4"), ("n", "4.0")])
+def test_header_integers_are_ascii_decimal(tmp_path, field, value):
+    # int() takes '1_0', '+10' and non-ASCII digits; a header integer is
+    # what '%d' writes, an optional '-' and ASCII digits, or one error line
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(8, 6))
+    for cmd, argv in (("strip", ["--width", "4", "--columns", "64"]),
+                      ("algo1", ["--rows", "12", "--cols", "12"])):
+        if cmd == "algo1" and field == "n":
+            continue
+        latf = tmp_path / (cmd + ".lat")
+        rc, _, _ = run([cmd, "encode", "--in", str(src), "--out", str(latf)] + argv)
+        assert rc == 0
+        head, rest = latf.read_text().split("\n", 1)
+        tokens = [t if not t.startswith(field + "=") else field + "=" + value
+                  for t in head.split()]
+        latf.write_text(" ".join(tokens) + "\n" + rest)
+        rc, _, err = run([cmd, "decode", "--in", str(latf), "--out", str(tmp_path / "b")])
+        assert rc == 1, cmd
+        assert err.splitlines()[1:] == [
+            "error: header field %s holds %r, not a decimal integer" % (field, value)], cmd
+
+
+def test_header_ints_refuse_non_ascii_digits():
+    # a file's header reads as latin-1, which has no other decimal digits;
+    # the reader refuses them all the same
+    for text in ("\u0661\u0660", "\u00b2", "\uff11", "1\u0660"):
+        with pytest.raises(st.ConfigMismatch, match="not a decimal integer"):
+            st.header_ints({"x": text}, "x")
+    assert st.header_ints({"x": "-5"}, "x") == [-5]
+    assert st.header_ints({"x": "007,65536"}, "x", 1, 2) == [7, 65536]
+
+
 @pytest.mark.parametrize("grid", ["2 0 4 01\n", "2 3 3 012\n222\n222\n222\n"],
                          ids=["empty", "non-binary"])
 def test_algo1_bad_q_is_one_error_line(tmp_path, grid):

@@ -316,10 +316,25 @@ def test_algorithm1_decode_memory_is_bounded():
     q, bits = _benchmark_algo1_payload()
     res = ex.algorithm1_encode((512, 512), q, bits)
     tracemalloc.start()
-    got = ex.algorithm1_decode(res.grid, q, res.final_state, len(bits))
+    got = ex.algorithm1_decode(res.grid, q, res.final_state, len(bits),
+                               lane_states=res.lane_states)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert got == bytes(bits) and peak <= 7.5 * 512 * 512, peak / (512 * 512)
+
+
+def test_algorithm1_rate_charges_every_stored_state():
+    # at 512 x 512 the even pass codes in K = 256 lanes, and the rate is
+    # charged R + 1 bits for each of the K stored states, not for one
+    q, R, side = ex.algorithm1_optimum()[0], 16, 512
+    K = ex.algorithm1_lanes((side, side), q, R)
+    assert K == 256
+    rep = ex.algorithm1_rate(q, side=side, trials=1, seed=3, precision=R)
+    rng = SplitMix64(3).spawn(0)
+    bits = (rng.block(side * side + 64) & np.uint64(1)).astype(np.uint8).tobytes()
+    res = ex.algorithm1_encode((side, side), q, bits, R, partial=True)
+    assert len(res.lane_states) == K - 1
+    assert rep.rates == [(res.consumed - K * (R + 1)) / side ** 2]
 
 
 def test_algorithm1_rate_verify_failure_is_a_data_error(monkeypatch):
