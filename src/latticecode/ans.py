@@ -37,7 +37,9 @@ single-lane digit order, and min(1024, N >> 11) from there, where each
 step is a handful of numpy calls over the K lanes.  The K final lane
 states are part of the stored size: `stream_bits` counts D·w + K·(R + w).
 The bit-fed binary coder draws a long run at one law in lanes the same
-way (`abs_run_lanes`), each lane a contiguous block of the run.  The lane
+way (`abs_run_lanes`), each lane a contiguous block of the run, and the
+strip codec a long walk, each lane a stretch of columns: both through
+one lane step (`LaneDraws`, `AbsStreamEncoder.absorb_lanes`).  The lane
 decoders of both coders read their fields through one bit reader
 (`_bit_reader`), and their lane encoders emit theirs through one
 `_field_digits`.
@@ -337,7 +339,7 @@ def _encode_lanes(sym: np.ndarray, table: AnsTable, k: int):
 
 
 def _emit_bounds(slots: Sequence[int], l: int, w: int) -> tuple:
-    """(lo, cut) of the lane encoders, int64 arrays over the symbols, a
+    """(lo, cut) of the ANS lane encoder, int64 arrays over the symbols, a
     symbol's slot count in `slots`: it emits a w-bit digit per threshold
     (l_s << w) << (j w) at or below the state.  States lie in [l, l << w),
     which holds exactly one threshold, so an encode step emits lo[s] bits,
@@ -651,7 +653,7 @@ _PAD = 1 << 10
 # lanes, so the K - 1 extra final states cost about 1/512 bit per node.
 ABS_LANE_MIN_NODES = 1 << 16
 _NODES_PER_ABS_LANE_LOG = 9
-_ABS_LANE_MAX_PRECISION = 31
+ABS_LANE_MAX_PRECISION = 31
 
 
 def abs_run_lanes(count: int, m: int, precision: int) -> int:
@@ -659,7 +661,7 @@ def abs_run_lanes(count: int, m: int, precision: int) -> int:
     a forced or fair law (the fair one is a shift at any length), a short
     run or R > 31, else min(MAX_LANES, count >> 9)."""
     l = 1 << precision
-    if (count < ABS_LANE_MIN_NODES or precision > _ABS_LANE_MAX_PRECISION
+    if (count < ABS_LANE_MIN_NODES or precision > ABS_LANE_MAX_PRECISION
             or not 0 < m < l or m == l >> 1):
         return 1
     return min(MAX_LANES, count >> _NODES_PER_ABS_LANE_LOG)
@@ -802,51 +804,78 @@ class AbsStreamDecoder:
         return bytes(out)
 
     def _run_lanes(self, m: int, k: int, lanes: int) -> bytes:
-        """run(m, k) in K = `lanes` interleaved lanes (Giesen, arXiv:
-        1402.3392).  Lane j draws the j-th contiguous block of the run, the
-        blocks one node shorter last.  Lane 0 starts at the coder's state,
-        and lanes 1..K-1 at the next (K - 1) R payload bits, R a lane in
-        lane order.  Each step draws one node in every live lane with
-        draw's ceiling split; the lanes then take their refill bits from
-        the one payload stream in lane order."""
-        r, l = self.r, self.l
+        """run(m, k) in K = `lanes` interleaved lanes (`LaneDraws`): lane j
+        draws the j-th contiguous block of the run, the blocks one node
+        shorter last, so a step draws one node of every live lane."""
         steps = -(-k // lanes)
         live = k - (steps - 1) * lanes  # lanes that draw at the last step
-        read = _bit_reader(np.packbits(np.frombuffer(self._bits, np.uint8)[self._pos:]))
-        x = np.empty(lanes, dtype=np.int64)
-        x[0] = self.x
-        x[1:] = l | read(r * np.arange(lanes - 1), np.full(lanes - 1, 63 - r))
+        draws = LaneDraws(self, lanes)
         out = np.empty((steps, lanes), dtype=bool)  # step t's symbols, row t
-        # at[0] the bits read so far, at[1:] each lane's refill count; its
-        # running sum puts each lane's field offset at ends[j], and the
-        # bits read after the step at ends[live lanes]
-        at = np.empty(lanes + 1, dtype=np.int64)
-        ends = np.empty_like(at)
-        ends[-1] = r * (lanes - 1)
-        c, lm, shift = l - 1, l - m, 62 - r
         for t in range(steps):
-            n = lanes if t < steps - 1 else live
-            xv, s = x[:n], out[t, :n]
-            at[0] = ends[lanes]
-            xm = xv * m
-            xm += c
-            np.greater_equal(xm & c, lm, out=s)
-            xm >>= r
-            xs = np.where(s, xm, xv - xm)
-            # xs < 2^e, so it takes R + 1 - e refill bits
-            e = np.frexp(xs)[1]
-            nb = np.subtract(r + 1, e, out=at[1:n + 1])
-            np.add.accumulate(at[:n + 1], out=ends[:n + 1])
-            xs <<= nb
-            np.bitwise_or(xs, read(ends[:n], e + shift), out=xv)
-        self._pos += int(ends[live])
-        self.x = int(x[0])
-        self.lanes += x[1:].tolist()
+            draws.step(m, out[t, :lanes if t < steps - 1 else live])
+        draws.close()
         flat = out.T.ravel()  # lane after lane
         del out
         if live < lanes:  # close the gaps the short lanes leave
             flat[live * steps:k] = flat[live * steps:].reshape(-1, steps)[:, :-1].ravel()
         return flat[:k].tobytes()
+
+
+class LaneDraws:
+    """The draws of K interleaved lanes (Giesen, arXiv:1402.3392) that go
+    on from an `AbsStreamDecoder`: lane 0 starts at the coder's state, and
+    lanes 1..K-1 at the next (K - 1) R payload bits, R a lane in lane
+    order.  `step` draws one node in each of the first n lanes with
+    `draw`'s ceiling split, as a few numpy calls over the lanes, and the
+    lanes then take their refill bits from the one payload stream in lane
+    order, through 64-bit windows over the packed payload (`_bit_reader`).
+    A forced law, 0 or 2^R, leaves its lane's state as it is and reads no
+    bit.  `close` hands lane 0's state and the bits read back to the coder
+    and appends the final states of lanes 1..K-1 to its `lanes`.  Needs
+    R <= ABS_LANE_MAX_PRECISION, so that x * m fits int64."""
+
+    def __init__(self, dec: AbsStreamDecoder, lanes: int):
+        r, l = dec.r, dec.l
+        self.dec = dec
+        self.read = read = _bit_reader(
+            np.packbits(np.frombuffer(dec._bits, np.uint8)[dec._pos:]))
+        self.x = np.empty(lanes, dtype=np.int64)
+        self.x[0] = dec.x
+        self.x[1:] = l | read(r * np.arange(lanes - 1), np.full(lanes - 1, 63 - r))
+        # at[0] the bits read so far, at[1:] each lane's refill count; its
+        # running sum puts each lane's field offset at ends[j], and the
+        # bits read after a step of n lanes at ends[n]
+        self.at = np.empty(lanes + 1, dtype=np.int64)
+        self.ends = np.empty_like(self.at)
+        self.ends[lanes] = r * (lanes - 1)
+        self.n = lanes
+
+    def step(self, m, s: np.ndarray) -> None:
+        """Draw one node in each of the first len(s) lanes at its law m (one
+        law, or an array of one per lane) into the bool array s."""
+        r, l = self.dec.r, self.dec.l
+        n = len(s)
+        xv, at, ends = self.x[:n], self.at, self.ends
+        at[0] = ends[self.n]
+        self.n = n
+        xm = xv * m
+        xm += l - 1
+        np.greater_equal(xm & (l - 1), l - m, out=s)
+        xm >>= r
+        xs = np.where(s, xm, xv - xm)
+        # xs < 2^e, so it takes R + 1 - e refill bits
+        e = np.frexp(xs)[1]
+        nb = np.subtract(r + 1, e, out=at[1:n + 1])
+        np.add.accumulate(at[:n + 1], out=ends[:n + 1])
+        xs <<= nb
+        e += 62 - r
+        np.bitwise_or(xs, self.read(ends[:n], e), out=xv)
+
+    def close(self) -> None:
+        dec = self.dec
+        dec._pos += int(self.ends[self.n])
+        dec.x = int(self.x[0])
+        dec.lanes += self.x[1:].tolist()
 
 
 class AbsStreamEncoder:
@@ -931,16 +960,8 @@ class AbsStreamEncoder:
 
     def _absorb_lanes(self, symbols, m: int, lanes: int) -> None:
         """absorb_run of a run drawn by `AbsStreamDecoder._run_lanes` in K
-        = `lanes` lanes: the steps back to front, each lane's refill field
-        turned into bits (`_field_digits`) a block of _ABS_EMIT_BLOCK
-        fields at a time, then lanes 1..K-1's seed bits."""
-        r, l = self.r, self.l
-        if len(self.lanes) < lanes - 1:
-            raise CorruptStream("a run of %d lanes finds %d lane states"
-                                % (lanes, len(self.lanes) + 1))
-        rest = len(self.lanes) - (lanes - 1)
-        x = np.array([self.x] + self.lanes[rest:], dtype=np.int64)
-        del self.lanes[rest:]
+        = `lanes` lanes, _ABS_EMIT_BLOCK fields at a time
+        (`absorb_lanes`)."""
         k = len(symbols)
         steps = -(-k // lanes)
         live = k - (steps - 1) * lanes
@@ -948,29 +969,59 @@ class AbsStreamEncoder:
         # lane j's block, row j: the live lanes', then the short ones'
         full = sym[:live * steps].reshape(live, steps)
         short = sym[live * steps:].reshape(lanes - live, steps - 1)
-        (lo0, lo1), (cut0, cut1) = _emit_bounds((l - m, m), l, 1)
         per = max(1, _ABS_EMIT_BLOCK // lanes)  # steps per block
-        for end in range(steps, 0, -per):
-            start = max(end - per, 0)
-            s = np.zeros((end - start, lanes), dtype=bool)
-            s[:, :live] = full[:, start:end].T
-            s[:min(end, steps - 1) - start, live:] = short[:, start:end].T
-            # per node: its refill count is lo, one more from state cut
-            # on, and it merges as ((xs << R) + up) // div: floor(xs*l / m)
-            # for a one, ceil((xs+1)*l / ls) - 1 for a zero
-            cut, lo = np.where(s, cut1, cut0), np.where(s, lo1, lo0)
-            up, div = np.where(s, 0, l - 1), np.where(s, m, l - m)
+
+        def blocks():
+            for end in range(steps, 0, -per):
+                start = max(end - per, 0)
+                s = np.zeros((end - start, lanes), dtype=bool)
+                s[:, :live] = full[:, start:end].T
+                s[:min(end, steps - 1) - start, live:] = short[:, start:end].T
+                counts = [lanes] * (end - start)
+                if end == steps:
+                    counts[-1] = live
+                yield s, m, counts
+
+        self.absorb_lanes(blocks(), lanes)
+
+    def absorb_lanes(self, blocks, lanes: int) -> None:
+        """Absorb what `LaneDraws` drew in K = `lanes` lanes, taking lanes
+        1..K-1's final states from the end of `lanes`.  `blocks` holds its
+        steps back to front, a block at a time, as (s, m, counts): row t of
+        the bool array s holds a step's symbols, m their laws (an array
+        like s, or one law), and counts[t] the lanes that drew at it, the
+        first ones.  Each block's steps run back to front, their refill
+        fields are turned into bits (`_field_digits`) and emitted; then
+        come lanes 1..K-1's seed bits.  A forced law with the symbol it
+        forces leaves its lane's state as it is and emits nothing."""
+        r, l = self.r, self.l
+        if len(self.lanes) < lanes - 1:
+            raise CorruptStream("a run of %d lanes finds %d lane states"
+                                % (lanes, len(self.lanes) + 1))
+        rest = len(self.lanes) - (lanes - 1)
+        x = np.array([self.x] + self.lanes[rest:], dtype=np.int64)
+        del self.lanes[rest:]
+        for s, m, counts in blocks:
+            # per node: ls, the numerator of its symbol's law; it emits lo
+            # bits, one more from state cut on (`_emit_bounds`), and merges
+            # as ((xs << R) + up) // ls: floor(xs*l / m) for a one,
+            # ceil((xs+1)*l / ls) - 1 for a zero
+            ls = np.where(s, m, l - m)
+            lo = r - np.frexp(ls)[1]
+            np.maximum(lo, 0, out=lo)
+            cut = ls << (lo + 1)
+            up = np.where(s, 0, l - 1)
             fields = np.zeros(s.shape, dtype=np.int64)
             nbits = np.zeros(s.shape, dtype=np.int64)
-            for t in range(end - start - 1, -1, -1):
-                n = lanes if start + t < steps - 1 else live
+            for t in range(len(s) - 1, -1, -1):
+                n = counts[t]
                 xv, nb = x[:n], nbits[t, :n]
                 np.add(lo[t, :n], xv >= cut[t, :n], out=nb)
                 xs = xv >> nb
                 np.subtract(xv, xs << nb, out=fields[t, :n])
                 xs <<= r
                 xs += up[t, :n]
-                np.floor_divide(xs, div[t, :n], out=xv)
+                np.floor_divide(xs, ls[t, :n], out=xv)
             bits = _field_digits(fields.ravel(), nbits.ravel(), 1)
             self._emitted += bits[::-1].tobytes()
         seeds = _field_digits(x[1:] - l, np.full(lanes - 1, r), 1)

@@ -1210,8 +1210,20 @@ def load_grid(text):
         body = np.append(body, 0) if len(body) < size else body
         body = body.reshape(rows, cols + 1)
         if (body[:-1, cols] == ord("\n")).all():
-            arr = symbol[body[:, :cols]]
-            if arr.min() >= 0:
+            cells = body[:, :cols]
+            if len(alphabet) == 2:
+                # two comparisons, several times faster than the table
+                # gather, the second about 2^20 cells at a time
+                one = cells == ord(alphabet[1])
+                step = max(1, (1 << 20) // cols)
+                ok = all(np.logical_or(cells[i:i + step] == ord(alphabet[0]),
+                                       one[i:i + step]).all()
+                         for i in range(0, rows, step))
+                arr = one.view(np.int8) if ok else None
+            else:
+                arr = symbol[cells]
+                arr = arr if arr.min() >= 0 else None
+            if arr is not None:
                 return (arr[0] if m == 1 else arr), alphabet
     # line by line, to name the first fault
     lines = data[nl + 1:end].split(b"\n") if nl < end else []

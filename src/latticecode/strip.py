@@ -15,6 +15,15 @@ each law once, by the rows of the previous column it reads.  Each law
 depends only on nodes visited before it, so the decoder, which sees the
 whole grid, gathers the laws of a block of columns at a time, last block
 first, and runs the coder backwards over their free nodes.
+
+A walk of 8192 columns or more, at R <= 31 and where the zero column may
+follow every column, runs in K = min(1024, cols >> 6) interleaved coder
+lanes (`LatticeCodec.lanes`; Giesen, arXiv:1402.3392), one numpy step
+per row of every lane at once: lane j walks a contiguous stretch of
+columns from the zero state, and a zero separator column ends each lane
+but the last.  A separator and a stored lane state cost about 5 payload
+bits a lane at hard-square width 8, and the file stores the K final
+states as x=a,b,..., lane 0 first.
 """
 
 from __future__ import annotations
@@ -31,8 +40,9 @@ import numpy as np
 
 from . import lattice as lat
 from . import spectral as spec
-from .ans import (AbsStreamDecoder, AbsStreamEncoder, CapacityExceeded,
-                  CorruptStream, DecodeError)
+from .ans import (ABS_LANE_MAX_PRECISION, MAX_LANES, AbsStreamDecoder,
+                  AbsStreamEncoder, CapacityExceeded, CorruptStream,
+                  DecodeError, LaneDraws)
 from .rng import SplitMix64
 
 
@@ -53,6 +63,14 @@ MAX_PRECISION = 64
 # decoder gathers and turns into Python lists, at a time: a list of them
 # all would hold a distinct int object per free node
 COLUMN_BLOCK = 1 << 12
+# A walk of cols columns runs in K = min(MAX_LANES, cols >> 6) lanes, about
+# 64 columns a lane, one of them its separator, when K is at least
+# MIN_LANES (`LatticeCodec.lanes`); a shorter walk, where the lane steps
+# save less than they cost, runs as one
+LANE_COLUMNS_LOG = 6
+MIN_LANES = 128
+# nodes whose laws and symbols the lane decoder gathers at a time
+LANE_BLOCK = 1 << 13
 
 
 @dataclass
@@ -158,8 +176,8 @@ class EncodeResult:
     final_state: int
     consumed: int
     padded: int
-    # the final states of lanes 1..K-1 of a run drawn in lanes
-    # (`AbsStreamDecoder.lanes`); the file stores them after final_state
+    # the final states of lanes 1..K-1 of a run or a strip walk drawn in
+    # lanes (`AbsStreamDecoder.lanes`); the file stores them after final_state
     lane_states: tuple = ()
 
 
@@ -180,17 +198,22 @@ class EncodeResult:
 # visits the grid column by column and steps prefix to prefix, reading
 # each law by the prefix and the previous column's key (`_law_table`); it
 # lists the states of a block of columns and writes the block's rows from
-# the states' code bits, so no visiting order is ever built.  The decoder
-# gathers: a law depends only on nodes visited before it, so the codec
+# the states' code bits, so no visiting order is ever built.  A long strip
+# walk runs in K interleaved lanes of contiguous columns, each lane after
+# the zero state and all but the last ending in a zero separator column
+# (`LatticeCodec.lanes`); its steps go through `ans.LaneDraws`, the lane
+# step of the laned runs, and back through `AbsStreamEncoder.absorb_lanes`,
+# and its K - 1 extra final states travel as a laned run's do.  The
+# decoder gathers: a law depends only on nodes visited before it, so the codec
 # reads the laws off the written grid and `_absorb` checks the forced
 # nodes and absorbs the free ones in exact reverse visiting order, a span
 # at a time: each run that the walk drew with one `run` call with one
 # `AbsStreamEncoder.absorb_run`, every other free node with
 # `AbsStreamEncoder.absorb`.  So the nodes that go through `draw` are
-# exactly those that go through `absorb`.  The strip decoder checks every
-# column first, then gathers and absorbs one block of columns at a time,
-# last block first: a block's laws need only its own states and the state
-# of the column before it.  The checkerboard writer is two runs over the
+# exactly those that go through `absorb`.  The one-lane strip decoder
+# checks every column first, then gathers and absorbs one block of columns
+# at a time, last block first: a block's laws need only its own states and
+# the state of the column before it.  The checkerboard writer is two runs over the
 # grid's two checkerboard sublattices, and its decoder hands
 # `_absorb` one span for each.
 
@@ -266,7 +289,7 @@ def _law_table(strip: StripModel, precision: int) -> tuple:
         base.append(sum(map(len, laws)) + K * np.arange(len(cuts)))
         laws.append(m[:, :K].ravel())
     strip._law_tables[precision] = (np.concatenate(laws), np.concatenate(base),
-                                    key, child.tolist(), rank)
+                                    key, child, rank)
     return strip._law_tables[precision]
 
 
@@ -326,17 +349,29 @@ def _absorb(spans, final_state: int, nbits: int, precision: int,
     taken.  A forced node that disagrees ahead of the first non-binary one
     is reported first; the fault earliest in visiting order is raised once
     every span is read.  `lane_states` are `EncodeResult.lane_states`."""
+    enc = _absorber(final_state, nbits, precision, lane_states)
+    # starmap drops each span once its call returns
+    faults = [f for f in starmap(functools.partial(_absorb_span, enc), spans) if f]
+    if faults:
+        raise InvalidLattice(faults[-1])
+    return _payload(enc, nbits)
+
+
+def _absorber(final_state: int, nbits: int, precision: int,
+              lane_states: Sequence[int]) -> AbsStreamEncoder:
+    """The coder that runs backwards from a written grid's final states,
+    once they, R and the declared bit count are checked."""
     _check_precision(precision)
     if nbits < 0:
         raise ConfigMismatch("declared bit count %d is negative" % nbits)
     l = 1 << precision
     if not all(l <= x < 2 * l for x in (final_state, *lane_states)):
         raise ConfigMismatch("final coder state out of range")
-    enc = AbsStreamEncoder(final_state, precision, lane_states)
-    # starmap drops each span once its call returns
-    faults = [f for f in starmap(functools.partial(_absorb_span, enc), spans) if f]
-    if faults:
-        raise InvalidLattice(faults[-1])
+    return AbsStreamEncoder(final_state, precision, lane_states)
+
+
+def _payload(enc: AbsStreamEncoder, nbits: int) -> bytes:
+    """The first `nbits` payload bits that `enc` absorbed, one byte each."""
     out = enc.finish()
     if len(out) < nbits:
         raise CorruptStream("stream holds fewer bits than declared")
@@ -346,6 +381,27 @@ def _absorb(spans, final_state: int, nbits: int, precision: int,
 def _check_height(grid: np.ndarray, n: int) -> None:
     if grid.ndim != 2 or grid.shape[0] != n:
         raise ConfigMismatch("grid height does not match the strip width")
+
+
+def _code_bits(strip: StripModel) -> np.ndarray:
+    """code_bits[j, v]: row j of state v, in int8."""
+    n = strip.n
+    return ((strip.codes >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(np.int8)
+
+
+def _lane_layout(cols: int, lanes: int) -> tuple:
+    """(steps, live, starts) of a walk of `cols` columns in K = `lanes`
+    lanes: lane j draws the columns from starts[j] on, `steps` of them in
+    the first `live` lanes and steps - 1 in the rest, and the column after
+    those of lanes 0..K-2 is a separator, the zero column, drawn by none."""
+    drawn = cols - (lanes - 1)
+    steps = -(-drawn // lanes)
+    live = drawn - (steps - 1) * lanes
+    width = np.full(lanes, steps + 1, dtype=np.intp)
+    width[live:] -= 1
+    starts = np.zeros(lanes, dtype=np.intp)
+    np.cumsum(width[:-1], out=starts[1:])
+    return steps, live, starts
 
 
 class LatticeCodec:
@@ -359,6 +415,16 @@ class LatticeCodec:
     checks every column, then gathers a block of columns' laws from that
     table at a time, last block first, and runs the coder backwards over
     it from the stored final state.
+
+    A long walk runs in K interleaved lanes (`lanes`; `ans.LaneDraws`):
+    lane j draws a contiguous stretch of columns, from the zero state as
+    column 0 does, and lanes 0..K-2 end in a separator, the zero column,
+    which costs no payload and lets the next lane start from the zero
+    state.  The lanes step in lockstep, one node of every lane at a time;
+    the file stores all K final states (`EncodeResult.lane_states`), and
+    the decoder gathers the laws of a block of steps of every lane at a
+    time, last block first, and absorbs them lane by lane
+    (`AbsStreamEncoder.absorb_lanes`).
     """
 
     def __init__(self, strip: StripModel, precision: int = 16):
@@ -367,23 +433,36 @@ class LatticeCodec:
         self.strip = strip
         self.precision = precision
 
+    def lanes(self, cols: int) -> int:
+        """K, the lanes of a walk of `cols` columns: min(MAX_LANES, cols >>
+        6) when that is at least MIN_LANES, R <= 31 and the zero column may
+        follow every state, so that it can end a lane; else 1."""
+        k = min(MAX_LANES, cols >> LANE_COLUMNS_LOG)
+        strip = self.strip
+        if (k < MIN_LANES or self.precision > ABS_LANE_MAX_PRECISION
+                or strip.codes[0] or not strip.graph.weights[:, 0].all()):
+            return 1
+        return k
+
     def _walk(self, cols: int, dec) -> np.ndarray:
         """The grid of `cols` columns, each free node drawn by the coder
         `dec` at its law.  The walk steps prefix to prefix by the previous
         state's keys and keeps each column's state; it lists COLUMN_BLOCK
-        states at a time and writes their columns from their code bits."""
+        states at a time and writes their columns from their code bits.  A
+        walk of K > 1 lanes runs in `_walk_lanes`."""
+        lanes = self.lanes(cols)
+        if lanes > 1:
+            return self._walk_lanes(cols, dec, lanes)
         strip, R = self.strip, self.precision
         laws, base, key, child, _ = _law_table(strip, R)
         P = len(base)  # state v is flat prefix P + v
         draw, l = dec.draw, 1 << R
+        child = child.tolist()
         kids = list(zip(child[0::2], child[1::2]))
         row = [r.tolist() for r in np.split(laws, base[1:])]  # row[q][k]
         keys = key.tolist()  # keys[u][j]: state u's key at row j
-        n = strip.n
-        # code_bits[j, v]: row j of state v
-        code_bits = ((strip.codes >> np.arange(n - 1, -1, -1)[:, None]) & 1
-                     ).astype(np.int8)
-        grid = np.empty((n, cols), dtype=np.int8)
+        code_bits = _code_bits(strip)
+        grid = np.empty((strip.n, cols), dtype=np.int8)
         u = strip.zero_state
         for a in range(0, cols, COLUMN_BLOCK):
             states = []
@@ -396,6 +475,37 @@ class LatticeCodec:
                 u = q - P
                 put(u)
             grid[:, a:a + len(states)] = code_bits[:, states]
+        return grid
+
+    def _walk_lanes(self, cols: int, dec, lanes: int) -> np.ndarray:
+        """`_walk` in K = `lanes` lanes (`_lane_layout`): each row of a
+        column step gathers the live lanes' laws by their prefixes and the
+        keys of their previous states and draws them as one lane step
+        (`ans.LaneDraws`); the columns are written from their states once
+        the walk is done, the separators left at the zero state."""
+        strip, R = self.strip, self.precision
+        laws, base, key, child, _ = _law_table(strip, R)
+        P = len(base)
+        steps, live, starts = _lane_layout(cols, lanes)
+        keys = np.ascontiguousarray(key.T)  # keys[j, u]
+        states = np.full(cols, strip.zero_state, dtype=np.uint16)
+        u = np.full(lanes, strip.zero_state, dtype=np.intp)
+        s = np.empty(lanes, dtype=bool)
+        draws = LaneDraws(dec, lanes)
+        for c in range(steps):
+            k = lanes if c < steps - 1 else live
+            ku, sk = keys[:, u[:k]], s[:k]
+            q = np.zeros(k, dtype=np.intp)
+            for kj in ku:
+                draws.step(laws[base[q] + kj], sk)
+                q = child[2 * q + sk]
+            u[:k] = q - P
+            states[starts[:k] + c] = u[:k]
+        draws.close()
+        code_bits = _code_bits(strip)
+        grid = np.empty((strip.n, cols), dtype=np.int8)
+        for a in range(0, cols, COLUMN_BLOCK):
+            grid[:, a:a + COLUMN_BLOCK] = code_bits[:, states[a:a + COLUMN_BLOCK]]
         return grid
 
     def encode(self, bits: Sequence[int], cols: int, partial: bool = False) -> EncodeResult:
@@ -447,13 +557,77 @@ class LatticeCodec:
 
         return blocks()
 
-    def decode(self, grid: np.ndarray, final_state: int, nbits: int) -> bytes:
+    def decode(self, grid: np.ndarray, final_state: int, nbits: int,
+               lane_states: Sequence[int] = ()) -> bytes:
+        """The payload bits, one byte each, of a written grid, its final
+        state and its declared bit count.  `lane_states` are the final
+        states of lanes 1..K-1 (`EncodeResult.lane_states`), K from the
+        grid (`lanes`); none reads a grid written before lanes as one lane,
+        and any other count is refused first."""
         grid = np.asarray(grid)
         n = self.strip.n
+        _check_height(grid, n)
+        lanes = self.lanes(grid.shape[1])
+        if len(lane_states) not in (0, lanes - 1):
+            raise ConfigMismatch("%d coder states for a grid that codes in %d "
+                                 "lanes" % (1 + len(lane_states), lanes))
+        if lane_states:
+            return self._decode_lanes(grid, final_state, nbits, lane_states)
         spans = ((grid[:, a:a + len(m) // n].T.ravel(), m, False,
                   lambda i, a=a: (i % n, a + i // n))
                  for a, m in self._laws(grid))
         return _absorb(spans, final_state, nbits, self.precision)
+
+    def _decode_lanes(self, grid: np.ndarray, final_state: int, nbits: int,
+                      lane_states: Sequence[int]) -> bytes:
+        """`decode` of a walk drawn in K = len(lane_states) + 1 lanes: every
+        column is checked (`_states`), then the states, then every
+        separator, before any lane array is built; then the steps
+        of every lane are gathered and absorbed back to front, LANE_BLOCK
+        nodes at a time.  A forced node that disagrees, which a checked
+        grid meets only if the table forces a 0 under a valid column, is
+        refused where it is found."""
+        states = self._states(grid)
+        strip, R = self.strip, self.precision
+        enc = _absorber(final_state, nbits, R, lane_states)
+        n, cols = grid.shape
+        lanes = len(lane_states) + 1
+        steps, live, starts = _lane_layout(cols, lanes)
+        sep = starts[1:] - 1
+        bad = np.flatnonzero(states[sep] != strip.zero_state)
+        if len(bad):
+            c = int(sep[bad[0]])
+            raise InvalidLattice("separator column holds a 1 at (%d, %d)"
+                                 % (int(np.argmax(grid[:, c] != 0)), c))
+        laws, base, key, _, rank = _law_table(strip, R)
+        l = 1 << R
+        per = max(1, LANE_BLOCK // (lanes * n))  # column steps a block
+
+        def blocks():
+            for end in range(steps, 0, -per):
+                start = max(end - per, 0)
+                # (column step, lane) -> column; at the last step the short
+                # lanes' columns are their separators (the last lane's, the
+                # last column), checked but never absorbed
+                col = starts + np.arange(start, end)[:, None]
+                np.minimum(col, cols - 1, out=col)
+                v = states[col]
+                u = np.where(col > 0, states[col - 1], strip.zero_state)
+                # rows (step, row), columns lanes
+                m = laws[base[rank[v]] + key[u]].transpose(0, 2, 1).reshape(-1, lanes)
+                s = (grid[:, col] == 1).transpose(1, 0, 2).reshape(-1, lanes)
+                counts = [lanes] * len(s)
+                if end == steps:
+                    counts[-n:] = [live] * n
+                wrong = np.where(s, m == 0, m == l)
+                if wrong.any():
+                    t, j = divmod(int(np.argmax(wrong)), lanes)
+                    raise InvalidLattice("forced node disagrees at (%d, %d)"
+                                         % (t % n, starts[j] + start + t // n))
+                yield s, m, counts
+
+        enc.absorb_lanes(blocks(), lanes)
+        return _payload(enc, nbits)
 
 
 def format_encoded(kind: str, grid, **fields) -> bytearray:
@@ -466,10 +640,12 @@ def format_encoded(kind: str, grid, **fields) -> bytearray:
 
 def encode_to_text(strip: StripModel, res: EncodeResult, nbits: int,
                    precision: int = 16) -> bytearray:
-    """Self-describing encoded-lattice file: config header, then the grid."""
+    """Self-describing encoded-lattice file: config header, then the grid.
+    x= lists the K final lane states, lane 0 first: one when K = 1."""
+    states = (res.final_state,) + res.lane_states
     return format_encoded("strip", res.grid, model=strip.model.name or "custom",
                           n=strip.n, boundary=strip.boundary, R=precision,
-                          key=0, x=res.final_state, bits=nbits)
+                          key=0, x=",".join(map(str, states)), bits=nbits)
 
 
 def parse_encoded(data: bytes, kind: str = "strip",
@@ -518,19 +694,23 @@ def header_ints(meta: dict, name: str, *counts: int) -> list:
 
 def decode_text(data: bytes) -> bytes:
     """Payload bits, one byte each, of the bytes of an encoded-lattice file,
-    decoded with the strip its header names (`codec_strip`)."""
+    decoded with the strip its header names (`codec_strip`).  Its x= lists
+    the K final lane states, K from the grid and R (`LatticeCodec.lanes`),
+    or one state, as files were written before lanes; a list of another
+    length is refused unread."""
     meta, grid = parse_encoded(data)
     try:
         model = lat.model_preset(meta["model"])
     except ValueError as e:
         raise ConfigMismatch(str(e))
-    (n,), (R,), (x,), (nbits,) = map(functools.partial(header_ints, meta),
-                                     ("n", "R", "x", "bits"))
+    (n,), (R,), (nbits,) = map(functools.partial(header_ints, meta),
+                               ("n", "R", "bits"))
     # the grid in the file, not the header, decides how large a strip to
     # build, and its law table is sized before the strip is
     _check_height(grid, n)
     codec = LatticeCodec(codec_strip(model, n, meta["boundary"]), R)
-    return codec.decode(grid, x, nbits)
+    x = header_ints(meta, "x", 1, codec.lanes(grid.shape[1]))
+    return codec.decode(grid, x[0], nbits, x[1:])
 
 
 @dataclass
@@ -548,7 +728,8 @@ def _strip_trial_codec(precision, name, n, boundary, cols):
     # non-wrapping modes against the base model directly
     model = None if boundary == "cyclic" else codec.strip.model
     return (lambda bits: codec.encode(bits, cols, partial=True),
-            lambda res: codec.decode(res.grid, res.final_state, res.consumed),
+            lambda res: codec.decode(res.grid, res.final_state, res.consumed,
+                                     res.lane_states),
             model, n * cols)
 
 

@@ -668,7 +668,7 @@ def _laned_algo1_file(tmp_path):
 
 def _with_states(latf, head, states):
     text = latf.read_text()
-    head = head[:3] + ["x=" + ",".join(states)] + head[4:]
+    head = [t if not t.startswith("x=") else "x=" + ",".join(states) for t in head]
     latf.write_text(" ".join(head) + text[text.index("\n"):])
 
 
@@ -722,6 +722,82 @@ def test_algo1_lane_states_are_refused_before_any_lane_array(tmp_path, monkeypat
     assert rc == 1
     assert err.splitlines()[1:] == ["error: " + message]
     assert not back.exists()
+
+
+def _laned_strip_file(tmp_path, cols=8192):
+    """A width-4 strip file of 8192 columns, which codes in 128 lanes: its
+    path, payload and header tokens, x= the fifth."""
+    src = tmp_path / "pay"
+    src.write_bytes(rand_bytes(1000, 35))
+    latf = tmp_path / "s.lat"
+    rc, _, _ = run(["strip", "encode", "--width", "4", "--columns", str(cols),
+                    "--in", str(src), "--out", str(latf)])
+    assert rc == 0
+    head = latf.read_text().split("\n", 1)[0].split()
+    assert head[6].startswith("x=")
+    return latf, src.read_bytes(), head
+
+
+def test_strip_file_stores_every_lane_state(tmp_path):
+    latf, payload, head = _laned_strip_file(tmp_path)
+    states = head[6][2:].split(",")
+    codec = st.LatticeCodec(st.codec_strip(st.lat.hard_square(), 4, "zero"))
+    assert len(states) == codec.lanes(8192) == 128
+    assert all(1 << 16 <= int(x) < 1 << 17 for x in states)
+    back = tmp_path / "back"
+    rc, _, _ = run(["strip", "decode", "--in", str(latf), "--out", str(back)])
+    assert rc == 0 and back.read_bytes() == payload
+
+
+def test_strip_single_state_file_still_decodes(tmp_path, monkeypatch):
+    # a file written before lanes stores one state for a grid that now
+    # codes in 128 lanes; it decodes as one lane
+    monkeypatch.setattr(st, "MIN_LANES", 1 << 40)
+    latf, payload, head = _laned_strip_file(tmp_path)
+    assert "," not in head[6]
+    monkeypatch.undo()
+    back = tmp_path / "back"
+    rc, _, _ = run(["strip", "decode", "--in", str(latf), "--out", str(back)])
+    assert rc == 0 and back.read_bytes() == payload
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda xs: xs[:2], "header field x holds 2 values, not 1 or 128"),
+    (lambda xs: xs + xs[:1], "header field x holds 129 values, not 1 or 128"),
+    (lambda xs: xs[:7] + [str((1 << 16) - 1)] + xs[8:], "final coder state out of range"),
+    (lambda xs: xs[:127] + [str(1 << 17)], "final coder state out of range")],
+    ids=["two", "one-more", "below", "above"])
+def test_strip_lane_states_are_refused_before_any_lane_array(tmp_path, monkeypatch,
+                                                             edit, message):
+    # K comes from the grid and R, never from the header
+    latf, _, head = _laned_strip_file(tmp_path)
+    _with_states(latf, head, edit(head[6][2:].split(",")))
+
+    def unreached(*args):
+        raise AssertionError("built before the lane states were checked")
+
+    monkeypatch.setattr(st, "_lane_layout", unreached)
+    monkeypatch.setattr(ans.AbsStreamEncoder, "__init__", unreached)
+    back = tmp_path / "back"
+    rc, _, err = run(["strip", "decode", "--in", str(latf), "--out", str(back)])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: " + message]
+    assert not back.exists()
+
+
+def test_strip_separator_holding_a_1_is_refused(tmp_path):
+    # lane 0 draws 64 columns and column 64 separates it from lane 1; a 1
+    # there that keeps the columns valid is named by its row and column
+    latf, _, _ = _laned_strip_file(tmp_path)
+    lines = latf.read_text().split("\n")
+    rows = lines[2:6]  # the codec header, the grid header, then the rows
+    assert all(r[64] == "0" for r in rows)
+    r = next(r for r in range(4) if rows[r][63] == rows[r][65] == "0")
+    lines[2 + r] = rows[r][:64] + "1" + rows[r][65:]
+    latf.write_text("\n".join(lines))
+    rc, _, err = run(["strip", "decode", "--in", str(latf), "--out", str(tmp_path / "b")])
+    assert rc == 1
+    assert err.splitlines()[1:] == ["error: separator column holds a 1 at (%d, 64)" % r]
 
 
 @pytest.mark.parametrize("field, value", [

@@ -852,6 +852,24 @@ def test_grid_bytes_read_in_place_or_line_by_line():
         L.load_grid(b"2 2 3 01\n0\n1\n010\n")
 
 
+@pytest.mark.parametrize("alphabet", ["01", "10", "ab", "012"])
+def test_grid_read_in_place_maps_any_alphabet(alphabet):
+    # a two-symbol grid is read by comparing its cells with the alphabet's
+    # two bytes, a larger one through a byte table: both map the alphabet's
+    # i-th byte to i, and a cell outside it is named on the line-by-line path
+    arr = (np.arange(24).reshape(4, 6) * 5 % len(alphabet)).astype(np.int8)
+    text = "2 4 6 %s\n" % alphabet + "".join(
+        "".join(alphabet[v] for v in r) + "\n" for r in arr.tolist())
+    back, alpha = L.load_grid(text.encode())
+    assert alpha == alphabet and back.dtype == np.int8
+    assert np.array_equal(back, arr)
+    line, _ = L.load_grid("1 1 6 %s\n%s\n" % (alphabet, text.split("\n")[1]))
+    assert np.array_equal(line, arr[0])
+    with pytest.raises(ValueError, match="^grid row 3 column 5 holds 'x', not in "
+                       "alphabet '%s'$" % alphabet):
+        L.load_grid(text[:-2] + "x\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("7 2 3 01\n010\n001\n", "grid kind 7 is neither 1 (a line) nor 2 (a grid)"),
     ("1 2 3 01\n010\n001\n", "a kind-1 grid has one row, not 2"),

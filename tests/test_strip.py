@@ -454,6 +454,22 @@ def test_rate_gap_decreases_with_width():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+def test_laned_rate_trial_charges_every_lane_state():
+    # at 8192 columns the walk codes in K = 128 lanes, and the rate is
+    # charged R + 1 bits for each of the K stored states, not for one
+    R, n, cols = 16, 4, 8192
+    codec = st.LatticeCodec(st.codec_strip(HS, n, "zero"), R)
+    K = codec.lanes(cols)
+    assert K == 128
+    rep = st.evaluate_rate("hard-square", n, cols, trials=1, seed=3,
+                           precision=R, verify=True)
+    rng = SplitMix64(3).spawn(0)
+    bits = (rng.block(n * cols + 64) & np.uint64(1)).astype(np.uint8).tobytes()
+    res = codec.encode(bits, cols, partial=True)
+    assert len(res.lane_states) == K - 1
+    assert rep.rates == [(res.consumed - K * (R + 1)) / (n * cols)]
+
+
 def test_parallel_rate_matches_serial():
     a = st.evaluate_rate("hard-square", 6, 1024, trials=4, seed=1, jobs=2)
     b = st.evaluate_rate("hard-square", 6, 1024, trials=4, seed=1, jobs=1)
@@ -605,10 +621,14 @@ def _span(grid, order, laws, R, lo, hi, run):
             lambda i: divmod(int(order[lo + i]), cols))
 
 
-def _reference_coding(bits, R, laws):
+def _reference_coding(bits, R, *lanes):
     """The coder pair `_write` / `_absorb` run, rebuilt step by step from the
-    exact-fraction `abs_decode_step` / `abs_encode_step`: symbols, final
-    state, consumed, padded, and every bit read back (padding included)."""
+    exact-fraction `abs_decode_step` / `abs_encode_step`, over K = len(lanes)
+    interleaved lanes, lanes[j] the laws of lane j's nodes in its visiting
+    order.  Lane 0 is seeded first, then lanes 1..K-1, R payload bits each;
+    each step splits every lane that still has a node, then refills them in
+    lane order.  Returns each lane's symbols, each lane's final state,
+    consumed, padded, and every bit read back (padding included)."""
     l = 1 << R
     stream = iter(bits)
     count = {"consumed": 0, "padded": 0}
@@ -620,26 +640,36 @@ def _reference_coding(bits, R, laws):
             x = 2 * x + (b or 0)
         return x
 
-    x = refill(1)
-    syms = []
-    for m in laws:
-        if 0 < m < l:
-            s, x = ans.abs_decode_step(x, Fraction(m, l))
-            x = refill(x)
-        else:
-            s = m >> R
-        syms.append(s)
-    final, back = x, []
-    for s, m in zip(reversed(syms), reversed(laws)):
-        if 0 < m < l:
-            while x >= 2 * (m if s else l - m):
-                back.append(x & 1)
-                x >>= 1
-            x = ans.abs_encode_step(s, x, Fraction(m, l))
-    assert l <= x < 2 * l
-    while x > 1:
-        back.append(x & 1)
-        x >>= 1
+    x = [refill(1) for _ in lanes]
+    syms = [[] for _ in lanes]
+    steps = max(map(len, lanes))
+    live = [[j for j, laws in enumerate(lanes) if t < len(laws)]
+            for t in range(steps)]
+    for t in range(steps):
+        for j in live[t]:
+            m = lanes[j][t]
+            if 0 < m < l:
+                s, x[j] = ans.abs_decode_step(x[j], Fraction(m, l))
+            else:
+                s = m >> R
+            syms[j].append(s)
+        for j in live[t]:
+            x[j] = refill(x[j])
+    final, back = list(x), []
+    # back to front: a step's last lane read its refill bits last
+    for t in range(steps - 1, -1, -1):
+        for j in live[t][::-1]:
+            m, s = lanes[j][t], syms[j][t]
+            if 0 < m < l:
+                while x[j] >= 2 * (m if s else l - m):
+                    back.append(x[j] & 1)
+                    x[j] >>= 1
+                x[j] = ans.abs_encode_step(s, x[j], Fraction(m, l))
+    for xj in x[::-1]:  # then the seeds, lane K-1's first
+        assert l <= xj < 2 * l
+        while xj > 1:
+            back.append(xj & 1)
+            xj >>= 1
     return syms, final, count["consumed"], count["padded"], back[::-1]
 
 
@@ -675,13 +705,142 @@ def test_write_read_match_reference_coder(R):
             return grid
 
         res = st._write(bits, R, walk, partial=True)
-        syms, x, consumed, padded, back = _reference_coding(bits, R, laws)
+        (syms,), (x,), consumed, padded, back = _reference_coding(bits, R, laws)
         assert res.grid.flat[order].tolist() == syms
         assert (res.final_state, res.consumed, res.padded) == (x, consumed, padded)
         assert back == bits[:consumed] + [0] * padded
         spans = [_span(res.grid, order, laws, R, N - tail, N, True),
                  _span(res.grid, order, laws, R, 0, N - tail, False)]
         assert st._absorb(spans, x, consumed, R) == bytes(back[:consumed])
+
+
+def _lane_columns(cols, K):
+    """The columns each of K lanes draws, in order: drawn = cols - (K - 1)
+    columns dealt out one more to the first drawn % K lanes, each lane's
+    stretch but the last followed by its separator column."""
+    q, r = divmod(cols - (K - 1), K)
+    out, c = [], 0
+    for j in range(K):
+        d = q + (j < r)
+        out.append(range(c, c + d))
+        c += d + 1
+    return out
+
+
+def _check_lane_walk(codec, bits, cols, partial=True):
+    """Encode `bits` into `cols` columns in K lanes and check the walk
+    against K reference coders (`_reference_coding`) whose laws are the
+    written grid's, gathered column by column by the one-lane decoder
+    (`_gathered`): the lanes' symbols, the separators, the final states,
+    consumed and padded, and the decode, bit for bit.  Returns K."""
+    R, n, K = codec.precision, codec.strip.n, codec.lanes(cols)
+    res = codec.encode(bits, cols, partial=True)
+    laws = _gathered(codec, res.grid).reshape(cols, n).tolist()
+    stretches = _lane_columns(cols, K)
+    lanes = [sum((laws[c] for c in cols_j), []) for cols_j in stretches]
+    syms, final, consumed, padded, back = _reference_coding(list(bits), R, *lanes)
+    for j, cols_j in enumerate(stretches):
+        assert res.grid[:, cols_j].T.ravel().tolist() == syms[j]
+    sep = [c.stop for c in stretches[:-1]]
+    assert not res.grid[:, sep].any()
+    assert [res.final_state, *res.lane_states] == final
+    assert (res.consumed, res.padded) == (consumed, padded)
+    assert back == list(bits[:consumed]) + [0] * padded
+    got = codec.decode(res.grid, res.final_state, consumed, res.lane_states)
+    assert got == bytes(bits[:consumed])
+    if not partial and consumed < len(bits):
+        with pytest.raises(CapacityExceeded) as e:
+            codec.encode(bits, cols)
+        assert e.value.achieved_bits == consumed
+    return K
+
+
+@pytest.mark.parametrize("R", [1, 16, 31])
+def test_lane_walk_matches_reference_lane_coders(R, monkeypatch):
+    # K = cols >> 2 lanes from 2 lanes on, so small grids code in lanes:
+    # column counts that K does not divide, a cyclic strip, payloads
+    # shorter than the walk (zero padding) and longer (CapacityExceeded)
+    monkeypatch.setattr(st, "LANE_COLUMNS_LOG", 2)
+    monkeypatch.setattr(st, "MIN_LANES", 2)
+    rng = SplitMix64(3500 + R)
+    for n, boundary, cols in ((1, "zero", 8), (3, "zero", 37), (5, "cyclic", 50),
+                              (4, "free", 63), (2, "zero", 101)):
+        codec = st.LatticeCodec(st.codec_strip(HS, n, boundary), R)
+        for nbits in (0, rng.randbelow(n * cols // 3), 4 * n * cols):
+            bits = [rng.randbelow(2) for _ in range(nbits)]
+            assert _check_lane_walk(codec, bits, cols, partial=False) == cols >> 2
+
+
+def test_lane_walk_at_the_real_threshold():
+    # K = min(MAX_LANES, cols >> 6) once that reaches 128: one lane at
+    # 8191 columns, 128 at 8192 and at 8255, 129 at 8256
+    codec = st.LatticeCodec(st.codec_strip(HS, 2, "zero"))
+    assert [codec.lanes(c) for c in (8128, 8191, 8192, 8255, 8256, 1 << 16, 1 << 20)] == [
+        1, 1, 128, 128, 129, 1024, 1024]
+    rng = SplitMix64(36)
+    bits = [rng.randbelow(2) for _ in range(8000)]
+    res = codec.encode(bits, 8191)
+    assert res.lane_states == ()
+    assert codec.decode(res.grid, res.final_state, len(bits)) == bytes(bits)
+    assert _check_lane_walk(codec, bits, 8192) == 128
+    # past R = 31, x * m of a lane step leaves int64: one lane
+    assert st.LatticeCodec(codec.strip, 31).lanes(8192) == 128
+    assert st.LatticeCodec(codec.strip, 32).lanes(8192) == 1
+
+
+# a 1 needs a 1 to its right or below that: the zero column may follow
+# only a column whose one 1 is at the foot, and cannot end a lane
+ONES_RIGHT = lat.LatticeModel(2, (0, 1), ((((0, 0), 1), ((0, 1), 0), ((1, 1), 0)),))
+
+
+def test_lanes_need_a_zero_column_after_every_state():
+    strip = st.strip_model(ONES_RIGHT, 3, "free")
+    assert not strip.graph.weights[:, strip.zero_state].all()
+    codec = st.LatticeCodec(strip)
+    assert codec.lanes(1 << 16) == 1
+    rng = SplitMix64(37)
+    bits = [rng.randbelow(2) for _ in range(3000)]
+    res = codec.encode(bits, 9000, partial=True)
+    assert res.lane_states == () and not lat.scan(res.grid, ONES_RIGHT)
+    assert codec.decode(res.grid, res.final_state, res.consumed) == bytes(
+        bits[:res.consumed])
+
+
+def test_lane_decode_refuses_a_separator_or_a_forced_node(monkeypatch):
+    monkeypatch.setattr(st, "LANE_COLUMNS_LOG", 2)
+    monkeypatch.setattr(st, "MIN_LANES", 2)
+    codec = st.LatticeCodec(st.strip_model(ONES_SINK, 3, "free"))
+    rng = SplitMix64(38)
+    bits = [rng.randbelow(2) for _ in range(200)]
+    res = codec.encode(bits, 41, partial=True)
+    K = codec.lanes(41)
+    sep = [c.stop for c in _lane_columns(41, K)[:-1]]
+    assert K == 10 and sep[0] == 4
+
+    def decode(grid, states=res.lane_states):
+        return codec.decode(grid, res.final_state, res.consumed, states)
+
+    with pytest.raises(st.ConfigMismatch,
+                       match="^2 coder states for a grid that codes in 10 lanes$"):
+        decode(res.grid, res.lane_states[:1])
+    # a separator's one 1 at the foot keeps the column valid under ONES_SINK
+    bad = res.grid.copy()
+    bad[2, sep[3]] = 1
+    with pytest.raises(st.InvalidLattice, match=r"^separator column holds a 1 at \(2, %d\)$"
+                       % sep[3]):
+        decode(bad)
+    # a law that forces a 0 under a node that holds a 1, which no checked
+    # column of an irreducible strip meets: the table is edited in place
+    laws = _gathered(codec, res.grid).reshape(41, 3)
+    c, r = next((c, r) for c in range(sep[5] + 1, 41) for r in range(3)
+                if res.grid[r, c] and 0 < laws[c, r] < 1 << 16)
+    table, base, key, _, rank = st._law_table(codec.strip, 16)
+    states = codec._states(res.grid)
+    table[base[rank[states[c], r]] + key[states[c - 1], r]] = 0
+    with pytest.raises(st.InvalidLattice, match=r"^forced node disagrees at \(\d+, \d+\)$") as e:
+        decode(res.grid)
+    r, c = map(int, e.value.args[0].rsplit("(", 1)[1][:-1].split(", "))
+    assert res.grid[r, c] == 1 and _gathered(codec, res.grid)[c * 3 + r] == 0
 
 
 def test_read_reports_the_first_bad_node():
@@ -797,12 +956,13 @@ def test_column_blocks_code_as_one_block(monkeypatch, block):
 
 
 def test_strip_codec_memory_is_bounded():
-    # a width-8 strip of 2^16 columns (524,288 nodes) from bytes of bits: the
-    # walk writes the grid from 4096 columns' states at a time and the
-    # decoder gathers laws a column block at a time, so the traced peaks are
-    # 2.35 B/node to encode and 3.69 to decode, where Python bit lists, a
-    # visiting order and whole-grid law gathers took 28.2 and 22.5; the
-    # bounds are about twice the figures now
+    # a width-8 strip of 2^16 columns (524,288 nodes) from bytes of bits, in
+    # 1024 lanes: the walk keeps one uint16 state a column and writes the
+    # grid 4096 columns at a time, and the decoder gathers laws and symbols
+    # 2^13 nodes at a time, so the traced peaks are 2.81 B/node to encode
+    # and 2.61 to decode (2.35 and 3.69 in one lane), where Python bit
+    # lists, a visiting order and whole-grid law gathers took 28.2 and
+    # 22.5; the bounds are those set for one lane
     codec = st.LatticeCodec(st.codec_strip(HS, 8, "zero"))
     cols, nodes = 1 << 16, 8 << 16
     bits = (SplitMix64(28).block(nodes) & np.uint64(1)).astype(np.uint8).tobytes()
@@ -812,7 +972,7 @@ def test_strip_codec_memory_is_bounded():
     encode_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     tracemalloc.start()
-    got = codec.decode(res.grid, res.final_state, res.consumed)
+    got = codec.decode(res.grid, res.final_state, res.consumed, res.lane_states)
     decode_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert got == bits[:res.consumed]
